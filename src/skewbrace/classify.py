@@ -13,7 +13,7 @@ from typing import Optional
 
 from .braces import SkewBrace
 from .errors import OrderBoundExceeded
-from .groups import GroupPredicates, element_orders, group_predicates, _primes_of
+from .groups import GroupPredicates, _is_prime, _primes_of, element_orders, group_predicates
 from .series import (
     IdealChain,
     chief_series,
@@ -91,17 +91,6 @@ def is_supersoluble(B: SkewBrace) -> SupersolubleResult:
         terms.append(preimage(proj, chosen))
     B.cache[key] = result
     return result
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def is_supersoluble_oracle(B: SkewBrace) -> bool:

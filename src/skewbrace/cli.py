@@ -192,7 +192,9 @@ def _group_section(tag: str, predicates) -> list[str]:
     ]
 
 
-def _structured_report(B: SkewBrace, only: Optional[str]) -> str:
+def _structured_report(B: SkewBrace, only: Optional[str],
+                       solution: Optional[Solution] = None) -> str:
+    """The key-value report; `solution` is the brace's, when already derived."""
     lines: list[str] = []
     if only in (None, "brace", "classify"):
         report = brace_report(B)
@@ -238,7 +240,8 @@ def _structured_report(B: SkewBrace, only: Optional[str]) -> str:
             f"derived-ideal-order {len(derived_ideal(B))}",
         ]
     if only in (None, "ybe"):
-        solution = solution_from_brace(B)
+        if solution is None:
+            solution = solution_from_brace(B)
         lines += [
             "[ybe]",
             f"size {solution.size}",
@@ -396,7 +399,7 @@ def cmd_ybe(args) -> int:
         text = fh.read()
     B = parse_brace_document(text)
     solution = solution_from_brace(B)
-    sys.stdout.write(_structured_report(B, "ybe"))
+    sys.stdout.write(_structured_report(B, "ybe", solution))
     if args.retract:
         level = 0
         current = solution

@@ -13,8 +13,8 @@ from typing import Iterable, Optional, Sequence
 
 from .braces import SkewBrace, quotient_brace, sub_brace
 from .errors import NotAnIdeal
-from .groups import closure
-from .substructure import all_ideals, classify_subset
+from .groups import _is_prime, closure
+from .substructure import all_ideals, brace_core, classify_subset
 
 __all__ = [
     "FactorInfo",
@@ -66,17 +66,6 @@ class IdealChain:
 
     def factor_orders(self) -> tuple[int, ...]:
         return tuple(f.order for f in self.factors)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def quotient_with_map(B: SkewBrace, term: tuple[int, ...]) -> tuple[SkewBrace, list[int]]:
@@ -279,18 +268,6 @@ def derived_ideal(B: SkewBrace) -> tuple[int, ...]:
     return out
 
 
-def _largest_ideal_inside(B: SkewBrace, allowed: set[int]) -> tuple[int, ...]:
-    best: tuple[int, ...] = (0,)
-    contained = [i for i in all_ideals(B) if set(i) <= allowed]
-    for cand in contained:
-        if len(cand) > len(best):
-            best = cand
-    for cand in contained:
-        if not set(cand) <= set(best):
-            raise NotAnIdeal("no unique largest ideal inside the target subset")
-    return best
-
-
 def b_central_series(B: SkewBrace, ideal_elems: Sequence[int]) -> IdealChain:
     """Ascending central series of an ideal relative to the whole brace.
 
@@ -310,7 +287,7 @@ def b_central_series(B: SkewBrace, ideal_elems: Sequence[int]) -> IdealChain:
         inner = sub_brace(Q, image)
         local_center = zeta(inner)
         allowed = {image[x] for x in local_center}
-        grown_q = _largest_ideal_inside(Q, allowed)
+        grown_q = brace_core(Q, allowed)
         grown = preimage(proj, grown_q)
         if len(grown) == len(current):
             break

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .braces import SkewBrace
 from .errors import MissingZero, NotAnIdeal
-from .groups import subgroups
+from .groups import _Span, closure, subgroups
 
 __all__ = [
     "SubStructure",
@@ -72,22 +72,18 @@ def classify_subset(B: SkewBrace, subset: Iterable[int]) -> SubStructure:
 
 
 def subbrace_generated(B: SkewBrace, seed: Iterable[int]) -> tuple[int, ...]:
-    """The least subset containing the seed closed under both operations."""
-    ta, tm = B.add_group.table, B.mul_group.table
-    elems = {0}
-    work = []
-    for s in seed:
-        if s not in elems:
-            elems.add(s)
-            work.append(s)
-    while work:
-        x = work.pop()
-        for y in tuple(elems):
-            for z in (ta[x][y], ta[y][x], tm[x][y], tm[y][x]):
-                if z not in elems:
-                    elems.add(z)
-                    work.append(z)
-    return tuple(sorted(elems))
+    """The least subset containing the seed closed under both operations.
+
+    Alternates the orbit kernel over the additive and the multiplicative
+    table; every round that does not stop at least doubles the set, so at
+    most log2 |B| rounds of two closures each.
+    """
+    elems = tuple(seed)
+    while True:
+        span = closure(B.add_group, elems)
+        elems = closure(B.mul_group, span)
+        if len(elems) == len(span):
+            return span
 
 
 def ideal_generated(B: SkewBrace, seed: Iterable[int]) -> tuple[int, ...]:
@@ -95,39 +91,26 @@ def ideal_generated(B: SkewBrace, seed: Iterable[int]) -> tuple[int, ...]:
 
     Closing under sums, every lambda image, and both kinds of conjugation
     suffices: multiplicative products then come for free from
-    ab = a + lam_a(b).
+    ab = a + lam_a(b).  Sums come from the orbit kernel over the additive
+    table, grown by every image that falls outside; each element reached
+    is mapped once by all 3n maps, so the ideal I costs
+    O(n |I| + |I| log |I|) lookups.
     """
     ta, lam = B.add_group.table, B.lam_table
     tm = B.mul_group.table
     neg, inv = B.add_group.inverse, B.mul_group.inverse
     carrier = range(B.order)
-    elems = {0}
-    work = []
-    for s in seed:
-        if s not in elems:
-            elems.add(s)
-            work.append(s)
-    while work:
-        x = work.pop()
-        fresh = []
-        for y in tuple(elems):
-            fresh.append(ta[x][y])
-            fresh.append(ta[y][x])
+    span = _Span(ta, seed)
+    elems, inside = span.elems, span.inside
+    i = 0
+    while i < len(elems):
+        x = elems[i]
+        i += 1
         for b in carrier:
-            fresh.append(lam[b][x])
-            fresh.append(ta[ta[b][x]][neg[b]])
-            fresh.append(tm[tm[b][x]][inv[b]])
-        for z in fresh:
-            if z not in elems:
-                elems.add(z)
-                work.append(z)
+            for z in (lam[b][x], ta[ta[b][x]][neg[b]], tm[tm[b][x]][inv[b]]):
+                if z not in inside:
+                    span.add(z)
     return tuple(sorted(elems))
-
-
-def _additive_subgroups(B: SkewBrace) -> list[tuple[int, ...]]:
-    if "add_subgroups" not in B.cache:
-        B.cache["add_subgroups"] = subgroups(B.add_group)
-    return B.cache["add_subgroups"]
 
 
 def all_subbraces(B: SkewBrace) -> list[tuple[int, ...]]:
@@ -135,7 +118,7 @@ def all_subbraces(B: SkewBrace) -> list[tuple[int, ...]]:
     if "subbraces" not in B.cache:
         tm = B.mul_group.table
         found = []
-        for sub in _additive_subgroups(B):
+        for sub in subgroups(B.add_group):
             inside = set(sub)
             if all(tm[a][b] in inside for a in sub for b in sub):
                 found.append(sub)
@@ -144,12 +127,32 @@ def all_subbraces(B: SkewBrace) -> list[tuple[int, ...]]:
 
 
 def all_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
-    """Every ideal, as sorted tuples ordered by (size, elements)."""
+    """Every ideal, as sorted tuples ordered by (size, elements).
+
+    Every ideal is the join of the principal ideals of its elements, and the
+    join of ideals I and J is the additive subgroup generated by I + J.  So
+    the lattice is the join-closure of the n principal ideals: n
+    `ideal_generated` calls, then one `closure` per found ideal I and
+    distinct principal ideal whose generator lies outside I.
+    """
     if "ideals" not in B.cache:
-        B.cache["ideals"] = [
-            sub for sub in _additive_subgroups(B)
-            if classify_subset(B, sub).is_ideal
-        ]
+        add = B.add_group
+        principal: dict[tuple[int, ...], int] = {}
+        for x in B.elements():
+            principal.setdefault(ideal_generated(B, (x,)), x)
+        found = set(principal)
+        frontier = list(found)
+        while frontier:
+            base = frontier.pop()
+            inside = set(base)
+            for ideal, x in principal.items():
+                if x in inside:
+                    continue
+                joined = closure(add, base + ideal)
+                if joined not in found:
+                    found.add(joined)
+                    frontier.append(joined)
+        B.cache["ideals"] = sorted(found, key=lambda s: (len(s), s))
     return list(B.cache["ideals"])
 
 

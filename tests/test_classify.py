@@ -4,6 +4,7 @@ import pytest
 
 from skewbrace import (
     OrderBoundExceeded,
+    all_ideals,
     brace_report,
     chief_series,
     classify_subset,
@@ -285,3 +286,11 @@ def test_oracle_order_bound(worked_examples):
     assert big.order == 64
     with pytest.raises(OrderBoundExceeded):
         is_supersoluble_oracle(big)
+
+
+def test_order_64_product_is_not_supersoluble(worked_examples):
+    b = direct_product_braces(worked_examples["ex32"].brace, trivial_brace(cyclic_group(2)))
+    result = is_supersoluble(b)
+    assert not result.supersoluble
+    assert result.blocking_minimal_orders == (8,)
+    assert len(all_ideals(b)) == 18

@@ -1,5 +1,7 @@
 """Tests for the finite group layer."""
 
+import random
+
 import pytest
 
 from skewbrace import (
@@ -14,6 +16,7 @@ from skewbrace import (
     cyclic_group,
     derived_subgroup,
     direct_product,
+    direct_product_braces,
     element_order,
     element_orders,
     generating_set,
@@ -30,6 +33,7 @@ from skewbrace import (
     quotient_group,
     semidirect_product,
     subgroups,
+    trivial_brace,
 )
 
 
@@ -155,6 +159,51 @@ def test_closure_and_generating_set():
     for g in (c12, catalog_group(6, "S3"), catalog_group(8, "Q8")):
         gens = generating_set(g)
         assert sorted(closure(g, gens)) == list(range(g.order))
+
+
+def naive_closure(g, seed):
+    """Close under all products until nothing new appears."""
+    elems = {0, *seed}
+    while True:
+        grown = elems | {g.table[x][y] for x in elems for y in elems}
+        if grown == elems:
+            return tuple(sorted(elems))
+        elems = grown
+
+
+def naive_generating_set(g):
+    """Least element not yet reached, repeated until the group is reached."""
+    gens = []
+    while len(naive_closure(g, gens)) < g.order:
+        reached = set(naive_closure(g, gens))
+        gens.append(min(x for x in range(g.order) if x not in reached))
+    return gens
+
+
+def test_closure_matches_naive_fixed_point(worked_examples):
+    order64 = direct_product_braces(
+        worked_examples["ex32"].brace, trivial_brace(cyclic_group(2))).add_group
+    groups = {
+        "C12": cyclic_group(12),
+        "D12": catalog_group(12, "D12"),
+        "Q8": quaternion_group(),
+        "ex32xC2 additive": order64,
+    }
+    rng = random.Random(20240229)
+    for label, g in groups.items():
+        n = g.order
+        seeds = [(), (0,), (0, 0), tuple(range(n)), tuple(range(n - 1, -1, -1))]
+        for _ in range(40):
+            picks = [rng.randrange(n) for _ in range(rng.randrange(1, 5))]
+            seeds.append(tuple(picks + picks[: rng.randrange(len(picks) + 1)] + [0]))
+        for seed in seeds:
+            assert closure(g, seed) == naive_closure(g, seed), (label, seed)
+
+
+def test_generating_set_matches_naive_greedy():
+    for n in range(1, 13):
+        for label, g in group_catalog(n):
+            assert generating_set(g) == naive_generating_set(g), label
 
 
 def test_is_subgroup():

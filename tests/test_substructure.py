@@ -9,12 +9,14 @@ from skewbrace import (
     brace_core,
     classify_subset,
     cyclic_group,
+    direct_product_braces,
     frattini,
     ideal_generated,
     index,
     maximal_subbraces,
     minimal_ideals,
     subbrace_generated,
+    subgroups,
     trivial_brace,
 )
 
@@ -162,3 +164,15 @@ def test_index_is_multiplicative(worked_examples):
         b = ex.brace
         for sub in all_subbraces(b):
             assert index(b, sub) * len(sub) == b.order
+
+
+def test_all_ideals_match_classified_subgroups(full_pool, worked_examples):
+    brace = {name: ex.brace for name, ex in worked_examples.items()}
+    products = [
+        direct_product_braces(brace["ex24"], trivial_brace(cyclic_group(2))),
+        direct_product_braces(brace["ex12"], trivial_brace(cyclic_group(4))),
+        direct_product_braces(brace["ex8"], brace["ex8"]),
+    ]
+    for b in full_pool + products:
+        expected = [s for s in subgroups(b.add_group) if classify_subset(b, s).is_ideal]
+        assert all_ideals(b) == expected, b
