@@ -5,6 +5,13 @@ A brace holds two group tables on the same element set: an additive one
 a^-1), sharing 0 as identity and tied together by a(b + c) = ab - a + ac.
 The derived maps lam_a(b) = -a + ab and a*b = lam_a(b) - b are materialized
 as full tables at construction.
+
+Validation is exact at every order.  Both tables are proven to be groups
+and the linking axiom is proven for b over an additive generating set S,
+with a and c over all elements: O(|S| n^2) lookups, |S| <= log2 n.  That
+lambda is a homomorphism into Aut(A) and the star identities follow from
+the axiom and need no check of their own (Guarnieri & Vendramin, Math.
+Comp. 86, 2017).
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from .errors import (
     NotClosed,
     TranscriptionInvalid,
 )
-from .groups import FiniteGroup, direct_product, make_group, _find_identity, _relabel
+from .groups import (FiniteGroup, direct_product, generating_set, make_group,
+                     _find_identity, _relabel)
 
 __all__ = [
     "SkewBrace",
@@ -38,9 +46,6 @@ __all__ = [
     "direct_product_braces",
     "check_brace_invariants",
 ]
-
-EXHAUSTIVE_TRIPLE_BOUND = 64
-
 
 class SkewBrace:
     """A finite skew left brace; construct through make_brace."""
@@ -113,75 +118,28 @@ class SkewBrace:
         return f"SkewBrace({label}, order={self.order})"
 
 
-def _triple_ranges(n: int) -> tuple[range, bool]:
-    if n <= EXHAUSTIVE_TRIPLE_BOUND:
-        return range(n), True
-    step = max(1, n // EXHAUSTIVE_TRIPLE_BOUND)
-    return range(0, n, step), False
-
-
 def _validate_pair(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Check the skew brace axioms and return the lambda table."""
+    """Prove a(b + c) = ab - a + ac for all a, b, c; return the lambda table.
+
+    The b satisfying it for all a and c contain 0 and are closed under +,
+    since a(b + b' + c) = ab - a + a(b' + c), so b only runs over an
+    additive generating set: O(|S| n^2) with |S| <= log2 n.
+    """
     n = add.order
-    if mul.order != n:
-        raise BraceInvalid(f"table sizes differ: {n} vs {mul.order}")
     ta, tm = add.table, mul.table
     neg = add.inverse
-
-    lam = tuple(tuple(ta[neg[a]][tm[a][b]] for b in range(n)) for a in range(n))
-
-    idx, exhaustive = _triple_ranges(n)
-    for a in idx:
+    gens = generating_set(add)
+    for a in range(n):
         tma = tm[a]
         na = neg[a]
-        for b in idx:
-            left_part = ta[tma[b]][na]
-            for c in idx:
-                if tm[a][ta[b][c]] != ta[left_part][tma[c]]:
+        for b in gens:
+            tab = ta[b]
+            left_part = ta[ta[tma[b]][na]]
+            for c in range(n):
+                if tma[tab[c]] != left_part[tma[c]]:
                     raise DistributivityViolation(
                         f"{a}({b}+{c}) != {a}{b} - {a} + {a}{c}")
-
-    full = range(n)
-    for a in full:
-        la = lam[a]
-        if len(set(la)) != n:
-            raise BraceInvalid(f"lambda of {a} is not a bijection")
-        for b in idx:
-            lab = la[b]
-            for c in idx:
-                if la[ta[b][c]] != ta[lab][la[c]]:
-                    raise BraceInvalid(
-                        f"lambda of {a} is not additive at ({b}, {c})")
-    for a in full:
-        la = lam[a]
-        for b in full:
-            lb = lam[b]
-            composed = tuple(la[lb[c]] for c in range(n))
-            if lam[tm[a][b]] != composed:
-                raise BraceInvalid(
-                    f"lambda of {a}{b} differs from composing lambdas")
-
-    star = tuple(tuple(ta[lam[a][b]][neg[b]] for b in range(n)) for a in range(n))
-    for a in full:
-        for b in full:
-            if tm[a][b] != ta[ta[a][star[a][b]]][b]:
-                raise BraceInvalid(f"{a}{b} != {a} + {a}*{b} + {b}")
-    for a in idx:
-        sa = star[a]
-        for b in idx:
-            sb = star[b]
-            ab = tm[a][b]
-            for c in idx:
-                bc = sb[c]
-                rhs = ta[ta[sa[bc]][bc]][sa[c]]
-                if star[ab][c] != rhs:
-                    raise BraceInvalid(
-                        f"({a}{b})*{c} != {a}*({b}*{c}) + {b}*{c} + {a}*{c}")
-                rhs3 = ta[ta[ta[sa[b]][b]][sa[c]]][neg[b]]
-                if sa[ta[b][c]] != rhs3:
-                    raise BraceInvalid(
-                        f"{a}*({b}+{c}) != {a}*{b} + {b} + {a}*{c} - {b}")
-    return lam
+    return tuple(tuple(ta[neg[a]][tm[a][b]] for b in range(n)) for a in range(n))
 
 
 def make_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence[int]],
@@ -257,26 +215,30 @@ def brace_from_cocycle(spec: CocycleSpec, name: Optional[str] = None) -> SkewBra
     if spec.delta[0] != 0:
         raise TranscriptionInvalid(
             f"delta must send the identity to 0, got {spec.delta[0]}")
-    ta = add.table
-    for c, p in enumerate(spec.acting):
-        if len(set(p)) != n:
+    ta, tm = add.table, mul.table
+    acting = spec.acting
+    # Additivity at x and compatibility at c are closed under + and under
+    # products respectively, so x and c only run over generating sets.
+    full = set(range(n))
+    add_gens = generating_set(add)
+    for c, p in enumerate(acting):
+        if len(p) != n or set(p) != full:
             raise TranscriptionInvalid(f"acting map of element {c} is not a bijection")
-        for x in range(n):
+        for x in add_gens:
+            px, row = p[x], ta[x]
             for y in range(n):
-                if p[ta[x][y]] != ta[p[x]][p[y]]:
+                if p[row[y]] != ta[px][p[y]]:
                     raise TranscriptionInvalid(
                         f"acting map of element {c} is not additive at ({x}, {y})")
-    tm = mul.table
-    for c in range(n):
-        pc = spec.acting[c]
+    for c in generating_set(mul):
+        pc = acting[c]
         for d in range(n):
-            composed = tuple(pc[spec.acting[d][x]] for x in range(n))
-            if spec.acting[tm[c][d]] != composed:
+            if acting[tm[c][d]] != tuple(pc[v] for v in acting[d]):
                 raise ActionNotHomomorphism(
                     f"acting map of {c}{d} differs from composing the maps")
     for c in range(n):
         dc = spec.delta[c]
-        pc = spec.acting[c]
+        pc = acting[c]
         for d in range(n):
             if spec.delta[tm[c][d]] != ta[dc][pc[spec.delta[d]]]:
                 raise CocycleIdentityViolation(

@@ -25,7 +25,7 @@ from .series import (
     socle_series,
     upper_central_series,
 )
-from .ybe import Solution, retract, retraction_level, solution_from_brace
+from .ybe import Solution, retraction_level, retraction_sizes, solution_from_brace
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -193,8 +193,10 @@ def _group_section(tag: str, predicates) -> list[str]:
 
 
 def _structured_report(B: SkewBrace, only: Optional[str],
-                       solution: Optional[Solution] = None) -> str:
-    """The key-value report; `solution` is the brace's, when already derived."""
+                       solution: Optional[Solution] = None,
+                       level: Optional[int] = None) -> str:
+    """The key-value report; `solution` and its retraction `level` are the
+    brace's, when already derived."""
     lines: list[str] = []
     if only in (None, "brace", "classify"):
         report = brace_report(B)
@@ -242,13 +244,14 @@ def _structured_report(B: SkewBrace, only: Optional[str],
     if only in (None, "ybe"):
         if solution is None:
             solution = solution_from_brace(B)
+            level = retraction_level(solution)
         lines += [
             "[ybe]",
             f"size {solution.size}",
             f"braid {_fmt(solution.checks.braid)}",
             f"bijective {_fmt(solution.checks.bijective)}",
             f"nondegenerate {_fmt(solution.checks.nondegenerate)}",
-            f"retraction-level {_fmt(retraction_level(solution))}",
+            f"retraction-level {_fmt(level)}",
             "r1",
             *_table_lines(solution.r1),
             "r2",
@@ -399,19 +402,15 @@ def cmd_ybe(args) -> int:
         text = fh.read()
     B = parse_brace_document(text)
     solution = solution_from_brace(B)
-    sys.stdout.write(_structured_report(B, "ybe", solution))
+    sizes = retraction_sizes(solution)
+    level = len(sizes) - 1 if sizes[-1] == 1 else None
+    sys.stdout.write(_structured_report(B, "ybe", solution, level))
     if args.retract:
-        level = 0
-        current = solution
-        while current.size > 1:
-            smaller, _ = retract(current)
-            if smaller.size == current.size:
-                print(f"retraction stalls at size {current.size}")
-                break
-            current = smaller
-            level += 1
-            print(f"retract {level}: size {current.size}")
-        if current.size == 1:
+        for step, size in enumerate(sizes[1:], 1):
+            print(f"retract {step}: size {size}")
+        if level is None:
+            print(f"retraction stalls at size {sizes[-1]}")
+        else:
             print(f"retraction level {level}")
     return EXIT_OK
 

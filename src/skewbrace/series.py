@@ -105,14 +105,13 @@ def ideal_chain(B: SkewBrace, terms: Sequence[tuple[int, ...]]) -> IdealChain:
         if not ascending:
             lower, upper = upper, lower
         Q, proj = quotient_with_map(B, lower)
-        image = sorted({proj[x] for x in upper})
-        soc = set(socle(Q))
-        cen = set(zeta(Q))
+        image = {proj[x] for x in upper}
+        soc = socle(Q)
         factors.append(FactorInfo(
             order=len(upper) // len(lower),
             is_prime_order=_is_prime(len(upper) // len(lower)),
-            in_socle_of_quotient=all(x in soc for x in image),
-            central_in_quotient=all(x in cen for x in image),
+            in_socle_of_quotient=image <= set(soc),
+            central_in_quotient=image <= set(_center_in(Q, soc)),
         ))
     return IdealChain(B, tuple(terms), tuple(factors), ascending)
 
@@ -138,10 +137,15 @@ def socle(B: SkewBrace) -> tuple[int, ...]:
 
 def zeta(B: SkewBrace) -> tuple[int, ...]:
     """The center: socle elements that also commute multiplicatively."""
+    return _center_in(B, socle(B))
+
+
+def _center_in(B: SkewBrace, soc: Sequence[int]) -> tuple[int, ...]:
+    """The center, from the socle `soc` of B already in hand."""
     tm = B.mul_group.table
     n = B.order
     out = tuple(
-        a for a in socle(B)
+        a for a in soc
         if all(tm[a][b] == tm[b][a] for b in range(n))
     )
     if not classify_subset(B, out).is_ideal:

@@ -19,6 +19,7 @@ __all__ = [
     "verify_solution",
     "solution_from_brace",
     "retract",
+    "retraction_sizes",
     "retraction_level",
 ]
 
@@ -150,14 +151,20 @@ def retract(S: Solution) -> tuple[Solution, list[int]]:
     return Solution(m, r1, r2, verify_solution(m, r1, r2)), class_of
 
 
-def retraction_level(S: Solution) -> Optional[int]:
-    """Retractions needed to reach one point, or None if the size stalls."""
-    level = 0
+def retraction_sizes(S: Solution) -> list[int]:
+    """Sizes along the retraction chain from S itself: the list ends at 1,
+    or at the size where a retraction identifies no points."""
+    sizes = [S.size]
     current = S
     while current.size > 1:
-        shrunk, _ = retract(current)
-        if shrunk.size == current.size:
-            return None
-        current = shrunk
-        level += 1
-    return level
+        current, _ = retract(current)
+        if current.size == sizes[-1]:
+            break
+        sizes.append(current.size)
+    return sizes
+
+
+def retraction_level(S: Solution) -> Optional[int]:
+    """Retractions needed to reach one point, or None if the size stalls."""
+    sizes = retraction_sizes(S)
+    return len(sizes) - 1 if sizes[-1] == 1 else None

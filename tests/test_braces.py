@@ -1,5 +1,8 @@
 """Tests for brace construction, validation, and constructions on braces."""
 
+import random
+import re
+
 import pytest
 
 from skewbrace import (
@@ -225,3 +228,84 @@ def test_direct_product_carries_odd_part(worked_examples):
     assert len(result.additive) == 3
     assert result.equal
     assert result.is_ideal
+
+
+def _relabel_fixing_zero(table, perm):
+    inv = [0] * len(perm)
+    for x, px in enumerate(perm):
+        inv[px] = x
+    n = len(table)
+    return [[perm[table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+
+
+def _violates(add, mul, a, b, c):
+    """Whether a(b+c) != ab - a + ac in the given tables."""
+    neg = add.inverse
+    ta = add.table
+    return mul[a][ta[b][c]] != ta[ta[mul[a][b]][neg[a]]][mul[a][c]]
+
+
+def _witness(exc):
+    a, b, c = re.match(r"(\d+)\((\d+)\+(\d+)\)", str(exc.value)).groups()
+    return int(a), int(b), int(c)
+
+
+def test_make_brace_agrees_with_all_triples_check_on_small_orders():
+    accepted = rejected = 0
+    for n in range(1, 9):
+        catalog = group_catalog(n)
+        for add_label, add in catalog:
+            for mul_label, mul_group in catalog:
+                for s in range(6):
+                    rng = random.Random(f"{n}:{add_label}:{mul_label}:{s}")
+                    rest = list(range(1, n))
+                    rng.shuffle(rest)
+                    mul = _relabel_fixing_zero(mul_group.table, [0] + rest)
+                    naive = not any(_violates(add, mul, a, b, c)
+                                    for a in range(n) for b in range(n)
+                                    for c in range(n))
+                    if naive:
+                        make_brace(add.table, mul)
+                        accepted += 1
+                        continue
+                    with pytest.raises(DistributivityViolation) as exc:
+                        make_brace(add.table, mul)
+                    assert _violates(add, mul, *_witness(exc))
+                    rejected += 1
+    assert accepted > 0 and rejected > 0
+
+
+def test_validation_is_exact_at_orders_128_and_192(worked_examples):
+    ex = {name: worked_examples[name].brace for name in ("ex32", "ex24", "ex8")}
+    big = direct_product_braces(ex["ex32"], trivial_brace(cyclic_group(4)))
+    assert big.order == 128
+    assert direct_product_braces(ex["ex24"], ex["ex8"]).order == 192
+    # Relabelling the odd elements only leaves the product among even
+    # elements (a subbrace) untouched, so every violation has an odd entry
+    # and a scan over a stride-2 grid of triples finds none.
+    n = big.order
+    odd = list(range(1, n, 2))
+    random.Random(128).shuffle(odd)
+    perm = list(range(n))
+    perm[1::2] = odd
+    mul = _relabel_fixing_zero(big.mul_group.table, perm)
+    assert all(mul[a][b] == big.mul(a, b) for a in range(0, n, 2) for b in range(0, n, 2))
+    with pytest.raises(DistributivityViolation) as exc:
+        make_brace(big.add_group.table, mul)
+    assert _violates(big.add_group, mul, *_witness(exc))
+
+
+def test_single_cell_corruptions_of_the_action_are_rejected(worked_examples):
+    spec = worked_examples["ex8"].spec
+    n = spec.additive.order
+    for c in range(n):
+        for x in range(n):
+            for value in range(n):
+                if value == spec.acting[c][x]:
+                    continue
+                acting = [list(p) for p in spec.acting]
+                acting[c][x] = value
+                bad = CocycleSpec(spec.additive, spec.multiplicative,
+                                  tuple(map(tuple, acting)), spec.delta)
+                with pytest.raises(TranscriptionInvalid):
+                    brace_from_cocycle(bad)

@@ -1,6 +1,7 @@
 """Tests for the finite group layer."""
 
 import random
+import re
 
 import pytest
 
@@ -75,6 +76,24 @@ def test_make_group_requires_inverses():
     table = [[0, 1, 2], [1, 1, 1], [2, 1, 0]]
     with pytest.raises(MissingInverse):
         make_group(table)
+
+
+def test_single_cell_corruptions_of_group_tables_are_rejected():
+    for n, label in ((8, "D8"), (8, "Q8"), (12, "A4")):
+        table = catalog_group(n, label).table
+        for a in range(n):
+            for b in range(n):
+                for value in range(n):
+                    if value == table[a][b]:
+                        continue
+                    bad = [list(row) for row in table]
+                    bad[a][b] = value
+                    with pytest.raises((NoIdentity, NonAssociative, MissingInverse)) as exc:
+                        make_group(bad)
+                    if exc.type is NonAssociative:
+                        s, x, y = map(int, re.match(
+                            r"\((\d+)\*(\d+)\)\*(\d+)", str(exc.value)).groups())
+                        assert bad[bad[s][x]][y] != bad[s][bad[x][y]]
 
 
 def test_direct_product_of_cyclics():
