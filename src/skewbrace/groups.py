@@ -110,15 +110,17 @@ def _find_identity(table: Sequence[Sequence[int]]) -> int:
     raise NoIdentity("no element acts as a two-sided identity")
 
 
+def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The map x -> p[q[x]]."""
+    return tuple([p[x] for x in q])
+
+
 def _relabel(table: Sequence[Sequence[int]], perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Return the table of the same group with element x renamed perm[x]."""
-    n = len(table)
-    inv = [0] * n
+    inv = [0] * len(table)
     for x, px in enumerate(perm):
         inv[px] = x
-    return tuple(
-        tuple(perm[table[inv[a]][inv[b]]] for b in range(n)) for a in range(n)
-    )
+    return tuple(tuple([perm[row[b]] for b in inv]) for row in [table[x] for x in inv])
 
 
 class _Span:
@@ -267,6 +269,15 @@ def semidirect_product(normal: FiniteGroup, acting: FiniteGroup,
         tg = th[g]
         table.append(tuple(tx[px[b // nh]] * nh + tg[b % nh] for b in range(n)))
     return make_group(tuple(table), name)
+
+
+def _dihedral(m: int, name: str) -> FiniteGroup:
+    """The dihedral group of order 2m: C_m twisted by inversion."""
+    return semidirect_product(
+        cyclic_group(m), cyclic_group(2),
+        [tuple(range(m)), tuple((-x) % m for x in range(m))],
+        name=name,
+    )
 
 
 def closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
@@ -613,10 +624,7 @@ def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     """The automorphism group under composition, with its permutation list."""
     perms = automorphism_perms(G)
     index = {p: i for i, p in enumerate(perms)}
-    m = len(perms)
-    table = tuple(
-        tuple(index[tuple(p[q[x]] for x in G.elements())] for q in perms) for p in perms
-    )
+    table = tuple(tuple(index[_compose(p, q)] for q in perms) for p in perms)
     return make_group(table, f"Aut({G.name or '?'})"), perms
 
 

@@ -1,9 +1,12 @@
 """Tests for brace enumeration and isomorphism search."""
 
+from itertools import product
+
 import pytest
 
 from skewbrace import (
     OrderBoundExceeded,
+    aut_group,
     brace_isomorphic,
     braces_with_additive_group,
     census,
@@ -15,6 +18,16 @@ from skewbrace import (
     make_brace,
     trivial_brace,
 )
+from skewbrace.census import (
+    ORACLE_BOUND,
+    _action_homs,
+    _bfs_edges,
+    _bijective_cocycles,
+    _generator_levels,
+    _hol_order,
+    _oracle_counts,
+)
+from skewbrace.groups import _compose, element_order, generating_set
 
 EXPECTED_COUNTS = {
     1: 1,
@@ -54,6 +67,120 @@ def test_counts_by_additive_group():
 def test_census_agrees_with_pair_table_oracle():
     for n in range(2, 9):
         assert census(n).count() == census_oracle(n), n
+
+
+def test_oracle_matches_census_per_additive_group():
+    for n in range(2, 16):
+        assert _oracle_counts(n) == census(n, order_bound=16).count_by_additive(), n
+
+
+def _all_pairs_homs(C, auts):
+    """Every product of generator images of fitting order, extended along
+    BFS edges and kept when lam(ab) = lam(a) lam(b) on all pairs."""
+    gens = generating_set(C)
+    edges = _bfs_edges(C, gens)
+    ident = auts[0]
+
+    def perm_order(phi):
+        k, psi = 1, phi
+        while psi != ident:
+            k, psi = k + 1, _compose(psi, phi)
+        return k
+
+    candidates = [
+        [phi for phi in auts if element_order(C, g) % perm_order(phi) == 0]
+        for g in gens
+    ]
+    out = set()
+    for images in product(*candidates):
+        lam = [ident] * C.order
+        for g, phi in zip(gens, images):
+            lam[g] = phi
+        for x, g, y in edges:
+            lam[y] = _compose(lam[x], lam[g])
+        if all(_compose(lam[a], lam[b]) == lam[C.table[a][b]]
+               for a in range(C.order) for b in range(C.order)):
+            out.add(tuple(lam))
+    return out
+
+
+def _all_pairs_cocycles(C, A, lam):
+    """Every product of generator images of fitting holomorph order, kept
+    when it is a bijection and a cocycle on all pairs."""
+    n = C.order
+    gens = generating_set(C)
+    edges = _bfs_edges(C, gens)
+    candidates = [
+        [v for v in range(n) if _hol_order(A, v, lam[g]) == element_order(C, g)]
+        for g in gens
+    ]
+    out = set()
+    for images in product(*candidates):
+        delta = [0] * n
+        for g, v in zip(gens, images):
+            delta[g] = v
+        for x, g, y in edges:
+            delta[y] = A.table[delta[x]][lam[x][delta[g]]]
+        if len(set(delta)) == n and all(
+            delta[C.table[a][b]] == A.table[delta[a]][lam[a][delta[b]]]
+            for a in range(n) for b in range(n)
+        ):
+            out.add(tuple(delta))
+    return out
+
+
+def _generator_proofs(C, A):
+    """Homomorphisms C -> Aut(A) as permutation tuples, each mapped to its
+    set of bijective cocycles, from the oracle's generator proofs."""
+    aut, perms = aut_group(A)
+    hol = [[_hol_order(A, v, phi) for v in range(A.order)] for phi in perms]
+    levels = _generator_levels(C)
+    return {
+        tuple(perms[phi] for phi in lam):
+            set(_bijective_cocycles(C, levels, A, lam, perms, hol))
+        for lam in _action_homs(C, levels, aut)
+    }
+
+
+def test_generator_proofs_match_all_pairs_reference():
+    for n in (1, 2, 3, 4, 5, 6, 12):
+        catalog = group_catalog(n)
+        for _, A in catalog:
+            auts = aut_group(A)[1]
+            for _, C in catalog:
+                found = _generator_proofs(C, A)
+                assert set(found) == _all_pairs_homs(C, auts), (C.name, A.name)
+                for lam, cocycles in found.items():
+                    assert cocycles == _all_pairs_cocycles(C, A, lam), (C.name, A.name)
+
+
+def test_order_eight_homomorphism_and_cocycle_totals():
+    catalog = group_catalog(8)
+    homs, cocycles = {}, {}
+    for label, A in catalog:
+        found = [_generator_proofs(C, A) for _, C in catalog]
+        homs[label] = sum(len(f) for f in found)
+        cocycles[label] = sum(len(c) for f in found for c in f.values())
+    assert homs == {"C8": 116, "C4xC2": 224, "C2xC2xC2": 1496, "D8": 224, "Q8": 440}
+    assert cocycles == {"C8": 56, "C4xC2": 576, "C2xC2xC2": 3360, "D8": 496, "Q8": 528}
+
+
+def test_non_commuting_generator_images_are_rejected():
+    v4 = dict(group_catalog(4))["C2xC2"]
+    aut, perms = aut_group(v4)
+    levels = _generator_levels(v4)
+    g1, g2 = generating_set(v4)
+    transpositions = [phi for phi in range(aut.order) if element_order(aut, phi) == 2]
+    assert len(transpositions) == 3
+    assert element_order(v4, g1) == element_order(v4, g2) == 2
+    homs = _action_homs(v4, levels, aut)
+    # The trivial map, and each of 3 kernels of index 2 with 3 images.
+    assert len(homs) == 10
+    for t1 in transpositions:
+        for t2 in transpositions:
+            if t1 != t2:
+                assert aut.table[t1][t2] != aut.table[t2][t1]
+                assert not any(lam[g1] == t1 and lam[g2] == t2 for lam in homs)
 
 
 def test_every_entry_passes_invariants(medium_entries):
@@ -176,7 +303,7 @@ def test_order_bounds_raise():
     with pytest.raises(OrderBoundExceeded):
         census(13)
     with pytest.raises(OrderBoundExceeded):
-        census_oracle(9)
+        census_oracle(ORACLE_BOUND + 1)
     with pytest.raises(OrderBoundExceeded):
         braces_with_additive_group(cyclic_group(16))
     with pytest.raises(OrderBoundExceeded):
