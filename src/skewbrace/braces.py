@@ -32,7 +32,7 @@ from .errors import (
     TranscriptionInvalid,
 )
 from .groups import (FiniteGroup, direct_product, generating_set, make_group,
-                     _find_identity, _relabel)
+                     _find_identity, _quotient_tables, _relabel)
 
 __all__ = [
     "SkewBrace",
@@ -257,8 +257,9 @@ def quotient_brace(B: SkewBrace, ideal_elems: Sequence[int],
                    name: Optional[str] = None) -> tuple[SkewBrace, list[int]]:
     """Quotient by an ideal; returns the brace and the coset index map.
 
-    Multiplicative cosets must coincide with additive cosets elementwise,
-    which is what makes the quotient tables well defined.
+    Once the ideal I is lambda-invariant, b I = b + lambda_b(I) = b + I for
+    every b, so the multiplicative cosets are the additive ones and both
+    quotient tables are well defined on them.
     """
     elems = tuple(sorted(set(ideal_elems)))
     if not elems or elems[0] != 0:
@@ -282,24 +283,7 @@ def quotient_brace(B: SkewBrace, ideal_elems: Sequence[int],
                 raise NotAnIdeal(f"subset not additively normal, conjugate by {b} escapes")
             if tm[tm[b][i]][inv[b]] not in inside:
                 raise NotAnIdeal(f"subset not multiplicatively normal, conjugate by {b} escapes")
-    for b in range(n):
-        additive = {ta[b][i] for i in elems}
-        multiplicative = {tm[b][i] for i in elems}
-        if additive != multiplicative:
-            raise NotAnIdeal(
-                f"multiplicative coset of {b} differs from its additive coset")
-    coset_of = [-1] * n
-    reps: list[int] = []
-    for g in range(n):
-        if coset_of[g] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for i in elems:
-            coset_of[ta[g][i]] = idx
-    m = len(reps)
-    q_add = [[coset_of[ta[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    q_mul = [[coset_of[tm[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
+    coset_of, (q_add, q_mul) = _quotient_tables((ta, tm), elems)
     return make_brace(q_add, q_mul, name), coset_of
 
 

@@ -9,6 +9,11 @@ actions lambda: C -> Aut(A), on the indexed automorphism group of
 multiplication-table level.  Both identities are proven over a generating
 set of C, one generator at a time, so a branch dies as soon as a prefix of
 generator images fails.
+
+The routes share only table-level primitives of `groups`: the one map
+search behind `automorphism_perms`, `group_isomorphism` and
+`brace_isomorphic`, which runs it over the additive and multiplicative
+tables at once.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .groups import (
     FiniteGroup,
     _compose,
     _dihedral,
+    _map_search,
     _relabel,
     aut_group,
     automorphism_perms,
@@ -164,22 +170,6 @@ def _regular_families(A: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
     return results
 
 
-def _transport_family(family, theta, theta_inv):
-    """Relabel a family by an additive automorphism theta."""
-    n = len(theta)
-    return tuple(
-        tuple(theta[family[theta_inv[a]][theta_inv[b]]] for b in range(n))
-        for a in range(n)
-    )
-
-
-def _invert_perm(p: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def _orbit_representatives(items, transports) -> list:
     """First-seen lex-minimal representative of each relabeling orbit.
 
@@ -218,10 +208,7 @@ def braces_with_additive_group(
     n = A.order
     ta = A.table
     auts = automorphism_perms(A)
-    moves = [
-        (lambda fam, t=theta, ti=_invert_perm(theta): _transport_family(fam, t, ti))
-        for theta in auts
-    ]
+    moves = [(lambda fam, th=theta: _relabel(fam, th)) for theta in auts]
     reps = _orbit_representatives(_regular_families(A), moves)
     braces = []
     for family in reps:
@@ -289,74 +276,12 @@ def census(n: int, order_bound: int = ENUMERATION_ORDER_BOUND) -> BraceCensus:
 def brace_isomorphic(B1: SkewBrace, B2: SkewBrace) -> Optional[list[int]]:
     """A bijection preserving both operations, or None.
 
-    Searches images of an additive generating set, pruned by element order
-    pairs and extended by closure under both tables.
+    The shared map search of `groups` over the additive tables, whose
+    generating set is mapped, and then the multiplicative ones.
     """
-    if B1.order != B2.order:
-        return None
-    n = B1.order
-    pair_inv1 = _order_pairs(B1)
-    pair_inv2 = _order_pairs(B2)
-    if sorted(pair_inv1) != sorted(pair_inv2):
-        return None
-    t1a, t1m = B1.add_group.table, B1.mul_group.table
-    t2a, t2m = B2.add_group.table, B2.mul_group.table
-    gens = generating_set(B1.add_group)
-    fwd = [-1] * n
-    bwd = [-1] * n
-    fwd[0] = 0
-    bwd[0] = 0
-
-    def close(queue: list[int], trail: list[int]) -> bool:
-        while queue:
-            x = queue.pop()
-            for y in range(n):
-                if fwd[y] < 0:
-                    continue
-                for (s1, s2) in ((t1a, t2a), (t1m, t2m)):
-                    for u, v in ((x, y), (y, x)):
-                        z = s1[u][v]
-                        w = s2[fwd[u]][fwd[v]]
-                        if fwd[z] < 0 and bwd[w] < 0:
-                            fwd[z] = w
-                            bwd[w] = z
-                            trail.append(z)
-                            queue.append(z)
-                        elif fwd[z] != w:
-                            return False
-        return True
-
-    def undo(trail: list[int]) -> None:
-        for z in trail:
-            bwd[fwd[z]] = -1
-            fwd[z] = -1
-
-    def assign(k: int) -> bool:
-        if k == len(gens):
-            return all(v >= 0 for v in fwd)
-        g = gens[k]
-        if fwd[g] >= 0:
-            return assign(k + 1)
-        for target in range(n):
-            if bwd[target] >= 0 or pair_inv1[g] != pair_inv2[target]:
-                continue
-            fwd[g] = target
-            bwd[target] = g
-            trail = [g]
-            if close([g], trail) and assign(k + 1):
-                return True
-            undo(trail)
-        return False
-
-    if assign(0):
-        return list(fwd)
-    return None
-
-
-def _order_pairs(B: SkewBrace) -> list[tuple[int, int]]:
-    add = element_orders(B.add_group)
-    mul = element_orders(B.mul_group)
-    return [(add[x], mul[x]) for x in range(B.order)]
+    found = _map_search((B1.add_group, B1.mul_group), (B2.add_group, B2.mul_group),
+                        want_all=False)
+    return list(found[0]) if found else None
 
 
 def _bfs_edges(C: FiniteGroup, gens: Sequence[int]):

@@ -430,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-paper",
                               help="run every built-in example claim")
-    p_verify.add_argument("--fixture", default=None)
+    p_verify.add_argument("--fixture", choices=example_names(), default=None)
     p_verify.add_argument("--corrupt-delta", default=None,
                           help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify_paper)

@@ -12,6 +12,10 @@ subgroup is the orbit of 0 under right multiplication by its generators
 A seed element is kept as a generator only when it is not already inside,
 and each kept generator at least doubles the orbit, so a subgroup H costs
 O(|H| log |H|) table lookups plus one membership test per seed element.
+
+One map search (`_map_search`) finds the isomorphisms and automorphisms of
+groups (one table) and of braces (additive, then multiplicative table), and
+one coset builder (`_quotient_tables`) gives the quotients of both.
 """
 
 from __future__ import annotations
@@ -377,22 +381,32 @@ def derived_subgroup(G: FiniteGroup) -> tuple[int, ...]:
     return closure(G, comms)
 
 
-def quotient_group(G: FiniteGroup, normal_elems: Sequence[int],
-                   name: Optional[str] = None) -> tuple[FiniteGroup, list[int]]:
-    """Quotient by a normal subgroup; returns the group and the coset index map."""
-    n = G.order
-    t = G.table
-    coset_of = [-1] * n
+def _quotient_tables(tables: Sequence[Sequence[Sequence[int]]], normal_elems: Sequence[int]
+                     ) -> tuple[list[int], list[tuple[tuple[int, ...], ...]]]:
+    """The coset index map of the cosets g N in the first table, and one
+    quotient table per input table on the coset representatives.
+
+    The caller vouches that N is normal in every table and that each
+    table's cosets of N are those of the first.
+    """
+    t = tables[0]
+    coset_of = [-1] * len(t)
     reps: list[int] = []
-    for g in range(n):
+    for g in range(len(t)):
         if coset_of[g] >= 0:
             continue
         idx = len(reps)
         reps.append(g)
         for h in normal_elems:
             coset_of[t[g][h]] = idx
-    m = len(reps)
-    table = tuple(tuple(coset_of[t[reps[i]][reps[j]]] for j in range(m)) for i in range(m))
+    return coset_of, [tuple(tuple(coset_of[s[a][b]] for b in reps) for a in reps)
+                      for s in tables]
+
+
+def quotient_group(G: FiniteGroup, normal_elems: Sequence[int],
+                   name: Optional[str] = None) -> tuple[FiniteGroup, list[int]]:
+    """Quotient by a normal subgroup; returns the group and the coset index map."""
+    coset_of, (table,) = _quotient_tables((G.table,), normal_elems)
     return make_group(table, name), coset_of
 
 
@@ -514,27 +528,29 @@ def generating_set(G: FiniteGroup) -> list[int]:
     return _Span(G.table, G.elements()).gens
 
 
-def _element_invariants(G: FiniteGroup) -> list[tuple[int, int]]:
-    orders = element_orders(G)
-    classes = conjugacy_class_sizes(G)
-    return [(orders[a], classes[a]) for a in G.elements()]
+def _element_invariants(groups: Sequence[FiniteGroup]) -> list[tuple[tuple[int, int], ...]]:
+    """(element order, conjugacy class size) in each group, per element."""
+    return list(zip(*(zip(element_orders(G), conjugacy_class_sizes(G)) for G in groups)))
 
 
-def _isomorphism_search(G: FiniteGroup, H: FiniteGroup, want_all: bool) -> list[tuple[int, ...]]:
-    """Bijective table maps G -> H found by mapping a generating set.
+def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
+                want_all: bool) -> list[tuple[int, ...]]:
+    """Bijections carrying each source table onto its target table.
 
-    Partial maps are closed under products as soon as a generator image is
-    chosen, so inconsistent branches die early.
+    The tables of each side share one carrier.  A generating set of the
+    first source table is mapped image by image, in ascending target order,
+    and each partial map is closed under all the tables at once, so
+    inconsistent branches die early (Holt, Eick & O'Brien, 2005, ch. 4).
     """
-    n = G.order
-    if H.order != n:
+    n = sources[0].order
+    if targets[0].order != n:
         return []
-    inv_g = _element_invariants(G)
-    inv_h = _element_invariants(H)
+    inv_g = _element_invariants(sources)
+    inv_h = _element_invariants(targets)
     if sorted(inv_g) != sorted(inv_h):
         return []
-    tg, th = G.table, H.table
-    gens = generating_set(G)
+    pairs = [(G.table, H.table) for G, H in zip(sources, targets)]
+    gens = generating_set(sources[0])
     results: list[tuple[int, ...]] = []
     fwd = [-1] * n
     bwd = [-1] * n
@@ -542,33 +558,33 @@ def _isomorphism_search(G: FiniteGroup, H: FiniteGroup, want_all: bool) -> list[
     bwd[0] = 0
     known = [0]
 
-    def close_over(start: int) -> tuple[bool, list[int]]:
-        added: list[int] = []
+    def close_over(start: int) -> bool:
         i = start
         while i < len(known):
             x = known[i]
             i += 1
-            for y in known[: i]:
-                for a, b in ((x, y), (y, x)):
-                    z = tg[a][b]
-                    w = th[fwd[a]][fwd[b]]
-                    if fwd[z] >= 0:
-                        if fwd[z] != w:
-                            return False, added
-                    elif bwd[w] >= 0:
-                        return False, added
-                    else:
-                        fwd[z] = w
-                        bwd[w] = z
-                        known.append(z)
-                        added.append(z)
-        return True, added
+            for tg, th in pairs:
+                for y in known[: i]:
+                    for a, b in ((x, y), (y, x)):
+                        z = tg[a][b]
+                        w = th[fwd[a]][fwd[b]]
+                        if fwd[z] >= 0:
+                            if fwd[z] != w:
+                                return False
+                        elif bwd[w] >= 0:
+                            return False
+                        else:
+                            fwd[z] = w
+                            bwd[w] = z
+                            known.append(z)
+        return True
 
-    def undo(added: list[int]) -> None:
-        for x in added:
+    def undo(mark: int) -> None:
+        """Forget every element known from position mark on."""
+        for x in known[mark:]:
             bwd[fwd[x]] = -1
             fwd[x] = -1
-            known.pop()
+        del known[mark:]
 
     def assign(gen_pos: int) -> bool:
         if gen_pos == len(gens):
@@ -582,17 +598,13 @@ def _isomorphism_search(G: FiniteGroup, H: FiniteGroup, want_all: bool) -> list[
         for h in range(n):
             if bwd[h] >= 0 or inv_h[h] != inv_g[g]:
                 continue
+            mark = len(known)
             fwd[g] = h
             bwd[h] = g
             known.append(g)
-            mark = len(known) - 1
-            ok, added = close_over(mark)
-            if ok and assign(gen_pos + 1):
+            if close_over(mark) and assign(gen_pos + 1):
                 return True
-            undo(added)
-            bwd[h] = -1
-            fwd[g] = -1
-            known.pop()
+            undo(mark)
         return False
 
     assign(0)
@@ -601,7 +613,7 @@ def _isomorphism_search(G: FiniteGroup, H: FiniteGroup, want_all: bool) -> list[
 
 def group_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     """An isomorphism G -> H, or None when the groups are not isomorphic."""
-    found = _isomorphism_search(G, H, want_all=False)
+    found = _map_search((G,), (H,), want_all=False)
     if not found:
         return None
     return GroupMap(G, H, found[0])
@@ -609,7 +621,7 @@ def group_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
 
 def automorphism_perms(G: FiniteGroup) -> list[tuple[int, ...]]:
     """All automorphisms as element permutations, identity first."""
-    perms = _isomorphism_search(G, G, want_all=True)
+    perms = _map_search((G,), (G,), want_all=True)
     ident = tuple(range(G.order))
     perms.sort(key=lambda p: (p != ident, p))
     return perms

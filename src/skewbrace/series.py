@@ -48,8 +48,6 @@ class FactorInfo:
 
     order: int
     is_prime_order: bool
-    in_socle_of_quotient: bool
-    central_in_quotient: bool
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ def preimage(proj: Sequence[int], subset: Iterable[int]) -> tuple[int, ...]:
 
 
 def ideal_chain(B: SkewBrace, terms: Sequence[tuple[int, ...]]) -> IdealChain:
-    """Validate chain terms as ideals and record factor data per step."""
+    """Validate chain terms as ideals and record the order of each step."""
     if not terms:
         raise NotAnIdeal("a chain needs at least one term")
     sets = [set(t) for t in terms]
@@ -104,15 +102,8 @@ def ideal_chain(B: SkewBrace, terms: Sequence[tuple[int, ...]]) -> IdealChain:
     for lower, upper in zip(terms, terms[1:]):
         if not ascending:
             lower, upper = upper, lower
-        Q, proj = quotient_with_map(B, lower)
-        image = {proj[x] for x in upper}
-        soc = socle(Q)
-        factors.append(FactorInfo(
-            order=len(upper) // len(lower),
-            is_prime_order=_is_prime(len(upper) // len(lower)),
-            in_socle_of_quotient=image <= set(soc),
-            central_in_quotient=image <= set(_center_in(Q, soc)),
-        ))
+        step = len(upper) // len(lower)
+        factors.append(FactorInfo(order=step, is_prime_order=_is_prime(step)))
     return IdealChain(B, tuple(terms), tuple(factors), ascending)
 
 
@@ -137,15 +128,10 @@ def socle(B: SkewBrace) -> tuple[int, ...]:
 
 def zeta(B: SkewBrace) -> tuple[int, ...]:
     """The center: socle elements that also commute multiplicatively."""
-    return _center_in(B, socle(B))
-
-
-def _center_in(B: SkewBrace, soc: Sequence[int]) -> tuple[int, ...]:
-    """The center, from the socle `soc` of B already in hand."""
     tm = B.mul_group.table
     n = B.order
     out = tuple(
-        a for a in soc
+        a for a in socle(B)
         if all(tm[a][b] == tm[b][a] for b in range(n))
     )
     if not classify_subset(B, out).is_ideal:
@@ -190,9 +176,8 @@ def is_centrally_nilpotent(B: SkewBrace) -> bool:
     return len(chain.terms[-1]) == B.order
 
 
-def _star_span(B: SkewBrace, left: Sequence[int], right: Sequence[int],
-               commutators: bool) -> tuple[int, ...]:
-    """Additive closure of left*right, right*left and additive commutators."""
+def _star_values(B: SkewBrace, left: Sequence[int], right: Sequence[int]) -> set[int]:
+    """left*right, right*left and the additive commutators of left and right."""
     ta = B.add_group.table
     neg = B.add_group.inverse
     star = B.star_table
@@ -202,35 +187,31 @@ def _star_span(B: SkewBrace, left: Sequence[int], right: Sequence[int],
         for b in right:
             vals.add(sg[b])
             vals.add(star[b][g])
-            if commutators:
-                vals.add(ta[ta[ta[g][b]][neg[g]]][neg[b]])
-    return additive_closure(B, vals)
+            vals.add(ta[ta[ta[g][b]][neg[g]]][neg[b]])
+    return vals
+
+
+def _descending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
+    """Terms from B, each next one the additive closure of `step` applied to
+    the last, until a step no longer shrinks."""
+    terms = [tuple(range(B.order))]
+    while True:
+        nxt = additive_closure(B, step(terms[-1]))
+        if len(nxt) == len(terms[-1]):
+            return terms
+        terms.append(nxt)
 
 
 def lower_central_series(B: SkewBrace) -> IdealChain:
     """Descending terms generated by stars against B and additive commutators."""
     full = tuple(range(B.order))
-    terms = [full]
-    while True:
-        current = terms[-1]
-        nxt = _star_span(B, current, full, commutators=True)
-        if len(nxt) == len(current):
-            return ideal_chain(B, terms)
-        terms.append(nxt)
+    return ideal_chain(B, _descending_series(B, lambda cur: _star_values(B, cur, full)))
 
 
 def right_series(B: SkewBrace) -> list[tuple[int, ...]]:
     """Descending terms R, each next one generated by R * B."""
-    full = tuple(range(B.order))
-    terms = [full]
     star = B.star_table
-    while True:
-        current = terms[-1]
-        vals = {star[r][b] for r in current for b in full}
-        nxt = additive_closure(B, vals)
-        if len(nxt) == len(current):
-            break
-        terms.append(nxt)
+    terms = _descending_series(B, lambda cur: {star[r][b] for r in cur for b in B.elements()})
     for t in terms:
         if not classify_subset(B, t).is_ideal:
             raise NotAnIdeal("right series term failed its ideal check")
@@ -239,16 +220,8 @@ def right_series(B: SkewBrace) -> list[tuple[int, ...]]:
 
 def left_series(B: SkewBrace) -> list[tuple[int, ...]]:
     """Descending terms L, each next one generated by B * L."""
-    full = tuple(range(B.order))
-    terms = [full]
     star = B.star_table
-    while True:
-        current = terms[-1]
-        vals = {star[b][l] for b in full for l in current}
-        nxt = additive_closure(B, vals)
-        if len(nxt) == len(current):
-            break
-        terms.append(nxt)
+    terms = _descending_series(B, lambda cur: {star[b][l] for b in B.elements() for l in cur})
     for t in terms:
         if not classify_subset(B, t).is_left_ideal:
             raise NotAnIdeal("left series term failed its left ideal check")
@@ -266,7 +239,7 @@ def is_left_nilpotent(B: SkewBrace) -> bool:
 def derived_ideal(B: SkewBrace) -> tuple[int, ...]:
     """The additive closure of all stars and additive commutators."""
     full = tuple(range(B.order))
-    out = _star_span(B, full, full, commutators=True)
+    out = additive_closure(B, _star_values(B, full, full))
     if not classify_subset(B, out).is_ideal:
         raise NotAnIdeal("derived subset failed its ideal check")
     return out

@@ -1,5 +1,6 @@
 """Tests for brace enumeration and isomorphism search."""
 
+import random
 from itertools import product
 
 import pytest
@@ -27,7 +28,7 @@ from skewbrace.census import (
     _hol_order,
     _oracle_counts,
 )
-from skewbrace.groups import _compose, element_order, generating_set
+from skewbrace.groups import _compose, _relabel, element_order, generating_set
 
 EXPECTED_COUNTS = {
     1: 1,
@@ -213,19 +214,27 @@ def test_census_label_order():
     ]
 
 
-def test_entries_are_pairwise_non_isomorphic_order6():
-    entries = census(6).entries
+@pytest.mark.parametrize("n", range(1, 13))
+def test_entries_are_pairwise_non_isomorphic(n):
+    entries = census(n).entries
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             assert brace_isomorphic(entries[i].brace, entries[j].brace) is None
 
 
-def test_entries_are_pairwise_non_isomorphic_order8_cyclic_additive():
-    entries = [e for e in census(8).entries if e.additive_label == "C8"]
-    assert len(entries) == 5
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            assert brace_isomorphic(entries[i].brace, entries[j].brace) is None
+@pytest.mark.parametrize("n", range(1, 13))
+def test_relabeled_entries_are_isomorphic(n):
+    rng = random.Random(n)
+    for entry in census(n).entries:
+        b = entry.brace
+        perm = [0] + rng.sample(range(1, n), n - 1)
+        add, mul = _relabel(b.add_group.table, perm), _relabel(b.mul_group.table, perm)
+        f = brace_isomorphic(b, make_brace(add, mul))
+        assert f is not None and sorted(f) == list(range(n))
+        for x in range(n):
+            for y in range(n):
+                assert f[b.add(x, y)] == add[f[x]][f[y]]
+                assert f[b.mul(x, y)] == mul[f[x]][f[y]]
 
 
 def test_brace_isomorphic_finds_identity():

@@ -147,9 +147,13 @@ def test_verify_paper_single_fixture(capsys):
     assert out.count("pass ex12") == 8
 
 
-def test_verify_paper_unknown_fixture_runs_zero_claims(capsys):
-    assert main(["verify-paper", "--fixture", "nosuch"]) == 0
-    assert "0 claims checked, 0 failures" in capsys.readouterr().out
+def test_verify_paper_unknown_fixture_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--fixture", "nosuch"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "nosuch" in err
+    assert "Traceback" not in err
 
 
 def test_verify_paper_corrupted_delta_fails(capsys):

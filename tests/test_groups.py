@@ -10,7 +10,9 @@ from skewbrace import (
     NoIdentity,
     NonAssociative,
     NotClosed,
+    GroupMap,
     aut_group,
+    automorphism_perms,
     center,
     closure,
     conjugacy_class_sizes,
@@ -229,6 +231,29 @@ def test_is_subgroup():
     c12 = cyclic_group(12)
     assert is_subgroup(c12, [0, 4, 8])
     assert not is_subgroup(c12, [0, 4, 7])
+
+
+AUT_ORDERS = {
+    "C1": 1, "C2": 1, "C3": 2, "C4": 2, "C2xC2": 6, "C5": 4, "C6": 2, "S3": 6,
+    "C7": 6, "C8": 4, "C4xC2": 8, "C2xC2xC2": 168, "D8": 8, "Q8": 24, "C9": 6,
+    "C3xC3": 48, "C10": 4, "D10": 20, "C11": 10, "C12": 4, "C6xC2": 12,
+    "D12": 12, "Dic3": 12, "A4": 24, "C13": 12, "C14": 6, "D14": 42, "C15": 8,
+}
+
+
+def test_automorphism_perms_of_catalog():
+    labels = []
+    for n in range(1, 16):
+        for label, g in group_catalog(n):
+            labels.append(label)
+            perms = automorphism_perms(g)
+            assert len(perms) == AUT_ORDERS[label], label
+            assert perms[0] == tuple(range(n))
+            assert len(set(perms)) == len(perms)
+            for p in perms:
+                m = GroupMap(g, g, p)
+                assert m.is_bijective() and m.is_homomorphism(), (label, p)
+    assert sorted(labels) == sorted(AUT_ORDERS)
 
 
 def test_automorphism_group_orders():
