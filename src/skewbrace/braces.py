@@ -12,6 +12,10 @@ with a and c over all elements: O(|S| n^2) lookups, |S| <= log2 n.  That
 lambda is a homomorphism into Aut(A) and the star identities follow from
 the axiom and need no check of their own (Guarnieri & Vendramin, Math.
 Comp. 86, 2017).
+
+Exact at the boundary, trusted after: `make_brace` proves a pair of tables,
+and a brace derived from proven ones (after the exact ideal, closure or
+cocycle checks of its constructor) is built by `_brace` unproven.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .errors import (
     CocycleIdentityViolation,
     DeltaNotBijective,
     DistributivityViolation,
+    GroupInvalid,
     IdentityMismatch,
     MissingZero,
     NotAnIdeal,
@@ -32,7 +37,7 @@ from .errors import (
     TranscriptionInvalid,
 )
 from .groups import (FiniteGroup, direct_product, generating_set, make_group,
-                     _find_identity, _quotient_tables, _relabel)
+                     quotient_group, _find_identity, _group)
 
 __all__ = [
     "SkewBrace",
@@ -118,8 +123,8 @@ class SkewBrace:
         return f"SkewBrace({label}, order={self.order})"
 
 
-def _validate_pair(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Prove a(b + c) = ab - a + ac for all a, b, c; return the lambda table.
+def _validate_pair(add: FiniteGroup, mul: FiniteGroup) -> None:
+    """Prove a(b + c) = ab - a + ac for all a, b, c.
 
     The b satisfying it for all a and c contain 0 and are closed under +,
     since a(b + b' + c) = ab - a + a(b' + c), so b only runs over an
@@ -139,7 +144,16 @@ def _validate_pair(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...],
                 if tma[tab[c]] != left_part[tma[c]]:
                     raise DistributivityViolation(
                         f"{a}({b}+{c}) != {a}{b} - {a} + {a}{c}")
-    return tuple(tuple(ta[neg[a]][tm[a][b]] for b in range(n)) for a in range(n))
+
+
+def _brace(add: FiniteGroup, mul: FiniteGroup, name: Optional[str] = None) -> SkewBrace:
+    """The trusted constructor: two groups already known to form a brace,
+    with the lambda and star tables derived from them."""
+    n = add.order
+    ta, tm, neg = add.table, mul.table, add.inverse
+    lam = tuple(tuple(ta[neg[a]][tm[a][b]] for b in range(n)) for a in range(n))
+    star = tuple(tuple(ta[lam[a][b]][neg[b]] for b in range(n)) for a in range(n))
+    return SkewBrace(add, mul, lam, star, name)
 
 
 def make_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence[int]],
@@ -148,27 +162,17 @@ def make_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence[
     if len(add_table) != len(mul_table):
         raise BraceInvalid(
             f"table sizes differ: {len(add_table)} vs {len(mul_table)}")
-    n = len(add_table)
-    add_rows = tuple(tuple(row) for row in add_table)
-    mul_rows = tuple(tuple(row) for row in mul_table)
-    e_add = _find_identity(add_rows)
-    e_mul = _find_identity(mul_rows)
+    e_add = _find_identity(add_table)
+    e_mul = _find_identity(mul_table)
     if e_add != e_mul:
         raise IdentityMismatch(
             f"additive identity is {e_add}, multiplicative identity is {e_mul}")
-    if e_add != 0:
-        perm = list(range(n))
-        perm[0], perm[e_add] = e_add, 0
-        add_rows = _relabel(add_rows, perm)
-        mul_rows = _relabel(mul_rows, perm)
-    add = make_group(add_rows, name and f"{name}+")
-    mul = make_group(mul_rows, name and f"{name}*")
-    lam = _validate_pair(add, mul)
-    neg = add.inverse
-    star = tuple(
-        tuple(add.table[lam[a][b]][neg[b]] for b in range(n)) for a in range(n)
-    )
-    return SkewBrace(add, mul, lam, star, name)
+    # With one shared identity, make_group moves it to 0 in both tables by
+    # the same swap, so the tables stay aligned.
+    add = make_group(add_table, name and f"{name}+")
+    mul = make_group(mul_table, name and f"{name}*")
+    _validate_pair(add, mul)
+    return _brace(add, mul, name)
 
 
 def check_brace_invariants(brace: SkewBrace) -> bool:
@@ -182,7 +186,7 @@ def check_brace_invariants(brace: SkewBrace) -> bool:
 
 def trivial_brace(G: FiniteGroup, name: Optional[str] = None) -> SkewBrace:
     """The brace with both operations equal to the group operation."""
-    return make_brace(G.table, G.table, name or (G.name and f"triv({G.name})"))
+    return _brace(G, G, name or (G.name and f"triv({G.name})"))
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,10 @@ class CocycleSpec:
 
 
 def brace_from_cocycle(spec: CocycleSpec, name: Optional[str] = None) -> SkewBrace:
-    """Build the brace a.b = delta(delta^-1(a) delta^-1(b)) and validate it."""
+    """Validate the cocycle and build the brace a.b = delta(delta^-1(a) delta^-1(b)).
+
+    A bijective cocycle of an action into Aut(A) gives a brace with
+    lambda_delta(c) = acting[c] (Guarnieri & Vendramin, 2017)."""
     add = spec.additive
     mul = spec.multiplicative
     n = add.order
@@ -250,7 +257,7 @@ def brace_from_cocycle(spec: CocycleSpec, name: Optional[str] = None) -> SkewBra
         tuple(spec.delta[tm[inv_delta[a]][inv_delta[b]]] for b in range(n))
         for a in range(n)
     )
-    return make_brace(add.table, mul_table, name)
+    return _brace(add, _group(mul_table), name)
 
 
 def quotient_brace(B: SkewBrace, ideal_elems: Sequence[int],
@@ -261,30 +268,21 @@ def quotient_brace(B: SkewBrace, ideal_elems: Sequence[int],
     every b, so the multiplicative cosets are the additive ones and both
     quotient tables are well defined on them.
     """
-    elems = tuple(sorted(set(ideal_elems)))
-    if not elems or elems[0] != 0:
+    inside = set(ideal_elems)
+    if 0 not in inside:
         raise MissingZero("an ideal must contain 0")
-    n = B.order
-    ta, tm = B.add_group.table, B.mul_group.table
-    inside = set(elems)
-    neg, inv = B.add_group.inverse, B.mul_group.inverse
-    for a in elems:
-        for b in elems:
-            if ta[a][b] not in inside:
-                raise NotAnIdeal(f"subset not closed under addition at ({a}, {b})")
-            if tm[a][b] not in inside:
-                raise NotAnIdeal(f"subset not closed under multiplication at ({a}, {b})")
-    for b in range(n):
-        lb = B.lam_table[b]
-        for i in elems:
+    for b, lb in enumerate(B.lam_table):
+        for i in inside:
             if lb[i] not in inside:
                 raise NotAnIdeal(f"subset not invariant under lambda of {b}")
-            if ta[ta[b][i]][neg[b]] not in inside:
-                raise NotAnIdeal(f"subset not additively normal, conjugate by {b} escapes")
-            if tm[tm[b][i]][inv[b]] not in inside:
-                raise NotAnIdeal(f"subset not multiplicatively normal, conjugate by {b} escapes")
-    coset_of, (q_add, q_mul) = _quotient_tables((ta, tm), elems)
-    return make_brace(q_add, q_mul, name), coset_of
+    quotients = []
+    for label, G in (("additive", B.add_group), ("multiplicative", B.mul_group)):
+        try:
+            quotients.append(quotient_group(G, inside))
+        except GroupInvalid as exc:
+            raise NotAnIdeal(f"{label} group: {exc}") from None
+    (add, coset_of), (mul, _) = quotients
+    return _brace(add, mul, name), coset_of
 
 
 def sub_brace(B: SkewBrace, elements: Sequence[int],
@@ -305,10 +303,9 @@ def sub_brace(B: SkewBrace, elements: Sequence[int],
                 raise NotClosed(f"subset not closed under addition at ({a}, {b})")
             if tm[a][b] not in pos:
                 raise NotClosed(f"subset not closed under multiplication at ({a}, {b})")
-    k = len(elems)
-    s_add = [[pos[ta[elems[i]][elems[j]]] for j in range(k)] for i in range(k)]
-    s_mul = [[pos[tm[elems[i]][elems[j]]] for j in range(k)] for i in range(k)]
-    return make_brace(s_add, s_mul, name)
+    s_add = tuple(tuple(pos[ta[a][b]] for b in elems) for a in elems)
+    s_mul = tuple(tuple(pos[tm[a][b]] for b in elems) for a in elems)
+    return _brace(_group(s_add), _group(s_mul), name)
 
 
 def semidirect_group(B: SkewBrace, name: Optional[str] = None) -> FiniteGroup:
@@ -330,7 +327,7 @@ def semidirect_group(B: SkewBrace, name: Optional[str] = None) -> FiniteGroup:
             row_add[row_lam[q // n]] * n + row_mul[q % n] for q in range(size)
         ))
     label = name or (B.name and f"semi({B.name})")
-    return make_group(tuple(table), label)
+    return _group(tuple(table), label)
 
 
 def direct_product_braces(B1: SkewBrace, B2: SkewBrace,
@@ -338,4 +335,4 @@ def direct_product_braces(B1: SkewBrace, B2: SkewBrace,
     """Componentwise brace on pairs, flattened like the group product."""
     add = direct_product(B1.add_group, B2.add_group)
     mul = direct_product(B1.mul_group, B2.mul_group)
-    return make_brace(add.table, mul.table, name)
+    return _brace(add, mul, name)

@@ -15,7 +15,11 @@ O(|H| log |H|) table lookups plus one membership test per seed element.
 
 One map search (`_map_search`) finds the isomorphisms and automorphisms of
 groups (one table) and of braces (additive, then multiplicative table), and
-one coset builder (`_quotient_tables`) gives the quotients of both.
+one coset builder (`quotient_group`) gives the quotients of both.
+
+Exact at the boundary, trusted after: `make_group` proves a table, and a
+table derived from proven groups (quotients, Aut, semidirect products after
+their exact checks) is a group by theorem, built by `_group` unproven.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     ActionNotHomomorphism,
+    GroupInvalid,
     MissingInverse,
     NoIdentity,
     NonAssociative,
@@ -57,12 +62,10 @@ __all__ = [
     "automorphisms",
     "automorphism_perms",
     "aut_group",
-    "holomorph",
     "generating_set",
 ]
 
 SUBGROUP_ORDER_BOUND = 64
-HOLOMORPH_ORDER_BOUND = 12
 
 
 class FiniteGroup:
@@ -199,13 +202,16 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Fi
     _assoc_generators(rows)
     # In an associative table with identity a right inverse is unique, so
     # the first 0 in row a is the only candidate for a's inverse.
-    inverse = []
     for a, row in enumerate(rows):
-        b = row.index(0) if 0 in row else -1
-        if b < 0 or rows[b][a] != 0:
+        if 0 not in row or rows[row.index(0)][a] != 0:
             raise MissingInverse(f"element {a} has no two-sided inverse")
-        inverse.append(b)
-    return FiniteGroup(rows, tuple(inverse), name)
+    return _group(rows, name)
+
+
+def _group(rows: tuple[tuple[int, ...], ...], name: Optional[str] = None) -> FiniteGroup:
+    """The trusted constructor: a table already known to be a group with
+    identity 0, so the inverse of a is the first 0 in row a."""
+    return FiniteGroup(rows, tuple(row.index(0) for row in rows), name)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -272,7 +278,7 @@ def semidirect_product(normal: FiniteGroup, acting: FiniteGroup,
         tx = tn[x]
         tg = th[g]
         table.append(tuple(tx[px[b // nh]] * nh + tg[b % nh] for b in range(n)))
-    return make_group(tuple(table), name)
+    return _group(tuple(table), name)
 
 
 def _dihedral(m: int, name: str) -> FiniteGroup:
@@ -381,33 +387,33 @@ def derived_subgroup(G: FiniteGroup) -> tuple[int, ...]:
     return closure(G, comms)
 
 
-def _quotient_tables(tables: Sequence[Sequence[Sequence[int]]], normal_elems: Sequence[int]
-                     ) -> tuple[list[int], list[tuple[tuple[int, ...], ...]]]:
-    """The coset index map of the cosets g N in the first table, and one
-    quotient table per input table on the coset representatives.
-
-    The caller vouches that N is normal in every table and that each
-    table's cosets of N are those of the first.
-    """
-    t = tables[0]
-    coset_of = [-1] * len(t)
-    reps: list[int] = []
-    for g in range(len(t)):
-        if coset_of[g] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for h in normal_elems:
-            coset_of[t[g][h]] = idx
-    return coset_of, [tuple(tuple(coset_of[s[a][b]] for b in reps) for a in reps)
-                      for s in tables]
-
-
 def quotient_group(G: FiniteGroup, normal_elems: Sequence[int],
                    name: Optional[str] = None) -> tuple[FiniteGroup, list[int]]:
-    """Quotient by a normal subgroup; returns the group and the coset index map."""
-    coset_of, (table,) = _quotient_tables((G.table,), normal_elems)
-    return make_group(table, name), coset_of
+    """Quotient by a normal subgroup; returns the group and the coset index map.
+
+    The subset is proven a normal subgroup, naming an escaping product or
+    conjugate otherwise, so the table on the cosets g N is a group.
+    """
+    inside = set(normal_elems)
+    if 0 not in inside:
+        raise GroupInvalid("a normal subgroup must contain 0")
+    t, inv = G.table, G.inverse
+    for h in inside:
+        for k in inside:
+            if t[h][k] not in inside:
+                raise GroupInvalid(f"subset not closed: {h}*{k} escapes")
+        for g in G.elements():
+            if t[t[g][h]][inv[g]] not in inside:
+                raise GroupInvalid(f"subset not normal: {g}*{h}*{g}^-1 escapes")
+    coset_of = [-1] * G.order
+    reps: list[int] = []
+    for g in G.elements():
+        if coset_of[g] < 0:
+            for h in inside:
+                coset_of[t[g][h]] = len(reps)
+            reps.append(g)
+    table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
+    return _group(table, name), coset_of
 
 
 def _primes_of(n: int) -> tuple[int, ...]:
@@ -637,15 +643,4 @@ def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     perms = automorphism_perms(G)
     index = {p: i for i, p in enumerate(perms)}
     table = tuple(tuple(index[_compose(p, q)] for q in perms) for p in perms)
-    return make_group(table, f"Aut({G.name or '?'})"), perms
-
-
-def holomorph(G: FiniteGroup, bound: int = HOLOMORPH_ORDER_BOUND) -> tuple[FiniteGroup, GroupMap]:
-    """The holomorph G x Aut(G), with the left-translation embedding of G."""
-    if G.order > bound:
-        raise OrderBoundExceeded(f"holomorph capped at order {bound}, got {G.order}")
-    auts, perms = aut_group(G)
-    hol = semidirect_product(G, auts, perms, name=f"Hol({G.name or '?'})")
-    na = auts.order
-    embedding = GroupMap(G, hol, tuple(a * na for a in G.elements()))
-    return hol, embedding
+    return _group(table, f"Aut({G.name or '?'})"), perms

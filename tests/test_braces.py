@@ -24,6 +24,7 @@ from skewbrace import (
     group_isomorphism,
     is_supersoluble_group,
     make_brace,
+    make_group,
     quotient_brace,
     semidirect_group,
     trivial_brace,
@@ -185,6 +186,9 @@ def test_quotient_facts_on_worked_examples(worked_examples):
 def test_quotient_rejects_non_ideal(worked_examples):
     with pytest.raises(NotAnIdeal):
         quotient_brace(worked_examples["ex12"].brace, (0, 6))
+    # Normal in both groups, but not invariant under lambda.
+    with pytest.raises(NotAnIdeal, match="lambda"):
+        quotient_brace(worked_examples["ex8"].brace, (0, 1))
 
 
 def test_semidirect_group_of_trivial_brace():
@@ -201,6 +205,8 @@ def test_semidirect_group_orders_and_supersolubility(worked_examples):
     assert g8.order == 64
     g12 = semidirect_group(worked_examples["ex12"].brace)
     assert g12.order == 144
+    for g in (g8, g12):
+        assert make_group(g.table).inverse == g.inverse
     assert is_supersoluble_group(g12)
 
 

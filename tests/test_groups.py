@@ -6,6 +6,7 @@ import re
 import pytest
 
 from skewbrace import (
+    GroupInvalid,
     MissingInverse,
     NoIdentity,
     NonAssociative,
@@ -26,7 +27,6 @@ from skewbrace import (
     group_catalog,
     group_isomorphism,
     group_predicates,
-    holomorph,
     is_nilpotent_group,
     is_normal,
     is_subgroup,
@@ -45,6 +45,12 @@ def catalog_group(n, label):
         if lbl == label:
             return g
     raise AssertionError(f"no group labeled {label} of order {n}")
+
+
+def assert_proven(g):
+    """A group built without a proof passes the public validator unchanged."""
+    checked = make_group(g.table)
+    assert (checked.table, checked.inverse) == (g.table, g.inverse)
 
 
 def test_cyclic_group_basics():
@@ -110,6 +116,7 @@ def test_semidirect_product_dihedral():
     c4 = cyclic_group(4)
     inv = tuple(c4.inverse)
     d8 = semidirect_product(c4, cyclic_group(2), [tuple(range(4)), inv])
+    assert_proven(d8)
     assert d8.order == 8
     assert not d8.is_abelian()
     assert group_isomorphism(d8, catalog_group(8, "D8")) is not None
@@ -168,10 +175,18 @@ def test_normality_and_quotient():
     assert len(a3) == 3
     assert is_normal(s3, a3)
     q, proj = quotient_group(s3, a3)
+    assert_proven(q)
     assert q.order == 2
     assert sorted(set(proj)) == [0, 1]
     flip = next(x for x in range(6) if element_order(s3, x) == 2)
     assert not is_normal(s3, sorted(closure(s3, [flip])))
+    for reflections in ((0, 1), (0, 3)):
+        with pytest.raises(GroupInvalid, match="subset not normal"):
+            quotient_group(s3, reflections)
+    with pytest.raises(GroupInvalid, match="subset not closed"):
+        quotient_group(s3, (0, 1, 3))
+    with pytest.raises(GroupInvalid, match="must contain 0"):
+        quotient_group(s3, (2, 4))
 
 
 def test_closure_and_generating_set():
@@ -269,19 +284,10 @@ def test_automorphism_group_orders():
     ]
     for g, order in expected:
         a, perms = aut_group(g)
+        assert_proven(a)
         assert a.order == order
         assert len(perms) == order
         assert tuple(range(g.order)) in perms
-
-
-def test_holomorph_orders_and_embedding():
-    h4, emb = holomorph(cyclic_group(4))
-    assert h4.order == 8
-    assert emb.is_homomorphism()
-    assert not emb.is_bijective()
-    v4 = direct_product(cyclic_group(2), cyclic_group(2))
-    hv, _ = holomorph(v4)
-    assert hv.order == 24
 
 
 def test_conjugacy_class_sizes():

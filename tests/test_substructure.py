@@ -7,6 +7,7 @@ from skewbrace import (
     all_ideals,
     all_subbraces,
     brace_core,
+    check_brace_invariants,
     classify_subset,
     cyclic_group,
     direct_product_braces,
@@ -15,6 +16,8 @@ from skewbrace import (
     index,
     maximal_subbraces,
     minimal_ideals,
+    quotient_brace,
+    sub_brace,
     subbrace_generated,
     subgroups,
     trivial_brace,
@@ -37,12 +40,16 @@ def test_zero_and_whole_brace_are_ideals(worked_examples):
 
 
 def test_flag_implications_across_all_subbraces(small_pool):
+    """Also: every subbrace and every quotient by an ideal, built without a
+    proof of its own, passes the public validator."""
     for b in small_pool:
         for subset in all_subbraces(b):
             flags = classify_subset(b, subset)
             assert flags.is_subbrace
+            assert check_brace_invariants(sub_brace(b, subset))
             if flags.is_ideal:
                 assert flags.is_strong_left_ideal
+                assert check_brace_invariants(quotient_brace(b, subset)[0])
             if flags.is_strong_left_ideal:
                 assert flags.is_left_ideal
 

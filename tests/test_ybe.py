@@ -5,6 +5,7 @@ import pytest
 from skewbrace import (
     RetractNotWellDefined,
     Solution,
+    SolutionInvalid,
     cyclic_group,
     group_catalog,
     multipermutation_level,
@@ -30,8 +31,13 @@ def all_pass(checks):
 def test_every_pool_brace_yields_a_valid_solution(small_pool):
     for b in small_pool:
         sol = solution_from_brace(b)
-        assert all_pass(sol.checks), b.name
         assert sol.size == b.order
+        while True:
+            assert all_pass(verify_solution(sol.size, sol.r1, sol.r2)), b.name
+            smaller, _ = retract(sol)
+            if smaller.size == sol.size:
+                break
+            sol = smaller
 
 
 def test_product_compatibility(worked_examples):
@@ -75,6 +81,15 @@ def test_verify_solution_flags():
     assert checks.braid
     assert checks.bijective
     assert not checks.nondegenerate
+
+
+def test_verify_solution_rejects_malformed_tables():
+    with pytest.raises(SolutionInvalid, match=r"r1: entry at \(0, 1\) is 5"):
+        verify_solution(2, [[0, 5], [1, 0]], [[0, 1], [1, 0]])
+    with pytest.raises(SolutionInvalid, match="r2: row 1 has length 1"):
+        verify_solution(2, [[0, 1], [1, 0]], [[0, 1], [1]])
+    with pytest.raises(SolutionInvalid, match="r1 has 1 rows, expected 2"):
+        verify_solution(2, [[0, 1]], [[0, 1], [1, 0]])
 
 
 def test_mutation_controls_fail(worked_examples):
@@ -136,7 +151,7 @@ def test_singleton_solution_level_zero():
 def test_retract_rejects_inconsistent_tables():
     r1 = ((0, 1, 2), (0, 1, 2), (0, 2, 1))
     r2 = ((0, 0, 2), (0, 0, 2), (1, 1, 0))
-    sol = Solution(3, r1, r2, verify_solution(3, r1, r2))
+    sol = Solution(3, r1, r2)
     with pytest.raises(RetractNotWellDefined):
         retract(sol)
 
