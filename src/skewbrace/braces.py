@@ -36,8 +36,8 @@ from .errors import (
     NotClosed,
     TranscriptionInvalid,
 )
-from .groups import (FiniteGroup, direct_product, generating_set, make_group,
-                     quotient_group, _find_identity, _group)
+from .groups import (FiniteGroup, direct_product, generating_set,
+                     quotient_group, _group, _identity_of, _prove_group)
 
 __all__ = [
     "SkewBrace",
@@ -162,15 +162,15 @@ def make_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence[
     if len(add_table) != len(mul_table):
         raise BraceInvalid(
             f"table sizes differ: {len(add_table)} vs {len(mul_table)}")
-    e_add = _find_identity(add_table)
-    e_mul = _find_identity(mul_table)
+    e_add = _identity_of(add_table)
+    e_mul = _identity_of(mul_table)
     if e_add != e_mul:
         raise IdentityMismatch(
             f"additive identity is {e_add}, multiplicative identity is {e_mul}")
-    # With one shared identity, make_group moves it to 0 in both tables by
-    # the same swap, so the tables stay aligned.
-    add = make_group(add_table, name and f"{name}+")
-    mul = make_group(mul_table, name and f"{name}*")
+    # With one shared identity, both tables move it to 0 by the same swap,
+    # so they stay aligned.
+    add = _prove_group(add_table, e_add, name and f"{name}+")
+    mul = _prove_group(mul_table, e_mul, name and f"{name}*")
     _validate_pair(add, mul)
     return _brace(add, mul, name)
 

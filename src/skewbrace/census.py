@@ -1,19 +1,20 @@
 """Enumeration of braces of small order over each additive group.
 
 The primary route walks regular families f: A -> Aut(A) (equivalently,
-regular subgroups of the holomorph of A) by backtracking with closure
-propagation, then keeps one representative per relabeling orbit.  An
-independent oracle recounts everything through the other door: group
-actions lambda: C -> Aut(A), on the indexed automorphism group of
-`aut_group`, paired with bijective cocycles delta, deduplicated at the
-multiplication-table level.  Both identities are proven over a generating
-set of C, one generator at a time, so a branch dies as soon as a prefix of
-generator images fails.
+regular subgroups of the holomorph of A) by backtracking: each chosen f_a
+is a new generator of a subgroup of the holomorph, closed as an orbit of
+(0, id), so a branch dies as soon as one a gets two twists.  One
+representative per relabeling orbit is kept.  An independent oracle
+recounts everything through the other door: group actions
+lambda: C -> Aut(A), up to Aut(C), paired with bijective cocycles delta,
+deduplicated at the multiplication-table level.  Both identities are proven
+over a generating set of C, one generator at a time, so a branch dies as
+soon as a prefix of generator images fails.  Both routes compose
+automorphisms by one lookup in the indexed Aut(A) of `aut_group`.
 
-The routes share only table-level primitives of `groups`: the one map
-search behind `automorphism_perms`, `group_isomorphism` and
-`brace_isomorphic`, which runs it over the additive and multiplicative
-tables at once.
+The routes share only table-level primitives: `aut_group` and the one map
+search of `groups` behind it, `group_isomorphism` and `brace_isomorphic`
+(over the additive and multiplicative tables at once), and `_hol_orders`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .braces import SkewBrace, make_brace
 from .errors import OrderBoundExceeded, SkewBraceError
 from .groups import (
     FiniteGroup,
-    _compose,
     _dihedral,
     _map_search,
     _relabel,
@@ -115,58 +115,67 @@ def group_catalog(n: int) -> list[tuple[str, FiniteGroup]]:
     return out
 
 
-def _hol_order(A: FiniteGroup, v: int, phi: Sequence[int]) -> int:
-    """Order of the pair (translate by v, twist by phi) in the holomorph."""
-    ident = tuple(range(A.order))
-    w, psi = v, tuple(phi)
-    k = 1
-    while w != 0 or psi != ident:
-        w, psi = A.table[w][psi[v]], _compose(psi, phi)
-        k += 1
-    return k
+def _hol_orders(A: FiniteGroup, aut: FiniteGroup, perms) -> list[list[int]]:
+    """hol[phi][v]: the order of (translate by v, twist by perms[phi]) in the
+    holomorph, where (w, psi)(v, phi) = (w + psi(v), psi phi)."""
+    ta, tx = A.table, aut.table
+    hol = [[1] * A.order for _ in perms]
+    for phi, row in enumerate(hol):
+        for v in range(A.order):
+            w, psi = v, phi
+            while w or psi:
+                w, psi = ta[w][perms[psi][v]], tx[psi][phi]
+                row[v] += 1
+    return hol
 
 
-def _regular_families(A: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
-    """All families f with f_0 = id and f_{a + f_a(b)} = f_a f_b."""
+def _regular_families(A: FiniteGroup, aut: FiniteGroup, perms, hol) -> list[tuple[int, ...]]:
+    """All families f with f_0 = id and f_{a + f_a(b)} = f_a f_b, f_a an
+    index into `perms`.  The chosen (a, f_a) are closed as the orbit of
+    (0, id) under right multiplication by them: old elements times the
+    newest one, new elements times all.  Two twists for one a, or an orbit
+    whose size does not divide n, kill a branch."""
     n = A.order
-    ta = A.table
-    ident = tuple(range(n))
-    auts = automorphism_perms(A)
-    usable = {
-        a: [phi for phi in auts if n % _hol_order(A, a, phi) == 0]
-        for a in range(1, n)
-    }
-    results: list[tuple[tuple[int, ...], ...]] = []
+    ta, tx = A.table, aut.table
+    usable = [[phi for phi in range(aut.order) if n % hol[phi][a] == 0] for a in range(n)]
+    f = [-1] * n
+    f[0] = 0
+    elems = [0]
+    gens: list[int] = []
+    results: list[tuple[int, ...]] = []
 
-    def close(assign: dict[int, tuple[int, ...]], fresh: list[int]) -> bool:
-        while fresh:
-            e = fresh.pop()
-            fe = assign[e]
-            for x in list(assign):
-                fx = assign[x]
-                for left, fl, right, fr in ((x, fx, e, fe), (e, fe, x, fx)):
-                    z = ta[left][fl[right]]
-                    fz = _compose(fl, fr)
-                    known = assign.get(z)
-                    if known is None:
-                        assign[z] = fz
-                        fresh.append(z)
-                    elif known != fz:
-                        return False
-        return n % len(assign) == 0
+    def close(mark: int) -> bool:
+        i = 0
+        while i < len(elems):
+            x = elems[i]
+            for g in gens if i >= mark else gens[-1:]:
+                z = ta[x][perms[f[x]][g]]
+                if f[z] < 0:
+                    f[z] = tx[f[x]][f[g]]
+                    elems.append(z)
+                elif f[z] != tx[f[x]][f[g]]:
+                    return False
+            i += 1
+        return n % len(elems) == 0
 
-    def search(assign: dict[int, tuple[int, ...]]) -> None:
-        if len(assign) == n:
-            results.append(tuple(assign[a] for a in range(n)))
+    def search() -> None:
+        if len(elems) == n:
+            results.append(tuple(f))
             return
-        a = min(x for x in range(n) if x not in assign)
+        a = f.index(-1)
+        mark = len(elems)
+        gens.append(a)
         for phi in usable[a]:
-            trial = dict(assign)
-            trial[a] = phi
-            if close(trial, [a]):
-                search(trial)
+            f[a] = phi
+            elems.append(a)
+            if close(mark):
+                search()
+            for x in elems[mark:]:
+                f[x] = -1
+            del elems[mark:]
+        gens.pop()
 
-    search({0: ident})
+    search()
     return results
 
 
@@ -207,13 +216,18 @@ def braces_with_additive_group(
         )
     n = A.order
     ta = A.table
-    auts = automorphism_perms(A)
-    moves = [(lambda fam, th=theta: _relabel(fam, th)) for theta in auts]
-    reps = _orbit_representatives(_regular_families(A), moves)
+    aut, perms = aut_group(A)
+    families = _regular_families(A, aut, perms, _hol_orders(A, aut, perms))
+    # Relabeling by theta = perms[t] puts theta f_a theta^-1 = conj[t][f_a] at
+    # theta(a).  Index order is the lex order of `perms`, so reps are unchanged.
+    tx, inv = aut.table, aut.inverse
+    conj = [[tx[tx[t][i]][inv[t]] for i in range(aut.order)] for t in range(aut.order)]
+    moves = [(lambda fam, c=conj[t], back=perms[inv[t]]: tuple([c[fam[a]] for a in back]))
+             for t in range(aut.order)]
     braces = []
-    for family in reps:
+    for family in _orbit_representatives(families, moves):
         mul = tuple(
-            tuple(ta[a][family[a][b]] for b in range(n))
+            tuple(ta[a][perms[family[a]][b]] for b in range(n))
             for a in range(n)
         )
         braces.append(make_brace(ta, mul, name=f"{A.name or 'A'}#{len(braces)}"))
@@ -402,19 +416,30 @@ def _bijective_cocycles(C: FiniteGroup, levels, A: FiniteGroup, lam, perms, hol)
     return out
 
 
+def _oracle_tables(A: FiniteGroup, aut: FiniteGroup, perms, split) -> set:
+    """Each C of `split` relabeled by the bijective cocycles of one lam per
+    orbit lam ~ lam alpha, alpha in Aut(C): delta alpha is a cocycle for
+    lam alpha and relabels C to the same table as delta."""
+    hol = _hol_orders(A, aut, perms)
+    tables = set()
+    for C, levels, c_perms in split:
+        seen = set()
+        for lam in _action_homs(C, levels, aut):
+            if lam not in seen:
+                seen.update(tuple([lam[x] for x in alpha]) for alpha in c_perms)
+                tables.update(_relabel(C.table, delta) for delta in
+                              _bijective_cocycles(C, levels, A, lam, perms, hol))
+    return tables
+
+
 def _oracle_counts(n: int) -> dict[str, int]:
     """Brace counts per additive group via the cocycle parametrization."""
     counts: dict[str, int] = {}
     catalog = group_catalog(n)
-    split = [(C, _generator_levels(C)) for _clabel, C in catalog]
+    split = [(C, _generator_levels(C), automorphism_perms(C)) for _clabel, C in catalog]
     for label, A in catalog:
         aut, perms = aut_group(A)
-        hol = [[_hol_order(A, v, phi) for v in range(n)] for phi in perms]
-        tables = set()
-        for C, levels in split:
-            for lam in _action_homs(C, levels, aut):
-                for delta in _bijective_cocycles(C, levels, A, lam, perms, hol):
-                    tables.add(_relabel(C.table, delta))
+        tables = _oracle_tables(A, aut, perms, split)
         moves = [(lambda t, th=theta: _relabel(t, th)) for theta in perms]
         counts[label] = len(_orbit_representatives(tables, moves))
     return counts
@@ -424,8 +449,8 @@ def census_oracle(n: int) -> int:
     """Independent recount of census(n) through actions and cocycles.
 
     Capped at ORACLE_BOUND = 15, the bound of `group_catalog`.  On a 2-vCPU
-    VM order 8 (C2xC2xC2 has 168 automorphisms) takes about 0.3 s and every
-    other order up to 15 under 0.1 s.
+    Xeon VM order 8 (C2xC2xC2 has 168 automorphisms) takes about 0.15 s and
+    every other order up to 15 under 0.1 s.
     """
     if n > ORACLE_BOUND:
         raise OrderBoundExceeded(

@@ -66,6 +66,9 @@ __all__ = [
 ]
 
 SUBGROUP_ORDER_BOUND = 64
+# |Aut(G)|^2 table entries: 2,048 automorphisms is about 34 MB of table, and
+# C2^4 (20,160) would need over 3 GB.
+AUT_TABLE_BOUND = 2048
 
 
 class FiniteGroup:
@@ -109,7 +112,9 @@ def _check_closure(table: Sequence[Sequence[int]]) -> None:
                 raise NotClosed(f"entry at ({a}, {b}) is {v!r}, outside 0..{n - 1}")
 
 
-def _find_identity(table: Sequence[Sequence[int]]) -> int:
+def _identity_of(table: Sequence[Sequence[int]]) -> int:
+    """The two-sided identity of a table, once its entries are proven in range."""
+    _check_closure(table)
     n = len(table)
     for e in range(n):
         if all(table[e][x] == x and table[x][e] == x for x in range(n)):
@@ -189,11 +194,12 @@ def _assoc_generators(table: Sequence[Sequence[int]]) -> None:
 
 def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> FiniteGroup:
     """Validate a Cayley table and return the group, identity moved to 0."""
+    return _prove_group(table, _identity_of(table), name)
+
+
+def _prove_group(table: Sequence[Sequence[int]], e: int, name: Optional[str]) -> FiniteGroup:
+    """`make_group` on a table proven closed, with identity e."""
     n = len(table)
-    if n == 0:
-        raise NoIdentity("empty table has no identity")
-    _check_closure(table)
-    e = _find_identity(table)
     rows = tuple(tuple(row) for row in table)
     if e != 0:
         perm = list(range(n))
@@ -626,11 +632,8 @@ def group_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
 
 
 def automorphism_perms(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms as element permutations, identity first."""
-    perms = _map_search((G,), (G,), want_all=True)
-    ident = tuple(range(G.order))
-    perms.sort(key=lambda p: (p != ident, p))
-    return perms
+    """All automorphisms as element permutations in lex order, so identity first."""
+    return sorted(_map_search((G,), (G,), want_all=True))
 
 
 def automorphisms(G: FiniteGroup) -> list[GroupMap]:
@@ -639,8 +642,17 @@ def automorphisms(G: FiniteGroup) -> list[GroupMap]:
 
 
 def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
-    """The automorphism group under composition, with its permutation list."""
+    """The automorphism group under composition, with its permutation list.
+
+    An automorphism is fixed by its images of generators, so p . q is looked
+    up by the images p(q(g)) of a generating set alone.
+    """
     perms = automorphism_perms(G)
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(tuple(index[_compose(p, q)] for q in perms) for p in perms)
+    if len(perms) > AUT_TABLE_BOUND:
+        raise OrderBoundExceeded(
+            f"Aut table capped at {AUT_TABLE_BOUND} automorphisms, got {len(perms)}")
+    gens = generating_set(G)
+    index = {tuple([p[g] for g in gens]): i for i, p in enumerate(perms)}
+    images = [[q[g] for g in gens] for q in perms]
+    table = tuple(tuple([index[tuple([p[x] for x in qg])] for qg in images]) for p in perms)
     return _group(table, f"Aut({G.name or '?'})"), perms

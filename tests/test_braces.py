@@ -13,6 +13,7 @@ from skewbrace import (
     DistributivityViolation,
     IdentityMismatch,
     NotAnIdeal,
+    NotClosed,
     TranscriptionInvalid,
     brace_from_cocycle,
     brace_isomorphic,
@@ -65,6 +66,13 @@ def test_make_brace_detects_identity_mismatch():
     with pytest.raises(IdentityMismatch) as exc:
         make_brace(add, mul)
     assert "additive identity is 0" in str(exc.value)
+
+
+def test_make_brace_rejects_ragged_tables():
+    with pytest.raises(NotClosed):
+        make_brace([[0], [1, 0]], [[0, 1], [1, 0]])
+    with pytest.raises(NotClosed):
+        make_brace([[0, 1], [1, 0]], [[0, 1], [1]])
 
 
 def test_make_brace_detects_distributivity_violation():

@@ -1,5 +1,6 @@
 """Tests for brace enumeration and isomorphism search."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -8,6 +9,7 @@ import pytest
 from skewbrace import (
     OrderBoundExceeded,
     aut_group,
+    automorphism_perms,
     brace_isomorphic,
     braces_with_additive_group,
     census,
@@ -17,6 +19,7 @@ from skewbrace import (
     direct_product,
     group_catalog,
     make_brace,
+    make_group,
     trivial_brace,
 )
 from skewbrace.census import (
@@ -25,9 +28,13 @@ from skewbrace.census import (
     _bfs_edges,
     _bijective_cocycles,
     _generator_levels,
-    _hol_order,
+    _hol_orders,
     _oracle_counts,
+    _oracle_tables,
+    _regular_families,
 )
+from skewbrace import groups
+from skewbrace.cli import write_census_document
 from skewbrace.groups import _compose, _relabel, element_order, generating_set
 
 EXPECTED_COUNTS = {
@@ -73,6 +80,155 @@ def test_census_agrees_with_pair_table_oracle():
 def test_oracle_matches_census_per_additive_group():
     for n in range(2, 16):
         assert _oracle_counts(n) == census(n, order_bound=16).count_by_additive(), n
+
+
+CATALOG = [G for n in range(1, 16) for _, G in group_catalog(n)]
+
+# SHA-256 of `enumerate n --export` for n = 1..12, as written by the
+# tuple-composition primary route.
+EXPORT_SHA256 = {
+    1: "ebb769bfe10fd08d34220ea94b2ede5002ade1e390fdca49813a2fa2e313c9d6",
+    2: "4f8927a3e56e7e698bb0a6878d41b76de99d47494f5de0c59f44d784ebdb0e30",
+    3: "963faf0073c900b310e3e97745a0f5d830cf305eb33dd0a723b48d50049d1d89",
+    4: "ed1faacfa18987ac23b02908dd11900862ee0198e81c49d48554acd62bf04430",
+    5: "c3ba1c2cf64f39c54f376717f10c55d6fe6c15170ca5c81c505c3f12908bdeab",
+    6: "80bd88696eeddc42fc94f0f3003ba2718b17cddbc0d6ae3f612f10801603b31c",
+    7: "cdc784bd2ed464a23522cfdec31ca3b5e8c1a873cda2ba1827b0656f8b05142e",
+    8: "106aa06af1802a3a5d7f7ce190f444b642969ae1038be7fb9b058a1509ef97a5",
+    9: "41fa779f46300082d83b34f03288e576230fb32264c45c73ff8a66f146082837",
+    10: "eec70a78e14758335620559624b4ee10fdb01ceba728124ee755e16002f75695",
+    11: "d5dc1afe1a7774ebcc0ec3e3a88a55387c2118c7f5643b9e88f0deea3f3a0a0a",
+    12: "836b713528fd5a8d47c2da6dadaabcc667887da4c6de96cb227b0bbba96dff5c",
+}
+
+
+def _hol_order(A, v, phi):
+    """Order of the pair (translate by v, twist by the permutation phi) in
+    the holomorph, by composing permutation tuples."""
+    ident = tuple(range(A.order))
+    w, psi = v, tuple(phi)
+    k = 1
+    while w != 0 or psi != ident:
+        w, psi = A.table[w][psi[v]], _compose(psi, phi)
+        k += 1
+    return k
+
+
+def _reference_families(A):
+    """All regular families f_a as permutation tuples, closed by multiplying
+    every pair of assigned elements in both orders."""
+    n = A.order
+    ta = A.table
+    ident = tuple(range(n))
+    auts = automorphism_perms(A)
+    usable = {
+        a: [phi for phi in auts if n % _hol_order(A, a, phi) == 0]
+        for a in range(1, n)
+    }
+    results = []
+
+    def close(assign, fresh):
+        while fresh:
+            e = fresh.pop()
+            fe = assign[e]
+            for x in list(assign):
+                fx = assign[x]
+                for left, fl, right, fr in ((x, fx, e, fe), (e, fe, x, fx)):
+                    z = ta[left][fl[right]]
+                    fz = _compose(fl, fr)
+                    known = assign.get(z)
+                    if known is None:
+                        assign[z] = fz
+                        fresh.append(z)
+                    elif known != fz:
+                        return False
+        return n % len(assign) == 0
+
+    def search(assign):
+        if len(assign) == n:
+            results.append(tuple(assign[a] for a in range(n)))
+            return
+        a = min(x for x in range(n) if x not in assign)
+        for phi in usable[a]:
+            trial = dict(assign)
+            trial[a] = phi
+            if close(trial, [a]):
+                search(trial)
+
+    search({0: ident})
+    return results
+
+
+def _reference_representatives(families, auts):
+    """The lex-first family of each orbit under relabeling by `auts`."""
+    reps, covered = [], set()
+    for fam in sorted(families):
+        if fam not in covered:
+            reps.append(fam)
+            covered.update(_relabel(fam, theta) for theta in auts)
+    return reps
+
+
+def test_hol_orders_match_tuple_composition():
+    for A in CATALOG:
+        aut, perms = aut_group(A)
+        hol = _hol_orders(A, aut, perms)
+        assert hol == [[_hol_order(A, v, phi) for v in range(A.order)] for phi in perms]
+
+
+def test_aut_group_matches_composed_permutations():
+    assert len(CATALOG) == 28
+    for A in CATALOG:
+        aut, perms = aut_group(A)
+        index = {p: i for i, p in enumerate(perms)}
+        assert aut.table == tuple(
+            tuple(index[_compose(p, q)] for q in perms) for p in perms), A.name
+        assert make_group(aut.table).table == aut.table, A.name
+
+
+def test_aut_table_bound(monkeypatch):
+    c2x2x2 = dict(group_catalog(8))["C2xC2xC2"]
+    monkeypatch.setattr(groups, "AUT_TABLE_BOUND", 167)
+    with pytest.raises(OrderBoundExceeded):
+        braces_with_additive_group(c2x2x2)
+    monkeypatch.setattr(groups, "AUT_TABLE_BOUND", 168)
+    assert len(braces_with_additive_group(c2x2x2)) == 8
+
+
+def test_indexed_families_match_tuple_reference():
+    for A in CATALOG:
+        aut, perms = aut_group(A)
+        indexed = _regular_families(A, aut, perms, _hol_orders(A, aut, perms))
+        families = _reference_families(A)
+        assert {tuple(perms[i] for i in fam) for fam in indexed} == set(families), A.name
+        reps = _reference_representatives(families, perms)
+        ta = A.table
+        assert [B.mul_group.table for B in braces_with_additive_group(A, 16)] == [
+            tuple(tuple(ta[a][fam[a][b]] for b in range(A.order)) for a in range(A.order))
+            for fam in reps
+        ], A.name
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_census_export_is_unchanged(n):
+    text = write_census_document(census(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[n]
+
+
+def test_oracle_tables_up_to_aut_c_match_all_actions():
+    for n in range(1, 13):
+        catalog = group_catalog(n)
+        split = [(C, _generator_levels(C), automorphism_perms(C)) for _, C in catalog]
+        for _, A in catalog:
+            aut, perms = aut_group(A)
+            hol = _hol_orders(A, aut, perms)
+            every = {
+                _relabel(C.table, delta)
+                for C, levels, _ in split
+                for lam in _action_homs(C, levels, aut)
+                for delta in _bijective_cocycles(C, levels, A, lam, perms, hol)
+            }
+            assert _oracle_tables(A, aut, perms, split) == every, (n, A.name)
 
 
 def _all_pairs_homs(C, auts):
@@ -134,7 +290,7 @@ def _generator_proofs(C, A):
     """Homomorphisms C -> Aut(A) as permutation tuples, each mapped to its
     set of bijective cocycles, from the oracle's generator proofs."""
     aut, perms = aut_group(A)
-    hol = [[_hol_order(A, v, phi) for v in range(A.order)] for phi in perms]
+    hol = _hol_orders(A, aut, perms)
     levels = _generator_levels(C)
     return {
         tuple(perms[phi] for phi in lam):
