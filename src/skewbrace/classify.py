@@ -16,15 +16,15 @@ from .errors import OrderBoundExceeded
 from .groups import GroupPredicates, _is_prime, _primes_of, element_orders, group_predicates
 from .series import (
     IdealChain,
+    _ascending_series,
+    _chain,
     chief_series,
     fitting,
-    ideal_chain,
     is_centrally_nilpotent,
     is_left_nilpotent,
     is_right_nilpotent,
     is_soluble,
     multipermutation_level,
-    preimage,
     quotient_with_map,
 )
 from .substructure import all_ideals, classify_subset, index, maximal_subbraces, minimal_ideals
@@ -71,26 +71,18 @@ def is_supersoluble(B: SkewBrace) -> SupersolubleResult:
             f"supersolubility decision capped at order {SUPERSOLUBLE_ORDER_BOUND}, got {B.order}"
         )
     key = "supersoluble"
-    if key in B.cache:
-        return B.cache[key]
-    terms = [(0,)]
-    result = None
-    while result is None:
-        current = terms[-1]
-        if len(current) == B.order:
-            result = SupersolubleResult(True, ideal_chain(B, terms), tuple(terms), ())
-            break
-        Q, proj = quotient_with_map(B, current)
-        minima = minimal_ideals(Q)
-        prime_ones = [m for m in minima if _is_prime(len(m))]
-        if not prime_ones:
-            blocking = tuple(sorted(len(m) for m in minima))
+    if key not in B.cache:
+        terms = _ascending_series(B, lambda Q, proj: min(
+            (m for m in minimal_ideals(Q) if _is_prime(len(m))),
+            key=lambda s: (len(s), s), default=(0,)))
+        if len(terms[-1]) == B.order:
+            result = SupersolubleResult(True, _chain(B, terms), tuple(terms), ())
+        else:
+            stuck, _ = quotient_with_map(B, terms[-1])
+            blocking = tuple(sorted(len(m) for m in minimal_ideals(stuck)))
             result = SupersolubleResult(False, None, tuple(terms), blocking)
-            break
-        chosen = min(prime_ones, key=lambda s: (len(s), s))
-        terms.append(preimage(proj, chosen))
-    B.cache[key] = result
-    return result
+        B.cache[key] = result
+    return B.cache[key]
 
 
 def is_supersoluble_oracle(B: SkewBrace) -> bool:
@@ -163,22 +155,21 @@ def sylow_tower(B: SkewBrace) -> Optional[IdealChain]:
     if not is_supersoluble(B).supersoluble:
         return None
     add_ord = element_orders(B.add_group)
-    primes = sorted(_primes_of(B.order), reverse=True)
-    if 2 in primes:
-        primes.remove(2)
-        primes.append(2)
-    terms = [(0,)]
+    sections = []
     allowed: set[int] = set()
-    for q in primes:
+    for q in sorted(_primes_of(B.order), key=lambda q: (q == 2, -q)):
         allowed.add(q)
         target = {x for x in range(B.order) if set(_primes_of(add_ord[x])) <= allowed}
-        while set(terms[-1]) != target:
-            Q, proj = quotient_with_map(B, terms[-1])
+        sections.append((q, target))
+
+    def step(Q: SkewBrace, proj) -> tuple[int, ...]:
+        # The last section is all of B, so below B some image is nontrivial.
+        for q, target in sections:
             image = {proj[x] for x in target}
-            inside = [m for m in minimal_ideals(Q) if len(m) == q and set(m) <= image]
-            chosen = min(inside, key=lambda s: s)
-            terms.append(preimage(proj, chosen))
-    return ideal_chain(B, terms)
+            if len(image) > 1:
+                return min(m for m in minimal_ideals(Q) if len(m) == q and set(m) <= image)
+
+    return _chain(B, _ascending_series(B, step))
 
 
 @dataclass(frozen=True)

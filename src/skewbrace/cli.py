@@ -1,8 +1,9 @@
 """Command line interface: analyze brace documents, verify the built-in
 examples, enumerate braces of a given order, and derive Yang-Baxter solutions.
 
-Exit codes: 0 success, 1 failed claim or assertion, 2 parse error,
-3 validation error, 4 order bound exceeded.
+Exit codes: 0 success, 1 failed claim or assertion, 2 parse error or a
+file that cannot be read or written, 3 validation error, 4 order bound
+exceeded.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional, Sequence
 
 from .braces import CocycleSpec, SkewBrace, brace_from_cocycle, make_brace
 from .census import BraceCensus, census
-from .classify import brace_report, is_supersoluble, u_p
+from .classify import brace_report, is_supersoluble
 from .errors import OrderBoundExceeded, ParseError, SkewBraceError
 from .fixtures import build, example_names
 from .groups import make_group
@@ -317,10 +318,20 @@ def _text_report(B: SkewBrace, only: Optional[str]) -> str:
 # commands
 
 
+def _read_brace(path: str) -> SkewBrace:
+    """Read and parse one brace document; undecodable bytes are a parse error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
+    return parse_brace_document(text)
+
+
 def cmd_analyze(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        text = fh.read()
-    B = parse_brace_document(text)
+    B = _read_brace(args.path)
     emit = _structured_report if args.format == "structured" else _text_report
     sys.stdout.write(emit(B, args.only))
     return EXIT_OK
@@ -395,16 +406,18 @@ def cmd_enumerate(args) -> int:
         if not failures:
             print(f"all {len(result.entries)} entries supersoluble")
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(write_census_document(result))
+        try:
+            with open(args.export, "w", encoding="utf-8") as fh:
+                fh.write(write_census_document(result))
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         print(f"wrote {args.export}")
     return EXIT_CLAIM_FAILED if failures else EXIT_OK
 
 
 def cmd_ybe(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        text = fh.read()
-    B = parse_brace_document(text)
+    B = _read_brace(args.path)
     solution = solution_from_brace(B)
     sizes = retraction_sizes(solution)
     level = len(sizes) - 1 if sizes[-1] == 1 else None

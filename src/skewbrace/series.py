@@ -2,8 +2,8 @@
 
 Ascending series climb from {0} through preimages of structure computed in
 successive quotients; descending series shrink through additively generated
-star and commutator subgroups.  Every term handed back in an IdealChain is
-revalidated as an ideal of the parent brace.
+star and commutator subgroups.  Only terms a caller supplies are validated
+(`ideal_chain`); every term built here is an ideal by theorem and is trusted.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 from .braces import SkewBrace, quotient_brace, sub_brace
 from .errors import NotAnIdeal
 from .groups import _is_prime, closure
-from .substructure import all_ideals, brace_core, classify_subset
+from .substructure import all_ideals, brace_core, classify_subset, minimal_ideals
 
 __all__ = [
     "FactorInfo",
@@ -80,31 +80,31 @@ def preimage(proj: Sequence[int], subset: Iterable[int]) -> tuple[int, ...]:
 
 
 def ideal_chain(B: SkewBrace, terms: Sequence[tuple[int, ...]]) -> IdealChain:
-    """Validate chain terms as ideals and record the order of each step."""
+    """Validate caller-supplied terms: a strictly monotone chain of ideals.
+
+    The chains this package builds itself are ideals by theorem and skip
+    this check.
+    """
     if not terms:
         raise NotAnIdeal("a chain needs at least one term")
     sets = [set(t) for t in terms]
-    ascending = True
-    for a, b in zip(sets, sets[1:]):
-        if a < b:
-            continue
-        ascending = False
-        break
-    if not ascending:
-        for a, b in zip(sets, sets[1:]):
-            if not b < a:
-                raise NotAnIdeal("chain terms are not strictly monotone")
+    pairs = list(zip(sets, sets[1:]))
+    if not (all(a < b for a, b in pairs) or all(b < a for a, b in pairs)):
+        raise NotAnIdeal("chain terms are not strictly monotone")
     for t in terms:
-        flags = classify_subset(B, t)
-        if not flags.is_ideal:
+        if not classify_subset(B, t).is_ideal:
             raise NotAnIdeal(f"chain term of size {len(t)} is not an ideal")
-    factors = []
-    for lower, upper in zip(terms, terms[1:]):
-        if not ascending:
-            lower, upper = upper, lower
-        step = len(upper) // len(lower)
-        factors.append(FactorInfo(order=step, is_prime_order=_is_prime(step)))
-    return IdealChain(B, tuple(terms), tuple(factors), ascending)
+    return _chain(B, terms)
+
+
+def _chain(B: SkewBrace, terms: Sequence[tuple[int, ...]]) -> IdealChain:
+    """The chain of trusted, strictly monotone ideal terms, with the order of
+    each factor; one term counts as ascending."""
+    sizes = [len(t) for t in terms]
+    ascending = len(sizes) < 2 or sizes[0] < sizes[1]
+    steps = [max(a, b) // min(a, b) for a, b in zip(sizes, sizes[1:])]
+    factors = tuple(FactorInfo(order=k, is_prime_order=_is_prime(k)) for k in steps)
+    return IdealChain(B, tuple(terms), factors, ascending)
 
 
 def additive_closure(B: SkewBrace, values: Iterable[int]) -> tuple[int, ...]:
@@ -113,49 +113,49 @@ def additive_closure(B: SkewBrace, values: Iterable[int]) -> tuple[int, ...]:
 
 
 def socle(B: SkewBrace) -> tuple[int, ...]:
-    """Elements with identity lambda map lying in the additive center."""
+    """Elements with identity lambda map lying in the additive center.
+
+    An ideal by theorem (Guarnieri & Vendramin 2017).
+    """
     n = B.order
     ta = B.add_group.table
     ident = tuple(range(n))
-    out = tuple(
+    return tuple(
         a for a in range(n)
         if B.lam_table[a] == ident and all(ta[a][b] == ta[b][a] for b in range(n))
     )
-    if not classify_subset(B, out).is_ideal:
-        raise NotAnIdeal("socle failed its ideal check")
-    return out
 
 
 def zeta(B: SkewBrace) -> tuple[int, ...]:
-    """The center: socle elements that also commute multiplicatively."""
+    """The center: socle elements that also commute multiplicatively.
+
+    An ideal by theorem (Guarnieri & Vendramin 2017).
+    """
     tm = B.mul_group.table
     n = B.order
-    out = tuple(
+    return tuple(
         a for a in socle(B)
         if all(tm[a][b] == tm[b][a] for b in range(n))
     )
-    if not classify_subset(B, out).is_ideal:
-        raise NotAnIdeal("center failed its ideal check")
-    return out
 
 
 def _ascending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
-    """Terms from {0} taking preimages of `step` applied to each quotient."""
+    """Terms from {0}, each next one the preimage of `step(Q, proj)`, a subset
+    of the quotient Q of B by the last term, until B or a step that does not
+    grow.  A preimage of an ideal of a quotient is an ideal."""
     terms = [(0,)]
-    while True:
-        current = terms[-1]
-        if len(current) == B.order:
-            return terms
-        Q, proj = quotient_with_map(B, current)
-        grown = preimage(proj, step(Q))
-        if len(grown) == len(current):
-            return terms
+    while len(terms[-1]) < B.order:
+        Q, proj = quotient_with_map(B, terms[-1])
+        grown = preimage(proj, step(Q, proj))
+        if len(grown) == len(terms[-1]):
+            break
         terms.append(grown)
+    return terms
 
 
 def socle_series(B: SkewBrace) -> IdealChain:
     """The ascending series of socle preimages."""
-    return ideal_chain(B, _ascending_series(B, socle))
+    return _chain(B, _ascending_series(B, lambda Q, proj: socle(Q)))
 
 
 def multipermutation_level(B: SkewBrace) -> Optional[int]:
@@ -168,7 +168,7 @@ def multipermutation_level(B: SkewBrace) -> Optional[int]:
 
 def upper_central_series(B: SkewBrace) -> IdealChain:
     """The ascending series of center preimages."""
-    return ideal_chain(B, _ascending_series(B, zeta))
+    return _chain(B, _ascending_series(B, lambda Q, proj: zeta(Q)))
 
 
 def is_centrally_nilpotent(B: SkewBrace) -> bool:
@@ -203,29 +203,24 @@ def _descending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
 
 
 def lower_central_series(B: SkewBrace) -> IdealChain:
-    """Descending terms generated by stars against B and additive commutators."""
+    """Descending terms generated by stars against B and additive commutators,
+    ideals by theorem (Bonatto & Jedlicka)."""
     full = tuple(range(B.order))
-    return ideal_chain(B, _descending_series(B, lambda cur: _star_values(B, cur, full)))
+    return _chain(B, _descending_series(B, lambda cur: _star_values(B, cur, full)))
 
 
 def right_series(B: SkewBrace) -> list[tuple[int, ...]]:
-    """Descending terms R, each next one generated by R * B."""
+    """Descending terms R, each next one generated by R * B: ideals by theorem
+    (Cedo, Smoktunowicz & Vendramin 2019)."""
     star = B.star_table
-    terms = _descending_series(B, lambda cur: {star[r][b] for r in cur for b in B.elements()})
-    for t in terms:
-        if not classify_subset(B, t).is_ideal:
-            raise NotAnIdeal("right series term failed its ideal check")
-    return terms
+    return _descending_series(B, lambda cur: {star[r][b] for r in cur for b in B.elements()})
 
 
 def left_series(B: SkewBrace) -> list[tuple[int, ...]]:
-    """Descending terms L, each next one generated by B * L."""
+    """Descending terms L, each next one generated by B * L: left ideals by
+    theorem (Cedo, Smoktunowicz & Vendramin 2019)."""
     star = B.star_table
-    terms = _descending_series(B, lambda cur: {star[b][l] for b in B.elements() for l in cur})
-    for t in terms:
-        if not classify_subset(B, t).is_left_ideal:
-            raise NotAnIdeal("left series term failed its left ideal check")
-    return terms
+    return _descending_series(B, lambda cur: {star[b][l] for b in B.elements() for l in cur})
 
 
 def is_right_nilpotent(B: SkewBrace) -> bool:
@@ -237,12 +232,22 @@ def is_left_nilpotent(B: SkewBrace) -> bool:
 
 
 def derived_ideal(B: SkewBrace) -> tuple[int, ...]:
-    """The additive closure of all stars and additive commutators."""
+    """The additive closure of all stars and additive commutators: the second
+    term of the lower central series, an ideal by theorem."""
     full = tuple(range(B.order))
-    out = additive_closure(B, _star_values(B, full, full))
-    if not classify_subset(B, out).is_ideal:
-        raise NotAnIdeal("derived subset failed its ideal check")
-    return out
+    return additive_closure(B, _star_values(B, full, full))
+
+
+def _relative_central_terms(B: SkewBrace, target: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The central series of the ideal `target` relative to B: each step lifts
+    the largest ideal of the quotient inside the center of the image of
+    `target`, so every term lies in `target`."""
+
+    def step(Q: SkewBrace, proj: Sequence[int]) -> tuple[int, ...]:
+        image = tuple(sorted({proj[x] for x in target}))
+        return brace_core(Q, {image[x] for x in zeta(sub_brace(Q, image))})
+
+    return _ascending_series(B, step)
 
 
 def b_central_series(B: SkewBrace, ideal_elems: Sequence[int]) -> IdealChain:
@@ -254,22 +259,7 @@ def b_central_series(B: SkewBrace, ideal_elems: Sequence[int]) -> IdealChain:
     target = tuple(sorted(set(ideal_elems)))
     if not classify_subset(B, target).is_ideal:
         raise NotAnIdeal("relative central series needs an ideal of B")
-    terms = [(0,)]
-    while True:
-        current = terms[-1]
-        if current == target:
-            break
-        Q, proj = quotient_with_map(B, current)
-        image = tuple(sorted({proj[x] for x in target}))
-        inner = sub_brace(Q, image)
-        local_center = zeta(inner)
-        allowed = {image[x] for x in local_center}
-        grown_q = brace_core(Q, allowed)
-        grown = preimage(proj, grown_q)
-        if len(grown) == len(current):
-            break
-        terms.append(grown)
-    return ideal_chain(B, terms)
+    return _chain(B, _relative_central_terms(B, target))
 
 
 def is_b_centrally_nilpotent(B: SkewBrace, ideal_elems: Sequence[int]) -> bool:
@@ -284,10 +274,10 @@ def fitting(B: SkewBrace):
     Returns the classification of the resulting subset; its flags report
     whether the sum is itself an ideal (it is in every tested case).
     """
-    good = [i for i in all_ideals(B) if is_b_centrally_nilpotent(B, i)]
     union = set()
-    for i in good:
-        union |= set(i)
+    for i in all_ideals(B):
+        if _relative_central_terms(B, i)[-1] == i:
+            union |= set(i)
     return classify_subset(B, additive_closure(B, union))
 
 
@@ -297,15 +287,8 @@ def chief_series(B: SkewBrace) -> IdealChain:
     At every step the quotient's minimal nonzero ideal that is least under
     (size, elements) is lifted, so the output is deterministic.
     """
-    from .substructure import minimal_ideals
-
-    terms = [(0,)]
-    while len(terms[-1]) < B.order:
-        Q, proj = quotient_with_map(B, terms[-1])
-        minima = minimal_ideals(Q)
-        chosen = min(minima, key=lambda s: (len(s), s))
-        terms.append(preimage(proj, chosen))
-    return ideal_chain(B, terms)
+    return _chain(B, _ascending_series(
+        B, lambda Q, proj: min(minimal_ideals(Q), key=lambda s: (len(s), s))))
 
 
 def chief_factors(B: SkewBrace) -> list[tuple[int, bool]]:
@@ -351,4 +334,4 @@ def is_soluble(B: SkewBrace) -> tuple[bool, Optional[IdealChain]]:
     path = grow((0,))
     if path is None:
         return False, None
-    return True, ideal_chain(B, path)
+    return True, _chain(B, path)

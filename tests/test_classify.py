@@ -24,6 +24,7 @@ from skewbrace import (
     trivial_brace,
     u_p,
 )
+from skewbrace.classify import ORACLE_ORDER_BOUND, SUPERSOLUBLE_ORDER_BOUND
 
 
 def primes_of(n):
@@ -286,6 +287,13 @@ def test_oracle_order_bound(worked_examples):
     assert big.order == 64
     with pytest.raises(OrderBoundExceeded):
         is_supersoluble_oracle(big)
+
+
+def test_order_bounds_reject_the_next_order():
+    with pytest.raises(OrderBoundExceeded):
+        is_supersoluble(trivial_brace(cyclic_group(SUPERSOLUBLE_ORDER_BOUND + 1)))
+    with pytest.raises(OrderBoundExceeded):
+        is_supersoluble_oracle(trivial_brace(cyclic_group(ORACLE_ORDER_BOUND + 1)))
 
 
 def test_order_64_product_is_not_supersoluble(worked_examples):

@@ -3,6 +3,7 @@
 import pytest
 
 from skewbrace import census, cyclic_group, group_catalog, trivial_brace
+from skewbrace.classify import SUPERSOLUBLE_ORDER_BOUND
 from skewbrace.cli import (
     main,
     parse_brace_document,
@@ -90,6 +91,22 @@ def test_analyze_validation_error_names_witness(tmp_path, capsys):
 def test_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent/path.brace"]) == 2
     assert "cannot read input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "ybe"])
+def test_non_utf8_document_is_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.brace"
+    path.write_bytes(b"skewbrace 1\nname x\xff\n")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "parse error: line 2: byte 0xff is not UTF-8\n"
+
+
+def test_analyze_beyond_supersolubility_bound(tmp_path, capsys):
+    doc = write_brace_document(trivial_brace(cyclic_group(SUPERSOLUBLE_ORDER_BOUND + 1)))
+    path = write(tmp_path, "big.brace", doc)
+    assert main(["analyze", path]) == 4
+    assert "order bound exceeded" in capsys.readouterr().err
 
 
 def test_round_trip_preserves_structured_report(tmp_path, capsys):
@@ -184,6 +201,14 @@ def test_enumerate_check_and_export(tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert text.startswith("skewbrace-census 1\norder 4\ncount 4\n")
     assert text == write_census_document(census(4))
+
+
+def test_enumerate_export_write_failure(tmp_path, capsys):
+    target = tmp_path / "missing" / "census4.doc"
+    assert main(["enumerate", "4", "--export", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err
+    assert "cannot read input" not in err
 
 
 def test_enumerate_beyond_bound(capsys):

@@ -5,6 +5,7 @@ import pytest
 from skewbrace import (
     NotAnIdeal,
     SkewBraceError,
+    all_ideals,
     b_central_series,
     chief_series,
     classify_subset,
@@ -18,6 +19,7 @@ from skewbrace import (
     is_left_nilpotent,
     is_right_nilpotent,
     is_soluble,
+    is_supersoluble,
     left_series,
     lower_central_series,
     multipermutation_level,
@@ -27,6 +29,7 @@ from skewbrace import (
     socle,
     socle_series,
     sub_brace,
+    sylow_tower,
     trivial_brace,
     upper_central_series,
     zeta,
@@ -118,10 +121,38 @@ def test_frozen_series_values(worked_examples):
         assert is_right_nilpotent(b) == expect["rn"], name
 
 
-def test_socle_and_zeta_are_ideals(small_pool):
-    for b in small_pool:
-        for subset in (socle(b), zeta(b)):
+def _assert_chain(b, chain):
+    """Every term an ideal of b; each factor order the ratio of the sizes of
+    consecutive terms."""
+    assert chain.parent is b
+    for term in chain.terms:
+        assert classify_subset(b, term).is_ideal, (b.name, chain.terms)
+    sizes = [len(t) for t in chain.terms]
+    steps = list(zip(sizes, sizes[1:]))
+    if not chain.ascending:
+        steps = [(hi, lo) for lo, hi in steps]
+    assert all(lo < hi and hi % lo == 0 for lo, hi in steps)
+    assert chain.factor_orders() == tuple(hi // lo for lo, hi in steps)
+
+
+def test_socle_and_zeta_are_ideals(full_pool, worked_examples):
+    """The series and chains the engine builds are trusted without a runtime
+    check; this proves the theorems behind that on every pooled brace (the
+    pool holds the worked examples)."""
+    for b in full_pool:
+        for subset in (socle(b), zeta(b), derived_ideal(b), *right_series(b)):
             assert classify_subset(b, subset).is_ideal
+        for subset in left_series(b):
+            assert classify_subset(b, subset).is_left_ideal
+        chains = [socle_series(b), upper_central_series(b), lower_central_series(b),
+                  chief_series(b), is_soluble(b)[1], is_supersoluble(b).chain,
+                  sylow_tower(b)]
+        chains += [b_central_series(b, i) for i in all_ideals(b)]
+        for chain in chains:
+            if chain is not None:
+                _assert_chain(b, chain)
+    with pytest.raises(NotAnIdeal):
+        b_central_series(worked_examples["ex12"].brace, (0, 6))
 
 
 def test_socle_of_trivial_brace_is_group_center():
