@@ -53,7 +53,11 @@ __all__ = [
 ]
 
 class SkewBrace:
-    """A finite skew left brace; construct through make_brace."""
+    """A finite skew left brace; construct through make_brace.
+
+    `cache` is bounded: three keys, one value each, computed once from the
+    tables: "ideals" and "subbraces" (the two lattices) and "supersoluble".
+    """
 
     __slots__ = ("order", "add_group", "mul_group", "lam_table", "star_table",
                  "name", "cache")

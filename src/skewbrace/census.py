@@ -43,7 +43,6 @@ from .groups import (
 
 __all__ = [
     "ENUMERATION_ORDER_BOUND",
-    "EXTENDED_ORDER_BOUND",
     "ORACLE_BOUND",
     "group_catalog",
     "quaternion_group",
@@ -55,8 +54,7 @@ __all__ = [
     "census_oracle",
 ]
 
-ENUMERATION_ORDER_BOUND = 12
-EXTENDED_ORDER_BOUND = 16
+ENUMERATION_ORDER_BOUND = 16
 ORACLE_BOUND = 15
 
 
@@ -202,17 +200,11 @@ def _orbit_representatives(items, transports) -> list:
     return reps
 
 
-def braces_with_additive_group(
-    A: FiniteGroup, order_bound: int = ENUMERATION_ORDER_BOUND
-) -> list[SkewBrace]:
+def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
     """One validated brace per isomorphism class with additive group A."""
-    if order_bound > EXTENDED_ORDER_BOUND:
+    if A.order > ENUMERATION_ORDER_BOUND:
         raise OrderBoundExceeded(
-            f"enumeration bound cannot exceed {EXTENDED_ORDER_BOUND}"
-        )
-    if A.order > order_bound:
-        raise OrderBoundExceeded(
-            f"enumeration capped at order {order_bound}, got {A.order}"
+            f"enumeration capped at order {ENUMERATION_ORDER_BOUND}, got {A.order}"
         )
     n = A.order
     ta = A.table
@@ -267,16 +259,15 @@ def _label_group(G: FiniteGroup, catalog) -> str:
     raise SkewBraceError(f"no catalog group matches one of order {G.order}")
 
 
-def census(n: int, order_bound: int = ENUMERATION_ORDER_BOUND) -> BraceCensus:
-    """Every brace of order n up to isomorphism, labeled and sorted."""
-    if n > order_bound:
-        raise OrderBoundExceeded(
-            f"census capped at order {order_bound}, got {n}"
-        )
+def census(n: int) -> BraceCensus:
+    """Every brace of order n up to isomorphism, labeled and sorted.
+
+    Capped by the group catalog, which covers the orders up to 15.
+    """
     catalog = group_catalog(n)
     entries = []
     for label, A in catalog:
-        for B in braces_with_additive_group(A, order_bound):
+        for B in braces_with_additive_group(A):
             entries.append(CensusEntry(
                 brace=B,
                 additive_label=label,

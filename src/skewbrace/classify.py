@@ -25,9 +25,8 @@ from .series import (
     is_right_nilpotent,
     is_soluble,
     multipermutation_level,
-    quotient_with_map,
 )
-from .substructure import all_ideals, classify_subset, index, maximal_subbraces, minimal_ideals
+from .substructure import _covers, all_ideals, classify_subset, index, maximal_subbraces
 
 __all__ = [
     "SUPERSOLUBLE_ORDER_BOUND",
@@ -62,9 +61,10 @@ class SupersolubleResult:
 def is_supersoluble(B: SkewBrace) -> SupersolubleResult:
     """Greedy search for a chain of ideals of B with prime-order factors.
 
-    At each level the quotient's prime-order ideal least under
-    (size, elements) is lifted; when no quotient ideal of prime order
-    exists the minimal-ideal orders of the stuck quotient are reported.
+    At each level the ideal of prime index over the last term I that is
+    minimal over I and least under (size, elements) is taken.  When there
+    is none, the indices of the ideals minimal over I, which are the orders
+    of the minimal ideals of B/I, are reported.
     """
     if B.order > SUPERSOLUBLE_ORDER_BOUND:
         raise OrderBoundExceeded(
@@ -72,14 +72,13 @@ def is_supersoluble(B: SkewBrace) -> SupersolubleResult:
         )
     key = "supersoluble"
     if key not in B.cache:
-        terms = _ascending_series(B, lambda Q, proj: min(
-            (m for m in minimal_ideals(Q) if _is_prime(len(m))),
-            key=lambda s: (len(s), s), default=(0,)))
-        if len(terms[-1]) == B.order:
+        terms = _ascending_series(B, lambda I, coset_of: next(
+            (J for J in _covers(B, I) if _is_prime(len(J) // len(I))), I))
+        last = terms[-1]
+        if len(last) == B.order:
             result = SupersolubleResult(True, _chain(B, terms), tuple(terms), ())
         else:
-            stuck, _ = quotient_with_map(B, terms[-1])
-            blocking = tuple(sorted(len(m) for m in minimal_ideals(stuck)))
+            blocking = tuple(sorted(len(J) // len(last) for J in _covers(B, last)))
             result = SupersolubleResult(False, None, tuple(terms), blocking)
         B.cache[key] = result
     return B.cache[key]
@@ -149,8 +148,8 @@ def sylow_tower(B: SkewBrace) -> Optional[IdealChain]:
     """A chain of prime-order factors grouped by descending odd primes, 2 last.
 
     Only supersoluble braces carry one; the builder climbs section by
-    section, each section exhausted through prime-order quotient ideals
-    before the next prime starts.
+    section, each section exhausted through ideals of prime index minimal
+    over the last term before the next prime starts.
     """
     if not is_supersoluble(B).supersoluble:
         return None
@@ -162,12 +161,13 @@ def sylow_tower(B: SkewBrace) -> Optional[IdealChain]:
         target = {x for x in range(B.order) if set(_primes_of(add_ord[x])) <= allowed}
         sections.append((q, target))
 
-    def step(Q: SkewBrace, proj) -> tuple[int, ...]:
+    def step(I: tuple[int, ...], coset_of) -> tuple[int, ...]:
         # The last section is all of B, so below B some image is nontrivial.
         for q, target in sections:
-            image = {proj[x] for x in target}
+            image = {coset_of[x] for x in target}
             if len(image) > 1:
-                return min(m for m in minimal_ideals(Q) if len(m) == q and set(m) <= image)
+                return next(J for J in _covers(B, I) if len(J) == q * len(I)
+                            and {coset_of[x] for x in J} <= image)
 
     return _chain(B, _ascending_series(B, step))
 

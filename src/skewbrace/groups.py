@@ -411,15 +411,26 @@ def quotient_group(G: FiniteGroup, normal_elems: Sequence[int],
         for g in G.elements():
             if t[t[g][h]][inv[g]] not in inside:
                 raise GroupInvalid(f"subset not normal: {g}*{h}*{g}^-1 escapes")
+    coset_of, reps = _cosets(G, inside)
+    table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
+    return _group(table, name), coset_of
+
+
+def _cosets(G: FiniteGroup, normal: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The coset index of each element and the least element of each coset
+    g N of a normal subgroup N, which is trusted.
+
+    Cosets are numbered in the order of their least elements.
+    """
+    t = G.table
     coset_of = [-1] * G.order
     reps: list[int] = []
     for g in G.elements():
         if coset_of[g] < 0:
-            for h in inside:
+            for h in normal:
                 coset_of[t[g][h]] = len(reps)
             reps.append(g)
-    table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
-    return _group(table, name), coset_of
+    return coset_of, reps
 
 
 def _primes_of(n: int) -> tuple[int, ...]:

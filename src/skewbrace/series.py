@@ -1,9 +1,12 @@
 """Ideal series of a finite brace: socle, central, derived, chief.
 
-Ascending series climb from {0} through preimages of structure computed in
-successive quotients; descending series shrink through additively generated
-star and commutator subgroups.  Only terms a caller supplies are validated
-(`ideal_chain`); every term built here is an ideal by theorem and is trusted.
+Ascending series climb from {0} inside B.  Each step works modulo the last
+term I, on B's own tables and B's one cached ideal lattice: by the
+correspondence theorem the ideals of B/I are the ideals of B that contain
+I, so no quotient brace is built.  Descending series shrink through
+additively generated star and commutator subgroups.  Only terms a caller
+supplies are validated (`ideal_chain`); every term built here is an ideal
+by theorem and is trusted.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .braces import SkewBrace, quotient_brace, sub_brace
+from .braces import SkewBrace
 from .errors import NotAnIdeal
-from .groups import _is_prime, closure
-from .substructure import all_ideals, brace_core, classify_subset, minimal_ideals
+from .groups import _cosets, _is_prime, closure
+from .substructure import _covers, all_ideals, brace_core, classify_subset
 
 __all__ = [
     "FactorInfo",
@@ -66,19 +69,6 @@ class IdealChain:
         return tuple(f.order for f in self.factors)
 
 
-def quotient_with_map(B: SkewBrace, term: tuple[int, ...]) -> tuple[SkewBrace, list[int]]:
-    """Quotient by an ideal, cached per term."""
-    key = ("quotient", term)
-    if key not in B.cache:
-        B.cache[key] = quotient_brace(B, term)
-    return B.cache[key]
-
-
-def preimage(proj: Sequence[int], subset: Iterable[int]) -> tuple[int, ...]:
-    wanted = set(subset)
-    return tuple(x for x, c in enumerate(proj) if c in wanted)
-
-
 def ideal_chain(B: SkewBrace, terms: Sequence[tuple[int, ...]]) -> IdealChain:
     """Validate caller-supplied terms: a strictly monotone chain of ideals.
 
@@ -112,18 +102,35 @@ def additive_closure(B: SkewBrace, values: Iterable[int]) -> tuple[int, ...]:
     return closure(B.add_group, values)
 
 
+def _central(B: SkewBrace, coset_of: Sequence[int], inside: Iterable[int],
+             mul: bool) -> tuple[int, ...]:
+    """The preimage of the socle of S, the image of `inside` in B/I, or of
+    the centre of S when `mul` is set; `coset_of` indexes the cosets of I.
+
+    Tested modulo I on one element of each coset in S: x is kept when
+    lambda_x fixes S and x commutes with S additively (and multiplicatively).
+    """
+    ta, tm, lam = B.add_group.table, B.mul_group.table, B.lam_table
+    image: dict[int, int] = {}
+    for x in inside:
+        image.setdefault(coset_of[x], x)
+    reps = [(y, coset_of[y]) for y in image.values()]
+    kept = {
+        c for c, x in image.items()
+        if all(coset_of[lam[x][y]] == cy and coset_of[ta[x][y]] == coset_of[ta[y][x]]
+               and (not mul or coset_of[tm[x][y]] == coset_of[tm[y][x]])
+               for y, cy in reps)
+    }
+    return tuple(a for a in B.elements() if coset_of[a] in kept)
+
+
 def socle(B: SkewBrace) -> tuple[int, ...]:
     """Elements with identity lambda map lying in the additive center.
 
     An ideal by theorem (Guarnieri & Vendramin 2017).
     """
-    n = B.order
-    ta = B.add_group.table
-    ident = tuple(range(n))
-    return tuple(
-        a for a in range(n)
-        if B.lam_table[a] == ident and all(ta[a][b] == ta[b][a] for b in range(n))
-    )
+    # Modulo I = {0}, every element is its own coset index.
+    return _central(B, B.elements(), B.elements(), False)
 
 
 def zeta(B: SkewBrace) -> tuple[int, ...]:
@@ -131,22 +138,17 @@ def zeta(B: SkewBrace) -> tuple[int, ...]:
 
     An ideal by theorem (Guarnieri & Vendramin 2017).
     """
-    tm = B.mul_group.table
-    n = B.order
-    return tuple(
-        a for a in socle(B)
-        if all(tm[a][b] == tm[b][a] for b in range(n))
-    )
+    return _central(B, B.elements(), B.elements(), True)
 
 
 def _ascending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
-    """Terms from {0}, each next one the preimage of `step(Q, proj)`, a subset
-    of the quotient Q of B by the last term, until B or a step that does not
-    grow.  A preimage of an ideal of a quotient is an ideal."""
+    """Terms from {0}, each next one `step(I, coset_of)`, an ideal of B that
+    contains the last term I, given the coset indices of I; until B or a
+    step that does not grow."""
     terms = [(0,)]
     while len(terms[-1]) < B.order:
-        Q, proj = quotient_with_map(B, terms[-1])
-        grown = preimage(proj, step(Q, proj))
+        coset_of, _ = _cosets(B.add_group, terms[-1])
+        grown = step(terms[-1], coset_of)
         if len(grown) == len(terms[-1]):
             break
         terms.append(grown)
@@ -155,7 +157,8 @@ def _ascending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
 
 def socle_series(B: SkewBrace) -> IdealChain:
     """The ascending series of socle preimages."""
-    return _chain(B, _ascending_series(B, lambda Q, proj: socle(Q)))
+    return _chain(B, _ascending_series(
+        B, lambda I, coset_of: _central(B, coset_of, B.elements(), False)))
 
 
 def multipermutation_level(B: SkewBrace) -> Optional[int]:
@@ -168,7 +171,8 @@ def multipermutation_level(B: SkewBrace) -> Optional[int]:
 
 def upper_central_series(B: SkewBrace) -> IdealChain:
     """The ascending series of center preimages."""
-    return _chain(B, _ascending_series(B, lambda Q, proj: zeta(Q)))
+    return _chain(B, _ascending_series(
+        B, lambda I, coset_of: _central(B, coset_of, B.elements(), True)))
 
 
 def is_centrally_nilpotent(B: SkewBrace) -> bool:
@@ -239,22 +243,18 @@ def derived_ideal(B: SkewBrace) -> tuple[int, ...]:
 
 
 def _relative_central_terms(B: SkewBrace, target: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The central series of the ideal `target` relative to B: each step lifts
-    the largest ideal of the quotient inside the center of the image of
-    `target`, so every term lies in `target`."""
-
-    def step(Q: SkewBrace, proj: Sequence[int]) -> tuple[int, ...]:
-        image = tuple(sorted({proj[x] for x in target}))
-        return brace_core(Q, {image[x] for x in zeta(sub_brace(Q, image))})
-
-    return _ascending_series(B, step)
+    """The central series of the ideal `target` relative to B: each step is
+    the largest ideal of B inside the preimage of the center of the image of
+    `target` in B/I, so every term lies in `target`."""
+    return _ascending_series(
+        B, lambda I, coset_of: brace_core(B, _central(B, coset_of, target, True)))
 
 
 def b_central_series(B: SkewBrace, ideal_elems: Sequence[int]) -> IdealChain:
     """Ascending central series of an ideal relative to the whole brace.
 
-    Each step lifts the largest ideal of the quotient of B that sits inside
-    the center of the ideal's image brace.
+    Each step takes the largest ideal of B that sits inside the preimage of
+    the center of the ideal's image in the quotient by the last term.
     """
     target = tuple(sorted(set(ideal_elems)))
     if not classify_subset(B, target).is_ideal:
@@ -284,11 +284,10 @@ def fitting(B: SkewBrace):
 def chief_series(B: SkewBrace) -> IdealChain:
     """A chain through minimal ideals of successive quotients.
 
-    At every step the quotient's minimal nonzero ideal that is least under
-    (size, elements) is lifted, so the output is deterministic.
+    At every step the ideal minimal over the last term that is least under
+    (size, elements) is taken, so the output is deterministic.
     """
-    return _chain(B, _ascending_series(
-        B, lambda Q, proj: min(minimal_ideals(Q), key=lambda s: (len(s), s))))
+    return _chain(B, _ascending_series(B, lambda I, coset_of: _covers(B, I)[0]))
 
 
 def chief_factors(B: SkewBrace) -> list[tuple[int, bool]]:
@@ -297,12 +296,14 @@ def chief_factors(B: SkewBrace) -> list[tuple[int, bool]]:
     return [(f.order, f.is_prime_order) for f in chain.factors]
 
 
-def _factor_is_abelian(Q: SkewBrace, image: Sequence[int]) -> bool:
-    ta = Q.add_group.table
-    star = Q.star_table
+def _factor_is_abelian(B: SkewBrace, coset_of: Sequence[int], elems: Sequence[int]) -> bool:
+    """Whether the elements, one per coset of I, have trivial star products
+    and commuting sums modulo I; the coset of 0 is I."""
+    ta = B.add_group.table
+    star = B.star_table
     return all(
-        star[x][y] == 0 and ta[x][y] == ta[y][x]
-        for x in image for y in image
+        coset_of[star[x][y]] == 0 and coset_of[ta[x][y]] == coset_of[ta[y][x]]
+        for x in elems for y in elems
     )
 
 
@@ -317,13 +318,12 @@ def is_soluble(B: SkewBrace) -> tuple[bool, Optional[IdealChain]]:
             return [current]
         if current in stuck:
             return None
-        Q, proj = quotient_with_map(B, current)
+        coset_of, reps = _cosets(B.add_group, current)
         cur = set(current)
         for cand in ideals:
             if not (cur < set(cand)):
                 continue
-            image = sorted({proj[x] for x in cand})
-            if not _factor_is_abelian(Q, image):
+            if not _factor_is_abelian(B, coset_of, [x for x in cand if reps[coset_of[x]] == x]):
                 continue
             rest = grow(cand)
             if rest is not None:

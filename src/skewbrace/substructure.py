@@ -156,15 +156,22 @@ def all_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
     return list(B.cache["ideals"])
 
 
+def _covers(B: SkewBrace, base: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The ideals minimal over the ideal `base`, ordered by (size, elements):
+    the preimages of the minimal ideals of B/base.  A smaller ideal above
+    `base` comes first in the lattice's order, so one pass finds them."""
+    below = set(base)
+    covers: list[tuple[int, ...]] = []
+    for cand in all_ideals(B):
+        cset = set(cand)
+        if len(cand) > len(base) and below <= cset and not any(map(cset.issuperset, covers)):
+            covers.append(cand)
+    return covers
+
+
 def minimal_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
     """The minimal nonzero ideals."""
-    proper = [i for i in all_ideals(B) if len(i) > 1]
-    result = []
-    for cand in proper:
-        cset = set(cand)
-        if not any(set(other) < cset for other in proper if other != cand):
-            result.append(cand)
-    return result
+    return _covers(B, (0,))
 
 
 def maximal_subbraces(B: SkewBrace) -> list[tuple[int, ...]]:

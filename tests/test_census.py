@@ -79,7 +79,7 @@ def test_census_agrees_with_pair_table_oracle():
 
 def test_oracle_matches_census_per_additive_group():
     for n in range(2, 16):
-        assert _oracle_counts(n) == census(n, order_bound=16).count_by_additive(), n
+        assert _oracle_counts(n) == census(n).count_by_additive(), n
 
 
 CATALOG = [G for n in range(1, 16) for _, G in group_catalog(n)]
@@ -203,7 +203,7 @@ def test_indexed_families_match_tuple_reference():
         assert {tuple(perms[i] for i in fam) for fam in indexed} == set(families), A.name
         reps = _reference_representatives(families, perms)
         ta = A.table
-        assert [B.mul_group.table for B in braces_with_additive_group(A, 16)] == [
+        assert [B.mul_group.table for B in braces_with_additive_group(A)] == [
             tuple(tuple(ta[a][fam[a][b]] for b in range(A.order)) for a in range(A.order))
             for fam in reps
         ], A.name
@@ -451,26 +451,26 @@ def test_braces_with_single_additive_group():
 
 def test_extended_bound_pins():
     c16 = cyclic_group(16)
-    assert len(braces_with_additive_group(c16, order_bound=16)) == 8
+    assert len(braces_with_additive_group(c16)) == 8
     c4x4 = direct_product(cyclic_group(4), cyclic_group(4))
-    assert len(braces_with_additive_group(c4x4, order_bound=16)) == 83
+    assert len(braces_with_additive_group(c4x4)) == 83
 
 
 def test_extended_census_on_doubled_primes():
-    r14 = census(14, order_bound=16)
+    r14 = census(14)
     assert r14.count() == 6
     assert r14.count_by_additive() == {"C14": 2, "D14": 4}
-    r15 = census(15, order_bound=16)
+    r15 = census(15)
     assert r15.count() == 1
 
 
 def test_order_bounds_raise():
     with pytest.raises(OrderBoundExceeded):
-        census(13)
+        census(16)
     with pytest.raises(OrderBoundExceeded):
         census_oracle(ORACLE_BOUND + 1)
     with pytest.raises(OrderBoundExceeded):
-        braces_with_additive_group(cyclic_group(16))
+        braces_with_additive_group(cyclic_group(17))
     with pytest.raises(OrderBoundExceeded):
         group_catalog(16)
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from skewbrace import census, cyclic_group, group_catalog, trivial_brace
+from skewbrace import (CocycleIdentityViolation, census, cyclic_group, group_catalog,
+                       trivial_brace)
 from skewbrace.classify import SUPERSOLUBLE_ORDER_BOUND
 from skewbrace.cli import (
     main,
@@ -173,8 +174,12 @@ def test_verify_paper_unknown_fixture_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
-def test_verify_paper_corrupted_delta_fails(capsys):
-    assert main(["verify-paper", "--fixture", "ex8", "--corrupt-delta", "ex8"]) == 1
+def test_verify_paper_corrupted_delta_fails(monkeypatch, capsys):
+    def rejected(name):
+        raise CocycleIdentityViolation("delta(1 2) != delta(1) + lambda(1)(delta(2))")
+
+    monkeypatch.setattr("skewbrace.cli.build", rejected)
+    assert main(["verify-paper", "--fixture", "ex8"]) == 1
     out = capsys.readouterr().out
     assert "FAIL ex8 build:" in out
     assert "1 failures" in out
@@ -212,8 +217,16 @@ def test_enumerate_export_write_failure(tmp_path, capsys):
 
 
 def test_enumerate_beyond_bound(capsys):
-    assert main(["enumerate", "13"]) == 4
+    assert main(["enumerate", "16"]) == 4
     assert "order bound exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_enumerate_order_below_one_is_usage_error(order, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", order])
+    assert exc.value.code == 2
+    assert "order must be positive" in capsys.readouterr().err
 
 
 def test_ybe_report_and_retract(tmp_path, capsys):

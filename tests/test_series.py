@@ -22,9 +22,9 @@ from skewbrace import (
     is_supersoluble,
     left_series,
     lower_central_series,
+    minimal_ideals,
     multipermutation_level,
-    preimage,
-    quotient_with_map,
+    quotient_brace,
     right_series,
     socle,
     socle_series,
@@ -34,6 +34,8 @@ from skewbrace import (
     upper_central_series,
     zeta,
 )
+from skewbrace.series import _central
+from skewbrace.substructure import _covers
 
 
 def catalog_group(n, label):
@@ -188,7 +190,7 @@ def test_socle_series_factors_sit_in_quotient_socle(worked_examples):
         b = ex.brace
         terms = socle_series(b).terms
         for lower, upper in zip(terms, terms[1:]):
-            q, proj = quotient_with_map(b, lower)
+            q, proj = quotient_brace(b, lower)
             assert {proj[x] for x in upper} <= set(socle(q))
 
 
@@ -279,14 +281,47 @@ def test_ideal_chain_rejects_non_nested_terms(worked_examples):
         ideal_chain(b, [(0, 4, 8), (0,), tuple(range(12))])
 
 
-def test_quotient_with_map_and_preimage(worked_examples):
+def _preimage(proj, subset):
+    wanted = set(subset)
+    return tuple(x for x, c in enumerate(proj) if c in wanted)
+
+
+def test_quotient_brace_coset_map(worked_examples):
     ex24 = worked_examples["ex24"]
-    q, proj = quotient_with_map(ex24.brace, ex24.subsets["socle"])
+    q, proj = quotient_brace(ex24.brace, ex24.subsets["socle"])
     assert q.order == 8
-    back = preimage(proj, [0])
-    assert tuple(sorted(back)) == tuple(sorted(ex24.subsets["socle"]))
-    full = preimage(proj, range(q.order))
-    assert len(full) == 24
+    assert _preimage(proj, [0]) == tuple(sorted(ex24.subsets["socle"]))
+    assert _preimage(proj, range(q.order)) == tuple(range(24))
+
+
+def _minimal_by_definition(q):
+    nonzero = [set(i) for i in all_ideals(q) if len(i) > 1]
+    return [tuple(sorted(m)) for m in nonzero if not any(o < m for o in nonzero)]
+
+
+def _socle_by_definition(q, mul):
+    ident = tuple(q.elements())
+    return tuple(
+        a for a in q.elements()
+        if q.lam_table[a] == ident
+        and all(q.add(a, x) == q.add(x, a) for x in q.elements())
+        and not (mul and any(q.mul(a, x) != q.mul(x, a) for x in q.elements())))
+
+
+def test_climbs_inside_b_match_the_quotient_brace(full_pool):
+    """Correspondence theorem: over an ideal I, the ideals minimal over I and
+    the socle and centre taken modulo I are the preimages of the minimal
+    ideals, the socle and the centre of B/I, in the same order."""
+    for b in full_pool:
+        for ideal in all_ideals(b):
+            q, proj = quotient_brace(b, ideal)
+            minimal = _minimal_by_definition(q)
+            assert minimal_ideals(q) == minimal
+            assert _covers(b, ideal) == [_preimage(proj, m) for m in minimal]
+            for mul, centre in ((False, socle), (True, zeta)):
+                expected = _socle_by_definition(q, mul)
+                assert centre(q) == expected
+                assert _central(b, proj, b.elements(), mul) == _preimage(proj, expected)
 
 
 def test_derived_ideal_of_trivial_brace_is_zero():
