@@ -27,6 +27,7 @@ from .errors import OrderBoundExceeded, SkewBraceError
 from .groups import (
     FiniteGroup,
     _dihedral,
+    _element_invariants,
     _map_search,
     _relabel,
     aut_group,
@@ -252,9 +253,19 @@ class BraceCensus:
         return out
 
 
-def _label_group(G: FiniteGroup, catalog) -> str:
-    for label, H in catalog:
-        if group_isomorphism(G, H) is not None:
+def _invariant_key(G: FiniteGroup) -> list:
+    """The sorted (element order, conjugacy class size) pairs of G, which
+    every isomorphism preserves."""
+    return sorted(_element_invariants((G,)))
+
+
+def _label_group(G: FiniteGroup, keyed) -> str:
+    """The label of the first catalog group isomorphic to G, proven by an
+    explicit isomorphism.  `keyed` holds (label, group, `_invariant_key`) per
+    catalog group, and only the groups whose key matches G's are searched."""
+    key = _invariant_key(G)
+    for label, H, key_h in keyed:
+        if key_h == key and group_isomorphism(G, H) is not None:
             return label
     raise SkewBraceError(f"no catalog group matches one of order {G.order}")
 
@@ -265,13 +276,14 @@ def census(n: int) -> BraceCensus:
     Capped by the group catalog, which covers the orders up to 15.
     """
     catalog = group_catalog(n)
+    keyed = [(label, H, _invariant_key(H)) for label, H in catalog]
     entries = []
     for label, A in catalog:
         for B in braces_with_additive_group(A):
             entries.append(CensusEntry(
                 brace=B,
                 additive_label=label,
-                multiplicative_label=_label_group(B.mul_group, catalog),
+                multiplicative_label=_label_group(B.mul_group, keyed),
             ))
     entries.sort(key=lambda e: (e.additive_label, e.multiplicative_label,
                                 e.brace.mul_group.table))

@@ -451,8 +451,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser is built on the first call to `main` and reused by every later
+# call in the same process: parsing leaves it unchanged, and building it
+# costs about as much as a small command.  Nothing else is kept across calls.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

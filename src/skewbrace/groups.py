@@ -655,15 +655,42 @@ def automorphisms(G: FiniteGroup) -> list[GroupMap]:
 def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     """The automorphism group under composition, with its permutation list.
 
-    An automorphism is fixed by its images of generators, so p . q is looked
-    up by the images p(q(g)) of a generating set alone.
+    The table is built from generator rows.  An automorphism is fixed by its
+    images of generators, so the row of p (the index of p . q for every q)
+    can be looked up by the images p(q(g)) of a generating set of G.  That
+    is done only for the automorphisms kept greedily, in index order, as
+    generators of Aut(G): at most log2 |Aut(G)| + 1 rows.  Every other row
+    is reached in the orbit of the identity under left multiplication by
+    them, as row[s . p] = [row_s[v] for v in row_p]; as in `_Span`, a new
+    generator s gives a subgroup K with K s = K, so the words ending in s
+    reach all of K.
     """
     perms = automorphism_perms(G)
-    if len(perms) > AUT_TABLE_BOUND:
+    m = len(perms)
+    if m > AUT_TABLE_BOUND:
         raise OrderBoundExceeded(
-            f"Aut table capped at {AUT_TABLE_BOUND} automorphisms, got {len(perms)}")
+            f"Aut table capped at {AUT_TABLE_BOUND} automorphisms, got {m}")
     gens = generating_set(G)
     index = {tuple([p[g] for g in gens]): i for i, p in enumerate(perms)}
     images = [[q[g] for g in gens] for q in perms]
-    table = tuple(tuple([index[tuple([p[x] for x in qg])] for qg in images]) for p in perms)
-    return _group(table, f"Aut({G.name or '?'})"), perms
+    rows: list = [None] * m
+    rows[0] = tuple(range(m))
+    elems = [0]
+    gen_rows: list[tuple[int, ...]] = []
+    for s, p in enumerate(perms):
+        if rows[s] is not None:
+            continue
+        rows[s] = tuple([index[tuple([p[x] for x in qg])] for qg in images])
+        gen_rows.append(rows[s])
+        i = len(elems)
+        elems.append(s)
+        while i < len(elems):
+            e = elems[i]
+            row_e = rows[e]
+            i += 1
+            for row_s in gen_rows:
+                z = row_s[e]
+                if rows[z] is None:
+                    rows[z] = tuple([row_s[v] for v in row_e])
+                    elems.append(z)
+    return _group(tuple(rows), f"Aut({G.name or '?'})"), perms

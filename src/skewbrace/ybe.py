@@ -56,6 +56,29 @@ def _is_perm(seq) -> bool:
     return sorted(seq) == list(range(n))
 
 
+def _braid_holds(n: int, r1, r2) -> bool:
+    """Whether (r x id)(id x r)(r x id) = (id x r)(r x id)(id x r) on every
+    triple (x, y, z), examined in order until the first failure.
+
+    For each (x, y), r(x, y) = (a, b) and the rows of a, b and y are looked
+    up once, outside the z loop.  With (p, q) = r(b, z), (c, d) = r(y, z)
+    and (s, t) = r(x, c), the left side is (r1[a][p], r2[a][p], q) and the
+    right side (s, r1[t][d], r2[t][d]).
+    """
+    for x in range(n):
+        r1x, r2x = r1[x], r2[x]
+        for y in range(n):
+            a, b = r1x[y], r2x[y]
+            r1a, r2a, r1b, r2b, r1y, r2y = r1[a], r2[a], r1[b], r2[b], r1[y], r2[y]
+            for z in range(n):
+                p = r1b[z]
+                c, d = r1y[z], r2y[z]
+                t = r2x[c]
+                if r1a[p] != r1x[c] or r2a[p] != r1[t][d] or r2b[z] != r2[t][d]:
+                    return False
+    return True
+
+
 def verify_solution(size: int, r1, r2) -> SolutionChecks:
     """Check braid relation, pair bijectivity and both non-degeneracies;
     tables that are not n x n over 0..n-1 raise SolutionInvalid."""
@@ -71,30 +94,8 @@ def verify_solution(size: int, r1, r2) -> SolutionChecks:
     bijective = len(pairs) == n * n
     left = all(_is_perm(r1[x]) for x in range(n))
     right = all(_is_perm([r2[x][y] for x in range(n)]) for y in range(n))
-    braid = True
-    for x in range(n):
-        r1x = r1[x]
-        r2x = r2[x]
-        for y in range(n):
-            for z in range(n):
-                # left side: (r x id)(id x r)(r x id)
-                a, b = r1x[y], r2x[y]
-                p, q = r1[b][z], r2[b][z]
-                u, v = r1[a][p], r2[a][p]
-                lhs = (u, v, q)
-                # right side: (id x r)(r x id)(id x r)
-                c, d = r1[y][z], r2[y][z]
-                s, t = r1x[c], r2x[c]
-                w, e = r1[t][d], r2[t][d]
-                rhs = (s, w, e)
-                if lhs != rhs:
-                    braid = False
-                    break
-            if not braid:
-                break
-        if not braid:
-            break
-    return SolutionChecks(braid=braid, bijective=bijective, nondegenerate=left and right)
+    return SolutionChecks(braid=_braid_holds(n, r1, r2), bijective=bijective,
+                          nondegenerate=left and right)
 
 
 def solution_from_brace(B: SkewBrace) -> Solution:

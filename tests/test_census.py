@@ -8,6 +8,7 @@ import pytest
 
 from skewbrace import (
     OrderBoundExceeded,
+    SkewBraceError,
     aut_group,
     automorphism_perms,
     brace_isomorphic,
@@ -18,6 +19,7 @@ from skewbrace import (
     cyclic_group,
     direct_product,
     group_catalog,
+    group_isomorphism,
     make_brace,
     make_group,
     trivial_brace,
@@ -29,6 +31,8 @@ from skewbrace.census import (
     _bijective_cocycles,
     _generator_levels,
     _hol_orders,
+    _invariant_key,
+    _label_group,
     _oracle_counts,
     _oracle_tables,
     _regular_families,
@@ -178,12 +182,18 @@ def test_hol_orders_match_tuple_composition():
 
 def test_aut_group_matches_composed_permutations():
     assert len(CATALOG) == 28
-    for A in CATALOG:
+    c = cyclic_group
+    extra = [direct_product(c(4), c(4)), direct_product(c(8), c(2)),
+             direct_product(direct_product(c(4), c(2)), c(2))]
+    orders = []
+    for A in CATALOG + extra:
         aut, perms = aut_group(A)
         index = {p: i for i, p in enumerate(perms)}
         assert aut.table == tuple(
             tuple(index[_compose(p, q)] for q in perms) for p in perms), A.name
         assert make_group(aut.table).table == aut.table, A.name
+        orders.append(aut.order)
+    assert orders[-3:] == [96, 16, 192]
 
 
 def test_aut_table_bound(monkeypatch):
@@ -354,6 +364,24 @@ def test_census_is_deterministic():
     assert [e.brace.tables() for e in first.entries] == [
         e.brace.tables() for e in second.entries
     ]
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_keyed_labels_match_first_isomorphic_catalog_group(n):
+    catalog = group_catalog(n)
+    for e in census(n).entries:
+        G = e.brace.mul_group
+        first = next(label for label, H in catalog if group_isomorphism(G, H) is not None)
+        assert e.multiplicative_label == first
+
+
+def test_label_without_matching_catalog_group_raises():
+    keyed = [(label, H, _invariant_key(H)) for label, H in group_catalog(8)]
+    q8 = dict(group_catalog(8))["Q8"]
+    assert _label_group(q8, keyed) == "Q8"
+    without = [k for k in keyed if k[0] != "Q8"]
+    with pytest.raises(SkewBraceError, match="no catalog group matches"):
+        _label_group(q8, without)
 
 
 def test_census_label_order():

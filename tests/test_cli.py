@@ -4,6 +4,7 @@ import pytest
 
 from skewbrace import (CocycleIdentityViolation, census, cyclic_group, group_catalog,
                        trivial_brace)
+from skewbrace import cli
 from skewbrace.classify import SUPERSOLUBLE_ORDER_BOUND
 from skewbrace.cli import (
     main,
@@ -252,3 +253,34 @@ def test_ybe_flat_solution(tmp_path, capsys):
     assert main(["ybe", path]) == 0
     out = capsys.readouterr().out
     assert "retraction-level 1" in out
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
+    path = write(tmp_path, "ex12.brace", document_for("ex12"))
+    commands = [["enumerate", "0"], ["enumerate", "4", "--check"], ["analyze", path]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in commands:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(argv))
+    assert [code for code, _out, _err in fresh] == [2, 0, 0]
+
+    builds = []
+    build_parser = cli._build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert [run(argv) for argv in commands] == fresh
+    assert len(builds) == 1

@@ -1,5 +1,7 @@
 """Tests for set-theoretic solution generation, verification, and retraction."""
 
+import random
+
 import pytest
 
 from skewbrace import (
@@ -90,6 +92,42 @@ def test_verify_solution_rejects_malformed_tables():
         verify_solution(2, [[0, 1], [1, 0]], [[0, 1], [1]])
     with pytest.raises(SolutionInvalid, match="r1 has 1 rows, expected 2"):
         verify_solution(2, [[0, 1]], [[0, 1], [1, 0]])
+
+
+def reference_braid(n, r1, r2):
+    """The braid check as a plain loop over all triples, comparing both
+    sides as 3-tuples, until the first failure."""
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                a, b = r1[x][y], r2[x][y]
+                p, q = r1[b][z], r2[b][z]
+                lhs = (r1[a][p], r2[a][p], q)
+                c, d = r1[y][z], r2[y][z]
+                s, t = r1[x][c], r2[x][c]
+                rhs = (s, r1[t][d], r2[t][d])
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def test_braid_check_matches_reference_loop(small_entries, medium_entries):
+    rng = random.Random(10)
+    outcomes = set()
+    for entry in small_entries + medium_entries:
+        sol = solution_from_brace(entry.brace)
+        n = sol.size
+        cases = [(sol.r1, sol.r2), (sol.r2, sol.r1)]
+        for which in (0, 1):
+            for _ in range(3):
+                tables = [[list(row) for row in sol.r1], [list(row) for row in sol.r2]]
+                tables[which][rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+                cases.append(tuple(tables))
+        for r1, r2 in cases:
+            expected = reference_braid(n, r1, r2)
+            assert verify_solution(n, r1, r2).braid == expected, entry.brace.name
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_mutation_controls_fail(worked_examples):
