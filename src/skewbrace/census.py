@@ -22,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .braces import SkewBrace, make_brace
+from .braces import SkewBrace, _brace
 from .errors import OrderBoundExceeded, SkewBraceError
 from .groups import (
     FiniteGroup,
     _dihedral,
     _element_invariants,
+    _group,
     _map_search,
     _relabel,
     aut_group,
@@ -44,7 +45,6 @@ from .groups import (
 
 __all__ = [
     "ENUMERATION_ORDER_BOUND",
-    "ORACLE_BOUND",
     "group_catalog",
     "quaternion_group",
     "braces_with_additive_group",
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 ENUMERATION_ORDER_BOUND = 16
-ORACLE_BOUND = 15
 
 
 def quaternion_group() -> FiniteGroup:
@@ -202,7 +201,12 @@ def _orbit_representatives(items, transports) -> list:
 
 
 def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
-    """One validated brace per isomorphism class with additive group A."""
+    """One brace per isomorphism class with additive group A.
+
+    A regular subgroup of Hol(A) gives a brace by theorem (Guarnieri &
+    Vendramin 2017), so each is built by the trusted constructor; the exact
+    proof is `enumerate --check`.
+    """
     if A.order > ENUMERATION_ORDER_BOUND:
         raise OrderBoundExceeded(
             f"enumeration capped at order {ENUMERATION_ORDER_BOUND}, got {A.order}"
@@ -223,7 +227,8 @@ def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
             tuple(ta[a][perms[family[a]][b]] for b in range(n))
             for a in range(n)
         )
-        braces.append(make_brace(ta, mul, name=f"{A.name or 'A'}#{len(braces)}"))
+        name = f"{A.name or 'A'}#{len(braces)}"
+        braces.append(_brace(_group(ta, f"{name}+"), _group(mul, f"{name}*"), name))
     return braces
 
 
@@ -451,12 +456,8 @@ def _oracle_counts(n: int) -> dict[str, int]:
 def census_oracle(n: int) -> int:
     """Independent recount of census(n) through actions and cocycles.
 
-    Capped at ORACLE_BOUND = 15, the bound of `group_catalog`.  On a 2-vCPU
-    Xeon VM order 8 (C2xC2xC2 has 168 automorphisms) takes about 0.15 s and
-    every other order up to 15 under 0.1 s.
+    Capped by `group_catalog` at order 15.  On a 2-vCPU Xeon VM order 8
+    (C2xC2xC2 has 168 automorphisms) takes about 0.15 s and every other
+    order up to 15 under 0.1 s.
     """
-    if n > ORACLE_BOUND:
-        raise OrderBoundExceeded(
-            f"census oracle capped at order {ORACLE_BOUND}, got {n}"
-        )
     return sum(_oracle_counts(n).values())

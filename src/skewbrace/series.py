@@ -6,7 +6,8 @@ correspondence theorem the ideals of B/I are the ideals of B that contain
 I, so no quotient brace is built.  Descending series shrink through
 additively generated star and commutator subgroups.  Only terms a caller
 supplies are validated (`ideal_chain`); every term built here is an ideal
-by theorem and is trusted.
+by theorem and is trusted.  One exhaustive chain search (`_chain_search`)
+walks the same lattice for `is_soluble` and for the supersolubility oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .braces import SkewBrace
 from .errors import NotAnIdeal
 from .groups import _cosets, _is_prime, closure
-from .substructure import _covers, all_ideals, brace_core, classify_subset
+from .substructure import SubStructure, _covers, all_ideals, brace_core, classify_subset
 
 __all__ = [
     "FactorInfo",
@@ -268,17 +269,17 @@ def is_b_centrally_nilpotent(B: SkewBrace, ideal_elems: Sequence[int]) -> bool:
     return chain.terms[-1] == target
 
 
-def fitting(B: SkewBrace):
+def fitting(B: SkewBrace) -> SubStructure:
     """The sum of all ideals whose relative central series reaches them.
 
-    Returns the classification of the resulting subset; its flags report
-    whether the sum is itself an ideal (it is in every tested case).
+    A sum of ideals is an ideal by theorem, so its flags are stated, not
+    computed.
     """
     union = set()
     for i in all_ideals(B):
         if _relative_central_terms(B, i)[-1] == i:
             union |= set(i)
-    return classify_subset(B, additive_closure(B, union))
+    return SubStructure(additive_closure(B, union), True, True, True, True)
 
 
 def chief_series(B: SkewBrace) -> IdealChain:
@@ -296,42 +297,48 @@ def chief_factors(B: SkewBrace) -> list[tuple[int, bool]]:
     return [(f.order, f.is_prime_order) for f in chain.factors]
 
 
-def _factor_is_abelian(B: SkewBrace, coset_of: Sequence[int], elems: Sequence[int]) -> bool:
-    """Whether the elements, one per coset of I, have trivial star products
-    and commuting sums modulo I; the coset of 0 is I."""
-    ta = B.add_group.table
-    star = B.star_table
-    return all(
-        coset_of[star[x][y]] == 0 and coset_of[ta[x][y]] == coset_of[ta[y][x]]
-        for x in elems for y in elems
-    )
+def _chain_search(B: SkewBrace, admits) -> Optional[list[tuple[int, ...]]]:
+    """The first chain of ideals from {0} to B whose every step I < J
+    satisfies `admits(I, coset_of, reps, J)`, given the coset indices and
+    the least element of each coset of I; None when there is none.
 
-
-def is_soluble(B: SkewBrace) -> tuple[bool, Optional[IdealChain]]:
-    """Search the ideal lattice for a chain with abelian factors."""
+    The one exhaustive search over the ideal lattice: depth first over B's
+    cached `all_ideals`, each step to the next candidate in (size, elements)
+    order, remembering the ideals from which no chain climbs.
+    """
     ideals = all_ideals(B)
-    full = tuple(range(B.order))
-    stuck: set[tuple[int, ...]] = set()
+    dead: set[tuple[int, ...]] = set()
 
-    def grow(current: tuple[int, ...]) -> Optional[list[tuple[int, ...]]]:
-        if current == full:
+    def climb(current: tuple[int, ...]) -> Optional[list[tuple[int, ...]]]:
+        if len(current) == B.order:
             return [current]
-        if current in stuck:
+        if current in dead:
             return None
         coset_of, reps = _cosets(B.add_group, current)
         cur = set(current)
         for cand in ideals:
-            if not (cur < set(cand)):
-                continue
-            if not _factor_is_abelian(B, coset_of, [x for x in cand if reps[coset_of[x]] == x]):
-                continue
-            rest = grow(cand)
-            if rest is not None:
-                return [current] + rest
-        stuck.add(current)
+            if cur < set(cand) and admits(current, coset_of, reps, cand):
+                rest = climb(cand)
+                if rest is not None:
+                    return [current] + rest
+        dead.add(current)
         return None
 
-    path = grow((0,))
+    return climb((0,))
+
+
+def is_soluble(B: SkewBrace) -> tuple[bool, Optional[IdealChain]]:
+    """Search the ideal lattice for a chain with abelian factors: J/I is
+    abelian when its elements, one per coset of I, have trivial star
+    products and commuting sums modulo I (the coset of 0 is I)."""
+    ta, star = B.add_group.table, B.star_table
+
+    def abelian(I, coset_of, reps, J) -> bool:
+        elems = [x for x in J if reps[coset_of[x]] == x]
+        return all(coset_of[star[x][y]] == 0 and coset_of[ta[x][y]] == coset_of[ta[y][x]]
+                   for x in elems for y in elems)
+
+    path = _chain_search(B, abelian)
     if path is None:
         return False, None
     return True, _chain(B, path)

@@ -6,6 +6,10 @@ a strong left ideal is also normal in the additive group; an ideal is also
 normal in the multiplicative group.  The flags are computed independently,
 so the containment hierarchy between them is a checkable fact rather than
 an assumption.
+
+Both lattices come from the one join loop `groups._joins`: the subbraces
+are the subgroups of the additive group (joins of cyclic subgroups) closed
+under the product, and the ideals are the joins of the principal ideals.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .braces import SkewBrace
 from .errors import MissingZero, NotAnIdeal
-from .groups import _Span, closure, subgroups
+from .groups import _Span, _joins, closure, subgroups
 
 __all__ = [
     "SubStructure",
@@ -129,30 +133,17 @@ def all_subbraces(B: SkewBrace) -> list[tuple[int, ...]]:
 def all_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
     """Every ideal, as sorted tuples ordered by (size, elements).
 
-    Every ideal is the join of the principal ideals of its elements, and the
-    join of ideals I and J is the additive subgroup generated by I + J.  So
-    the lattice is the join-closure of the n principal ideals: n
-    `ideal_generated` calls, then one `closure` per found ideal I and
-    distinct principal ideal whose generator lies outside I.
+    Every ideal is the join of the principal ideals P_x of its elements, and
+    the join of ideals is the additive subgroup their sum generates.  So the
+    lattice is `groups._joins` of the additive groups with generators P_x:
+    for h in an ideal I, h + x lies in I + P_x and x in I + P_{h+x}, so each
+    coset I + x gives one join.  n `ideal_generated` calls, then one closure
+    per found ideal and coset of it with a principal ideal not yet joined.
     """
     if "ideals" not in B.cache:
-        add = B.add_group
-        principal: dict[tuple[int, ...], int] = {}
-        for x in B.elements():
-            principal.setdefault(ideal_generated(B, (x,)), x)
-        found = set(principal)
-        frontier = list(found)
-        while frontier:
-            base = frontier.pop()
-            inside = set(base)
-            for ideal, x in principal.items():
-                if x in inside:
-                    continue
-                joined = closure(add, base + ideal)
-                if joined not in found:
-                    found.add(joined)
-                    frontier.append(joined)
-        B.cache["ideals"] = sorted(found, key=lambda s: (len(s), s))
+        principal = [ideal_generated(B, (x,)) for x in B.elements()]
+        gens = {P: tuple(_Span(B.add_group.table, P).gens) for P in principal}
+        B.cache["ideals"] = _joins(B.add_group, [gens[P] for P in principal])
     return list(B.cache["ideals"])
 
 

@@ -25,7 +25,6 @@ from skewbrace import (
     trivial_brace,
 )
 from skewbrace.census import (
-    ORACLE_BOUND,
     _action_homs,
     _bfs_edges,
     _bijective_cocycles,
@@ -496,7 +495,7 @@ def test_order_bounds_raise():
     with pytest.raises(OrderBoundExceeded):
         census(16)
     with pytest.raises(OrderBoundExceeded):
-        census_oracle(ORACLE_BOUND + 1)
+        census_oracle(16)
     with pytest.raises(OrderBoundExceeded):
         braces_with_additive_group(cyclic_group(17))
     with pytest.raises(OrderBoundExceeded):

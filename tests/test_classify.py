@@ -10,6 +10,7 @@ from skewbrace import (
     classify_subset,
     cyclic_group,
     direct_product_braces,
+    fitting,
     index,
     is_centrally_nilpotent,
     is_supersoluble,
@@ -24,7 +25,7 @@ from skewbrace import (
     trivial_brace,
     u_p,
 )
-from skewbrace.classify import ORACLE_ORDER_BOUND, SUPERSOLUBLE_ORDER_BOUND
+from skewbrace.classify import SUPERSOLUBLE_ORDER_BOUND
 
 
 def primes_of(n):
@@ -233,7 +234,6 @@ def test_report_frozen_fields_ex8(worked_examples):
     assert r.soluble
     assert r.mp_level is None
     assert r.fitting_order == 4
-    assert r.fitting_is_ideal
     assert r.chief_factor_orders == (4, 2)
     assert r.maximal_subbrace_indices == (2,)
     assert r.ideal_count == 3
@@ -242,6 +242,11 @@ def test_report_frozen_fields_ex8(worked_examples):
     assert not r.multiplicative.abelian
     assert r.multiplicative.nilpotent
     assert r.additive.primes == (2,)
+
+
+def test_fitting_is_an_ideal(full_pool):
+    for b in full_pool:
+        assert classify_subset(b, fitting(b).elements).is_ideal, b.name
 
 
 def test_report_frozen_fields_ex12(worked_examples):
@@ -280,20 +285,21 @@ def test_supersolubility_order_bound(worked_examples):
         is_supersoluble(big)
 
 
-def test_oracle_order_bound(worked_examples):
-    big = direct_product_braces(
-        worked_examples["ex32"].brace, trivial_brace(cyclic_group(2))
-    )
-    assert big.order == 64
-    with pytest.raises(OrderBoundExceeded):
-        is_supersoluble_oracle(big)
+def test_greedy_matches_oracle_at_order_64(worked_examples):
+    ex8, ex32 = worked_examples["ex8"].brace, worked_examples["ex32"].brace
+    verdicts = []
+    for b in (direct_product_braces(ex32, trivial_brace(cyclic_group(2))),
+              direct_product_braces(ex8, ex8),
+              trivial_brace(cyclic_group(64))):
+        assert b.order == 64
+        verdicts.append(is_supersoluble_oracle(b))
+        assert bool(is_supersoluble(b)) == verdicts[-1], b
+    assert verdicts == [False, False, True]
 
 
 def test_order_bounds_reject_the_next_order():
     with pytest.raises(OrderBoundExceeded):
         is_supersoluble(trivial_brace(cyclic_group(SUPERSOLUBLE_ORDER_BOUND + 1)))
-    with pytest.raises(OrderBoundExceeded):
-        is_supersoluble_oracle(trivial_brace(cyclic_group(ORACLE_ORDER_BOUND + 1)))
 
 
 def test_order_64_product_is_not_supersoluble(worked_examples):

@@ -1,5 +1,7 @@
 """Tests for socle, central, nilpotency, and solubility series."""
 
+import itertools
+
 import pytest
 
 from skewbrace import (
@@ -22,6 +24,7 @@ from skewbrace import (
     is_supersoluble,
     left_series,
     lower_central_series,
+    make_group,
     minimal_ideals,
     multipermutation_level,
     quotient_brace,
@@ -267,6 +270,15 @@ def test_solubility_of_examples_and_pool(small_pool):
         ok, chain = is_soluble(b)
         assert ok
         assert chain.orders()[-1] == b.order
+
+
+def test_trivial_brace_of_a5_is_insoluble():
+    """A5 is its only nonzero ideal, and A5 is not abelian."""
+    even = [p for p in itertools.permutations(range(5))
+            if sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0]
+    at = {p: i for i, p in enumerate(even)}
+    a5 = make_group([[at[tuple(p[q[x]] for x in range(5))] for q in even] for p in even])
+    assert is_soluble(trivial_brace(a5)) == (False, None)
 
 
 def test_ideal_chain_rejects_non_ideal_terms(worked_examples):

@@ -12,6 +12,7 @@ from skewbrace import (
     cyclic_group,
     direct_product_braces,
     frattini,
+    group_catalog,
     ideal_generated,
     index,
     maximal_subbraces,
@@ -22,6 +23,41 @@ from skewbrace import (
     subgroups,
     trivial_brace,
 )
+
+
+def plain_subgroups(G):
+    """Every subgroup of a group of order <= 15, which is generated by at most
+    three elements: the product closure of every triple, by brute force,
+    ordered by (size, elements)."""
+    t, n = G.table, G.order
+    found = set()
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(b, n):
+                elems = {0, a, b, c}
+                while True:
+                    grown = {t[x][y] for x in elems for y in elems}
+                    if grown == elems:
+                        break
+                    elems = grown
+                found.add(tuple(sorted(elems)))
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def test_subgroups_match_plain_enumeration():
+    for n in range(1, 16):
+        for label, G in group_catalog(n):
+            assert subgroups(G) == plain_subgroups(G), label
+
+
+def test_all_ideals_match_plain_enumeration(small_entries, medium_entries):
+    reference = {}
+    for entry in small_entries + medium_entries:
+        b = entry.brace
+        if b.add_group.table not in reference:
+            reference[b.add_group.table] = plain_subgroups(b.add_group)
+        expected = [s for s in reference[b.add_group.table] if classify_subset(b, s).is_ideal]
+        assert all_ideals(b) == expected, b.name
 
 
 def test_subset_must_contain_zero(worked_examples):
