@@ -13,8 +13,8 @@ soon as a prefix of generator images fails.  Both routes compose
 automorphisms by one lookup in the indexed Aut(A) of `aut_group`.
 
 The routes share only table-level primitives: `aut_group` and the one map
-search of `groups` behind it, `group_isomorphism` and `brace_isomorphic`
-(over the additive and multiplicative tables at once), and `_hol_orders`.
+search of `groups` behind it, `_label_group` and `brace_isomorphic` (over
+the additive and multiplicative tables at once), and `_hol_orders`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .groups import (
     element_order,
     element_orders,
     generating_set,
-    group_isomorphism,
     make_group,
     semidirect_product,
 )
@@ -258,19 +257,21 @@ class BraceCensus:
         return out
 
 
-def _invariant_key(G: FiniteGroup) -> list:
+def _invariant_key(G: FiniteGroup) -> tuple[list, list]:
     """The sorted (element order, conjugacy class size) pairs of G, which
-    every isomorphism preserves."""
-    return sorted(_element_invariants((G,)))
+    every isomorphism preserves, and the pair of each element."""
+    per_element = _element_invariants((G,))
+    return sorted(per_element), per_element
 
 
 def _label_group(G: FiniteGroup, keyed) -> str:
     """The label of the first catalog group isomorphic to G, proven by an
     explicit isomorphism.  `keyed` holds (label, group, `_invariant_key`) per
-    catalog group, and only the groups whose key matches G's are searched."""
-    key = _invariant_key(G)
-    for label, H, key_h in keyed:
-        if key_h == key and group_isomorphism(G, H) is not None:
+    catalog group, and only the groups whose key matches G's are searched,
+    on the element invariants already computed."""
+    key, per_element = _invariant_key(G)
+    for label, H, (key_h, per_element_h) in keyed:
+        if key_h == key and _map_search((G,), (H,), False, (per_element, per_element_h)):
             return label
     raise SkewBraceError(f"no catalog group matches one of order {G.order}")
 

@@ -142,21 +142,32 @@ class _Span:
     and only the elements found from g on are multiplied by the generators.
     On a table not yet known to be associative the orbit still consists of
     left-nested products of the generators.
+
+    A span may start from a subgroup already found, given by its elements
+    and the generators `_Span` kept for it, so extending it costs only the
+    new elements.
     """
 
     __slots__ = ("table", "elems", "inside", "gens")
 
-    def __init__(self, table: Sequence[Sequence[int]], seed: Iterable[int] = ()):
+    def __init__(self, table: Sequence[Sequence[int]], seed: Iterable[int] = (),
+                 elems: Sequence[int] = (0,), gens: Sequence[int] = ()):
         self.table = table
-        self.elems = [0]
-        self.inside = {0}
-        self.gens: list[int] = []
+        self.elems = list(elems)
+        self.inside = set(elems)
+        self.gens = list(gens)
         for s in seed:
             if s not in self.inside:
                 self.add(s)
 
-    def add(self, g: int) -> None:
-        """Keep g (not inside yet) as a generator and close the orbit."""
+    def add(self, g: int, floor: int = 0) -> bool:
+        """Keep g (not inside yet) as a generator and close the orbit.
+
+        Stops, leaving the span unusable, and returns False at the first
+        new element below `floor`.
+        """
+        if g < floor:
+            return False
         t, elems, inside, gens = self.table, self.elems, self.inside, self.gens
         gens.append(g)
         i = len(elems)
@@ -168,8 +179,11 @@ class _Span:
             for s in gens:
                 z = row[s]
                 if z not in inside:
+                    if z < floor:
+                        return False
                     inside.add(z)
                     elems.append(z)
+        return True
 
 
 def _assoc_generators(table: Sequence[Sequence[int]]) -> None:
@@ -323,39 +337,44 @@ def is_normal(G: FiniteGroup, elems: Sequence[int]) -> bool:
 def _joins(G: FiniteGroup, atoms: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """{0} and every join of the subgroups generated by the atoms[g], ordered
     by (size, elements): the one join loop behind `subgroups` and
-    `substructure.all_ideals`.
+    `substructure.all_ideals`.  Each atoms[g] must generate a subgroup that
+    contains g and lies in every join containing g.
 
-    Each subgroup H found keeps the generators `_Span` kept for it, each of
-    which at least doubles the span, so at most log2 |H|.  H is joined once
-    per right coset H + g other than H by a closure of those generators and
-    atoms[g], skipping an atom already joined to H.  This is exact when
-    every element h + g of one coset gives the same join with H.
+    Each join is reached once, from its parent (reverse search; Avis &
+    Fukuda, Discrete Appl. Math. 65, 1996).  A join K != {0} has the greedy
+    sequence s_1 < ... < s_r, s_i the least element of K outside the join
+    of the atoms of the earlier ones, and K is its parent, the join for
+    s_1..s_{r-1}, joined with atoms[s_r].  So a join H with last element s
+    is extended only by the g > s that are least in their coset H + g, and
+    the extension K is kept only when no element of K below g lies outside
+    H; the closure stops at the first such element.  Each extension starts
+    from H's elements, so one costs O((|K| - |H|) log |K|) lookups at most,
+    plus n lookups per H to mark its cosets.
     """
     t = G.table
-    found = {(0,): ()}
-    frontier = [(0,)]
+    out = []
+    frontier = [((0,), (), 0)]
     while frontier:
-        base = frontier.pop()
-        gens = found[base]
+        base, gens, last = frontier.pop()
+        out.append(base)
         done = set(base)
-        tried = set()
         for g in range(1, G.order):
-            if g in done or atoms[g] in tried:
+            if g in done:
                 continue
-            done.update(t[h][g] for h in base)
-            tried.add(atoms[g])
-            span = _Span(t, gens + atoms[g])
-            ext = tuple(sorted(span.elems))
-            if ext not in found:
-                found[ext] = tuple(span.gens)
-                frontier.append(ext)
-    return sorted(found, key=lambda s: (len(s), s))
+            done.update([t[h][g] for h in base])
+            if g < last:
+                continue
+            span = _Span(t, elems=base, gens=gens)
+            if all(a in span.inside or span.add(a, g) for a in atoms[g]):
+                frontier.append((tuple(sorted(span.elems)), tuple(span.gens), g))
+    return sorted(out, key=lambda s: (len(s), s))
 
 
 def subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """Every subgroup: the joins of the cyclic subgroups <g>, exact because
-    <H, h + g> = <H, g> for h in H.  [G:H] - 1 closures of O(|K| log |K|)
-    per subgroup H, for its extensions K."""
+    """Every subgroup: the joins of the cyclic subgroups <g>.  Each subgroup
+    K costs one closure of O((|K| - |H|) log |K|) from its parent H, plus the
+    extensions of H that stop below their new element and n lookups per
+    subgroup."""
     if G.order > SUBGROUP_ORDER_BOUND:
         raise OrderBoundExceeded(
             f"subgroup enumeration capped at order {SUBGROUP_ORDER_BOUND}, got {G.order}")
@@ -570,19 +589,22 @@ def _element_invariants(groups: Sequence[FiniteGroup]) -> list[tuple[tuple[int, 
 
 
 def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
-                want_all: bool) -> list[tuple[int, ...]]:
+                want_all: bool, invariants: Optional[tuple[list, list]] = None
+                ) -> list[tuple[int, ...]]:
     """Bijections carrying each source table onto its target table.
 
     The tables of each side share one carrier.  A generating set of the
     first source table is mapped image by image, in ascending target order,
     and each partial map is closed under all the tables at once, so
     inconsistent branches die early (Holt, Eick & O'Brien, 2005, ch. 4).
+    `invariants`, when known, holds the `_element_invariants` of both sides.
     """
     n = sources[0].order
     if targets[0].order != n:
         return []
-    inv_g = _element_invariants(sources)
-    inv_h = _element_invariants(targets)
+    if invariants is None:
+        invariants = (_element_invariants(sources), _element_invariants(targets))
+    inv_g, inv_h = invariants
     if sorted(inv_g) != sorted(inv_h):
         return []
     pairs = [(G.table, H.table) for G, H in zip(sources, targets)]

@@ -14,12 +14,13 @@ under the product, and the ideals are the joins of the principal ideals.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .braces import SkewBrace
 from .errors import MissingZero, NotAnIdeal
-from .groups import _Span, _joins, closure, subgroups
+from .groups import _Span, _joins, closure, generating_set, subgroups
 
 __all__ = [
     "SubStructure",
@@ -93,27 +94,51 @@ def subbrace_generated(B: SkewBrace, seed: Iterable[int]) -> tuple[int, ...]:
 def ideal_generated(B: SkewBrace, seed: Iterable[int]) -> tuple[int, ...]:
     """The least ideal containing the seed.
 
-    Closing under sums, every lambda image, and both kinds of conjugation
-    suffices: multiplicative products then come for free from
-    ab = a + lam_a(b).  Sums come from the orbit kernel over the additive
-    table, grown by every image that falls outside; each element reached
-    is mapped once by all 3n maps, so the ideal I costs
-    O(n |I| + |I| log |I|) lookups.
+    Sums come from the orbit kernel over the additive table, grown by every
+    image that falls outside under lam_g and g x g^-1 for g in a generating
+    set of the multiplicative group and a + x - a for a in one of the
+    additive group.  That is exact: lambda is a homomorphism from the
+    multiplicative group to Aut(B, +), and a finite additive subgroup that
+    some injective map sends into itself is sent onto itself, so invariance
+    under the lam_g gives invariance under every lam_b.  Products then come
+    for free from ab = a + lam_a(b), and normality under the generators of
+    each group gives normality in it.  With both generating sets at most
+    log2 n long, the ideal I costs O(|I| log n) lookups plus O(n log n) to
+    tabulate the maps.
     """
-    ta, lam = B.add_group.table, B.lam_table
-    tm = B.mul_group.table
+    return _ideal_closure(B, seed, _ideal_maps(B))
+
+
+def _ideal_maps(B: SkewBrace) -> list[tuple[int, ...]]:
+    """The maps of `ideal_generated` as permutations, without repeats or the
+    identity: lam_g and g x g^-1 for g in a generating set of the
+    multiplicative group, a + x - a for a in one of the additive group."""
+    ta, tm, lam = B.add_group.table, B.mul_group.table, B.lam_table
     neg, inv = B.add_group.inverse, B.mul_group.inverse
     carrier = range(B.order)
-    span = _Span(ta, seed)
+    maps = []
+    for g in generating_set(B.mul_group):
+        row, g_inv = tm[g], inv[g]
+        maps.append(lam[g])
+        maps.append(tuple([tm[row[x]][g_inv] for x in carrier]))
+    for a in generating_set(B.add_group):
+        row, a_neg = ta[a], neg[a]
+        maps.append(tuple([ta[row[x]][a_neg] for x in carrier]))
+    identity = tuple(carrier)
+    return [m for m in dict.fromkeys(maps) if m != identity]
+
+
+def _ideal_closure(B: SkewBrace, seed: Iterable[int],
+                   maps: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The least additive subgroup containing the seed that the maps send
+    into itself."""
+    span = _Span(B.add_group.table, seed)
     elems, inside = span.elems, span.inside
-    i = 0
-    while i < len(elems):
-        x = elems[i]
-        i += 1
-        for b in carrier:
-            for z in (lam[b][x], ta[ta[b][x]][neg[b]], tm[tm[b][x]][inv[b]]):
-                if z not in inside:
-                    span.add(z)
+    for x in elems:
+        for m in maps:
+            z = m[x]
+            if z not in inside:
+                span.add(z)
     return tuple(sorted(elems))
 
 
@@ -135,13 +160,14 @@ def all_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
 
     Every ideal is the join of the principal ideals P_x of its elements, and
     the join of ideals is the additive subgroup their sum generates.  So the
-    lattice is `groups._joins` of the additive groups with generators P_x:
-    for h in an ideal I, h + x lies in I + P_x and x in I + P_{h+x}, so each
-    coset I + x gives one join.  n `ideal_generated` calls, then one closure
-    per found ideal and coset of it with a principal ideal not yet joined.
+    lattice is `groups._joins` of the additive group with atoms[x] the
+    generators `_Span` keeps for P_x.  The maps of `ideal_generated` are
+    built once for the n principal ideals, O(|P_x| log n) lookups each, and
+    each ideal then costs one closure from its parent.
     """
     if "ideals" not in B.cache:
-        principal = [ideal_generated(B, (x,)) for x in B.elements()]
+        maps = _ideal_maps(B)
+        principal = [_ideal_closure(B, (x,), maps) for x in B.elements()]
         gens = {P: tuple(_Span(B.add_group.table, P).gens) for P in principal}
         B.cache["ideals"] = _joins(B.add_group, [gens[P] for P in principal])
     return list(B.cache["ideals"])
@@ -166,14 +192,18 @@ def minimal_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
 
 
 def maximal_subbraces(B: SkewBrace) -> list[tuple[int, ...]]:
-    """The maximal proper subbraces."""
-    proper = [s for s in all_subbraces(B) if len(s) < B.order]
+    """The maximal proper subbraces, ordered by (size, elements).
+
+    Scanned from the largest: a proper subbrace inside another one lies in
+    a maximal one, which is larger and so already found.
+    """
+    found: list[set[int]] = []
     result = []
-    for cand in proper:
-        cset = set(cand)
-        if not any(cset < set(other) for other in proper if other != cand):
+    for cand in reversed(all_subbraces(B)):
+        if len(cand) < B.order and not any(m.issuperset(cand) for m in found):
+            found.append(set(cand))
             result.append(cand)
-    return result
+    return result[::-1]
 
 
 def frattini(B: SkewBrace) -> SubStructure:
@@ -192,18 +222,18 @@ def frattini(B: SkewBrace) -> SubStructure:
 
 
 def brace_core(B: SkewBrace, subset: Sequence[int]) -> tuple[int, ...]:
-    """The largest ideal of B contained in the given subbrace."""
+    """The largest ideal of B contained in the given subbrace: one pass of
+    set lookups over the ideals no larger than it, which the lattice's
+    (size, elements) order puts first."""
     inside = set(subset)
     if 0 not in inside:
         raise MissingZero("the core is taken inside a subbrace containing 0")
-    best: tuple[int, ...] = (0,)
-    contained = [i for i in all_ideals(B) if set(i) <= inside]
-    for cand in contained:
-        if len(cand) > len(best):
-            best = cand
-    for cand in contained:
-        if not set(cand) <= set(best):
-            raise NotAnIdeal("ideals inside the subset have no common largest member")
+    ideals = all_ideals(B)
+    contained = list(filter(inside.issuperset,
+                            ideals[:bisect_right(ideals, len(inside), key=len)]))
+    best = max(contained, key=len)
+    if not all(map(set(best).issuperset, contained)):
+        raise NotAnIdeal("ideals inside the subset have no common largest member")
     return best
 
 

@@ -1,5 +1,7 @@
 """Tests for subbrace and ideal detection."""
 
+from functools import reduce
+
 import pytest
 
 from skewbrace import (
@@ -10,6 +12,7 @@ from skewbrace import (
     check_brace_invariants,
     classify_subset,
     cyclic_group,
+    direct_product,
     direct_product_braces,
     frattini,
     group_catalog,
@@ -23,6 +26,7 @@ from skewbrace import (
     subgroups,
     trivial_brace,
 )
+from skewbrace.groups import _Span
 
 
 def plain_subgroups(G):
@@ -44,10 +48,112 @@ def plain_subgroups(G):
     return sorted(found, key=lambda s: (len(s), s))
 
 
+def naive_subgroups(G):
+    """Every subgroup by a fixed point: join every subgroup found with every
+    element, each join the orbit of 0 under right multiplication by the
+    elements joined so far, until nothing new appears.  Ordered by (size,
+    elements)."""
+    t = G.table
+
+    def generated(gens):
+        elems, seen = [0], {0}
+        for e in elems:
+            for g in gens:
+                z = t[e][g]
+                if z not in seen:
+                    seen.add(z)
+                    elems.append(z)
+        return frozenset(seen)
+
+    found = {frozenset((0,)): ()}
+    todo = list(found)
+    while todo:
+        H = todo.pop()
+        for x in range(G.order):
+            if x not in H:
+                gens = found[H] + (x,)
+                K = generated(gens)
+                if K not in found:
+                    found[K] = gens
+                    todo.append(K)
+    return sorted((tuple(sorted(K)) for K in found), key=lambda s: (len(s), s))
+
+
+def plain_ideal_generated(B, seed):
+    """The least ideal containing the seed, with every element reached
+    mapped by all 3n maps: lam_b, b + x - b and b x b^-1 for every b."""
+    ta, lam = B.add_group.table, B.lam_table
+    tm = B.mul_group.table
+    neg, inv = B.add_group.inverse, B.mul_group.inverse
+    carrier = range(B.order)
+    span = _Span(ta, seed)
+    elems, inside = span.elems, span.inside
+    i = 0
+    while i < len(elems):
+        x = elems[i]
+        i += 1
+        for b in carrier:
+            for z in (lam[b][x], ta[ta[b][x]][neg[b]], tm[tm[b][x]][inv[b]]):
+                if z not in inside:
+                    span.add(z)
+    return tuple(sorted(elems))
+
+
+@pytest.fixture(scope="module")
+def products(worked_examples):
+    """The order 48-64 products of the analyze benchmark, then ex32 x C2."""
+    brace = {name: ex.brace for name, ex in worked_examples.items()}
+    c2 = trivial_brace(cyclic_group(2))
+    return {
+        "ex24xC2": direct_product_braces(brace["ex24"], c2),
+        "ex12xC4": direct_product_braces(brace["ex12"], trivial_brace(cyclic_group(4))),
+        "ex8xex8": direct_product_braces(brace["ex8"], brace["ex8"]),
+        "ex32xC2": direct_product_braces(brace["ex32"], c2),
+    }
+
+
 def test_subgroups_match_plain_enumeration():
     for n in range(1, 16):
         for label, G in group_catalog(n):
             assert subgroups(G) == plain_subgroups(G), label
+
+
+def test_subgroups_match_fixed_point_past_order_15(worked_examples, products):
+    groups = [
+        (worked_examples["ex32"].brace.add_group, 374),
+        (products["ex8xex8"].add_group, 249),
+        (products["ex24xC2"].add_group, 54),
+        (products["ex12xC4"].add_group, 30),
+    ]
+    for G, count in groups:
+        found = subgroups(G)
+        assert len(found) == count
+        assert found == naive_subgroups(G)
+
+
+def test_lattice_counts_of_order_64(products):
+    c2_6 = trivial_brace(reduce(direct_product, [cyclic_group(2)] * 6))
+    assert len(subgroups(c2_6.add_group)) == 2825
+    assert len(all_ideals(c2_6)) == 2825
+    assert len(all_subbraces(c2_6)) == 2825
+    for name, subbraces, ideals in (("ex8xex8", 93, 10), ("ex32xC2", 81, 18)):
+        assert len(all_subbraces(products[name])) == subbraces, name
+        assert len(all_ideals(products[name])) == ideals, name
+
+
+def test_ideal_generated_matches_all_maps(full_pool, products):
+    """The generating-set closure of `ideal_generated` against all 3n maps."""
+    braces = full_pool + [products[k] for k in ("ex24xC2", "ex12xC4", "ex8xex8")]
+    for b in braces:
+        for x in b.elements():
+            assert ideal_generated(b, (x,)) == plain_ideal_generated(b, (x,)), (b, x)
+
+
+def test_maximal_subbraces_match_pairwise_definition(full_pool, products):
+    for b in full_pool + list(products.values()):
+        proper = [s for s in all_subbraces(b) if len(s) < b.order]
+        expected = [s for s in proper if not any(set(s) < set(o) for o in proper)]
+        assert maximal_subbraces(b) == expected, b
 
 
 def test_all_ideals_match_plain_enumeration(small_entries, medium_entries):
@@ -209,13 +315,7 @@ def test_index_is_multiplicative(worked_examples):
             assert index(b, sub) * len(sub) == b.order
 
 
-def test_all_ideals_match_classified_subgroups(full_pool, worked_examples):
-    brace = {name: ex.brace for name, ex in worked_examples.items()}
-    products = [
-        direct_product_braces(brace["ex24"], trivial_brace(cyclic_group(2))),
-        direct_product_braces(brace["ex12"], trivial_brace(cyclic_group(4))),
-        direct_product_braces(brace["ex8"], brace["ex8"]),
-    ]
-    for b in full_pool + products:
+def test_all_ideals_match_classified_subgroups(full_pool, products):
+    for b in full_pool + [products[k] for k in ("ex24xC2", "ex12xC4", "ex8xex8")]:
         expected = [s for s in subgroups(b.add_group) if classify_subset(b, s).is_ideal]
         assert all_ideals(b) == expected, b
