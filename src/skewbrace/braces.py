@@ -55,8 +55,10 @@ __all__ = [
 class SkewBrace:
     """A finite skew left brace; construct through make_brace.
 
-    `cache` is bounded: three keys, one value each, computed once from the
-    tables: "ideals" and "subbraces" (the two lattices) and "supersoluble".
+    `cache` is bounded: eight keys, one value each, computed once from the
+    tables: "ideals" and "subbraces" (the two lattices), "supersoluble", and
+    the series "socle_series", "upper_central_series", "lower_central_series",
+    "left_series" and "right_series".
     """
 
     __slots__ = ("order", "add_group", "mul_group", "lam_table", "star_table",

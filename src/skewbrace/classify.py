@@ -28,7 +28,7 @@ from .series import (
     is_soluble,
     multipermutation_level,
 )
-from .substructure import _covers, all_ideals, classify_subset, index, maximal_subbraces
+from .substructure import _covers, all_ideals, index, maximal_subbraces
 
 __all__ = [
     "SUPERSOLUBLE_ORDER_BOUND",
@@ -107,7 +107,8 @@ class UPResult:
 
 
 def u_p(B: SkewBrace, p: int) -> UPResult:
-    """Both U_p sets, whether they agree, and the ideal flag of the additive one."""
+    """Both U_p sets, whether they agree, and the ideal flag of the additive
+    one: whether it is in B's cached ideal lattice."""
     add_ord = element_orders(B.add_group)
     mul_ord = element_orders(B.mul_group)
 
@@ -121,7 +122,7 @@ def u_p(B: SkewBrace, p: int) -> UPResult:
         additive=additive,
         multiplicative=multiplicative,
         equal=additive == multiplicative,
-        is_ideal=classify_subset(B, additive).is_ideal,
+        is_ideal=additive in all_ideals(B),
     )
 
 

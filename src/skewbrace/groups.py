@@ -15,7 +15,9 @@ O(|H| log |H|) table lookups plus one membership test per seed element.
 
 One map search (`_map_search`) finds the isomorphisms and automorphisms of
 groups (one table) and of braces (additive, then multiplicative table), and
-one coset builder (`quotient_group`) gives the quotients of both.
+one coset builder (`_cosets`) gives the quotients of both.  The predicates
+build no quotient: nilpotency is read off element orders, supersolubility
+climbs modulo its last term on G's own table.
 
 Exact at the boundary, trusted after: `make_group` proves a table, and a
 table derived from proven groups (quotients, Aut, semidirect products after
@@ -491,44 +493,46 @@ def _is_prime(n: int) -> bool:
 
 
 def is_nilpotent_group(G: FiniteGroup) -> bool:
-    """Whether the ascending central series reaches the whole group."""
-    while G.order > 1:
-        z = center(G)
-        if len(z) == 1:
+    """Whether, for each prime p, G has exactly |G|_p elements of p-power
+    order, i.e. of order dividing |G|_p.  A finite group is nilpotent
+    exactly when its Sylow subgroups are normal, and every p-element lies
+    in a Sylow p-subgroup, which holds |G|_p of them: so there are exactly
+    |G|_p when the Sylow p-subgroup is unique, and more otherwise."""
+    n = G.order
+    orders = element_orders(G)
+    for p in _primes_of(n):
+        part = p
+        while n % (part * p) == 0:
+            part *= p
+        if sum(part % k == 0 for k in orders) != part:
             return False
-        G, _ = quotient_group(G, z)
     return True
 
 
-def _prime_order_normal_generator(G: FiniteGroup) -> Optional[int]:
-    """An element generating a normal subgroup of prime order, if any."""
-    n = G.order
-    orders = element_orders(G)
-    central = set(center(G))
-    candidates = [a for a in range(1, n) if _is_prime(orders[a])]
-    for a in candidates:
-        if a in central:
-            return a
-    t = G.table
-    inv = G.inverse
-    for a in candidates:
-        cyc = set(closure(G, (a,)))
-        if all(t[t[g][a]][inv[g]] in cyc for g in range(n)):
-            return a
-    return None
-
-
 def is_supersoluble_group(G: FiniteGroup) -> bool:
-    """Whether some chain of normal subgroups climbs to G by prime steps.
-
-    A normal subgroup of prime order can always be taken first when one
-    exists, and the group is supersoluble exactly when the quotient is.
-    """
-    while G.order > 1:
-        a = _prime_order_normal_generator(G)
-        if a is None:
+    """Whether some chain of normal subgroups climbs from 1 to G by prime
+    steps.  Climbs modulo the last term N on G's own table, to <a>N for a
+    coset aN of prime order with <a>N normal: conjugates of a by the
+    generators of G lie in its cosets.  Any such coset may be taken, as a
+    quotient of a supersoluble group is supersoluble and, if nontrivial,
+    has a normal subgroup of prime order."""
+    t, inv = G.table, G.inverse
+    gens = generating_set(G)
+    normal = [0]
+    while len(normal) < G.order:
+        coset_of, reps = _cosets(G, normal)
+        for a in reps[1:]:
+            cyclic = {0}
+            x = a
+            while coset_of[x]:
+                cyclic.add(coset_of[x])
+                x = t[x][a]
+            if _is_prime(len(cyclic)) and all(
+                    coset_of[t[t[g][a]][inv[g]]] in cyclic for g in gens):
+                normal = [y for y in G.elements() if coset_of[y] in cyclic]
+                break
+        else:
             return False
-        G, _ = quotient_group(G, closure(G, (a,)))
     return True
 
 

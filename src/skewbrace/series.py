@@ -156,10 +156,17 @@ def _ascending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
     return terms
 
 
+def _cached(B: SkewBrace, key: str, build):
+    """B.cache[key], built by `build()` on the first call."""
+    if key not in B.cache:
+        B.cache[key] = build()
+    return B.cache[key]
+
+
 def socle_series(B: SkewBrace) -> IdealChain:
-    """The ascending series of socle preimages."""
-    return _chain(B, _ascending_series(
-        B, lambda I, coset_of: _central(B, coset_of, B.elements(), False)))
+    """The ascending series of socle preimages, cached in B."""
+    return _cached(B, "socle_series", lambda: _chain(B, _ascending_series(
+        B, lambda I, coset_of: _central(B, coset_of, B.elements(), False))))
 
 
 def multipermutation_level(B: SkewBrace) -> Optional[int]:
@@ -171,9 +178,9 @@ def multipermutation_level(B: SkewBrace) -> Optional[int]:
 
 
 def upper_central_series(B: SkewBrace) -> IdealChain:
-    """The ascending series of center preimages."""
-    return _chain(B, _ascending_series(
-        B, lambda I, coset_of: _central(B, coset_of, B.elements(), True)))
+    """The ascending series of center preimages, cached in B."""
+    return _cached(B, "upper_central_series", lambda: _chain(B, _ascending_series(
+        B, lambda I, coset_of: _central(B, coset_of, B.elements(), True))))
 
 
 def is_centrally_nilpotent(B: SkewBrace) -> bool:
@@ -209,23 +216,27 @@ def _descending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
 
 def lower_central_series(B: SkewBrace) -> IdealChain:
     """Descending terms generated by stars against B and additive commutators,
-    ideals by theorem (Bonatto & Jedlicka)."""
+    ideals by theorem (Bonatto & Jedlicka); cached in B."""
     full = tuple(range(B.order))
-    return _chain(B, _descending_series(B, lambda cur: _star_values(B, cur, full)))
+    return _cached(B, "lower_central_series", lambda: _chain(
+        B, _descending_series(B, lambda cur: _star_values(B, cur, full))))
 
 
 def right_series(B: SkewBrace) -> list[tuple[int, ...]]:
     """Descending terms R, each next one generated by R * B: ideals by theorem
-    (Cedo, Smoktunowicz & Vendramin 2019)."""
+    (Cedo, Smoktunowicz & Vendramin 2019).  Cached in B; returns a copy."""
     star = B.star_table
-    return _descending_series(B, lambda cur: {star[r][b] for r in cur for b in B.elements()})
+    return list(_cached(B, "right_series", lambda: _descending_series(
+        B, lambda cur: {star[r][b] for r in cur for b in B.elements()})))
 
 
 def left_series(B: SkewBrace) -> list[tuple[int, ...]]:
     """Descending terms L, each next one generated by B * L: left ideals by
-    theorem (Cedo, Smoktunowicz & Vendramin 2019)."""
+    theorem (Cedo, Smoktunowicz & Vendramin 2019).  Cached in B; returns a
+    copy."""
     star = B.star_table
-    return _descending_series(B, lambda cur: {star[b][l] for b in B.elements() for l in cur})
+    return list(_cached(B, "left_series", lambda: _descending_series(
+        B, lambda cur: {star[b][l] for b in B.elements() for l in cur})))
 
 
 def is_right_nilpotent(B: SkewBrace) -> bool:
@@ -237,10 +248,11 @@ def is_left_nilpotent(B: SkewBrace) -> bool:
 
 
 def derived_ideal(B: SkewBrace) -> tuple[int, ...]:
-    """The additive closure of all stars and additive commutators: the second
-    term of the lower central series, an ideal by theorem."""
-    full = tuple(range(B.order))
-    return additive_closure(B, _star_values(B, full, full))
+    """The additive closure of all stars and additive commutators, an ideal
+    by theorem: the second term of the lower central series, or B itself
+    when that series stops at once."""
+    terms = lower_central_series(B).terms
+    return terms[min(1, len(terms) - 1)]
 
 
 def _relative_central_terms(B: SkewBrace, target: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -270,15 +282,15 @@ def is_b_centrally_nilpotent(B: SkewBrace, ideal_elems: Sequence[int]) -> bool:
 
 
 def fitting(B: SkewBrace) -> SubStructure:
-    """The sum of all ideals whose relative central series reaches them.
-
-    A sum of ideals is an ideal by theorem, so its flags are stated, not
-    computed.
-    """
-    union = set()
-    for i in all_ideals(B):
-        if _relative_central_terms(B, i)[-1] == i:
-            union |= set(i)
+    """The Fitting ideal: the sum of the B-centrally nilpotent ideals, those
+    whose central series relative to B reaches them.  Scanned from the
+    largest, skipping each ideal inside the union kept so far, which cannot
+    change the sum.  A sum of ideals is an ideal by theorem, so its flags
+    are stated, not computed."""
+    union: set[int] = set()
+    for i in reversed(all_ideals(B)):
+        if not union.issuperset(i) and _relative_central_terms(B, i)[-1] == i:
+            union.update(i)
     return SubStructure(additive_closure(B, union), True, True, True, True)
 
 

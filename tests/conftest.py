@@ -2,7 +2,7 @@
 
 import pytest
 
-from skewbrace import census
+from skewbrace import census, cyclic_group, direct_product_braces, trivial_brace
 from skewbrace.fixtures import build, example_names
 
 
@@ -42,3 +42,16 @@ def small_pool(small_entries, worked_examples):
 def full_pool(small_pool, medium_entries):
     """Braces of order 1..12 plus the worked examples."""
     return small_pool + [entry.brace for entry in medium_entries]
+
+
+@pytest.fixture(scope="session")
+def products(worked_examples):
+    """Direct products of the worked examples of order 48 and 64, by name."""
+    ex = {name: w.brace for name, w in worked_examples.items()}
+    c2, c4 = (trivial_brace(cyclic_group(k)) for k in (2, 4))
+    return {
+        "ex24xC2": direct_product_braces(ex["ex24"], c2),
+        "ex12xC4": direct_product_braces(ex["ex12"], c4),
+        "ex8xex8": direct_product_braces(ex["ex8"], ex["ex8"]),
+        "ex32xC2": direct_product_braces(ex["ex32"], c2),
+    }

@@ -18,6 +18,7 @@ from skewbrace import (
     group_isomorphism,
     additive_closure,
     index,
+    is_b_centrally_nilpotent,
     is_centrally_nilpotent,
     is_nilpotent_group,
     is_supersoluble,
@@ -139,7 +140,7 @@ def test_criterion_05_order12_example(worked_examples):
     _criterion(5, "order-12-example", ok)
 
 
-def test_criterion_06_theorem_suite(small_pool):
+def test_criterion_06_theorem_suite(small_pool, full_pool):
     counterexamples = []
     for b in small_pool:
         result = is_supersoluble(b)
@@ -169,6 +170,12 @@ def test_criterion_06_theorem_suite(small_pool):
         span = sorted(derived_ideal(b))
         if multipermutation_level(sub_brace(b, span)) is None:
             counterexamples.append((b.name, "derived-ideal-no-level"))
+    # In a supersoluble brace a centrally nilpotent ideal is B-centrally
+    # nilpotent, so the Fitting search may sum such ideals.
+    for b in filter(is_supersoluble, full_pool):
+        for i in all_ideals(b):
+            if is_centrally_nilpotent(sub_brace(b, i)) and not is_b_centrally_nilpotent(b, i):
+                counterexamples.append((b.name, "centrally-nilpotent-ideal-not-b-central"))
     detail = str(counterexamples[:3]) if counterexamples else ""
     _criterion(6, "theorem-suite", not counterexamples, detail)
 

@@ -12,6 +12,9 @@ from skewbrace import (
     DeltaNotBijective,
     DistributivityViolation,
     IdentityMismatch,
+    MissingInverse,
+    NoIdentity,
+    NonAssociative,
     NotAnIdeal,
     NotClosed,
     TranscriptionInvalid,
@@ -323,3 +326,38 @@ def test_single_cell_corruptions_of_the_action_are_rejected(worked_examples):
                                   tuple(map(tuple, acting)), spec.delta)
                 with pytest.raises(TranscriptionInvalid):
                     brace_from_cocycle(bad)
+
+
+def test_single_cell_corruptions_of_brace_tables_are_rejected(worked_examples, products):
+    """A changed cell repeats an entry in its row, so the table is no group
+    and `make_brace` must reject it; a swap of two labels in the product
+    table keeps both groups, so only the brace axiom can reject it.  A
+    named witness must really break the identity it names."""
+    rng = random.Random(48)
+    for b in (worked_examples["ex8"].brace, worked_examples["ex12"].brace,
+              products["ex24xC2"]):
+        n = b.order
+        for trial in range(40):
+            tables = [table_of(b.add_group), table_of(b.mul_group)]
+            bad = tables[trial % 2]
+            a, c = rng.randrange(n), rng.randrange(n)
+            bad[a][c] = rng.choice([v for v in range(n) if v != bad[a][c]])
+            with pytest.raises((NoIdentity, NonAssociative, MissingInverse)) as exc:
+                make_brace(*tables)
+            if exc.type is NonAssociative:
+                s, x, y = map(int, re.match(
+                    r"\((\d+)\*(\d+)\)\*(\d+)", str(exc.value)).groups())
+                assert bad[bad[s][x]][y] != bad[s][bad[x][y]]
+        for _ in range(5):
+            perm = list(range(n))
+            i, j = rng.sample(range(1, n), 2)
+            perm[i], perm[j] = j, i
+            mul = _relabel_fixing_zero(b.mul_group.table, perm)
+            try:
+                make_brace(b.add_group.table, mul)
+            except DistributivityViolation as exc:
+                a, x, y = map(int, re.match(r"(\d+)\((\d+)\+(\d+)\)", str(exc)).groups())
+                assert _violates(b.add_group, mul, a, x, y)
+            else:
+                assert not any(_violates(b.add_group, mul, a, x, y) for a in range(n)
+                               for x in range(n) for y in range(n))

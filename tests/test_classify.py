@@ -308,3 +308,10 @@ def test_order_64_product_is_not_supersoluble(worked_examples):
     assert not result.supersoluble
     assert result.blocking_minimal_orders == (8,)
     assert len(all_ideals(b)) == 18
+
+
+def test_u_p_ideal_flag_matches_classify_subset(full_pool):
+    for b in full_pool:
+        for p in (2, 3, 5, 7, 11):
+            u = u_p(b, p)
+            assert u.is_ideal == classify_subset(b, u.additive).is_ideal

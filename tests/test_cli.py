@@ -1,9 +1,12 @@
 """Tests for the command line interface and its document formats."""
 
+import random
+import re
+
 import pytest
 
-from skewbrace import (CocycleIdentityViolation, census, cyclic_group, group_catalog,
-                       trivial_brace)
+from skewbrace import (CocycleIdentityViolation, SkewBrace, census, cyclic_group,
+                       group_catalog, make_brace, trivial_brace)
 from skewbrace import cli
 from skewbrace.classify import SUPERSOLUBLE_ORDER_BOUND
 from skewbrace.cli import (
@@ -284,3 +287,48 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_PARSER", None)
     assert [run(argv) for argv in commands] == fresh
     assert len(builds) == 1
+
+
+def test_structured_report_leaves_only_the_documented_cache_keys():
+    documented = set(re.findall(r'"(\w+)"', SkewBrace.__doc__))
+    ex = build("ex24").brace
+    b = make_brace(ex.add_group.table, ex.mul_group.table)
+    cli._structured_report(b, None)
+    assert set(b.cache) == documented
+
+
+def _mutations(text, rng, count):
+    """Seeded truncations, in-range digit swaps (which parse and reach
+    validation), and 1-3 character replacements, insertions and deletions
+    of a document."""
+    alphabet = "0123456789 \n-#abdelmnorstux"
+    digits = [i for i, ch in enumerate(text) if ch in "01234567"]
+    for trial in range(count):
+        if trial % 4 == 0:
+            yield text[:rng.randrange(len(text))]
+            continue
+        if trial % 4 == 1:
+            pos = rng.choice(digits)
+            yield text[:pos] + rng.choice("01234567") + text[pos + 1:]
+            continue
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(chars))
+            kind = rng.randrange(3)
+            if kind == 0:
+                chars[pos] = rng.choice(alphabet)
+            elif kind == 1:
+                chars.insert(pos, rng.choice(alphabet))
+            else:
+                del chars[pos]
+        yield "".join(chars)
+
+
+def test_fuzzed_documents_end_with_an_exit_code(tmp_path, capsys):
+    """Every mutated document maps to exit code 0-4, never a traceback."""
+    path = tmp_path / "fuzz.brace"
+    for doc in _mutations(document_for("ex8"), random.Random(2402), 200):
+        path.write_text(doc, encoding="utf-8")
+        for argv in (["analyze", str(path)], ["ybe", str(path), "--retract"]):
+            assert main(argv) in range(5)
+            assert "Traceback" not in capsys.readouterr().err

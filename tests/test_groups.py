@@ -1,5 +1,6 @@
 """Tests for the finite group layer."""
 
+import itertools
 import random
 import re
 
@@ -38,6 +39,7 @@ from skewbrace import (
     subgroups,
     trivial_brace,
 )
+from skewbrace.groups import _is_prime
 
 
 def catalog_group(n, label):
@@ -323,3 +325,77 @@ def test_group_predicates_bundle():
     assert p.supersoluble
     assert p.primes == (2, 3)
     assert tuple(sorted(p.element_orders)) == (1, 2, 2, 2, 3, 3)
+
+
+def _reference_is_nilpotent(G):
+    """The quotient-table predicate: the upper central series reaches G."""
+    while G.order > 1:
+        z = center(G)
+        if len(z) == 1:
+            return False
+        G, _ = quotient_group(G, z)
+    return True
+
+
+def _reference_prime_order_normal_generator(G):
+    """An element generating a normal subgroup of prime order, central ones
+    first, if any."""
+    n = G.order
+    orders = element_orders(G)
+    central = set(center(G))
+    candidates = [a for a in range(1, n) if _is_prime(orders[a])]
+    for a in candidates:
+        if a in central:
+            return a
+    t = G.table
+    inv = G.inverse
+    for a in candidates:
+        cyc = set(closure(G, (a,)))
+        if all(t[t[g][a]][inv[g]] in cyc for g in range(n)):
+            return a
+    return None
+
+
+def _reference_is_supersoluble(G):
+    """The quotient-table predicate: factor out a normal subgroup of prime
+    order while there is one."""
+    while G.order > 1:
+        a = _reference_prime_order_normal_generator(G)
+        if a is None:
+            return False
+        G, _ = quotient_group(G, closure(G, (a,)))
+    return True
+
+
+def _permutation_group(perms):
+    """The group of a list of permutations closed under composition,
+    identity first."""
+    at = {p: i for i, p in enumerate(perms)}
+    return make_group([[at[tuple(p[x] for x in q)] for q in perms] for p in perms])
+
+
+def test_group_predicates_match_the_quotient_table_reference(
+        small_entries, medium_entries, products):
+    s4 = _permutation_group(list(itertools.permutations(range(4))))
+    a5 = _permutation_group([
+        p for p in itertools.permutations(range(5))
+        if sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0])
+    groups = [g for n in range(1, 16) for _, g in group_catalog(n)] + [s4, a5]
+    for b in [e.brace for e in small_entries + medium_entries] + list(products.values()):
+        groups += [b.add_group, b.mul_group]
+    # The climb's path depends on the labels, so each table also runs
+    # under two seeded relabellings.
+    rng = random.Random(13)
+    for g in list({g.table: g for g in groups}.values()):
+        for _ in range(2):
+            perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+            inv = sorted(range(g.order), key=perm.__getitem__)
+            groups.append(make_group([[perm[g.table[inv[a]][inv[b]]] for b in g.elements()]
+                                      for a in g.elements()]))
+    distinct = list({g.table: g for g in groups}.values())
+    assert len(distinct) > 250
+    for g in distinct:
+        assert is_nilpotent_group(g) == _reference_is_nilpotent(g)
+        assert is_supersoluble_group(g) == _reference_is_supersoluble(g)
+    for g in (s4, a5):
+        assert not is_nilpotent_group(g) and not is_supersoluble_group(g)

@@ -1,6 +1,7 @@
 """Tests for socle, central, nilpotency, and solubility series."""
 
 import itertools
+from functools import reduce
 
 import pytest
 
@@ -11,8 +12,10 @@ from skewbrace import (
     b_central_series,
     chief_series,
     classify_subset,
+    additive_closure,
     cyclic_group,
     derived_ideal,
+    direct_product,
     fitting,
     group_catalog,
     ideal_chain,
@@ -24,6 +27,7 @@ from skewbrace import (
     is_supersoluble,
     left_series,
     lower_central_series,
+    make_brace,
     make_group,
     minimal_ideals,
     multipermutation_level,
@@ -37,7 +41,7 @@ from skewbrace import (
     upper_central_series,
     zeta,
 )
-from skewbrace.series import _central
+from skewbrace.series import _central, _relative_central_terms
 from skewbrace.substructure import _covers
 
 
@@ -338,3 +342,43 @@ def test_climbs_inside_b_match_the_quotient_brace(full_pool):
 
 def test_derived_ideal_of_trivial_brace_is_zero():
     assert derived_ideal(trivial_brace(cyclic_group(6))) == (0,)
+
+
+def _reference_fitting(B):
+    """The sum of every ideal whose central series relative to B reaches it,
+    each ideal tested."""
+    union = set()
+    for i in all_ideals(B):
+        if _relative_central_terms(B, i)[-1] == i:
+            union |= set(i)
+    return additive_closure(B, union)
+
+
+def test_fitting_matches_the_all_ideals_reference(full_pool, products):
+    for b in full_pool + list(products.values()):
+        assert fitting(b).elements == _reference_fitting(b), b.name
+
+
+def test_fitting_of_trivial_c2_power_six_is_everything():
+    b = trivial_brace(reduce(direct_product, [cyclic_group(2)] * 6))
+    assert len(all_ideals(b)) == 2825
+    assert fitting(b).elements == tuple(range(64))
+
+
+SERIES = (socle_series, upper_central_series, lower_central_series,
+          left_series, right_series, derived_ideal)
+
+
+def test_cached_series_repeat_and_are_not_shared(worked_examples):
+    for ex in worked_examples.values():
+        # A fresh brace, so the first call computes rather than reads.
+        b = make_brace(ex.brace.add_group.table, ex.brace.mul_group.table)
+        for series in SERIES:
+            first = series(b)
+            assert series(b) == first, series.__name__
+        for series in (left_series, right_series):
+            expected = list(series(b))
+            mutated = series(b)
+            mutated.append(())
+            mutated[0] = ()
+            assert series(b) == expected, series.__name__
