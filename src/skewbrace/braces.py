@@ -16,11 +16,16 @@ Comp. 86, 2017).
 Exact at the boundary, trusted after: `make_brace` proves a pair of tables,
 and a brace derived from proven ones (after the exact ideal, closure or
 cocycle checks of its constructor) is built by `_brace` unproven.
+
+Proofs and derived tables go a row at a time: a row read through another
+in one C call, compared whole.  Every entry is examined; a scalar loop
+runs only over a row that differs, to name the first witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Optional, Sequence
 
 from .errors import (
@@ -37,7 +42,7 @@ from .errors import (
     TranscriptionInvalid,
 )
 from .groups import (FiniteGroup, direct_product, generating_set,
-                     quotient_group, _group, _identity_of, _prove_group)
+                     quotient_group, _group, _identity_of, _prove_group, _row_getter)
 
 __all__ = [
     "SkewBrace",
@@ -134,31 +139,36 @@ def _validate_pair(add: FiniteGroup, mul: FiniteGroup) -> None:
 
     The b satisfying it for all a and c contain 0 and are closed under +,
     since a(b + b' + c) = ab - a + a(b' + c), so b only runs over an
-    additive generating set: O(|S| n^2) with |S| <= log2 n.
+    additive generating set: O(|S| n^2) with |S| <= log2 n.  Rows over c
+    are compared whole (a(b + .) is row a through row b, ab - a + a. is
+    row ab - a through row a); only a differing row names the witness.
     """
     n = add.order
     ta, tm = add.table, mul.table
     neg = add.inverse
-    gens = generating_set(add)
+    shifts = [(b, _row_getter(ta[b])) for b in generating_set(add)]
     for a in range(n):
         tma = tm[a]
         na = neg[a]
-        for b in gens:
-            tab = ta[b]
+        through_a = _row_getter(tma)
+        for b, shift in shifts:
             left_part = ta[ta[tma[b]][na]]
-            for c in range(n):
-                if tma[tab[c]] != left_part[tma[c]]:
-                    raise DistributivityViolation(
-                        f"{a}({b}+{c}) != {a}{b} - {a} + {a}{c}")
+            if shift(tma) != through_a(left_part):
+                tab = ta[b]
+                for c in range(n):
+                    if tma[tab[c]] != left_part[tma[c]]:
+                        raise DistributivityViolation(
+                            f"{a}({b}+{c}) != {a}{b} - {a} + {a}{c}")
 
 
 def _brace(add: FiniteGroup, mul: FiniteGroup, name: Optional[str] = None) -> SkewBrace:
     """The trusted constructor: two groups already known to form a brace,
-    with the lambda and star tables derived from them."""
-    n = add.order
+    with the lambda and star tables derived from them: lam_a is row -a
+    read through row a of the product, a*b = lam_a(b) - b is in column -b."""
     ta, tm, neg = add.table, mul.table, add.inverse
-    lam = tuple(tuple(ta[neg[a]][tm[a][b]] for b in range(n)) for a in range(n))
-    star = tuple(tuple(ta[lam[a][b]][neg[b]] for b in range(n)) for a in range(n))
+    lam = tuple(_row_getter(tma)(ta[na]) for tma, na in zip(tm, neg))
+    minus = _row_getter(neg)(tuple(zip(*ta)))
+    star = tuple(tuple(map(getitem, minus, row)) for row in lam)
     return SkewBrace(add, mul, lam, star, name)
 
 

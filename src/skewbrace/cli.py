@@ -53,7 +53,9 @@ def _fmt(value) -> str:
 
 
 def _table_lines(table: Sequence[Sequence[int]]) -> list[str]:
-    return [" ".join(str(v) for v in row) for row in table]
+    """Rows of a table over 0..n-1 as lines; each value's string is made once."""
+    labels = [str(v) for v in range(len(table))]
+    return [" ".join([labels[v] for v in row]) for row in table]
 
 
 # ---------------------------------------------------------------------------

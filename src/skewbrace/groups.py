@@ -27,7 +27,9 @@ their exact checks) is a group by theorem, built by `_group` unproven.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from math import gcd
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     ActionNotHomomorphism,
@@ -188,24 +190,35 @@ class _Span:
         return True
 
 
+def _row_getter(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The map row -> (row[i] for i in idx) in one C call, `itemgetter(*idx)`,
+    kept a tuple also when idx has a single entry."""
+    if len(idx) == 1:
+        return lambda row: (row[idx[0]],)
+    return itemgetter(*idx)
+
+
 def _assoc_generators(table: Sequence[Sequence[int]]) -> None:
     """Associativity proven from a generating set.
 
     The set of elements a with (a*x)*y == a*(x*y) for all x, y contains the
     identity and is closed under products, and every element is a
     left-nested product of the kept generators, so checking it on them
-    covers the whole table.
+    covers the whole table.  Each row over y is compared whole, on tuple
+    rows: (s*x)*. is row s*x, and s*(x*.) is row s read through row x.
+    Only a row that differs is scanned cell by cell, to name the witness.
     """
     n = len(table)
+    through = [_row_getter(row) for row in table]
     for s in _Span(table, range(n)).gens:
         ts = table[s]
         for x in range(n):
-            sx = ts[x]
-            tsx = table[sx]
-            tx = table[x]
-            for y in range(n):
-                if tsx[y] != ts[tx[y]]:
-                    raise NonAssociative(f"({s}*{x})*{y} != {s}*({x}*{y})")
+            tsx = table[ts[x]]
+            if tsx != through[x](ts):
+                tx = table[x]
+                for y in range(n):
+                    if tsx[y] != ts[tx[y]]:
+                        raise NonAssociative(f"({s}*{x})*{y} != {s}*({x}*{y})")
 
 
 def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> FiniteGroup:
@@ -399,7 +412,18 @@ def element_order(G: FiniteGroup, a: int) -> int:
 
 
 def element_orders(G: FiniteGroup) -> tuple[int, ...]:
-    return tuple(element_order(G, a) for a in G.elements())
+    """The order of every element.  The powers a, a^2, .., a^m = 0 of each
+    element a not reached yet are walked once: a^k has order m / gcd(k, m)."""
+    t = G.table
+    orders = [0] * G.order
+    for a in G.elements():
+        if not orders[a]:
+            powers = [a]
+            while powers[-1]:
+                powers.append(t[powers[-1]][a])
+            for k, x in enumerate(powers, 1):
+                orders[x] = len(powers) // gcd(k, len(powers))
+    return tuple(orders)
 
 
 def conjugacy_class_sizes(G: FiniteGroup) -> tuple[int, ...]:
@@ -498,8 +522,11 @@ def is_nilpotent_group(G: FiniteGroup) -> bool:
     exactly when its Sylow subgroups are normal, and every p-element lies
     in a Sylow p-subgroup, which holds |G|_p of them: so there are exactly
     |G|_p when the Sylow p-subgroup is unique, and more otherwise."""
-    n = G.order
-    orders = element_orders(G)
+    return _nilpotent_by_orders(G.order, element_orders(G))
+
+
+def _nilpotent_by_orders(n: int, orders: Sequence[int]) -> bool:
+    """`is_nilpotent_group` from the element orders of a group of order n."""
     for p in _primes_of(n):
         part = p
         while n % (part * p) == 0:
@@ -547,12 +574,13 @@ class GroupPredicates:
 
 
 def group_predicates(G: FiniteGroup) -> GroupPredicates:
+    orders = element_orders(G)
     return GroupPredicates(
         order=G.order,
         abelian=G.is_abelian(),
-        nilpotent=is_nilpotent_group(G),
+        nilpotent=_nilpotent_by_orders(G.order, orders),
         supersoluble=is_supersoluble_group(G),
-        element_orders=tuple(sorted(element_orders(G))),
+        element_orders=tuple(sorted(orders)),
         primes=_primes_of(G.order),
     )
 

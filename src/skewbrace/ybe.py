@@ -14,7 +14,7 @@ from typing import Optional
 
 from .braces import SkewBrace
 from .errors import NotClosed, RetractNotWellDefined, SolutionInvalid
-from .groups import _check_closure
+from .groups import _check_closure, _row_getter
 
 __all__ = [
     "SolutionChecks",
@@ -101,56 +101,37 @@ def verify_solution(size: int, r1, r2) -> SolutionChecks:
 def solution_from_brace(B: SkewBrace) -> Solution:
     """The solution r(x,y) = (lam_x(y), lam_x(y)^-1 x y) of the brace carrier,
     valid by theorem."""
-    n = B.order
     lam = B.lam_table
     mul = B.mul_group.table
-    inv = B.mul_group.inverse
-    r2 = tuple(
-        tuple(mul[inv[lam[x][y]]][mul[x][y]] for y in range(n))
-        for x in range(n)
-    )
-    return Solution(size=n, r1=lam, r2=r2)
+    mul_by_inverse = [mul[u] for u in B.mul_group.inverse]
+    r2 = tuple(tuple([mul_by_inverse[u][v] for u, v in zip(lam_x, mul_x)])
+               for lam_x, mul_x in zip(lam, mul))
+    return Solution(size=B.order, r1=lam, r2=r2)
 
 
 def retract(S: Solution) -> tuple[Solution, list[int]]:
     """Identify points with equal left-action row and right-action column.
 
     Once r is checked to respect the classes, the quotient of a solution
-    is a solution, so it is not re-verified."""
-    n = S.size
-    signature = [
-        (S.r1[x], tuple(S.r2[z][x] for z in range(n)))
-        for x in range(n)
-    ]
+    is a solution, so it is not re-verified.  Row x of class labels of r1
+    and r2 is compared whole with its class's rows read back through the
+    labels; only a row that differs is scanned, to name the first pair."""
     reps: dict[tuple, int] = {}
-    class_of = [0] * n
-    for x in range(n):
-        sig = signature[x]
-        if sig not in reps:
-            reps[sig] = len(reps)
-        class_of[x] = reps[sig]
-    m = len(reps)
-    member = [0] * m
-    for x in range(n - 1, -1, -1):
-        member[class_of[x]] = x
-    new_r1 = [[0] * m for _ in range(m)]
-    new_r2 = [[0] * m for _ in range(m)]
-    for c in range(m):
-        for d in range(m):
-            x, y = member[c], member[d]
-            new_r1[c][d] = class_of[S.r1[x][y]]
-            new_r2[c][d] = class_of[S.r2[x][y]]
-    for x in range(n):
-        for y in range(n):
-            c, d = class_of[x], class_of[y]
-            if (new_r1[c][d] != class_of[S.r1[x][y]]
-                    or new_r2[c][d] != class_of[S.r2[x][y]]):
-                raise RetractNotWellDefined(
-                    f"pair ({x},{y}) disagrees with the class representatives"
-                )
-    r1 = tuple(tuple(row) for row in new_r1)
-    r2 = tuple(tuple(row) for row in new_r2)
-    return Solution(m, r1, r2), class_of
+    class_of = [reps.setdefault(sig, len(reps)) for sig in zip(S.r1, zip(*S.r2))]
+    member = [class_of.index(c) for c in range(len(reps))]
+    labels1 = [_row_getter(row)(class_of) for row in S.r1]
+    labels2 = [_row_getter(row)(class_of) for row in S.r2]
+    at_members = _row_getter(member)
+    r1 = tuple(at_members(labels1[x]) for x in member)
+    r2 = tuple(at_members(labels2[x]) for x in member)
+    spread = _row_getter(class_of)
+    for x, c in enumerate(class_of):
+        if labels1[x] != spread(r1[c]) or labels2[x] != spread(r2[c]):
+            for y, d in enumerate(class_of):
+                if r1[c][d] != labels1[x][y] or r2[c][d] != labels2[x][y]:
+                    raise RetractNotWellDefined(
+                        f"pair ({x},{y}) disagrees with the class representatives")
+    return Solution(len(member), r1, r2), class_of
 
 
 def retraction_sizes(S: Solution) -> list[int]:

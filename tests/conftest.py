@@ -55,3 +55,18 @@ def products(worked_examples):
         "ex8xex8": direct_product_braces(ex["ex8"], ex["ex8"]),
         "ex32xC2": direct_product_braces(ex["ex32"], c2),
     }
+
+
+@pytest.fixture(scope="session")
+def ybe_products(worked_examples):
+    """The six products of order 48-192 that the ybe benchmark runs, by name."""
+    ex = {name: w.brace for name, w in worked_examples.items()}
+    c2, c3, c4 = (trivial_brace(cyclic_group(k)) for k in (2, 3, 4))
+    return {
+        "ex24xC2": direct_product_braces(ex["ex24"], c2),
+        "ex8xex8": direct_product_braces(ex["ex8"], ex["ex8"]),
+        "ex32xC3": direct_product_braces(ex["ex32"], c3),
+        "ex32xC4": direct_product_braces(ex["ex32"], c4),
+        "ex12xex12": direct_product_braces(ex["ex12"], ex["ex12"]),
+        "ex24xex8": direct_product_braces(ex["ex24"], ex["ex8"]),
+    }

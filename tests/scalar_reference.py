@@ -1,0 +1,106 @@
+"""Cell-by-cell references for the row-at-a-time kernels.
+
+Each function is the scalar loop its kernel ran before rows were compared
+and built whole: `assoc_generators` for `groups._assoc_generators`,
+`validate_pair` for `braces._validate_pair`, `brace` for `braces._brace`,
+`solution_from_brace` and `retract` for their `ybe` namesakes, and
+`table_lines` for `cli._table_lines`.  The tests require the kernels to
+give the same tables, and the same exception and message on bad input.
+"""
+
+from skewbrace.braces import SkewBrace
+from skewbrace.errors import (DistributivityViolation, NonAssociative,
+                              RetractNotWellDefined)
+from skewbrace.groups import _Span, generating_set
+from skewbrace.ybe import Solution
+
+
+def assoc_generators(table):
+    n = len(table)
+    for s in _Span(table, range(n)).gens:
+        ts = table[s]
+        for x in range(n):
+            sx = ts[x]
+            tsx = table[sx]
+            tx = table[x]
+            for y in range(n):
+                if tsx[y] != ts[tx[y]]:
+                    raise NonAssociative(f"({s}*{x})*{y} != {s}*({x}*{y})")
+
+
+def validate_pair(add, mul):
+    n = add.order
+    ta, tm = add.table, mul.table
+    neg = add.inverse
+    gens = generating_set(add)
+    for a in range(n):
+        tma = tm[a]
+        na = neg[a]
+        for b in gens:
+            tab = ta[b]
+            left_part = ta[ta[tma[b]][na]]
+            for c in range(n):
+                if tma[tab[c]] != left_part[tma[c]]:
+                    raise DistributivityViolation(
+                        f"{a}({b}+{c}) != {a}{b} - {a} + {a}{c}")
+
+
+def brace(add, mul, name=None):
+    n = add.order
+    ta, tm, neg = add.table, mul.table, add.inverse
+    lam = tuple(tuple(ta[neg[a]][tm[a][b]] for b in range(n)) for a in range(n))
+    star = tuple(tuple(ta[lam[a][b]][neg[b]] for b in range(n)) for a in range(n))
+    return SkewBrace(add, mul, lam, star, name)
+
+
+def solution_from_brace(B):
+    n = B.order
+    lam = B.lam_table
+    mul = B.mul_group.table
+    inv = B.mul_group.inverse
+    r2 = tuple(
+        tuple(mul[inv[lam[x][y]]][mul[x][y]] for y in range(n))
+        for x in range(n)
+    )
+    return Solution(size=n, r1=lam, r2=r2)
+
+
+def retract(S):
+    n = S.size
+    signature = [
+        (S.r1[x], tuple(S.r2[z][x] for z in range(n)))
+        for x in range(n)
+    ]
+    reps = {}
+    class_of = [0] * n
+    for x in range(n):
+        sig = signature[x]
+        if sig not in reps:
+            reps[sig] = len(reps)
+        class_of[x] = reps[sig]
+    m = len(reps)
+    member = [0] * m
+    for x in range(n - 1, -1, -1):
+        member[class_of[x]] = x
+    new_r1 = [[0] * m for _ in range(m)]
+    new_r2 = [[0] * m for _ in range(m)]
+    for c in range(m):
+        for d in range(m):
+            x, y = member[c], member[d]
+            new_r1[c][d] = class_of[S.r1[x][y]]
+            new_r2[c][d] = class_of[S.r2[x][y]]
+    for x in range(n):
+        for y in range(n):
+            c, d = class_of[x], class_of[y]
+            if (new_r1[c][d] != class_of[S.r1[x][y]]
+                    or new_r2[c][d] != class_of[S.r2[x][y]]):
+                raise RetractNotWellDefined(
+                    f"pair ({x},{y}) disagrees with the class representatives"
+                )
+    r1 = tuple(tuple(row) for row in new_r1)
+    r2 = tuple(tuple(row) for row in new_r2)
+    return Solution(m, r1, r2), class_of
+
+
+def table_lines(table):
+    return [" ".join(str(v) for v in row) for row in table]

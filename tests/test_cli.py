@@ -2,11 +2,12 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 
-from skewbrace import (CocycleIdentityViolation, SkewBrace, census, cyclic_group,
-                       group_catalog, make_brace, trivial_brace)
+from skewbrace import (CocycleIdentityViolation, ParseError, SkewBrace, census,
+                       cyclic_group, group_catalog, make_brace, trivial_brace)
 from skewbrace import cli
 from skewbrace.classify import SUPERSOLUBLE_ORDER_BOUND
 from skewbrace.cli import (
@@ -105,6 +106,24 @@ def test_non_utf8_document_is_parse_error(tmp_path, capsys, command):
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "parse error: line 2: byte 0xff is not UTF-8\n"
+
+
+def test_huge_declared_order_fails_at_the_first_row_in_little_memory(tmp_path, capsys):
+    """The parse allocates by the rows it reads, not by the declared order."""
+    text = ("skewbrace 1\nname huge\norder 2000000\nadd\n0 1\n1 0\n"
+            "mul\n0 1\n1 0\n")
+    assert text.count("\n") == 9
+    assert main(["ybe", write(tmp_path, "huge.brace", text)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: line 5: add row has 2 entries, expected 2000000\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError):
+            parse_brace_document(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_analyze_beyond_supersolubility_bound(tmp_path, capsys):

@@ -399,3 +399,15 @@ def test_group_predicates_match_the_quotient_table_reference(
         assert is_supersoluble_group(g) == _reference_is_supersoluble(g)
     for g in (s4, a5):
         assert not is_nilpotent_group(g) and not is_supersoluble_group(g)
+
+
+def test_element_orders_match_the_power_walk(full_pool, ybe_products):
+    """One walk per cyclic subgroup gives every element the order that
+    `element_order` finds by walking its own powers."""
+    for B in full_pool + list(ybe_products.values()):
+        for G in (B.add_group, B.mul_group):
+            orders = element_orders(G)
+            assert orders == tuple(element_order(G, a) for a in G.elements())
+            predicates = group_predicates(G)
+            assert predicates.element_orders == tuple(sorted(orders))
+            assert predicates.nilpotent == is_nilpotent_group(G)

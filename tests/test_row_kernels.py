@@ -1,0 +1,171 @@
+"""The row-at-a-time kernels against their cell-by-cell references.
+
+`scalar_reference` holds the loops the kernels replaced.  The kernels must
+build the same tables, print the same lines, and on bad input raise the
+same exception with the same witness in its message.
+"""
+
+import random
+from contextlib import contextmanager
+
+import pytest
+
+import scalar_reference as ref
+from skewbrace import (
+    DistributivityViolation,
+    NonAssociative,
+    RetractNotWellDefined,
+    SkewBraceError,
+    census,
+    cyclic_group,
+    make_brace,
+    trivial_brace,
+)
+from skewbrace import braces, cli, groups, ybe
+from skewbrace.cli import main, write_brace_document
+from skewbrace.ybe import Solution
+
+
+@contextmanager
+def scalar_kernels(monkeypatch):
+    """Every row kernel swapped for its scalar reference."""
+    with monkeypatch.context() as m:
+        m.setattr(groups, "_assoc_generators", ref.assoc_generators)
+        m.setattr(braces, "_validate_pair", ref.validate_pair)
+        m.setattr(braces, "_brace", ref.brace)
+        m.setattr(ybe, "solution_from_brace", ref.solution_from_brace)
+        m.setattr(cli, "solution_from_brace", ref.solution_from_brace)
+        m.setattr(ybe, "retract", ref.retract)
+        m.setattr(cli, "_table_lines", ref.table_lines)
+        yield
+
+
+def _tables(B):
+    return B.add_group.table, B.mul_group.table, B.lam_table, B.star_table
+
+
+def _outcome(f, *args):
+    """The result of f, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except SkewBraceError as exc:
+        return type(exc), str(exc)
+
+
+def _retraction_chain(S, retract):
+    chain = []
+    while S.size > 1:
+        R, class_of = retract(S)
+        chain.append((R, class_of))
+        if R.size == S.size:
+            break
+        S = R
+    return chain
+
+
+def _swap_labels(table, i, j):
+    """The table with elements i and j renamed into each other."""
+    perm = list(range(len(table)))
+    perm[i], perm[j] = j, i
+    return [[perm[table[x][y]] for y in perm] for x in perm]
+
+
+def test_row_kernels_build_the_reference_tables(full_pool, ybe_products):
+    for B in full_pool + list(ybe_products.values()):
+        add, mul = B.add_group, B.mul_group
+        assert _tables(braces._brace(add, mul)) == _tables(ref.brace(add, mul))
+        S = ybe.solution_from_brace(B)
+        assert S == ref.solution_from_brace(B)
+        assert _retraction_chain(S, ybe.retract) == _retraction_chain(S, ref.retract)
+        for table in (add.table, mul.table, S.r2):
+            assert cli._table_lines(table) == ref.table_lines(table)
+
+
+@pytest.mark.parametrize("name", ["ex8", "ex24xC2", "ex24xex8"])
+def test_corrupted_tables_name_the_reference_witness(name, worked_examples,
+                                                     ybe_products, monkeypatch):
+    """Single-cell corruptions of either table, and label swaps in the
+    product table, at orders 8, 48 and 192."""
+    B = worked_examples[name].brace if name in worked_examples else ybe_products[name]
+    n = B.order
+    rng = random.Random(f"rows:{name}")
+    seen = set()
+    for trial in range(12):
+        tables = [[list(row) for row in B.add_group.table],
+                  [list(row) for row in B.mul_group.table]]
+        if trial % 3 < 2:
+            bad = tables[trial % 3]
+            a, c = rng.randrange(n), rng.randrange(n)
+            bad[a][c] = rng.choice([v for v in range(n) if v != bad[a][c]])
+        else:
+            tables[1] = _swap_labels(tables[1], *rng.sample(range(1, n), 2))
+        current = _outcome(lambda: _tables(make_brace(*tables)))
+        with scalar_kernels(monkeypatch):
+            reference = _outcome(lambda: _tables(make_brace(*tables)))
+        assert current == reference
+        seen.add(current[0])
+    assert {NonAssociative, DistributivityViolation} <= seen
+
+
+@pytest.mark.parametrize("name", ["ex12", "ex24xC2", "ex24xex8"])
+def test_corrupted_solutions_retract_like_the_reference(name, worked_examples,
+                                                        ybe_products):
+    """Single-cell corruptions of solutions that retract (ex8's does not)."""
+    B = worked_examples[name].brace if name in worked_examples else ybe_products[name]
+    S = ybe.solution_from_brace(B)
+    n = S.size
+    rng = random.Random(f"retract:{name}")
+    seen = set()
+    for trial in range(12):
+        rows = [[list(row) for row in S.r1], [list(row) for row in S.r2]]
+        bad = rows[trial % 2]
+        x, y = rng.randrange(n), rng.randrange(n)
+        bad[x][y] = rng.choice([v for v in range(n) if v != bad[x][y]])
+        broken = Solution(n, *(tuple(map(tuple, t)) for t in rows))
+        current = _outcome(ybe.retract, broken)
+        assert current == _outcome(ref.retract, broken)
+        seen.add(current[0])
+    assert RetractNotWellDefined in seen
+
+
+def _edge_braces():
+    """Orders 1 and 2, and the four braces of order 4."""
+    return ([trivial_brace(cyclic_group(1)), trivial_brace(cyclic_group(2))]
+            + [entry.brace for entry in census(4).entries])
+
+
+def test_edge_orders_match_the_references(tmp_path, capsys, monkeypatch):
+    for i, B in enumerate(_edge_braces()):
+        tables = B.add_group.table, B.mul_group.table
+        built = make_brace(*tables)
+        S = ybe.solution_from_brace(built)
+        sizes = ybe.retraction_sizes(S)
+        with scalar_kernels(monkeypatch):
+            ref_built = make_brace(*tables)
+            ref_S = ybe.solution_from_brace(ref_built)
+            ref_sizes = ybe.retraction_sizes(ref_S)
+        assert _tables(built) == _tables(ref_built)
+        assert S == ref_S and sizes == ref_sizes
+        path = tmp_path / f"edge{i}.brace"
+        path.write_text(write_brace_document(B), encoding="utf-8")
+        for argv in (["ybe", str(path), "--retract"], ["analyze", str(path)],
+                     ["analyze", str(path), "--format", "structured"]):
+            current = main(argv), capsys.readouterr()
+            with scalar_kernels(monkeypatch):
+                reference = main(argv), capsys.readouterr()
+            assert current == reference
+
+
+@pytest.mark.parametrize("order, expected", [
+    (1, "size 1\nbraid true\nbijective true\nnondegenerate true\n"
+        "retraction-level 0\nr1\n0\nr2\n0\nretraction level 0\n"),
+    (2, "size 2\nbraid true\nbijective true\nnondegenerate true\n"
+        "retraction-level 1\nr1\n0 1\n0 1\nr2\n0 0\n1 1\n"
+        "retract 1: size 1\nretraction level 1\n"),
+])
+def test_ybe_on_the_trivial_braces_of_order_1_and_2(order, expected, tmp_path, capsys):
+    path = tmp_path / "c.brace"
+    path.write_text(write_brace_document(trivial_brace(cyclic_group(order))),
+                    encoding="utf-8")
+    assert main(["ybe", str(path), "--retract"]) == 0
+    assert capsys.readouterr().out == "[ybe]\n" + expected
