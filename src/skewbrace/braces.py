@@ -41,8 +41,8 @@ from .errors import (
     NotClosed,
     TranscriptionInvalid,
 )
-from .groups import (FiniteGroup, direct_product, generating_set,
-                     quotient_group, _group, _identity_of, _prove_group, _row_getter)
+from .groups import (FiniteGroup, direct_product, generating_set, quotient_group,
+                     _group, _identity_of, _prove_group, _row_getter, _subset)
 
 __all__ = [
     "SkewBrace",
@@ -60,10 +60,10 @@ __all__ = [
 class SkewBrace:
     """A finite skew left brace; construct through make_brace.
 
-    `cache` is bounded: eight keys, one value each, computed once from the
-    tables: "ideals" and "subbraces" (the two lattices), "supersoluble", and
-    the series "socle_series", "upper_central_series", "lower_central_series",
-    "left_series" and "right_series".
+    `cache` is bounded: eight keys, one value each, built once by `_cached`
+    from the tables: "ideals" and "subbraces" (the two lattices),
+    "supersoluble", and the series "socle_series", "upper_central_series",
+    "lower_central_series", "left_series" and "right_series".
     """
 
     __slots__ = ("order", "add_group", "mul_group", "lam_table", "star_table",
@@ -132,6 +132,13 @@ class SkewBrace:
     def __repr__(self) -> str:
         label = self.name or "brace"
         return f"SkewBrace({label}, order={self.order})"
+
+
+def _cached(B: SkewBrace, key: str, build):
+    """B.cache[key], a key listed on SkewBrace, built by `build()` on the first call."""
+    if key not in B.cache:
+        B.cache[key] = build()
+    return B.cache[key]
 
 
 def _validate_pair(add: FiniteGroup, mul: FiniteGroup) -> None:
@@ -284,7 +291,7 @@ def quotient_brace(B: SkewBrace, ideal_elems: Sequence[int],
     every b, so the multiplicative cosets are the additive ones and both
     quotient tables are well defined on them.
     """
-    inside = set(ideal_elems)
+    inside = _subset(B.order, ideal_elems)
     if 0 not in inside:
         raise MissingZero("an ideal must contain 0")
     for b, lb in enumerate(B.lam_table):
@@ -308,9 +315,10 @@ def sub_brace(B: SkewBrace, elements: Sequence[int],
     Elements are relabeled in ascending order, so position k of the sorted
     subset becomes element k.
     """
-    elems = tuple(sorted(set(elements)))
-    if not elems or elems[0] != 0:
+    inside = _subset(B.order, elements)
+    if 0 not in inside:
         raise MissingZero("a subbrace must contain 0")
+    elems = tuple(sorted(inside))
     pos = {x: i for i, x in enumerate(elems)}
     ta, tm = B.add_group.table, B.mul_group.table
     for a in elems:

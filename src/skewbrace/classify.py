@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .braces import SkewBrace
-from .errors import OrderBoundExceeded
+from .braces import SkewBrace, _cached
 from .groups import GroupPredicates, _is_prime, _primes_of, element_orders, group_predicates
 from .series import (
     IdealChain,
@@ -31,7 +30,6 @@ from .series import (
 from .substructure import _covers, all_ideals, index, maximal_subbraces
 
 __all__ = [
-    "SUPERSOLUBLE_ORDER_BOUND",
     "SupersolubleResult",
     "is_supersoluble",
     "is_supersoluble_oracle",
@@ -41,9 +39,6 @@ __all__ = [
     "ClassificationReport",
     "brace_report",
 ]
-
-SUPERSOLUBLE_ORDER_BOUND = 64
-
 
 @dataclass(frozen=True)
 class SupersolubleResult:
@@ -66,22 +61,16 @@ def is_supersoluble(B: SkewBrace) -> SupersolubleResult:
     is none, the indices of the ideals minimal over I, which are the orders
     of the minimal ideals of B/I, are reported.
     """
-    if B.order > SUPERSOLUBLE_ORDER_BOUND:
-        raise OrderBoundExceeded(
-            f"supersolubility decision capped at order {SUPERSOLUBLE_ORDER_BOUND}, got {B.order}"
-        )
-    key = "supersoluble"
-    if key not in B.cache:
+    def build() -> SupersolubleResult:
         terms = _ascending_series(B, lambda I, coset_of: next(
             (J for J in _covers(B, I) if _is_prime(len(J) // len(I))), I))
         last = terms[-1]
         if len(last) == B.order:
-            result = SupersolubleResult(True, _chain(B, terms), tuple(terms), ())
-        else:
-            blocking = tuple(sorted(len(J) // len(last) for J in _covers(B, last)))
-            result = SupersolubleResult(False, None, tuple(terms), blocking)
-        B.cache[key] = result
-    return B.cache[key]
+            return SupersolubleResult(True, _chain(B, terms), tuple(terms), ())
+        blocking = tuple(sorted(len(J) // len(last) for J in _covers(B, last)))
+        return SupersolubleResult(False, None, tuple(terms), blocking)
+
+    return _cached(B, "supersoluble", build)
 
 
 def is_supersoluble_oracle(B: SkewBrace) -> bool:
@@ -180,6 +169,9 @@ class ClassificationReport:
 
 def brace_report(B: SkewBrace, name: str = "") -> ClassificationReport:
     """Aggregate series, substructure and classification data for one brace."""
+    # The subbrace lattice is the one step capped by an order bound
+    # (SUBGROUP_ORDER_BOUND): taken first, it fails before any ideal is built.
+    maximal = maximal_subbraces(B)
     ss = is_supersoluble(B)
     chain = chief_series(B)
     primes = sorted(_primes_of(B.order))
@@ -199,7 +191,7 @@ def brace_report(B: SkewBrace, name: str = "") -> ClassificationReport:
         u_p_by_prime=tuple(u_p(B, p) for p in primes),
         fitting_order=len(fitting(B).elements),
         chief_factor_orders=chain.factor_orders(),
-        maximal_subbrace_indices=tuple(index(B, s) for s in maximal_subbraces(B)),
+        maximal_subbrace_indices=tuple(index(B, s) for s in maximal),
         ideal_count=len(all_ideals(B)),
         is_trivial=B.is_trivial(),
     )

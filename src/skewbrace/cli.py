@@ -17,7 +17,7 @@ from .census import BraceCensus, census
 from .classify import brace_report, is_supersoluble
 from .errors import OrderBoundExceeded, ParseError, SkewBraceError
 from .fixtures import build, example_names
-from .groups import make_group
+from .groups import GroupPredicates, make_group
 from .series import (
     derived_ideal,
     left_series,
@@ -26,8 +26,7 @@ from .series import (
     socle_series,
     upper_central_series,
 )
-from .ybe import (Solution, retraction_level, retraction_sizes, solution_from_brace,
-                  verify_solution)
+from .ybe import retraction_level, retraction_sizes, solution_from_brace, verify_solution
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -151,6 +150,12 @@ def parse_brace_document(text: str) -> SkewBrace:
     raise ParseError(lineno, f"expected 'add' or 'cocycle', found {line!r}")
 
 
+def _tables_block(B: SkewBrace) -> list[str]:
+    """The add and mul tables of a document, each under its keyword."""
+    return ["add", *_table_lines(B.add_group.table),
+            "mul", *_table_lines(B.mul_group.table)]
+
+
 def write_brace_document(B: SkewBrace, name: Optional[str] = None) -> str:
     """Serialize one brace as an add/mul table document."""
     out = [BRACE_HEADER]
@@ -158,10 +163,7 @@ def write_brace_document(B: SkewBrace, name: Optional[str] = None) -> str:
     if label:
         out.append(f"name {label}")
     out.append(f"order {B.order}")
-    out.append("add")
-    out.extend(_table_lines(B.add_group.table))
-    out.append("mul")
-    out.extend(_table_lines(B.mul_group.table))
+    out.extend(_tables_block(B))
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -172,10 +174,7 @@ def write_census_document(result: BraceCensus) -> str:
     for i, entry in enumerate(result.entries):
         out.append(f"entry {i} additive {entry.additive_label} "
                    f"multiplicative {entry.multiplicative_label}")
-        out.append("add")
-        out.extend(_table_lines(entry.brace.add_group.table))
-        out.append("mul")
-        out.extend(_table_lines(entry.brace.mul_group.table))
+        out.extend(_tables_block(entry.brace))
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -196,25 +195,61 @@ def _group_section(tag: str, predicates) -> list[str]:
     ]
 
 
-def _structured_report(B: SkewBrace, only: Optional[str],
-                       solution: Optional[Solution] = None,
-                       level: Optional[int] = None) -> str:
-    """The key-value report; `solution` and its retraction `level` are the
-    brace's, when already derived."""
-    lines: list[str] = []
-    if only in (None, "brace", "classify"):
-        report = brace_report(B)
-    if only in (None, "brace"):
-        lines += [
+def _group_kind(g: GroupPredicates) -> str:
+    """The first of the text report's group classes that g falls in."""
+    return ("abelian" if g.abelian else "nilpotent" if g.nilpotent
+            else "supersoluble" if g.supersoluble else "insoluble-or-worse")
+
+
+# format -> section -> emitter.  The brace and classify emitters read the
+# brace report, the series emitters the brace, and the ybe emitters the
+# solution and its retraction level; each returns the section's lines.
+_REPORTS = {
+    "text": {
+        "brace": lambda report: [
+            f"{report.name or 'brace'}: order {report.order}"
+            + (" (trivial)" if report.is_trivial else ""),
+            *(f"  {tag} group: order {g.order}, {_group_kind(g)}, "
+              f"primes {_fmt(g.primes)}"
+              for tag, g in (("additive", report.additive),
+                             ("multiplicative", report.multiplicative)))],
+        "classify": lambda report: [
+            f"supersoluble: yes, chain orders {_fmt(report.certificate_orders)}"
+            if report.supersoluble else
+            f"supersoluble: no, minimal ideals of orders "
+            f"{_fmt(report.blocking_minimal_orders)} block every chain",
+            f"nilpotency: central {_fmt(report.centrally_nilpotent)}, "
+            f"left {_fmt(report.left_nilpotent)}, "
+            f"right {_fmt(report.right_nilpotent)}; "
+            f"soluble {_fmt(report.soluble)}",
+            f"multipermutation level: {_fmt(report.mp_level)}",
+            f"fitting ideal: order {report.fitting_order}",
+            f"chief factors: {_fmt(report.chief_factor_orders)}; "
+            f"ideals: {report.ideal_count}; "
+            f"maximal subbrace indices: {_fmt(report.maximal_subbrace_indices)}"],
+        "series": lambda B: [
+            f"socle series orders: {_fmt(socle_series(B).orders())}",
+            f"upper central orders: {_fmt(upper_central_series(B).orders())}",
+            f"lower central orders: {_fmt(lower_central_series(B).orders())}",
+            f"derived ideal order: {len(derived_ideal(B))}"],
+        # Valid by theorem, as in the [ybe] section of the structured report.
+        "ybe": lambda solution, level: [
+            f"solution on {solution.size} points: all checks pass, "
+            f"retraction level {_fmt(level)}",
+            "r1 rows:",
+            *["  " + row for row in _table_lines(solution.r1)],
+            "r2 rows:",
+            *["  " + row for row in _table_lines(solution.r2)]],
+    },
+    "structured": {
+        "brace": lambda report: [
             "[brace]",
             f"name {_fmt(report.name or None)}",
             f"order {report.order}",
             f"trivial {_fmt(report.is_trivial)}",
-        ]
-        lines += _group_section("additive", report.additive)
-        lines += _group_section("multiplicative", report.multiplicative)
-    if only in (None, "classify"):
-        lines += [
+            *_group_section("additive", report.additive),
+            *_group_section("multiplicative", report.multiplicative)],
+        "classify": lambda report: [
             "[classify]",
             f"supersoluble {_fmt(report.supersoluble)}",
             f"certificate-orders {_fmt(report.certificate_orders)}",
@@ -230,29 +265,21 @@ def _structured_report(B: SkewBrace, only: Optional[str],
             f"chief-factor-orders {_fmt(report.chief_factor_orders)}",
             f"maximal-subbrace-indices {_fmt(report.maximal_subbrace_indices)}",
             f"ideal-count {report.ideal_count}",
-        ]
-        for u in report.u_p_by_prime:
-            lines.append(
-                f"u_p {u.prime} additive-size {len(u.additive)} "
-                f"multiplicative-size {len(u.multiplicative)} "
-                f"equal {_fmt(u.equal)} ideal {_fmt(u.is_ideal)}")
-    if only in (None, "series"):
-        lines += [
+            *(f"u_p {u.prime} additive-size {len(u.additive)} "
+              f"multiplicative-size {len(u.multiplicative)} "
+              f"equal {_fmt(u.equal)} ideal {_fmt(u.is_ideal)}"
+              for u in report.u_p_by_prime)],
+        "series": lambda B: [
             "[series]",
             f"socle-series-orders {_fmt(socle_series(B).orders())}",
             f"upper-central-orders {_fmt(upper_central_series(B).orders())}",
             f"lower-central-orders {_fmt(lower_central_series(B).orders())}",
             f"right-series-orders {_fmt(tuple(len(t) for t in right_series(B)))}",
             f"left-series-orders {_fmt(tuple(len(t) for t in left_series(B)))}",
-            f"derived-ideal-order {len(derived_ideal(B))}",
-        ]
-    if only in (None, "ybe"):
-        if solution is None:
-            solution = solution_from_brace(B)
-            level = retraction_level(solution)
+            f"derived-ideal-order {len(derived_ideal(B))}"],
         # The solution of a brace is a non-degenerate bijective solution by
         # theorem (Guarnieri & Vendramin 2017), so these lines state it.
-        lines += [
+        "ybe": lambda solution, level: [
             "[ybe]",
             f"size {solution.size}",
             "braid true",
@@ -262,58 +289,24 @@ def _structured_report(B: SkewBrace, only: Optional[str],
             "r1",
             *_table_lines(solution.r1),
             "r2",
-            *_table_lines(solution.r2),
-        ]
-    return "\n".join(lines) + "\n"
+            *_table_lines(solution.r2)],
+    },
+}
 
 
-def _text_report(B: SkewBrace, only: Optional[str]) -> str:
-    lines: list[str] = []
-    if only in (None, "brace", "classify"):
-        report = brace_report(B)
-    if only in (None, "brace"):
-        title = report.name or "brace"
-        lines.append(f"{title}: order {report.order}"
-                     + (" (trivial)" if report.is_trivial else ""))
-        for tag, g in (("additive", report.additive),
-                       ("multiplicative", report.multiplicative)):
-            kind = "abelian" if g.abelian else (
-                "nilpotent" if g.nilpotent else (
-                    "supersoluble" if g.supersoluble else "insoluble-or-worse"))
-            lines.append(f"  {tag} group: order {g.order}, {kind}, "
-                         f"primes {_fmt(g.primes)}")
-    if only in (None, "classify"):
-        if report.supersoluble:
-            lines.append(f"supersoluble: yes, chain orders "
-                         f"{_fmt(report.certificate_orders)}")
-        else:
-            lines.append(f"supersoluble: no, minimal ideals of orders "
-                         f"{_fmt(report.blocking_minimal_orders)} block every chain")
-        lines.append(f"nilpotency: central {_fmt(report.centrally_nilpotent)}, "
-                     f"left {_fmt(report.left_nilpotent)}, "
-                     f"right {_fmt(report.right_nilpotent)}; "
-                     f"soluble {_fmt(report.soluble)}")
-        lines.append(f"multipermutation level: {_fmt(report.mp_level)}")
-        lines.append(f"fitting ideal: order {report.fitting_order}")
-        lines.append(f"chief factors: {_fmt(report.chief_factor_orders)}; "
-                     f"ideals: {report.ideal_count}; "
-                     f"maximal subbrace indices: "
-                     f"{_fmt(report.maximal_subbrace_indices)}")
-    if only in (None, "series"):
-        lines.append(f"socle series orders: {_fmt(socle_series(B).orders())}")
-        lines.append(f"upper central orders: {_fmt(upper_central_series(B).orders())}")
-        lines.append(f"lower central orders: {_fmt(lower_central_series(B).orders())}")
-        lines.append(f"derived ideal order: {len(derived_ideal(B))}")
-    if only in (None, "ybe"):
+def _report(B: SkewBrace, fmt: str, only: Optional[str]) -> str:
+    """The analyze report of B in format `fmt`: every section in SECTIONS
+    order, or the one section `only`.  The brace report and the solution are
+    derived once, and only for a section that prints them."""
+    sections = SECTIONS if only is None else (only,)
+    inputs = {"series": (B,)}
+    if "brace" in sections or "classify" in sections:
+        inputs["brace"] = inputs["classify"] = (brace_report(B),)
+    if "ybe" in sections:
         solution = solution_from_brace(B)
-        # Valid by theorem, as in the [ybe] section of the structured report.
-        lines.append(f"solution on {solution.size} points: all checks pass, "
-                     f"retraction level {_fmt(retraction_level(solution))}")
-        lines.append("r1 rows:")
-        lines += ["  " + row for row in _table_lines(solution.r1)]
-        lines.append("r2 rows:")
-        lines += ["  " + row for row in _table_lines(solution.r2)]
-    return "\n".join(lines) + "\n"
+        inputs["ybe"] = (solution, retraction_level(solution))
+    emit = _REPORTS[fmt]
+    return "\n".join(line for s in sections for line in emit[s](*inputs[s])) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +326,7 @@ def _read_brace(path: str) -> SkewBrace:
 
 
 def cmd_analyze(args) -> int:
-    B = _read_brace(args.path)
-    emit = _structured_report if args.format == "structured" else _text_report
-    sys.stdout.write(emit(B, args.only))
+    sys.stdout.write(_report(_read_brace(args.path), args.format, args.only))
     return EXIT_OK
 
 
@@ -403,7 +394,7 @@ def cmd_ybe(args) -> int:
     solution = solution_from_brace(B)
     sizes = retraction_sizes(solution)
     level = len(sizes) - 1 if sizes[-1] == 1 else None
-    sys.stdout.write(_structured_report(B, "ybe", solution, level))
+    sys.stdout.write("\n".join(_REPORTS["structured"]["ybe"](solution, level)) + "\n")
     if args.retract:
         for step, size in enumerate(sizes[1:], 1):
             print(f"retract {step}: size {size}")
@@ -428,8 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="report on one brace document")
     p_analyze.add_argument("path")
-    p_analyze.add_argument("--format", choices=("text", "structured"),
-                           default="text")
+    p_analyze.add_argument("--format", choices=tuple(_REPORTS), default="text")
     p_analyze.add_argument("--only", choices=SECTIONS, default=None)
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -35,7 +35,8 @@ class GroupInvalid(SkewBraceError):
 
 
 class NotClosed(GroupInvalid):
-    """A table entry falls outside the element range."""
+    """A table entry, or an element of a subset passed in, falls outside
+    the element range."""
 
 
 class NoIdentity(GroupInvalid):

@@ -451,6 +451,16 @@ def derived_subgroup(G: FiniteGroup) -> tuple[int, ...]:
     return closure(G, comms)
 
 
+def _subset(n: int, elements: Iterable[int]) -> set[int]:
+    """A caller's subset of the carrier 0..n-1 as a set; an element that is
+    not an int in that range raises NotClosed, naming it."""
+    inside = set(elements)
+    for x in inside:
+        if not (isinstance(x, int) and 0 <= x < n):
+            raise NotClosed(f"subset element {x!r} is not an int in 0..{n - 1}")
+    return inside
+
+
 def quotient_group(G: FiniteGroup, normal_elems: Sequence[int],
                    name: Optional[str] = None) -> tuple[FiniteGroup, list[int]]:
     """Quotient by a normal subgroup; returns the group and the coset index map.
@@ -458,7 +468,7 @@ def quotient_group(G: FiniteGroup, normal_elems: Sequence[int],
     The subset is proven a normal subgroup, naming an escaping product or
     conjugate otherwise, so the table on the cosets g N is a group.
     """
-    inside = set(normal_elems)
+    inside = _subset(G.order, normal_elems)
     if 0 not in inside:
         raise GroupInvalid("a normal subgroup must contain 0")
     t, inv = G.table, G.inverse
@@ -506,14 +516,7 @@ def _primes_of(n: int) -> tuple[int, ...]:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _primes_of(n) == (n,)
 
 
 def is_nilpotent_group(G: FiniteGroup) -> bool:

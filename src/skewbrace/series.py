@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .braces import SkewBrace
+from .braces import SkewBrace, _cached
 from .errors import NotAnIdeal
 from .groups import _cosets, _is_prime, closure
 from .substructure import SubStructure, _covers, all_ideals, brace_core, classify_subset
@@ -154,13 +154,6 @@ def _ascending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
             break
         terms.append(grown)
     return terms
-
-
-def _cached(B: SkewBrace, key: str, build):
-    """B.cache[key], built by `build()` on the first call."""
-    if key not in B.cache:
-        B.cache[key] = build()
-    return B.cache[key]
 
 
 def socle_series(B: SkewBrace) -> IdealChain:

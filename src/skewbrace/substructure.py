@@ -18,9 +18,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .braces import SkewBrace
+from .braces import SkewBrace, _cached
 from .errors import MissingZero, NotAnIdeal
-from .groups import _Span, _joins, closure, generating_set, subgroups
+from .groups import _Span, _joins, _subset, closure, generating_set, subgroups
 
 __all__ = [
     "SubStructure",
@@ -54,10 +54,10 @@ class SubStructure:
 
 def classify_subset(B: SkewBrace, subset: Iterable[int]) -> SubStructure:
     """Compute all four structure flags for a subset containing 0."""
-    elems = tuple(sorted(set(subset)))
-    if not elems or elems[0] != 0:
+    inside = _subset(B.order, subset)
+    if 0 not in inside:
         raise MissingZero("classification requires a subset containing 0")
-    inside = set(elems)
+    elems = tuple(sorted(inside))
     ta, tm, lam = B.add_group.table, B.mul_group.table, B.lam_table
     neg, inv = B.add_group.inverse, B.mul_group.inverse
 
@@ -144,15 +144,16 @@ def _ideal_closure(B: SkewBrace, seed: Iterable[int],
 
 def all_subbraces(B: SkewBrace) -> list[tuple[int, ...]]:
     """Every subbrace, as sorted tuples ordered by (size, elements)."""
-    if "subbraces" not in B.cache:
+    def build() -> list[tuple[int, ...]]:
         tm = B.mul_group.table
         found = []
         for sub in subgroups(B.add_group):
             inside = set(sub)
             if all(tm[a][b] in inside for a in sub for b in sub):
                 found.append(sub)
-        B.cache["subbraces"] = found
-    return list(B.cache["subbraces"])
+        return found
+
+    return list(_cached(B, "subbraces", build))
 
 
 def all_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
@@ -165,12 +166,13 @@ def all_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
     built once for the n principal ideals, O(|P_x| log n) lookups each, and
     each ideal then costs one closure from its parent.
     """
-    if "ideals" not in B.cache:
+    def build() -> list[tuple[int, ...]]:
         maps = _ideal_maps(B)
         principal = [_ideal_closure(B, (x,), maps) for x in B.elements()]
         gens = {P: tuple(_Span(B.add_group.table, P).gens) for P in principal}
-        B.cache["ideals"] = _joins(B.add_group, [gens[P] for P in principal])
-    return list(B.cache["ideals"])
+        return _joins(B.add_group, [gens[P] for P in principal])
+
+    return list(_cached(B, "ideals", build))
 
 
 def _covers(B: SkewBrace, base: tuple[int, ...]) -> list[tuple[int, ...]]:

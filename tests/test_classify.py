@@ -1,5 +1,7 @@
 """Tests for supersolubility decisions and the classification report."""
 
+from functools import reduce
+
 import pytest
 
 from skewbrace import (
@@ -9,6 +11,7 @@ from skewbrace import (
     chief_series,
     classify_subset,
     cyclic_group,
+    direct_product,
     direct_product_braces,
     fitting,
     index,
@@ -25,7 +28,7 @@ from skewbrace import (
     trivial_brace,
     u_p,
 )
-from skewbrace.classify import SUPERSOLUBLE_ORDER_BOUND
+from skewbrace.groups import SUBGROUP_ORDER_BOUND
 
 
 def primes_of(n):
@@ -276,13 +279,25 @@ def test_report_on_zero_brace():
     assert r.fitting_order == 1
 
 
-def test_supersolubility_order_bound(worked_examples):
-    big = direct_product_braces(
-        worked_examples["ex32"].brace, trivial_brace(cyclic_group(3))
-    )
-    assert big.order == 96
+def test_greedy_matches_oracle_above_order_64(worked_examples):
+    """The greedy decision has no order bound: it agrees with the oracle on
+    products of orders 96, 192 and 288."""
+    ex = {name: w.brace for name, w in worked_examples.items()}
+    for left, right, order in ((ex["ex32"], trivial_brace(cyclic_group(3)), 96),
+                               (ex["ex24"], ex["ex8"], 192),
+                               (ex["ex24"], ex["ex12"], 288)):
+        b = direct_product_braces(left, right)
+        assert b.order == order
+        assert bool(is_supersoluble(b)) == is_supersoluble_oracle(b), order
+
+
+def test_brace_report_fails_fast_above_the_subgroup_bound():
+    """The capped subbrace lattice comes first, so no ideal is computed."""
+    b = trivial_brace(reduce(direct_product, [cyclic_group(2)] * 7))
+    assert b.order == 128 > SUBGROUP_ORDER_BOUND
     with pytest.raises(OrderBoundExceeded):
-        is_supersoluble(big)
+        brace_report(b)
+    assert "ideals" not in b.cache
 
 
 def test_greedy_matches_oracle_at_order_64(worked_examples):
@@ -295,11 +310,6 @@ def test_greedy_matches_oracle_at_order_64(worked_examples):
         verdicts.append(is_supersoluble_oracle(b))
         assert bool(is_supersoluble(b)) == verdicts[-1], b
     assert verdicts == [False, False, True]
-
-
-def test_order_bounds_reject_the_next_order():
-    with pytest.raises(OrderBoundExceeded):
-        is_supersoluble(trivial_brace(cyclic_group(SUPERSOLUBLE_ORDER_BOUND + 1)))
 
 
 def test_order_64_product_is_not_supersoluble(worked_examples):

@@ -1,5 +1,6 @@
 """Tests for the command line interface and its document formats."""
 
+import hashlib
 import random
 import re
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from skewbrace import (CocycleIdentityViolation, ParseError, SkewBrace, census,
                        cyclic_group, group_catalog, make_brace, trivial_brace)
 from skewbrace import cli
-from skewbrace.classify import SUPERSOLUBLE_ORDER_BOUND
+from skewbrace.groups import SUBGROUP_ORDER_BOUND
 from skewbrace.cli import (
     main,
     parse_brace_document,
@@ -62,6 +63,88 @@ def test_analyze_only_sections(tmp_path, capsys):
         assert out.startswith(marker)
         others = {"[brace]", "[classify]", "[series]", "[ybe]"} - {marker}
         assert not any(o in out for o in others)
+
+
+C2XC2_1_SECTIONS = {
+    "brace": """\
+C2xC2#1: order 4
+  additive group: order 4, abelian, primes 2
+  multiplicative group: order 4, abelian, primes 2
+""",
+    "classify": """\
+supersoluble: yes, chain orders 1 2 4
+nilpotency: central true, left true, right true; soluble true
+multipermutation level: 2
+fitting ideal: order 4
+chief factors: 2 2; ideals: 3; maximal subbrace indices: 2
+""",
+    "series": """\
+socle series orders: 1 2 4
+upper central orders: 1 2 4
+lower central orders: 4 2 1
+derived ideal order: 2
+""",
+    "ybe": """\
+solution on 4 points: all checks pass, retraction level 2
+r1 rows:
+  0 1 2 3
+  0 1 2 3
+  0 1 3 2
+  0 1 3 2
+r2 rows:
+  0 0 0 0
+  1 1 1 1
+  2 2 3 3
+  3 3 2 2
+""",
+}
+
+
+def test_text_report_of_an_order_4_brace_is_pinned(tmp_path, capsys):
+    brace = next(e.brace for e in census(4).entries if e.brace.name == "C2xC2#1")
+    path = write(tmp_path, "c2c2.brace", write_brace_document(brace))
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().out == "".join(C2XC2_1_SECTIONS[s] for s in cli.SECTIONS)
+    for section, text in C2XC2_1_SECTIONS.items():
+        assert main(["analyze", path, "--only", section]) == 0
+        assert capsys.readouterr().out == text
+
+
+# SHA-256 of the stdout of each command on the example's document, taken
+# from the output before the report emitters were merged into one table.
+PINNED_OUTPUTS = {
+    ("ex8", "analyze"): "7ac22bb6ca43cfb2b04c8f4e4cd5164ecb451741eff488e70be74dab456ec34e",
+    ("ex8", "structured"): "ad682ad2409f2d025d76b74cf46d2e193915f1142e555ae48d2db105f04213bc",
+    ("ex8", "ybe"): "845d6a6bd590189afb93221776794b1cb615af478f049638efa7d434c2be40d5",
+    ("ex12", "analyze"): "d2f15d1d6e6057a1c26f72c3068cb26ca6c9e4b4e6c1523d3b9c8ad50859284c",
+    ("ex12", "structured"): "20779b7d73af7f5e387c410cbe02c719237a6159bee6c59ace5ab3d91602b421",
+    ("ex12", "ybe"): "64fa30d69d580b05da4efbee833f807e2b17a966e6f941ebbbe8fc8d6fa40f01",
+    ("ex24", "analyze"): "2b0b2bc16251510d4e6f70861141a099e1dfdd28a0363108d40aee2a649dcfb9",
+    ("ex24", "structured"): "4e21bbe983746acbdb825daf71b58b5938c360305f8bc5dfc9885f8cfdbf886e",
+    ("ex24", "ybe"): "cb0a74f40671b44c710ea9f345761436b3608f97792d5bc3195daaba4b5e5d44",
+    ("ex32", "analyze"): "e7c7f1afc8a704c93d10b8475150cd26a9d147236786f0c1ba0773864c361e65",
+    ("ex32", "structured"): "980116d3ae961a08efdd97c10404d5d4da01fdb03715935b68ff9b436ac8d491",
+    ("ex32", "ybe"): "1b74b1a280c96c6acda4c90ca5fb6ad733ab335e684daf29f9c9bc5ae42c6ecc",
+}
+PINNED_ARGV = {"analyze": ["analyze"], "structured": ["analyze", "--format", "structured"],
+               "ybe": ["ybe", "--retract"]}
+
+
+@pytest.mark.parametrize("name,command", sorted(PINNED_OUTPUTS))
+def test_example_outputs_are_pinned(tmp_path, capsys, name, command):
+    path = write(tmp_path, f"{name}.brace", document_for(name))
+    argv = PINNED_ARGV[command]
+    assert main([argv[0], path, *argv[1:]]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == PINNED_OUTPUTS[name, command]
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_full_report_is_its_sections_joined(full_pool, products, fmt):
+    braces = full_pool + [products[name] for name in ("ex24xC2", "ex12xC4", "ex8xex8")]
+    for b in braces:
+        assert (cli._report(b, fmt, None)
+                == "".join(cli._report(b, fmt, s) for s in cli.SECTIONS)), b
 
 
 def test_analyze_parse_error_reports_line(tmp_path, capsys):
@@ -126,11 +209,15 @@ def test_huge_declared_order_fails_at_the_first_row_in_little_memory(tmp_path, c
     assert peak < 5 * 2**20
 
 
-def test_analyze_beyond_supersolubility_bound(tmp_path, capsys):
-    doc = write_brace_document(trivial_brace(cyclic_group(SUPERSOLUBLE_ORDER_BOUND + 1)))
+def test_analyze_beyond_subgroup_bound(tmp_path, capsys):
+    doc = write_brace_document(trivial_brace(cyclic_group(SUBGROUP_ORDER_BOUND + 1)))
     path = write(tmp_path, "big.brace", doc)
     assert main(["analyze", path]) == 4
-    assert "order bound exceeded" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"order bound exceeded: subgroup enumeration capped at order "
+        f"{SUBGROUP_ORDER_BOUND}, got {SUBGROUP_ORDER_BOUND + 1}\n")
 
 
 def test_round_trip_preserves_structured_report(tmp_path, capsys):
@@ -312,7 +399,7 @@ def test_structured_report_leaves_only_the_documented_cache_keys():
     documented = set(re.findall(r'"(\w+)"', SkewBrace.__doc__))
     ex = build("ex24").brace
     b = make_brace(ex.add_group.table, ex.mul_group.table)
-    cli._structured_report(b, None)
+    cli._report(b, "structured", None)
     assert set(b.cache) == documented
 
 

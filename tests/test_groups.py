@@ -55,6 +55,23 @@ def assert_proven(g):
     assert (checked.table, checked.inverse) == (g.table, g.inverse)
 
 
+def trial_division_is_prime(n):
+    """Plain trial division: the reference for `_is_prime`."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert ([n for n in range(5001) if _is_prime(n)]
+            == [n for n in range(5001) if trial_division_is_prime(n)])
+
+
 def test_cyclic_group_basics():
     g = cyclic_group(4)
     assert g.order == 4

@@ -6,6 +6,8 @@ import pytest
 
 from skewbrace import (
     MissingZero,
+    NotClosed,
+    b_central_series,
     all_ideals,
     all_subbraces,
     brace_core,
@@ -16,11 +18,13 @@ from skewbrace import (
     direct_product_braces,
     frattini,
     group_catalog,
+    ideal_chain,
     ideal_generated,
     index,
     maximal_subbraces,
     minimal_ideals,
     quotient_brace,
+    quotient_group,
     sub_brace,
     subbrace_generated,
     subgroups,
@@ -319,3 +323,24 @@ def test_all_ideals_match_classified_subgroups(full_pool, products):
     for b in full_pool + [products[k] for k in ("ex24xC2", "ex12xC4", "ex8xex8")]:
         expected = [s for s in subgroups(b.add_group) if classify_subset(b, s).is_ideal]
         assert all_ideals(b) == expected, b
+
+
+SUBSET_VALIDATORS = {
+    "classify_subset": classify_subset,
+    "sub_brace": sub_brace,
+    "quotient_brace": quotient_brace,
+    "quotient_group": lambda b, s: quotient_group(b.add_group, s),
+    "ideal_chain": lambda b, s: ideal_chain(b, [s]),
+    "b_central_series": b_central_series,
+}
+
+
+@pytest.mark.parametrize("name", SUBSET_VALIDATORS)
+@pytest.mark.parametrize("bad", [8, -1, 1.0])
+def test_subset_element_outside_the_carrier_is_named(worked_examples, name, bad):
+    """An element that is not an int in 0..n-1 raises NotClosed naming it,
+    before the check that 0 is in the subset."""
+    b = worked_examples["ex8"].brace
+    assert b.order == 8
+    with pytest.raises(NotClosed, match=rf"subset element {bad!r} is not an int in 0\.\.7"):
+        SUBSET_VALIDATORS[name](b, [0, bad])
