@@ -17,7 +17,7 @@ from .census import BraceCensus, census
 from .classify import brace_report, is_supersoluble
 from .errors import OrderBoundExceeded, ParseError, SkewBraceError
 from .fixtures import build, example_names
-from .groups import GroupPredicates, make_group
+from .groups import GroupPredicates, _row_getter, make_group
 from .series import (
     derived_ideal,
     left_series,
@@ -52,9 +52,10 @@ def _fmt(value) -> str:
 
 
 def _table_lines(table: Sequence[Sequence[int]]) -> list[str]:
-    """Rows of a table over 0..n-1 as lines; each value's string is made once."""
+    """Rows of a table over 0..n-1 as lines; each value's string is made once
+    and a row's strings are picked by one getter call."""
     labels = [str(v) for v in range(len(table))]
-    return [" ".join([labels[v] for v in row]) for row in table]
+    return [" ".join(_row_getter(row)(labels)) for row in table]
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,8 @@ class _Cursor:
     def __init__(self, text: str):
         self.rows = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
         self.pos = 0
+        # str(v) -> v for v in 0..n-1, built by the first `_read_table`.
+        self.tokens: dict[str, int] = {}
 
     def next(self) -> tuple[int, str]:
         while self.pos < len(self.rows):
@@ -94,8 +97,35 @@ def _read_int_row(cursor: _Cursor, n: int, what: str) -> list[int]:
     return row
 
 
-def _read_table(cursor: _Cursor, n: int, what: str) -> list[list[int]]:
-    return [_read_int_row(cursor, n, what) for _ in range(n)]
+def _read_table(cursor: _Cursor, n: int, what: str) -> list[Sequence[int]]:
+    """The n rows of an n x n table over 0..n-1.
+
+    The document's first table row is read by `_read_int_row`.  Only once it
+    has parsed with n entries is the map str(v) -> v for v in 0..n-1 built,
+    once per document, so a declared order far beyond the rows given fails
+    at that row without allocating by the order.  Every later row is looked
+    up whole through the map by one getter call, which is also its range
+    check, and kept as a tuple.  A row with a token outside the map or with
+    the wrong length is read again by `_read_int_row`: it accepts every
+    spelling int() accepts (`+3`, `03`, `-0`, other decimal digits) and
+    raises the scalar parse's error, in its order: non-integer, then length,
+    then range.
+    """
+    rows = []
+    if not cursor.tokens:
+        rows.append(_read_int_row(cursor, n, what))
+        cursor.tokens = {str(v): v for v in range(n)}
+    while len(rows) < n:
+        pos = cursor.pos
+        try:
+            row = _row_getter(cursor.next()[1].split())(cursor.tokens)
+        except KeyError:
+            row = None
+        if row is None or len(row) != n:
+            cursor.pos = pos
+            row = _read_int_row(cursor, n, what)
+        rows.append(row)
+    return rows
 
 
 def _expect(cursor: _Cursor, keyword: str) -> None:

@@ -107,10 +107,17 @@ class FiniteGroup:
 
 
 def _check_closure(table: Sequence[Sequence[int]]) -> None:
+    """Every row has n entries, each an int in 0..n-1.  A row of exact ints
+    inside the carrier passes by two set containments; any other row (bool,
+    an int subclass, an unhashable entry) is scanned to name the witness.
+    The types are tested first, so no unhashable entry reaches the set."""
     n = len(table)
+    ints, carrier = {int}, frozenset(range(n))
     for a, row in enumerate(table):
         if len(row) != n:
             raise NotClosed(f"row {a} has length {len(row)}, expected {n}")
+        if ints.issuperset(map(type, row)) and carrier.issuperset(row):
+            continue
         for b, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
                 raise NotClosed(f"entry at ({a}, {b}) is {v!r}, outside 0..{n - 1}")

@@ -10,6 +10,7 @@ built, so the solution is valid by theorem and is not re-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .braces import SkewBrace
@@ -51,11 +52,6 @@ class Solution:
         return self.r1[x][y], self.r2[x][y]
 
 
-def _is_perm(seq) -> bool:
-    n = len(seq)
-    return sorted(seq) == list(range(n))
-
-
 def _braid_holds(n: int, r1, r2) -> bool:
     """Whether (r x id)(id x r)(r x id) = (id x r)(r x id)(id x r) on every
     triple (x, y, z), examined in order until the first failure.
@@ -90,10 +86,12 @@ def verify_solution(size: int, r1, r2) -> SolutionChecks:
             _check_closure(table)
         except NotClosed as exc:
             raise SolutionInvalid(f"{label}: {exc}") from None
-    pairs = {(r1[x][y], r2[x][y]) for x in range(n) for y in range(n)}
-    bijective = len(pairs) == n * n
-    left = all(_is_perm(r1[x]) for x in range(n))
-    right = all(_is_perm([r2[x][y] for x in range(n)]) for y in range(n))
+    # Every entry is now an int in 0..n-1, so n distinct entries in a row or
+    # column make it a permutation, and n*n distinct pairs make r bijective.
+    pairs = zip(chain.from_iterable(r1), chain.from_iterable(r2))
+    bijective = len(set(pairs)) == n * n
+    left = all(len(set(row)) == n for row in r1)
+    right = all(len(set(column)) == n for column in zip(*r2))
     return SolutionChecks(braid=_braid_holds(n, r1, r2), bijective=bijective,
                           nondegenerate=left and right)
 

@@ -3,16 +3,19 @@
 Each function is the scalar loop its kernel ran before rows were compared
 and built whole: `assoc_generators` for `groups._assoc_generators`,
 `validate_pair` for `braces._validate_pair`, `brace` for `braces._brace`,
-`solution_from_brace` and `retract` for their `ybe` namesakes, and
-`table_lines` for `cli._table_lines`.  The tests require the kernels to
-give the same tables, and the same exception and message on bad input.
+`solution_from_brace` and `retract` for their `ybe` namesakes,
+`table_lines` for `cli._table_lines`, `read_table` for `cli._read_table`,
+`check_closure` for `groups._check_closure`, and `solution_checks` for
+`ybe.verify_solution`.  The tests require the kernels to give the same
+tables, and the same exception and message on bad input.
 """
 
 from skewbrace.braces import SkewBrace
 from skewbrace.errors import (DistributivityViolation, NonAssociative,
-                              RetractNotWellDefined)
+                              NotClosed, ParseError, RetractNotWellDefined,
+                              SolutionInvalid)
 from skewbrace.groups import _Span, generating_set
-from skewbrace.ybe import Solution
+from skewbrace.ybe import Solution, SolutionChecks, _braid_holds
 
 
 def assoc_generators(table):
@@ -104,3 +107,54 @@ def retract(S):
 
 def table_lines(table):
     return [" ".join(str(v) for v in row) for row in table]
+
+
+def read_table(cursor, n, what):
+    rows = []
+    for _ in range(n):
+        lineno, line = cursor.next()
+        parts = line.split()
+        try:
+            row = [int(p) for p in parts]
+        except ValueError:
+            raise ParseError(lineno, f"{what} row contains a non-integer") from None
+        if len(row) != n:
+            raise ParseError(
+                lineno, f"{what} row has {len(row)} entries, expected {n}")
+        for v in row:
+            if not 0 <= v < n:
+                raise ParseError(
+                    lineno, f"{what} entry {v} outside range 0..{n - 1}")
+        rows.append(row)
+    return rows
+
+
+def check_closure(table):
+    n = len(table)
+    for a, row in enumerate(table):
+        if len(row) != n:
+            raise NotClosed(f"row {a} has length {len(row)}, expected {n}")
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise NotClosed(f"entry at ({a}, {b}) is {v!r}, outside 0..{n - 1}")
+
+
+def _is_perm(seq):
+    return sorted(seq) == list(range(len(seq)))
+
+
+def solution_checks(size, r1, r2):
+    n = size
+    for label, table in (("r1", r1), ("r2", r2)):
+        if len(table) != n:
+            raise SolutionInvalid(f"{label} has {len(table)} rows, expected {n}")
+        try:
+            check_closure(table)
+        except NotClosed as exc:
+            raise SolutionInvalid(f"{label}: {exc}") from None
+    pairs = {(r1[x][y], r2[x][y]) for x in range(n) for y in range(n)}
+    bijective = len(pairs) == n * n
+    left = all(_is_perm(r1[x]) for x in range(n))
+    right = all(_is_perm([r2[x][y] for x in range(n)]) for y in range(n))
+    return SolutionChecks(braid=_braid_holds(n, r1, r2), bijective=bijective,
+                          nondegenerate=left and right)

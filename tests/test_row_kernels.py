@@ -7,6 +7,7 @@ same exception with the same witness in its message.
 
 import random
 from contextlib import contextmanager
+from enum import IntEnum
 
 import pytest
 
@@ -14,6 +15,7 @@ import scalar_reference as ref
 from skewbrace import (
     DistributivityViolation,
     NonAssociative,
+    ParseError,
     RetractNotWellDefined,
     SkewBraceError,
     census,
@@ -22,7 +24,7 @@ from skewbrace import (
     trivial_brace,
 )
 from skewbrace import braces, cli, groups, ybe
-from skewbrace.cli import main, write_brace_document
+from skewbrace.cli import main, parse_brace_document, write_brace_document
 from skewbrace.ybe import Solution
 
 
@@ -37,6 +39,11 @@ def scalar_kernels(monkeypatch):
         m.setattr(cli, "solution_from_brace", ref.solution_from_brace)
         m.setattr(ybe, "retract", ref.retract)
         m.setattr(cli, "_table_lines", ref.table_lines)
+        m.setattr(cli, "_read_table", ref.read_table)
+        m.setattr(groups, "_check_closure", ref.check_closure)
+        m.setattr(ybe, "_check_closure", ref.check_closure)
+        m.setattr(ybe, "verify_solution", ref.solution_checks)
+        m.setattr(cli, "verify_solution", ref.solution_checks)
         yield
 
 
@@ -169,3 +176,119 @@ def test_ybe_on_the_trivial_braces_of_order_1_and_2(order, expected, tmp_path, c
                     encoding="utf-8")
     assert main(["ybe", str(path), "--retract"]) == 0
     assert capsys.readouterr().out == "[ybe]\n" + expected
+
+
+def _document_mutations(B):
+    """A table document of B, and copies with one table row changed: an
+    entry respelled, out of range or not an integer, the row one entry short
+    or long, or its spaces turned into tabs; at rows 0, 1 and n-1 of both
+    tables."""
+    text = write_brace_document(B)
+    n = B.order
+    lines = text.split("\n")
+    yield text
+    rows = sorted({lines.index(keyword) + 1 + r for keyword in ("add", "mul")
+                   for r in {0, min(1, n - 1), n - 1}})
+    for i in rows:
+        parts = lines[i].split(" ")
+        column = (i * 5) % n
+        edits = [" ".join(parts[:column] + [token] + parts[column + 1:])
+                 for token in ("+1", "01", "-0", "\u0663", "1.0", "1e1", str(n), "-1")]
+        edits += [" ".join(parts[:-1]), " ".join(parts + ["0"]),
+                  "\t".join(parts), " ".join("+" + p for p in parts)]
+        for edit in edits:
+            yield "\n".join(lines[:i] + [edit] + lines[i + 1:])
+    yield text.replace(" ", "\t")
+
+
+def _read_outcome(text):
+    """The rows a table document parses to, before validation, or the line
+    and message of its parse error."""
+    def capture(add, mul, name=None):
+        return [list(row) for row in add], [list(row) for row in mul], name
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, "make_brace", capture)
+            return parse_brace_document(text)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_reader_matches_the_scalar_reference(n, monkeypatch):
+    B = census(8).entries[20].brace if n == 8 else trivial_brace(cyclic_group(n))
+    outcomes = set()
+    for text in _document_mutations(B):
+        current = _read_outcome(text)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_table", ref.read_table)
+            reference = _read_outcome(text)
+        assert current == reference, text
+        outcomes.add(type(current[0]))
+    assert outcomes == {list, int}
+
+
+def test_fuzzed_documents_parse_like_the_scalar_reference(worked_examples, monkeypatch):
+    """The seeded document mutations of the CLI fuzz test, and the same
+    mutations of a cocycle document, parse or fail alike."""
+    from test_cli import _mutations
+    ex = worked_examples["ex8"]
+    spec = ex.spec
+    cocycle = ["skewbrace 1", "order 8", "cocycle",
+               "add", *cli._table_lines(spec.additive.table),
+               "mult", *cli._table_lines(spec.multiplicative.table),
+               "lambda", *cli._table_lines(spec.acting),
+               "delta", " ".join(map(str, spec.delta)), "end"]
+    docs = [write_brace_document(ex.brace), "\n".join(cocycle) + "\n"]
+    for base in docs:
+        for text in _mutations(base, random.Random(2402), 200):
+            current = _outcome(lambda: _tables(parse_brace_document(text)))
+            with scalar_kernels(monkeypatch):
+                reference = _outcome(lambda: _tables(parse_brace_document(text)))
+            assert current == reference, text
+
+
+class _Label(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, "1", None, [1], -1, 8, 2**70, _Label.ONE],
+                         ids=repr)
+def test_closure_check_matches_the_scalar_reference(entry, worked_examples):
+    base = worked_examples["ex8"].brace.add_group.table
+    for a, b in ((0, 0), (3, 5), (7, 7)):
+        table = [list(row) for row in base]
+        table[a][b] = entry
+        assert _outcome(groups._check_closure, table) == _outcome(ref.check_closure, table)
+
+
+def test_closure_check_on_bool_and_short_rows_matches_the_reference():
+    for table in ([[False, True], [True, False]], [(0, 1), (1,)], [[0, 1], [1, 0, 1]],
+                  [[]], [], [[0]], [(0, 1), [1, 0]]):
+        assert _outcome(groups._check_closure, table) == _outcome(ref.check_closure, table)
+
+
+def test_solution_checks_match_the_scalar_reference(full_pool):
+    """Census solutions, single-entry corruptions of either table (in range,
+    at n, and a bool), and a swap of two entries of one row."""
+    rng = random.Random("solution-checks")
+    seen = set()
+    for B in full_pool:
+        S = ybe.solution_from_brace(B)
+        n = S.size
+        trials = [(S.r1, S.r2)]
+        for _ in range(4):
+            rows = [[list(row) for row in S.r1], [list(row) for row in S.r2]]
+            bad = rows[rng.randrange(2)]
+            x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            bad[x][y] = rng.choice([rng.randrange(n), n, bad[x][y] == 1])
+            trials.append(tuple(rows))
+            rows = [[list(row) for row in S.r1], [list(row) for row in S.r2]]
+            bad = rows[rng.randrange(2)]
+            bad[x][y], bad[x][z] = bad[x][z], bad[x][y]
+            trials.append(tuple(rows))
+        for r1, r2 in trials:
+            current = _outcome(ybe.verify_solution, n, r1, r2)
+            assert current == _outcome(ref.solution_checks, n, r1, r2)
+            seen.add(current)
+    assert len(seen) > 4
