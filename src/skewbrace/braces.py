@@ -24,9 +24,8 @@ runs only over a row that differs, to name the first witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import getitem
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     ActionNotHomomorphism,
@@ -212,8 +211,7 @@ def trivial_brace(G: FiniteGroup, name: Optional[str] = None) -> SkewBrace:
     return _brace(G, G, name or (G.name and f"triv({G.name})"))
 
 
-@dataclass(frozen=True)
-class CocycleSpec:
+class CocycleSpec(NamedTuple):
     """A bijective 1-cocycle presentation of a brace.
 
     `acting` maps each multiplicative element c to a permutation of the

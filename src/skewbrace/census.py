@@ -19,8 +19,7 @@ the additive and multiplicative tables at once), and `_hol_orders`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .braces import SkewBrace, _brace
 from .errors import OrderBoundExceeded, SkewBraceError
@@ -32,7 +31,6 @@ from .groups import (
     _map_search,
     _relabel,
     aut_group,
-    automorphism_perms,
     cyclic_group,
     direct_product,
     element_order,
@@ -78,7 +76,7 @@ def quaternion_group() -> FiniteGroup:
 
 
 def group_catalog(n: int) -> list[tuple[str, FiniteGroup]]:
-    """All isomorphism types of groups of order n, for n <= 16 minus 16."""
+    """All isomorphism types of groups of order n, for orders 1 to 15."""
     if n < 1:
         raise SkewBraceError(f"group order must be positive, got {n}")
     if n > 15:
@@ -231,8 +229,7 @@ def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
     return braces
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     """One isomorphism class of braces in a census."""
 
     brace: SkewBrace
@@ -240,14 +237,14 @@ class CensusEntry:
     multiplicative_label: str
 
 
-@dataclass(frozen=True)
-class BraceCensus:
+class BraceCensus(NamedTuple):
     """All braces of one order up to isomorphism."""
 
     order: int
     entries: tuple[CensusEntry, ...]
 
     def count(self) -> int:
+        """The number of entries; replaces tuple.count."""
         return len(self.entries)
 
     def count_by_additive(self) -> dict[str, int]:
@@ -445,9 +442,10 @@ def _oracle_counts(n: int) -> dict[str, int]:
     """Brace counts per additive group via the cocycle parametrization."""
     counts: dict[str, int] = {}
     catalog = group_catalog(n)
-    split = [(C, _generator_levels(C), automorphism_perms(C)) for _clabel, C in catalog]
+    auts = {label: aut_group(C) for label, C in catalog}
+    split = [(C, _generator_levels(C), auts[label][1]) for label, C in catalog]
     for label, A in catalog:
-        aut, perms = aut_group(A)
+        aut, perms = auts[label]
         tables = _oracle_tables(A, aut, perms, split)
         moves = [(lambda t, th=theta: _relabel(t, th)) for theta in perms]
         counts[label] = len(_orbit_representatives(tables, moves))
@@ -458,7 +456,7 @@ def census_oracle(n: int) -> int:
     """Independent recount of census(n) through actions and cocycles.
 
     Capped by `group_catalog` at order 15.  On a 2-vCPU Xeon VM order 8
-    (C2xC2xC2 has 168 automorphisms) takes about 0.15 s and every other
+    (C2xC2xC2 has 168 automorphisms) takes about 0.09 s and every other
     order up to 15 under 0.1 s.
     """
     return sum(_oracle_counts(n).values())

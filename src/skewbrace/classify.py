@@ -9,8 +9,7 @@ over the same cached ideal lattice, with prime index steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .braces import SkewBrace, _cached
 from .groups import GroupPredicates, _is_prime, _primes_of, element_orders, group_predicates
@@ -40,8 +39,7 @@ __all__ = [
     "brace_report",
 ]
 
-@dataclass(frozen=True)
-class SupersolubleResult:
+class SupersolubleResult(NamedTuple):
     """Outcome of the greedy supersolubility decision."""
 
     supersoluble: bool
@@ -84,8 +82,7 @@ def is_supersoluble_oracle(B: SkewBrace) -> bool:
     return found is not None
 
 
-@dataclass(frozen=True)
-class UPResult:
+class UPResult(NamedTuple):
     """Elements whose additive resp. multiplicative order avoids primes <= p."""
 
     prime: int
@@ -143,8 +140,7 @@ def sylow_tower(B: SkewBrace) -> Optional[IdealChain]:
     return _chain(B, _ascending_series(B, step))
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Everything the analyzers know about one brace, in a fixed field order."""
 
     name: str
@@ -164,7 +160,7 @@ class ClassificationReport:
     chief_factor_orders: tuple[int, ...]
     maximal_subbrace_indices: tuple[int, ...]
     ideal_count: int
-    is_trivial: bool = field(default=False)
+    is_trivial: bool = False
 
 
 def brace_report(B: SkewBrace, name: str = "") -> ClassificationReport:

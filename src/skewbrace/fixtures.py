@@ -9,8 +9,7 @@ highest position (so ia + jb becomes 2i + j on a C12 x C2 carrier).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .braces import CocycleSpec, SkewBrace, brace_from_cocycle, sub_brace
 from .classify import is_supersoluble
@@ -45,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One named, self-contained boolean check on a built example."""
 
     name: str
@@ -54,8 +52,7 @@ class Claim:
     check: Callable[["PaperExample"], bool]
 
 
-@dataclass(frozen=True)
-class PaperExample:
+class PaperExample(NamedTuple):
     """A worked example: cocycle data, the built brace, named subsets, claims."""
 
     name: str

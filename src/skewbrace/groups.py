@@ -26,10 +26,9 @@ their exact checks) is a group by theorem, built by `_group` unproven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     ActionNotHomomorphism,
@@ -573,8 +572,7 @@ def is_supersoluble_group(G: FiniteGroup) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GroupPredicates:
+class GroupPredicates(NamedTuple):
     order: int
     abelian: bool
     nilpotent: bool
@@ -595,8 +593,7 @@ def group_predicates(G: FiniteGroup) -> GroupPredicates:
     )
 
 
-@dataclass(frozen=True)
-class GroupMap:
+class GroupMap(NamedTuple):
     """A map between groups recorded by the image of every element."""
 
     source: FiniteGroup

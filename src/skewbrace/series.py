@@ -12,8 +12,7 @@ walks the same lattice for `is_soluble` and for the supersolubility oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .braces import SkewBrace, _cached
 from .errors import NotAnIdeal
@@ -46,16 +45,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FactorInfo:
+class FactorInfo(NamedTuple):
     """What one step of an ideal chain looks like in its quotient."""
 
     order: int
     is_prime_order: bool
 
 
-@dataclass(frozen=True)
-class IdealChain:
+class IdealChain(NamedTuple):
     """A strictly monotone chain of ideals of one parent brace."""
 
     parent: SkewBrace

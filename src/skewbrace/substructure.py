@@ -15,8 +15,7 @@ under the product, and the ideals are the joins of the principal ideals.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .braces import SkewBrace, _cached
 from .errors import MissingZero, NotAnIdeal
@@ -37,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubStructure:
+class SubStructure(NamedTuple):
     """A subset of a brace together with its classification flags."""
 
     elements: tuple[int, ...]

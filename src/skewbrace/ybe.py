@@ -9,9 +9,8 @@ built, so the solution is valid by theorem and is not re-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .braces import SkewBrace
 from .errors import NotClosed, RetractNotWellDefined, SolutionInvalid
@@ -28,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolutionChecks:
+class SolutionChecks(NamedTuple):
     """Outcome of the three exhaustive solution checks."""
 
     braid: bool
@@ -40,8 +38,7 @@ class SolutionChecks:
         return self.braid and self.bijective and self.nondegenerate
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """A map r(x,y) = (r1[x][y], r2[x][y]) on {0..n-1}^2."""
 
     size: int

@@ -85,6 +85,21 @@ def test_oracle_matches_census_per_additive_group():
         assert _oracle_counts(n) == census(n).count_by_additive(), n
 
 
+def test_oracle_enumerates_automorphisms_once_per_catalog_group(monkeypatch):
+    # Every automorphism enumeration is one all-maps search of G onto itself.
+    enumerated = []
+    search = groups._map_search
+
+    def counting(sources, targets, want_all, *rest):
+        if want_all:
+            enumerated.append(sources[0].name)
+        return search(sources, targets, want_all, *rest)
+
+    monkeypatch.setattr(groups, "_map_search", counting)
+    assert census_oracle(8) == EXPECTED_COUNTS[8]
+    assert sorted(enumerated) == sorted(G.name for _, G in group_catalog(8))
+
+
 CATALOG = [G for n in range(1, 16) for _, G in group_catalog(n)]
 
 # SHA-256 of `enumerate n --export` for n = 1..12, as written by the
