@@ -4,125 +4,22 @@ Builds braces from Cayley tables or bijective 1-cocycles, analyzes their
 ideal and series structure, decides supersolubility with certificates,
 derives and retracts set-theoretic Yang-Baxter solutions, and enumerates
 all braces of a given small order by two independent routes.
+
+The package re-exports the `__all__` of each submodule; from `census` it
+takes the names below, so `ENUMERATION_ORDER_BOUND` stays in the module.
+`skewbrace.census` is the function `census`, bound over the submodule of
+the same name, and so is `import skewbrace.census as m`.  The module is
+reached by `from skewbrace.census import ...` or by
+`sys.modules["skewbrace.census"]`.
 """
 
-from .errors import (
-    SkewBraceError,
-    GroupInvalid,
-    NotClosed,
-    NoIdentity,
-    NonAssociative,
-    MissingInverse,
-    ActionNotHomomorphism,
-    OrderBoundExceeded,
-    BraceInvalid,
-    IdentityMismatch,
-    DistributivityViolation,
-    CocycleInvalid,
-    CocycleIdentityViolation,
-    DeltaNotBijective,
-    TranscriptionInvalid,
-    NotAnIdeal,
-    MissingZero,
-    SolutionInvalid,
-    RetractNotWellDefined,
-    ParseError,
-)
-from .groups import (
-    FiniteGroup,
-    GroupMap,
-    GroupPredicates,
-    make_group,
-    cyclic_group,
-    direct_product,
-    semidirect_product,
-    closure,
-    is_subgroup,
-    is_normal,
-    subgroups,
-    center,
-    element_order,
-    element_orders,
-    conjugacy_class_sizes,
-    derived_subgroup,
-    quotient_group,
-    is_nilpotent_group,
-    is_supersoluble_group,
-    group_predicates,
-    generating_set,
-    group_isomorphism,
-    automorphism_perms,
-    automorphisms,
-    aut_group,
-)
-from .braces import (
-    SkewBrace,
-    CocycleSpec,
-    make_brace,
-    check_brace_invariants,
-    trivial_brace,
-    brace_from_cocycle,
-    quotient_brace,
-    sub_brace,
-    semidirect_group,
-    direct_product_braces,
-)
-from .substructure import (
-    SubStructure,
-    classify_subset,
-    subbrace_generated,
-    ideal_generated,
-    all_subbraces,
-    all_ideals,
-    minimal_ideals,
-    maximal_subbraces,
-    frattini,
-    brace_core,
-    index,
-)
-from .series import (
-    FactorInfo,
-    IdealChain,
-    ideal_chain,
-    additive_closure,
-    socle,
-    zeta,
-    socle_series,
-    multipermutation_level,
-    upper_central_series,
-    is_centrally_nilpotent,
-    lower_central_series,
-    right_series,
-    left_series,
-    is_right_nilpotent,
-    is_left_nilpotent,
-    derived_ideal,
-    b_central_series,
-    is_b_centrally_nilpotent,
-    fitting,
-    chief_series,
-    chief_factors,
-    is_soluble,
-)
-from .classify import (
-    SupersolubleResult,
-    UPResult,
-    ClassificationReport,
-    is_supersoluble,
-    is_supersoluble_oracle,
-    u_p,
-    sylow_tower,
-    brace_report,
-)
-from .ybe import (
-    Solution,
-    SolutionChecks,
-    verify_solution,
-    solution_from_brace,
-    retract,
-    retraction_sizes,
-    retraction_level,
-)
+from .errors import *
+from .groups import *
+from .braces import *
+from .substructure import *
+from .series import *
+from .classify import *
+from .ybe import *
 from .census import (
     CensusEntry,
     BraceCensus,
@@ -133,12 +30,6 @@ from .census import (
     census_oracle,
     brace_isomorphic,
 )
-from .fixtures import (
-    Claim,
-    PaperExample,
-    example_names,
-    build,
-    verify_claims,
-)
+from .fixtures import *
 
 __version__ = "1.0.0"

@@ -3,8 +3,8 @@
 A brace holds two group tables on the same element set: an additive one
 (written a + b, inverse -a) and a multiplicative one (written ab, inverse
 a^-1), sharing 0 as identity and tied together by a(b + c) = ab - a + ac.
-The derived maps lam_a(b) = -a + ab and a*b = lam_a(b) - b are materialized
-as full tables at construction.
+The derived map lam_a(b) = -a + ab is the one table built at construction;
+the star product a*b = lam_a(b) - b is read from it and the additive table.
 
 Validation is exact at every order.  Both tables are proven to be groups
 and the linking axiom is proven for b over an additive generating set S,
@@ -24,7 +24,6 @@ runs only over a row that differs, to name the first witness.
 
 from __future__ import annotations
 
-from operator import getitem
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -59,24 +58,21 @@ __all__ = [
 class SkewBrace:
     """A finite skew left brace; construct through make_brace.
 
+    It stores its two groups and the lambda table, and no other n^2 table.
     `cache` is bounded: eight keys, one value each, built once by `_cached`
     from the tables: "ideals" and "subbraces" (the two lattices),
     "supersoluble", and the series "socle_series", "upper_central_series",
     "lower_central_series", "left_series" and "right_series".
     """
 
-    __slots__ = ("order", "add_group", "mul_group", "lam_table", "star_table",
-                 "name", "cache")
+    __slots__ = ("order", "add_group", "mul_group", "lam_table", "name", "cache")
 
     def __init__(self, add_group: FiniteGroup, mul_group: FiniteGroup,
-                 lam_table: tuple[tuple[int, ...], ...],
-                 star_table: tuple[tuple[int, ...], ...],
-                 name: Optional[str] = None):
+                 lam_table: tuple[tuple[int, ...], ...], name: Optional[str] = None):
         self.order = add_group.order
         self.add_group = add_group
         self.mul_group = mul_group
         self.lam_table = lam_table
-        self.star_table = star_table
         self.name = name
         self.cache: dict = {}
 
@@ -99,7 +95,7 @@ class SkewBrace:
         return self.lam_table[a][b]
 
     def star(self, a: int, b: int) -> int:
-        return self.star_table[a][b]
+        return self.add_group.table[self.lam_table[a][b]][self.add_group.inverse[b]]
 
     def add_power(self, a: int, k: int) -> int:
         """k-fold additive multiple of a; negative k uses -a."""
@@ -119,8 +115,7 @@ class SkewBrace:
 
     def is_trivial(self) -> bool:
         """Whether ab = a + b everywhere, i.e. the star product vanishes."""
-        zero_row = tuple(0 for _ in range(self.order))
-        return all(row == zero_row for row in self.star_table)
+        return self.add_group.table == self.mul_group.table
 
     def is_abelian(self) -> bool:
         return self.is_trivial() and self.add_group.is_abelian()
@@ -169,13 +164,11 @@ def _validate_pair(add: FiniteGroup, mul: FiniteGroup) -> None:
 
 def _brace(add: FiniteGroup, mul: FiniteGroup, name: Optional[str] = None) -> SkewBrace:
     """The trusted constructor: two groups already known to form a brace,
-    with the lambda and star tables derived from them: lam_a is row -a
-    read through row a of the product, a*b = lam_a(b) - b is in column -b."""
+    with the lambda table derived from them: lam_a is row -a read through
+    row a of the product."""
     ta, tm, neg = add.table, mul.table, add.inverse
     lam = tuple(_row_getter(tma)(ta[na]) for tma, na in zip(tm, neg))
-    minus = _row_getter(neg)(tuple(zip(*ta)))
-    star = tuple(tuple(map(getitem, minus, row)) for row in lam)
-    return SkewBrace(add, mul, lam, star, name)
+    return SkewBrace(add, mul, lam, name)
 
 
 def make_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence[int]],
@@ -202,8 +195,7 @@ def check_brace_invariants(brace: SkewBrace) -> bool:
     rebuilt = make_brace(brace.add_group.table, brace.mul_group.table, brace.name)
     return (rebuilt.add_group.table == brace.add_group.table
             and rebuilt.mul_group.table == brace.mul_group.table
-            and rebuilt.lam_table == brace.lam_table
-            and rebuilt.star_table == brace.star_table)
+            and rebuilt.lam_table == brace.lam_table)
 
 
 def trivial_brace(G: FiniteGroup, name: Optional[str] = None) -> SkewBrace:

@@ -4,7 +4,8 @@ Ascending series climb from {0} inside B.  Each step works modulo the last
 term I, on B's own tables and B's one cached ideal lattice: by the
 correspondence theorem the ideals of B/I are the ideals of B that contain
 I, so no quotient brace is built.  Descending series shrink through
-additively generated star and commutator subgroups.  Only terms a caller
+terms that the closure kernel of `ideal_generated` builds from the stars
+and commutators of generators, not of every element.  Only terms a caller
 supplies are validated (`ideal_chain`); every term built here is an ideal
 by theorem and is trusted.  One exhaustive chain search (`_chain_search`)
 walks the same lattice for `is_soluble` and for the supersolubility oracle.
@@ -16,8 +17,9 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .braces import SkewBrace, _cached
 from .errors import NotAnIdeal
-from .groups import _cosets, _is_prime, closure
-from .substructure import SubStructure, _covers, all_ideals, brace_core, classify_subset
+from .groups import _cosets, _is_prime, closure, generating_set
+from .substructure import (SubStructure, _conjugation, _covers, _ideal_closure, _ideal_maps,
+                           all_ideals, brace_core, classify_subset)
 
 __all__ = [
     "FactorInfo",
@@ -178,55 +180,92 @@ def is_centrally_nilpotent(B: SkewBrace) -> bool:
     return len(chain.terms[-1]) == B.order
 
 
-def _star_values(B: SkewBrace, left: Sequence[int], right: Sequence[int]) -> set[int]:
-    """left*right, right*left and the additive commutators of left and right."""
-    ta = B.add_group.table
-    neg = B.add_group.inverse
-    star = B.star_table
-    vals = set()
-    for g in left:
-        sg = star[g]
-        for b in right:
-            vals.add(sg[b])
-            vals.add(star[b][g])
-            vals.add(ta[ta[ta[g][b]][neg[g]]][neg[b]])
-    return vals
+def _stars(B: SkewBrace, left: Iterable[int], right: Sequence[int]) -> list[int]:
+    """a*b = lam_a(b) - b for a in `left` and b in `right`."""
+    ta, lam, neg = B.add_group.table, B.lam_table, B.add_group.inverse
+    return [ta[lam[a][b]][neg[b]] for a in left for b in right]
 
 
-def _descending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
-    """Terms from B, each next one the additive closure of `step` applied to
-    the last, until a step no longer shrinks."""
-    terms = [tuple(range(B.order))]
+def _descending_series(B: SkewBrace, adds: Sequence[int], step) -> list[tuple[int, ...]]:
+    """Terms from B, each next one the `_Span` that `step(gens)` closes
+    from the additive generators of the last term, `adds` for B, until it
+    stops shrinking.
+
+    Each step closes seeds under maps the next term is closed under, so
+    the closure J lies in that term; J contains it by these facts, for
+    additive subgroups X and Y:
+    - J normalised by Y: a*(x + y) = a*x + (x + a*y - x) makes
+      {y in Y : a*y in J} a subgroup, so a*Y lies in J when a*g does for
+      the generators g of Y;
+    - and Y lam-invariant: (ab)*y = a*(lam_b y) + b*y makes {a : a*Y in J}
+      a multiplicative subgroup, so B*Y lies in J when h*Y does for the
+      multiplicative generators h of B;
+    - J an ideal: {a : a*B in J} is the preimage of the kernel of lambda on
+      B/J, on which a + c = a lam_a^-1(c) = ac, so an additive subgroup, and
+      X*B lies in J when g*B does for the generators g of X;
+    - J normal: [x + y, b]+ = x + [y, b]+ - x + [x, b]+ and
+      [x, b]+ = -[b, x]+ make [X, Y]+ lie in J when it does on generators.
+    """
+    terms, gens = [tuple(range(B.order))], adds
     while True:
-        nxt = additive_closure(B, step(terms[-1]))
-        if len(nxt) == len(terms[-1]):
+        span = step(gens)
+        if len(span.elems) == len(terms[-1]):
             return terms
-        terms.append(nxt)
+        terms.append(tuple(sorted(span.elems)))
+        gens = span.gens
 
 
 def lower_central_series(B: SkewBrace) -> IdealChain:
-    """Descending terms generated by stars against B and additive commutators,
-    ideals by theorem (Bonatto & Jedlicka); cached in B."""
-    full = tuple(range(B.order))
-    return _cached(B, "lower_central_series", lambda: _chain(
-        B, _descending_series(B, lambda cur: _star_values(B, cur, full))))
+    """Descending terms G, each next one the additive closure of G*B, B*G
+    and [G, B]+: ideals by theorem (Bonatto & Jedlicka); cached in B.
+
+    Each is the ideal generated by g*a, h*g and [g, a]+ for additive
+    generators g of G and a of B and multiplicative ones h of B, by the
+    facts of `_descending_series`: G and the term are ideals.
+    """
+    def build() -> IdealChain:
+        ta, neg = B.add_group.table, B.add_group.inverse
+        adds, muls = generating_set(B.add_group), generating_set(B.mul_group)
+        maps = _ideal_maps(B, adds, muls)
+        return _chain(B, _descending_series(B, adds, lambda gens: _ideal_closure(
+            B, _stars(B, gens, adds) + _stars(B, muls, gens)
+            + [ta[ta[ta[g][a]][neg[g]]][neg[a]] for g in gens for a in adds], maps)))
+
+    return _cached(B, "lower_central_series", build)
 
 
 def right_series(B: SkewBrace) -> list[tuple[int, ...]]:
     """Descending terms R, each next one generated by R * B: ideals by theorem
-    (Cedo, Smoktunowicz & Vendramin 2019).  Cached in B; returns a copy."""
-    star = B.star_table
-    return list(_cached(B, "right_series", lambda: _descending_series(
-        B, lambda cur: {star[r][b] for r in cur for b in B.elements()})))
+    (Cedo, Smoktunowicz & Vendramin 2019).  Cached in B; returns a copy.
+
+    Each is the ideal generated by g*a for additive generators g of R and
+    a of B, by the facts of `_descending_series`: the term is an ideal.
+    """
+    def build() -> list[tuple[int, ...]]:
+        adds = generating_set(B.add_group)
+        maps = _ideal_maps(B, adds, generating_set(B.mul_group))
+        return _descending_series(B, adds, lambda gens: _ideal_closure(
+            B, _stars(B, gens, adds), maps))
+
+    return list(_cached(B, "right_series", build))
 
 
 def left_series(B: SkewBrace) -> list[tuple[int, ...]]:
     """Descending terms L, each next one generated by B * L: left ideals by
     theorem (Cedo, Smoktunowicz & Vendramin 2019).  Cached in B; returns a
-    copy."""
-    star = B.star_table
-    return list(_cached(B, "left_series", lambda: _descending_series(
-        B, lambda cur: {star[b][l] for b in B.elements() for l in cur})))
+    copy.
+
+    Each is the least additive subgroup normalised by L that holds h*g for
+    multiplicative generators h of B and additive ones g of L, by the facts
+    of `_descending_series`: L is lam-invariant, and the term is normalised
+    by L, as x + b*y - x = -(b*x) + b*(x + y).
+    """
+    def build() -> list[tuple[int, ...]]:
+        adds, muls = generating_set(B.add_group), generating_set(B.mul_group)
+        return _descending_series(B, adds, lambda gens: _ideal_closure(
+            B, _stars(B, muls, gens), [_conjugation(B.add_group, g) for g in gens]))
+
+    return list(_cached(B, "left_series", build))
 
 
 def is_right_nilpotent(B: SkewBrace) -> bool:
@@ -332,12 +371,13 @@ def _chain_search(B: SkewBrace, admits) -> Optional[list[tuple[int, ...]]]:
 def is_soluble(B: SkewBrace) -> tuple[bool, Optional[IdealChain]]:
     """Search the ideal lattice for a chain with abelian factors: J/I is
     abelian when its elements, one per coset of I, have trivial star
-    products and commuting sums modulo I (the coset of 0 is I)."""
-    ta, star = B.add_group.table, B.star_table
+    products (lam_x(y) in y + I) and commuting sums modulo I."""
+    ta, lam = B.add_group.table, B.lam_table
 
     def abelian(I, coset_of, reps, J) -> bool:
         elems = [x for x in J if reps[coset_of[x]] == x]
-        return all(coset_of[star[x][y]] == 0 and coset_of[ta[x][y]] == coset_of[ta[y][x]]
+        return all(coset_of[lam[x][y]] == coset_of[y]
+                   and coset_of[ta[x][y]] == coset_of[ta[y][x]]
                    for x in elems for y in elems)
 
     path = _chain_search(B, abelian)

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .braces import SkewBrace, _cached
 from .errors import MissingZero, NotAnIdeal
-from .groups import _Span, _joins, _subset, closure, generating_set, subgroups
+from .groups import FiniteGroup, _Span, _joins, _subset, closure, generating_set, subgroups
 
 __all__ = [
     "SubStructure",
@@ -104,32 +104,35 @@ def ideal_generated(B: SkewBrace, seed: Iterable[int]) -> tuple[int, ...]:
     log2 n long, the ideal I costs O(|I| log n) lookups plus O(n log n) to
     tabulate the maps.
     """
-    return _ideal_closure(B, seed, _ideal_maps(B))
+    maps = _ideal_maps(B, generating_set(B.add_group), generating_set(B.mul_group))
+    return tuple(sorted(_ideal_closure(B, seed, maps).elems))
 
 
-def _ideal_maps(B: SkewBrace) -> list[tuple[int, ...]]:
+def _ideal_maps(B: SkewBrace, adds: Sequence[int],
+                muls: Sequence[int]) -> list[tuple[int, ...]]:
     """The maps of `ideal_generated` as permutations, without repeats or the
-    identity: lam_g and g x g^-1 for g in a generating set of the
-    multiplicative group, a + x - a for a in one of the additive group."""
-    ta, tm, lam = B.add_group.table, B.mul_group.table, B.lam_table
-    neg, inv = B.add_group.inverse, B.mul_group.inverse
-    carrier = range(B.order)
+    identity: lam_g and g x g^-1 for g in `muls`, a generating set of the
+    multiplicative group, and a + x - a for a in `adds`, one of the additive
+    group."""
     maps = []
-    for g in generating_set(B.mul_group):
-        row, g_inv = tm[g], inv[g]
-        maps.append(lam[g])
-        maps.append(tuple([tm[row[x]][g_inv] for x in carrier]))
-    for a in generating_set(B.add_group):
-        row, a_neg = ta[a], neg[a]
-        maps.append(tuple([ta[row[x]][a_neg] for x in carrier]))
-    identity = tuple(carrier)
+    for g in muls:
+        maps.append(B.lam_table[g])
+        maps.append(_conjugation(B.mul_group, g))
+    maps.extend(_conjugation(B.add_group, a) for a in adds)
+    identity = tuple(B.elements())
     return [m for m in dict.fromkeys(maps) if m != identity]
 
 
-def _ideal_closure(B: SkewBrace, seed: Iterable[int],
-                   maps: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def _conjugation(G: FiniteGroup, g: int) -> tuple[int, ...]:
+    """x -> g x g^-1 in G, as a permutation."""
+    t, row, g_inv = G.table, G.table[g], G.inverse[g]
+    return tuple([t[row[x]][g_inv] for x in G.elements()])
+
+
+def _ideal_closure(B: SkewBrace, seed: Iterable[int], maps: Sequence[Sequence[int]]) -> _Span:
     """The least additive subgroup containing the seed that the maps send
-    into itself."""
+    into itself, as the `_Span` that closed it: its elements and the
+    generators it kept."""
     span = _Span(B.add_group.table, seed)
     elems, inside = span.elems, span.inside
     for x in elems:
@@ -137,7 +140,7 @@ def _ideal_closure(B: SkewBrace, seed: Iterable[int],
             z = m[x]
             if z not in inside:
                 span.add(z)
-    return tuple(sorted(elems))
+    return span
 
 
 def all_subbraces(B: SkewBrace) -> list[tuple[int, ...]]:
@@ -160,15 +163,14 @@ def all_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
     Every ideal is the join of the principal ideals P_x of its elements, and
     the join of ideals is the additive subgroup their sum generates.  So the
     lattice is `groups._joins` of the additive group with atoms[x] the
-    generators `_Span` keeps for P_x.  The maps of `ideal_generated` are
+    generators the closure of P_x kept.  The maps of `ideal_generated` are
     built once for the n principal ideals, O(|P_x| log n) lookups each, and
     each ideal then costs one closure from its parent.
     """
     def build() -> list[tuple[int, ...]]:
-        maps = _ideal_maps(B)
-        principal = [_ideal_closure(B, (x,), maps) for x in B.elements()]
-        gens = {P: tuple(_Span(B.add_group.table, P).gens) for P in principal}
-        return _joins(B.add_group, [gens[P] for P in principal])
+        maps = _ideal_maps(B, generating_set(B.add_group), generating_set(B.mul_group))
+        return _joins(B.add_group, [tuple(_ideal_closure(B, (x,), maps).gens)
+                                    for x in B.elements()])
 
     return list(_cached(B, "ideals", build))
 

@@ -8,13 +8,18 @@ and built whole: `assoc_generators` for `groups._assoc_generators`,
 `check_closure` for `groups._check_closure`, and `solution_checks` for
 `ybe.verify_solution`.  The tests require the kernels to give the same
 tables, and the same exception and message on bad input.
+
+`star_table` is the star grid a brace once stored, and
+`lower_central_series`, `right_series` and `left_series` are the
+descending loops over every star product of the last term, which the
+series now take on generators only; the tests require the same terms.
 """
 
 from skewbrace.braces import SkewBrace
 from skewbrace.errors import (DistributivityViolation, NonAssociative,
                               NotClosed, ParseError, RetractNotWellDefined,
                               SolutionInvalid)
-from skewbrace.groups import _Span, generating_set
+from skewbrace.groups import _Span, closure, generating_set
 from skewbrace.ybe import Solution, SolutionChecks, _braid_holds
 
 
@@ -52,8 +57,50 @@ def brace(add, mul, name=None):
     n = add.order
     ta, tm, neg = add.table, mul.table, add.inverse
     lam = tuple(tuple(ta[neg[a]][tm[a][b]] for b in range(n)) for a in range(n))
-    star = tuple(tuple(ta[lam[a][b]][neg[b]] for b in range(n)) for a in range(n))
-    return SkewBrace(add, mul, lam, star, name)
+    return SkewBrace(add, mul, lam, name)
+
+
+def star_table(B):
+    n = B.order
+    ta, lam, neg = B.add_group.table, B.lam_table, B.add_group.inverse
+    return tuple(tuple(ta[lam[a][b]][neg[b]] for b in range(n)) for a in range(n))
+
+
+def star_values(B, star, left, right):
+    ta = B.add_group.table
+    neg = B.add_group.inverse
+    vals = set()
+    for g in left:
+        sg = star[g]
+        for b in right:
+            vals.add(sg[b])
+            vals.add(star[b][g])
+            vals.add(ta[ta[ta[g][b]][neg[g]]][neg[b]])
+    return vals
+
+
+def descending_series(B, step):
+    terms = [tuple(range(B.order))]
+    while True:
+        nxt = closure(B.add_group, step(terms[-1]))
+        if len(nxt) == len(terms[-1]):
+            return terms
+        terms.append(nxt)
+
+
+def lower_central_series(B):
+    star, full = star_table(B), tuple(range(B.order))
+    return descending_series(B, lambda cur: star_values(B, star, cur, full))
+
+
+def right_series(B):
+    star = star_table(B)
+    return descending_series(B, lambda cur: {star[r][b] for r in cur for b in B.elements()})
+
+
+def left_series(B):
+    star = star_table(B)
+    return descending_series(B, lambda cur: {star[b][l] for b in B.elements() for l in cur})
 
 
 def solution_from_brace(B):

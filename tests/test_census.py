@@ -187,6 +187,23 @@ def _reference_representatives(families, auts):
     return reps
 
 
+def test_package_attribute_census_is_the_function_not_the_module():
+    """The package binds the function `census` over the submodule of that
+    name; the module is reached by a from-import or through sys.modules."""
+    import sys
+    import types
+
+    import skewbrace
+    import skewbrace.census as by_import
+    from skewbrace.census import census_oracle as from_module
+
+    module = sys.modules["skewbrace.census"]
+    assert isinstance(module, types.ModuleType)
+    assert skewbrace.census is by_import is module.census
+    assert isinstance(skewbrace.census, types.FunctionType)
+    assert from_module is module.census_oracle is skewbrace.census_oracle
+
+
 def test_hol_orders_match_tuple_composition():
     for A in CATALOG:
         aut, perms = aut_group(A)

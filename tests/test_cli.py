@@ -8,7 +8,8 @@ import tracemalloc
 import pytest
 
 from skewbrace import (CocycleIdentityViolation, ParseError, SkewBrace, census,
-                       cyclic_group, group_catalog, make_brace, trivial_brace)
+                       cyclic_group, direct_product_braces, group_catalog, make_brace,
+                       trivial_brace)
 from skewbrace import cli
 from skewbrace.groups import SUBGROUP_ORDER_BOUND
 from skewbrace.cli import (
@@ -137,6 +138,26 @@ def test_example_outputs_are_pinned(tmp_path, capsys, name, command):
     assert main([argv[0], path, *argv[1:]]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == PINNED_OUTPUTS[name, command]
+
+
+# SHA-256 of `analyze --only series` on two products above order 64, taken
+# from the output before the descending series were closed from generators.
+PINNED_SERIES = {
+    ("ex24", "ex8", "text"): "41cc71e04808c41f56b438b89285920548027c8857c307cdf027018415c28c92",
+    ("ex24", "ex8", "structured"): "ef019e70a171525ae1bdad8a86987264dc57f2350fc4af9530b075af8260023c",
+    ("ex24", "ex24", "text"): "b4a69d03bf14f93de31916d3cbd5372f1beb8603ce56e5cc32c4b96aaca1f5ea",
+    ("ex24", "ex24", "structured"): "ccbb92fa9dc8e1754f8cab8136553d7a1cfdbba626b8985be12cc152b3ac4db1",
+}
+
+
+@pytest.mark.parametrize("left,right,fmt", sorted(PINNED_SERIES))
+def test_series_of_large_products_are_pinned(tmp_path, capsys, worked_examples,
+                                             left, right, fmt):
+    brace = direct_product_braces(worked_examples[left].brace, worked_examples[right].brace)
+    path = write(tmp_path, f"{left}x{right}.brace", write_brace_document(brace))
+    assert main(["analyze", path, "--format", fmt, "--only", "series"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == PINNED_SERIES[left, right, fmt]
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])

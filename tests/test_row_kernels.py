@@ -48,7 +48,7 @@ def scalar_kernels(monkeypatch):
 
 
 def _tables(B):
-    return B.add_group.table, B.mul_group.table, B.lam_table, B.star_table
+    return B.add_group.table, B.mul_group.table, B.lam_table
 
 
 def _outcome(f, *args):

@@ -5,6 +5,7 @@ from functools import reduce
 
 import pytest
 
+import scalar_reference as ref
 from skewbrace import (
     NotAnIdeal,
     SkewBraceError,
@@ -16,6 +17,7 @@ from skewbrace import (
     cyclic_group,
     derived_ideal,
     direct_product,
+    direct_product_braces,
     fitting,
     group_catalog,
     ideal_chain,
@@ -162,6 +164,28 @@ def test_socle_and_zeta_are_ideals(full_pool, worked_examples):
                 _assert_chain(b, chain)
     with pytest.raises(NotAnIdeal):
         b_central_series(worked_examples["ex12"].brace, (0, 6))
+
+
+def test_descending_series_match_the_star_loops(full_pool, products, ybe_products,
+                                                worked_examples):
+    """The series taken on generators give the terms of the loops over every
+    star product of the last term: on the pool, the products of orders
+    48-192 and ex24 x ex24 (576)."""
+    ex24 = worked_examples["ex24"].brace
+    braces = full_pool + list(products.values()) + list(ybe_products.values())
+    for b in braces + [direct_product_braces(ex24, ex24)]:
+        lower = ref.lower_central_series(b)
+        assert lower_central_series(b).terms == tuple(lower), b
+        assert derived_ideal(b) == lower[min(1, len(lower) - 1)], b
+        assert right_series(b) == ref.right_series(b), b
+        assert left_series(b) == ref.left_series(b), b
+
+
+def test_star_and_triviality_read_the_reference_star_grid(full_pool):
+    for b in full_pool:
+        star = ref.star_table(b)
+        assert tuple(tuple(b.star(x, y) for y in b.elements()) for x in b.elements()) == star
+        assert b.is_trivial() == all(v == 0 for row in star for v in row), b
 
 
 def test_socle_of_trivial_brace_is_group_center():
