@@ -59,10 +59,12 @@ class SkewBrace:
     """A finite skew left brace; construct through make_brace.
 
     It stores its two groups and the lambda table, and no other n^2 table.
-    `cache` is bounded: eight keys, one value each, built once by `_cached`
-    from the tables: "ideals" and "subbraces" (the two lattices),
-    "supersoluble", and the series "socle_series", "upper_central_series",
-    "lower_central_series", "left_series" and "right_series".
+    `cache` is bounded: nine keys, one value each, built once by
+    `groups._cached` from the tables: "ideals" and "subbraces" (the two
+    lattices), "ideal_maps" (the maps the ideal closure kernel is closed
+    under), "supersoluble", and the series "socle_series",
+    "upper_central_series", "lower_central_series", "left_series" and
+    "right_series".
     """
 
     __slots__ = ("order", "add_group", "mul_group", "lam_table", "name", "cache")
@@ -126,13 +128,6 @@ class SkewBrace:
     def __repr__(self) -> str:
         label = self.name or "brace"
         return f"SkewBrace({label}, order={self.order})"
-
-
-def _cached(B: SkewBrace, key: str, build):
-    """B.cache[key], a key listed on SkewBrace, built by `build()` on the first call."""
-    if key not in B.cache:
-        B.cache[key] = build()
-    return B.cache[key]
 
 
 def _validate_pair(add: FiniteGroup, mul: FiniteGroup) -> None:

@@ -26,7 +26,6 @@ from .errors import OrderBoundExceeded, SkewBraceError
 from .groups import (
     FiniteGroup,
     _dihedral,
-    _element_invariants,
     _group,
     _map_search,
     _relabel,
@@ -36,6 +35,7 @@ from .groups import (
     element_order,
     element_orders,
     generating_set,
+    group_isomorphism,
     make_group,
     semidirect_product,
 )
@@ -254,21 +254,12 @@ class BraceCensus(NamedTuple):
         return out
 
 
-def _invariant_key(G: FiniteGroup) -> tuple[list, list]:
-    """The sorted (element order, conjugacy class size) pairs of G, which
-    every isomorphism preserves, and the pair of each element."""
-    per_element = _element_invariants((G,))
-    return sorted(per_element), per_element
-
-
-def _label_group(G: FiniteGroup, keyed) -> str:
+def _label_group(G: FiniteGroup, catalog: Sequence[tuple[str, FiniteGroup]]) -> str:
     """The label of the first catalog group isomorphic to G, proven by an
-    explicit isomorphism.  `keyed` holds (label, group, `_invariant_key`) per
-    catalog group, and only the groups whose key matches G's are searched,
-    on the element invariants already computed."""
-    key, per_element = _invariant_key(G)
-    for label, H, (key_h, per_element_h) in keyed:
-        if key_h == key and _map_search((G,), (H,), False, (per_element, per_element_h)):
+    explicit isomorphism; the map search rejects a group whose element
+    invariants differ before it maps anything."""
+    for label, H in catalog:
+        if group_isomorphism(G, H) is not None:
             return label
     raise SkewBraceError(f"no catalog group matches one of order {G.order}")
 
@@ -279,14 +270,13 @@ def census(n: int) -> BraceCensus:
     Capped by the group catalog, which covers the orders up to 15.
     """
     catalog = group_catalog(n)
-    keyed = [(label, H, _invariant_key(H)) for label, H in catalog]
     entries = []
     for label, A in catalog:
         for B in braces_with_additive_group(A):
             entries.append(CensusEntry(
                 brace=B,
                 additive_label=label,
-                multiplicative_label=_label_group(B.mul_group, keyed),
+                multiplicative_label=_label_group(B.mul_group, catalog),
             ))
     entries.sort(key=lambda e: (e.additive_label, e.multiplicative_label,
                                 e.brace.mul_group.table))

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .braces import SkewBrace, _cached
-from .groups import GroupPredicates, _is_prime, _primes_of, element_orders, group_predicates
+from .braces import SkewBrace
+from .groups import (GroupPredicates, _cached, _is_prime, _primes_of, element_orders,
+                     group_predicates)
 from .series import (
     IdealChain,
     _ascending_series,
@@ -97,12 +98,9 @@ def u_p(B: SkewBrace, p: int) -> UPResult:
     one: whether it is in B's cached ideal lattice."""
     add_ord = element_orders(B.add_group)
     mul_ord = element_orders(B.mul_group)
-
-    def keeps(order: int) -> bool:
-        return all(q > p for q in _primes_of(order))
-
-    additive = tuple(x for x in range(B.order) if keeps(add_ord[x]))
-    multiplicative = tuple(x for x in range(B.order) if keeps(mul_ord[x]))
+    kept = {k for k in {*add_ord, *mul_ord} if all(q > p for q in _primes_of(k))}
+    additive = tuple(x for x in B.elements() if add_ord[x] in kept)
+    multiplicative = tuple(x for x in B.elements() if mul_ord[x] in kept)
     return UPResult(
         prime=p,
         additive=additive,
@@ -122,11 +120,12 @@ def sylow_tower(B: SkewBrace) -> Optional[IdealChain]:
     if not is_supersoluble(B).supersoluble:
         return None
     add_ord = element_orders(B.add_group)
+    primes_of_order = {k: set(_primes_of(k)) for k in set(add_ord)}
     sections = []
     allowed: set[int] = set()
     for q in sorted(_primes_of(B.order), key=lambda q: (q == 2, -q)):
         allowed.add(q)
-        target = {x for x in range(B.order) if set(_primes_of(add_ord[x])) <= allowed}
+        target = {x for x in B.elements() if primes_of_order[add_ord[x]] <= allowed}
         sections.append((q, target))
 
     def step(I: tuple[int, ...], coset_of) -> tuple[int, ...]:

@@ -75,9 +75,14 @@ AUT_TABLE_BOUND = 2048
 
 
 class FiniteGroup:
-    """A finite group given by its full multiplication table."""
+    """A finite group given by its full multiplication table.
 
-    __slots__ = ("order", "table", "inverse", "name")
+    `cache` is bounded: three keys, one value each, built once by `_cached`
+    from the table: "generating_set", "element_orders" and
+    "conjugacy_class_sizes".
+    """
+
+    __slots__ = ("order", "table", "inverse", "name", "cache")
 
     def __init__(self, table: tuple[tuple[int, ...], ...], inverse: tuple[int, ...],
                  name: Optional[str] = None):
@@ -85,6 +90,7 @@ class FiniteGroup:
         self.table = table
         self.inverse = inverse
         self.name = name
+        self.cache: dict = {}
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -103,6 +109,14 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = self.name or "group"
         return f"FiniteGroup({label}, order={self.order})"
+
+
+def _cached(owner, key: str, build):
+    """owner.cache[key], a key listed on the owner's class (`FiniteGroup` or
+    `braces.SkewBrace`), built by `build()` on the first call."""
+    if key not in owner.cache:
+        owner.cache[key] = build()
+    return owner.cache[key]
 
 
 def _check_closure(table: Sequence[Sequence[int]]) -> None:
@@ -336,8 +350,9 @@ def closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
 
     The orbit of 0 under right multiplication by the seed elements that are
     not already inside when reached: O(|seed| + |H| log |H|) for the result H.
+    A seed element that is not an int in 0..n-1 raises NotClosed.
     """
-    return tuple(sorted(_Span(G.table, seed).elems))
+    return tuple(sorted(_Span(G.table, _subset(G.order, seed)).elems))
 
 
 def is_subgroup(G: FiniteGroup, elems: Sequence[int]) -> bool:
@@ -418,35 +433,38 @@ def element_order(G: FiniteGroup, a: int) -> int:
 
 
 def element_orders(G: FiniteGroup) -> tuple[int, ...]:
-    """The order of every element.  The powers a, a^2, .., a^m = 0 of each
-    element a not reached yet are walked once: a^k has order m / gcd(k, m)."""
-    t = G.table
-    orders = [0] * G.order
-    for a in G.elements():
-        if not orders[a]:
-            powers = [a]
-            while powers[-1]:
-                powers.append(t[powers[-1]][a])
-            for k, x in enumerate(powers, 1):
-                orders[x] = len(powers) // gcd(k, len(powers))
-    return tuple(orders)
+    """The order of every element, cached in G.  The powers a, a^2, .., a^m
+    = 0 of each element a not reached yet are walked once: a^k has order
+    m / gcd(k, m)."""
+    def build() -> tuple[int, ...]:
+        t = G.table
+        orders = [0] * G.order
+        for a in G.elements():
+            if not orders[a]:
+                powers = [a]
+                while powers[-1]:
+                    powers.append(t[powers[-1]][a])
+                for k, x in enumerate(powers, 1):
+                    orders[x] = len(powers) // gcd(k, len(powers))
+        return tuple(orders)
+
+    return _cached(G, "element_orders", build)
 
 
 def conjugacy_class_sizes(G: FiniteGroup) -> tuple[int, ...]:
-    """Size of the conjugacy class of each element, indexed by element."""
-    t = G.table
-    inv = G.inverse
-    n = G.order
-    sizes = [0] * n
-    seen = [False] * n
-    for a in range(n):
-        if seen[a]:
-            continue
-        cls = {t[t[g][a]][inv[g]] for g in range(n)}
-        for x in cls:
-            seen[x] = True
-            sizes[x] = len(cls)
-    return tuple(sizes)
+    """Size of the conjugacy class of each element, indexed by element;
+    cached in G."""
+    def build() -> tuple[int, ...]:
+        t, inv, n = G.table, G.inverse, G.order
+        sizes = [0] * n
+        for a in range(n):
+            if not sizes[a]:
+                cls = {t[t[g][a]][inv[g]] for g in range(n)}
+                for x in cls:
+                    sizes[x] = len(cls)
+        return tuple(sizes)
+
+    return _cached(G, "conjugacy_class_sizes", build)
 
 
 def derived_subgroup(G: FiniteGroup) -> tuple[int, ...]:
@@ -531,11 +549,7 @@ def is_nilpotent_group(G: FiniteGroup) -> bool:
     exactly when its Sylow subgroups are normal, and every p-element lies
     in a Sylow p-subgroup, which holds |G|_p of them: so there are exactly
     |G|_p when the Sylow p-subgroup is unique, and more otherwise."""
-    return _nilpotent_by_orders(G.order, element_orders(G))
-
-
-def _nilpotent_by_orders(n: int, orders: Sequence[int]) -> bool:
-    """`is_nilpotent_group` from the element orders of a group of order n."""
+    n, orders = G.order, element_orders(G)
     for p in _primes_of(n):
         part = p
         while n % (part * p) == 0:
@@ -582,13 +596,12 @@ class GroupPredicates(NamedTuple):
 
 
 def group_predicates(G: FiniteGroup) -> GroupPredicates:
-    orders = element_orders(G)
     return GroupPredicates(
         order=G.order,
         abelian=G.is_abelian(),
-        nilpotent=_nilpotent_by_orders(G.order, orders),
+        nilpotent=is_nilpotent_group(G),
         supersoluble=is_supersoluble_group(G),
-        element_orders=tuple(sorted(orders)),
+        element_orders=tuple(sorted(element_orders(G))),
         primes=_primes_of(G.order),
     )
 
@@ -617,33 +630,28 @@ def generating_set(G: FiniteGroup) -> list[int]:
     """A small generating set, grown greedily by ascending element index.
 
     Each element not yet reached by the earlier ones is kept, so every kept
-    generator at least doubles the subgroup reached.
+    generator at least doubles the subgroup reached.  Cached in G; returns
+    a new list.
     """
-    return _Span(G.table, G.elements()).gens
-
-
-def _element_invariants(groups: Sequence[FiniteGroup]) -> list[tuple[tuple[int, int], ...]]:
-    """(element order, conjugacy class size) in each group, per element."""
-    return list(zip(*(zip(element_orders(G), conjugacy_class_sizes(G)) for G in groups)))
+    return list(_cached(G, "generating_set", lambda: tuple(_Span(G.table, G.elements()).gens)))
 
 
 def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
-                want_all: bool, invariants: Optional[tuple[list, list]] = None
-                ) -> list[tuple[int, ...]]:
+                want_all: bool) -> list[tuple[int, ...]]:
     """Bijections carrying each source table onto its target table.
 
     The tables of each side share one carrier.  A generating set of the
     first source table is mapped image by image, in ascending target order,
     and each partial map is closed under all the tables at once, so
     inconsistent branches die early (Holt, Eick & O'Brien, 2005, ch. 4).
-    `invariants`, when known, holds the `_element_invariants` of both sides.
+    An element maps only to one with the same (element order, conjugacy
+    class size) in every table of its side.
     """
     n = sources[0].order
     if targets[0].order != n:
         return []
-    if invariants is None:
-        invariants = (_element_invariants(sources), _element_invariants(targets))
-    inv_g, inv_h = invariants
+    inv_g, inv_h = (list(zip(*(zip(element_orders(G), conjugacy_class_sizes(G)) for G in side)))
+                    for side in (sources, targets))
     if sorted(inv_g) != sorted(inv_h):
         return []
     pairs = [(G.table, H.table) for G, H in zip(sources, targets)]

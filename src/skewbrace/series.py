@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .braces import SkewBrace, _cached
+from .braces import SkewBrace
 from .errors import NotAnIdeal
-from .groups import _cosets, _is_prime, closure, generating_set
+from .groups import _cached, _cosets, _is_prime, closure, generating_set
 from .substructure import (SubStructure, _conjugation, _covers, _ideal_closure, _ideal_maps,
                            all_ideals, brace_core, classify_subset)
 
@@ -186,10 +186,10 @@ def _stars(B: SkewBrace, left: Iterable[int], right: Sequence[int]) -> list[int]
     return [ta[lam[a][b]][neg[b]] for a in left for b in right]
 
 
-def _descending_series(B: SkewBrace, adds: Sequence[int], step) -> list[tuple[int, ...]]:
+def _descending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
     """Terms from B, each next one the `_Span` that `step(gens)` closes
-    from the additive generators of the last term, `adds` for B, until it
-    stops shrinking.
+    from the additive generators of the last term, `generating_set` for B,
+    until it stops shrinking.
 
     Each step closes seeds under maps the next term is closed under, so
     the closure J lies in that term; J contains it by these facts, for
@@ -206,7 +206,7 @@ def _descending_series(B: SkewBrace, adds: Sequence[int], step) -> list[tuple[in
     - J normal: [x + y, b]+ = x + [y, b]+ - x + [x, b]+ and
       [x, b]+ = -[b, x]+ make [X, Y]+ lie in J when it does on generators.
     """
-    terms, gens = [tuple(range(B.order))], adds
+    terms, gens = [tuple(range(B.order))], generating_set(B.add_group)
     while True:
         span = step(gens)
         if len(span.elems) == len(terms[-1]):
@@ -223,15 +223,14 @@ def lower_central_series(B: SkewBrace) -> IdealChain:
     generators g of G and a of B and multiplicative ones h of B, by the
     facts of `_descending_series`: G and the term are ideals.
     """
-    def build() -> IdealChain:
+    def step(gens: list[int]):
         ta, neg = B.add_group.table, B.add_group.inverse
-        adds, muls = generating_set(B.add_group), generating_set(B.mul_group)
-        maps = _ideal_maps(B, adds, muls)
-        return _chain(B, _descending_series(B, adds, lambda gens: _ideal_closure(
-            B, _stars(B, gens, adds) + _stars(B, muls, gens)
-            + [ta[ta[ta[g][a]][neg[g]]][neg[a]] for g in gens for a in adds], maps)))
+        adds = generating_set(B.add_group)
+        return _ideal_closure(
+            B, _stars(B, gens, adds) + _stars(B, generating_set(B.mul_group), gens)
+            + [ta[ta[ta[g][a]][neg[g]]][neg[a]] for g in gens for a in adds], _ideal_maps(B))
 
-    return _cached(B, "lower_central_series", build)
+    return _cached(B, "lower_central_series", lambda: _chain(B, _descending_series(B, step)))
 
 
 def right_series(B: SkewBrace) -> list[tuple[int, ...]]:
@@ -241,13 +240,10 @@ def right_series(B: SkewBrace) -> list[tuple[int, ...]]:
     Each is the ideal generated by g*a for additive generators g of R and
     a of B, by the facts of `_descending_series`: the term is an ideal.
     """
-    def build() -> list[tuple[int, ...]]:
-        adds = generating_set(B.add_group)
-        maps = _ideal_maps(B, adds, generating_set(B.mul_group))
-        return _descending_series(B, adds, lambda gens: _ideal_closure(
-            B, _stars(B, gens, adds), maps))
+    def step(gens: list[int]):
+        return _ideal_closure(B, _stars(B, gens, generating_set(B.add_group)), _ideal_maps(B))
 
-    return list(_cached(B, "right_series", build))
+    return list(_cached(B, "right_series", lambda: _descending_series(B, step)))
 
 
 def left_series(B: SkewBrace) -> list[tuple[int, ...]]:
@@ -260,12 +256,11 @@ def left_series(B: SkewBrace) -> list[tuple[int, ...]]:
     of `_descending_series`: L is lam-invariant, and the term is normalised
     by L, as x + b*y - x = -(b*x) + b*(x + y).
     """
-    def build() -> list[tuple[int, ...]]:
-        adds, muls = generating_set(B.add_group), generating_set(B.mul_group)
-        return _descending_series(B, adds, lambda gens: _ideal_closure(
-            B, _stars(B, muls, gens), [_conjugation(B.add_group, g) for g in gens]))
+    def step(gens: list[int]):
+        return _ideal_closure(B, _stars(B, generating_set(B.mul_group), gens),
+                              [_conjugation(B.add_group, g) for g in gens])
 
-    return list(_cached(B, "left_series", build))
+    return list(_cached(B, "left_series", lambda: _descending_series(B, step)))
 
 
 def is_right_nilpotent(B: SkewBrace) -> bool:

@@ -17,9 +17,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterable, NamedTuple, Sequence
 
-from .braces import SkewBrace, _cached
+from .braces import SkewBrace
 from .errors import MissingZero, NotAnIdeal
-from .groups import FiniteGroup, _Span, _joins, _subset, closure, generating_set, subgroups
+from .groups import (FiniteGroup, _cached, _Span, _joins, _subset, closure, generating_set,
+                     subgroups)
 
 __all__ = [
     "SubStructure",
@@ -102,25 +103,26 @@ def ideal_generated(B: SkewBrace, seed: Iterable[int]) -> tuple[int, ...]:
     for free from ab = a + lam_a(b), and normality under the generators of
     each group gives normality in it.  With both generating sets at most
     log2 n long, the ideal I costs O(|I| log n) lookups plus O(n log n) to
-    tabulate the maps.
+    tabulate the maps once per brace.
     """
-    maps = _ideal_maps(B, generating_set(B.add_group), generating_set(B.mul_group))
-    return tuple(sorted(_ideal_closure(B, seed, maps).elems))
+    return tuple(sorted(_ideal_closure(B, _subset(B.order, seed), _ideal_maps(B)).elems))
 
 
-def _ideal_maps(B: SkewBrace, adds: Sequence[int],
-                muls: Sequence[int]) -> list[tuple[int, ...]]:
+def _ideal_maps(B: SkewBrace) -> tuple[tuple[int, ...], ...]:
     """The maps of `ideal_generated` as permutations, without repeats or the
-    identity: lam_g and g x g^-1 for g in `muls`, a generating set of the
-    multiplicative group, and a + x - a for a in `adds`, one of the additive
+    identity, cached in B: lam_g and g x g^-1 for g in a generating set of
+    the multiplicative group, and a + x - a for a in one of the additive
     group."""
-    maps = []
-    for g in muls:
-        maps.append(B.lam_table[g])
-        maps.append(_conjugation(B.mul_group, g))
-    maps.extend(_conjugation(B.add_group, a) for a in adds)
-    identity = tuple(B.elements())
-    return [m for m in dict.fromkeys(maps) if m != identity]
+    def build() -> tuple[tuple[int, ...], ...]:
+        maps = []
+        for g in generating_set(B.mul_group):
+            maps.append(B.lam_table[g])
+            maps.append(_conjugation(B.mul_group, g))
+        maps.extend(_conjugation(B.add_group, a) for a in generating_set(B.add_group))
+        identity = tuple(B.elements())
+        return tuple(m for m in dict.fromkeys(maps) if m != identity)
+
+    return _cached(B, "ideal_maps", build)
 
 
 def _conjugation(G: FiniteGroup, g: int) -> tuple[int, ...]:
@@ -163,16 +165,12 @@ def all_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
     Every ideal is the join of the principal ideals P_x of its elements, and
     the join of ideals is the additive subgroup their sum generates.  So the
     lattice is `groups._joins` of the additive group with atoms[x] the
-    generators the closure of P_x kept.  The maps of `ideal_generated` are
-    built once for the n principal ideals, O(|P_x| log n) lookups each, and
+    generators the closure of P_x kept.  The n principal ideals cost
+    O(|P_x| log n) lookups each, under the maps of `ideal_generated`, and
     each ideal then costs one closure from its parent.
     """
-    def build() -> list[tuple[int, ...]]:
-        maps = _ideal_maps(B, generating_set(B.add_group), generating_set(B.mul_group))
-        return _joins(B.add_group, [tuple(_ideal_closure(B, (x,), maps).gens)
-                                    for x in B.elements()])
-
-    return list(_cached(B, "ideals", build))
+    return list(_cached(B, "ideals", lambda: _joins(B.add_group, [
+        tuple(_ideal_closure(B, (x,), _ideal_maps(B)).gens) for x in B.elements()])))
 
 
 def _covers(B: SkewBrace, base: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -227,7 +225,7 @@ def brace_core(B: SkewBrace, subset: Sequence[int]) -> tuple[int, ...]:
     """The largest ideal of B contained in the given subbrace: one pass of
     set lookups over the ideals no larger than it, which the lattice's
     (size, elements) order puts first."""
-    inside = set(subset)
+    inside = _subset(B.order, subset)
     if 0 not in inside:
         raise MissingZero("the core is taken inside a subbrace containing 0")
     ideals = all_ideals(B)
@@ -241,7 +239,7 @@ def brace_core(B: SkewBrace, subset: Sequence[int]) -> tuple[int, ...]:
 
 def index(B: SkewBrace, subset: Sequence[int]) -> int:
     """The index of a subbrace in B."""
-    k = len(set(subset))
+    k = len(_subset(B.order, subset))
     if k == 0 or B.order % k != 0:
         raise NotAnIdeal(f"subset size {k} does not divide the order {B.order}")
     return B.order // k

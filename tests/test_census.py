@@ -30,7 +30,6 @@ from skewbrace.census import (
     _bijective_cocycles,
     _generator_levels,
     _hol_orders,
-    _invariant_key,
     _label_group,
     _oracle_counts,
     _oracle_tables,
@@ -407,10 +406,10 @@ def test_keyed_labels_match_first_isomorphic_catalog_group(n):
 
 
 def test_label_without_matching_catalog_group_raises():
-    keyed = [(label, H, _invariant_key(H)) for label, H in group_catalog(8)]
-    q8 = dict(group_catalog(8))["Q8"]
-    assert _label_group(q8, keyed) == "Q8"
-    without = [k for k in keyed if k[0] != "Q8"]
+    catalog = group_catalog(8)
+    q8 = dict(catalog)["Q8"]
+    assert _label_group(q8, catalog) == "Q8"
+    without = [entry for entry in catalog if entry[0] != "Q8"]
     with pytest.raises(SkewBraceError, match="no catalog group matches"):
         _label_group(q8, without)
 

@@ -4,13 +4,14 @@ import hashlib
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from skewbrace import (CocycleIdentityViolation, ParseError, SkewBrace, census,
+from skewbrace import (CocycleIdentityViolation, FiniteGroup, ParseError, SkewBrace, census,
                        cyclic_group, direct_product_braces, group_catalog, make_brace,
                        trivial_brace)
-from skewbrace import cli
+from skewbrace import classify, cli, groups, series, substructure
 from skewbrace.groups import SUBGROUP_ORDER_BOUND
 from skewbrace.cli import (
     main,
@@ -418,10 +419,40 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
 
 def test_structured_report_leaves_only_the_documented_cache_keys():
     documented = set(re.findall(r'"(\w+)"', SkewBrace.__doc__))
+    group_documented = set(re.findall(r'"(\w+)"', FiniteGroup.__doc__))
     ex = build("ex24").brace
     b = make_brace(ex.add_group.table, ex.mul_group.table)
     cli._report(b, "structured", None)
     assert set(b.cache) == documented
+    for G in (b.add_group, b.mul_group):
+        assert {"generating_set", "element_orders"} <= set(G.cache) <= group_documented
+
+
+def test_report_builds_each_group_fact_and_the_ideal_maps_once(monkeypatch):
+    """From reading the tables to the last line of a structured report,
+    each group builds its generating set and element orders once and the
+    brace its ideal maps once, although the validation, lattices, series
+    and predicates all ask for them."""
+    builds = Counter()
+    cached = groups._cached
+
+    def counting(owner, key, build):
+        def counted():
+            builds[owner, key] += 1
+            return build()
+        return cached(owner, key, counted)
+
+    for module in (groups, substructure, series, classify):
+        monkeypatch.setattr(module, "_cached", counting)
+    ex = build("ex24").brace
+    b = make_brace(ex.add_group.table, ex.mul_group.table)
+    cli._report(b, "structured", None)
+    assert set(builds.values()) == {1}
+    for G in (b.add_group, b.mul_group):
+        assert builds[G, "generating_set"] == builds[G, "element_orders"] == 1
+        assert set(G.cache) == {key for owner, key in builds if owner is G}
+    assert builds[b, "ideal_maps"] == 1
+    assert set(b.cache) == {key for owner, key in builds if owner is b}
 
 
 def _mutations(text, rng, count):

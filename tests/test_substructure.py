@@ -11,8 +11,10 @@ from skewbrace import (
     all_ideals,
     all_subbraces,
     brace_core,
+    additive_closure,
     check_brace_invariants,
     classify_subset,
+    closure,
     cyclic_group,
     direct_product,
     direct_product_braces,
@@ -332,6 +334,12 @@ SUBSET_VALIDATORS = {
     "quotient_group": lambda b, s: quotient_group(b.add_group, s),
     "ideal_chain": lambda b, s: ideal_chain(b, [s]),
     "b_central_series": b_central_series,
+    "closure": lambda b, s: closure(b.add_group, s),
+    "additive_closure": additive_closure,
+    "subbrace_generated": subbrace_generated,
+    "ideal_generated": ideal_generated,
+    "brace_core": brace_core,
+    "index": index,
 }
 
 
