@@ -645,10 +645,11 @@ def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
     and each partial map is closed under all the tables at once, so
     inconsistent branches die early (Holt, Eick & O'Brien, 2005, ch. 4).
     An element maps only to one with the same (element order, conjugacy
-    class size) in every table of its side.
+    class size) in every table of its side; the sorted element orders of
+    the first tables, the cheapest of these tests, are compared first.
     """
     n = sources[0].order
-    if targets[0].order != n:
+    if sorted(element_orders(sources[0])) != sorted(element_orders(targets[0])):
         return []
     inv_g, inv_h = (list(zip(*(zip(element_orders(G), conjugacy_class_sizes(G)) for G in side)))
                     for side in (sources, targets))

@@ -320,6 +320,21 @@ def test_order_64_product_is_not_supersoluble(worked_examples):
     assert len(all_ideals(b)) == 18
 
 
+def test_u_p_sets_follow_the_element_orders(full_pool):
+    """Each U_p set holds the elements whose order has only primes above p,
+    in its own group; an order of one group need not occur in the other
+    (additive C2xC2 with multiplicative C4 keeps its elements of order 4
+    at p = 1)."""
+    from skewbrace import element_order
+
+    for b in full_pool:
+        for p in (1, 2, 3, 5, 7, 11):
+            u = u_p(b, p)
+            for G, kept in ((b.add_group, u.additive), (b.mul_group, u.multiplicative)):
+                assert kept == tuple(x for x in b.elements()
+                                     if min(primes_of(element_order(G, x)), default=p + 1) > p)
+
+
 def test_u_p_ideal_flag_matches_classify_subset(full_pool):
     for b in full_pool:
         for p in (2, 3, 5, 7, 11):
