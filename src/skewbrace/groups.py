@@ -14,10 +14,15 @@ and each kept generator at least doubles the orbit, so a subgroup H costs
 O(|H| log |H|) table lookups plus one membership test per seed element.
 
 One map search (`_map_search`) finds the isomorphisms and automorphisms of
-groups (one table) and of braces (additive, then multiplicative table), and
-one coset builder (`_cosets`) gives the quotients of both.  The predicates
-build no quotient: nilpotency is read off element orders, supersolubility
-climbs modulo its last term on G's own table.
+groups (one table) and of braces (additive, then multiplicative table).  It
+places images of a generating set S of the first table and closes the
+partial map f there along generator edges only, f(xg) = f(x)f(g) for each
+known x and placed generator g: the g that satisfy this for every x of
+K = <placed generators> are closed under products, so f is a homomorphism
+on K at every node that passes, at O(|K| |S|) lookups instead of O(|K|^2).
+One coset builder (`_cosets`) gives the quotients of groups and braces.  The
+predicates build no quotient: nilpotency is read off element orders,
+supersolubility climbs modulo its last term on G's own table.
 
 Exact at the boundary, trusted after: `make_group` proves a table, and a
 table derived from proven groups (quotients, Aut, semidirect products after
@@ -26,7 +31,7 @@ their exact checks) is a group by theorem, built by `_group` unproven.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, inf
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -69,8 +74,10 @@ __all__ = [
 ]
 
 SUBGROUP_ORDER_BOUND = 64
-# |Aut(G)|^2 table entries: 2,048 automorphisms is about 34 MB of table, and
-# C2^4 (20,160) would need over 3 GB.
+# |Aut(G)|^2 table entries: 2,048 automorphisms is about 34 MB of table.  The
+# search behind `aut_group` stops at the next automorphism, so a larger group
+# such as Aut(C2^4) (20,160) or Aut(C2^5) (9,999,360) is refused without its
+# full list.
 AUT_TABLE_BOUND = 2048
 
 
@@ -637,13 +644,25 @@ def generating_set(G: FiniteGroup) -> list[int]:
 
 
 def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
-                want_all: bool) -> list[tuple[int, ...]]:
-    """Bijections carrying each source table onto its target table.
+                limit: float) -> list[tuple[int, ...]]:
+    """Bijections carrying each source table onto its target table: the
+    first `limit` of them, in the lex order of their generator images.
 
-    The tables of each side share one carrier.  A generating set of the
-    first source table is mapped image by image, in ascending target order,
-    and each partial map is closed under all the tables at once, so
-    inconsistent branches die early (Holt, Eick & O'Brien, 2005, ch. 4).
+    The tables of each side share one carrier.  Images of a generating set
+    S of the first source table are placed one by one, in ascending target
+    order (Holt, Eick & O'Brien, 2005, ch. 4), and the partial map f is
+    closed on that table as an orbit under right multiplication by the
+    placed generators: known elements times the newest one, new elements
+    times every one, each checked or extended by f(xg) = f(x)f(g).  That is a proof: in
+    K = <placed generators> the g with f(xg) = f(x)f(g) for every x of K
+    include the placed generators and are closed under products, so f is a
+    homomorphism on K at every node that passes.  At a leaf every generator
+    is placed, so K and the known elements are the whole group.
+
+    The other tables (a brace's multiplicative one) close each new element
+    against every known one, both ways, so they prune by all pairs.  An
+    element they reach may be a generator not placed yet: it has no choice
+    of image, but it is still placed and closed against every known element.
     An element maps only to one with the same (element order, conjugacy
     class size) in every table of its side; the sorted element orders of
     the first tables, the cheapest of these tests, are compared first.
@@ -655,7 +674,7 @@ def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
                     for side in (sources, targets))
     if sorted(inv_g) != sorted(inv_h):
         return []
-    pairs = [(G.table, H.table) for G, H in zip(sources, targets)]
+    (tg, th), *others = [(G.table, H.table) for G, H in zip(sources, targets)]
     gens = generating_set(sources[0])
     results: list[tuple[int, ...]] = []
     fwd = [-1] * n
@@ -663,17 +682,38 @@ def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
     fwd[0] = 0
     bwd[0] = 0
     known = [0]
+    placed: list[int] = []
 
-    def close_over(start: int) -> bool:
-        i = start
+    def close(mark: int) -> bool:
+        """Close f: on the first table, times the newest generator for the
+        elements known before position mark and times every placed
+        generator from there on; on the others, from known[mark] on."""
+        edges = [(s, fwd[s]) for s in placed]
+        newest = edges[-1:]
+        i = 0
         while i < len(known):
             x = known[i]
+            rg, rh = tg[x], th[fwd[x]]
             i += 1
-            for tg, th in pairs:
+            for s, hs in edges if i > mark else newest:
+                z = rg[s]
+                w = rh[hs]
+                if fwd[z] >= 0:
+                    if fwd[z] != w:
+                        return False
+                elif bwd[w] >= 0:
+                    return False
+                else:
+                    fwd[z] = w
+                    bwd[w] = z
+                    known.append(z)
+            if i <= mark:
+                continue
+            for ug, uh in others:
                 for y in known[: i]:
                     for a, b in ((x, y), (y, x)):
-                        z = tg[a][b]
-                        w = th[fwd[a]][fwd[b]]
+                        z = ug[a][b]
+                        w = uh[fwd[a]][fwd[b]]
                         if fwd[z] >= 0:
                             if fwd[z] != w:
                                 return False
@@ -694,23 +734,26 @@ def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
 
     def assign(gen_pos: int) -> bool:
         if gen_pos == len(gens):
-            if len(known) == n:
-                results.append(tuple(fwd))
-                return not want_all
-            return False
+            results.append(tuple(fwd))
+            return len(results) == limit
         g = gens[gen_pos]
+        mark = len(known)
+        placed.append(g)
         if fwd[g] >= 0:
-            return assign(gen_pos + 1)
-        for h in range(n):
-            if bwd[h] >= 0 or inv_h[h] != inv_g[g]:
-                continue
-            mark = len(known)
-            fwd[g] = h
-            bwd[h] = g
-            known.append(g)
-            if close_over(mark) and assign(gen_pos + 1):
+            if close(mark) and assign(gen_pos + 1):
                 return True
             undo(mark)
+        else:
+            for h in range(n):
+                if bwd[h] >= 0 or inv_h[h] != inv_g[g]:
+                    continue
+                fwd[g] = h
+                bwd[h] = g
+                known.append(g)
+                if close(mark) and assign(gen_pos + 1):
+                    return True
+                undo(mark)
+        placed.pop()
         return False
 
     assign(0)
@@ -719,7 +762,7 @@ def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
 
 def group_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     """An isomorphism G -> H, or None when the groups are not isomorphic."""
-    found = _map_search((G,), (H,), want_all=False)
+    found = _map_search((G,), (H,), 1)
     if not found:
         return None
     return GroupMap(G, H, found[0])
@@ -727,7 +770,7 @@ def group_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
 
 def automorphism_perms(G: FiniteGroup) -> list[tuple[int, ...]]:
     """All automorphisms as element permutations in lex order, so identity first."""
-    return sorted(_map_search((G,), (G,), want_all=True))
+    return sorted(_map_search((G,), (G,), inf))
 
 
 def automorphisms(G: FiniteGroup) -> list[GroupMap]:
@@ -747,12 +790,17 @@ def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     them, as row[s . p] = [row_s[v] for v in row_p]; as in `_Span`, a new
     generator s gives a subgroup K with K s = K, so the words ending in s
     reach all of K.
+
+    The search stops at automorphism AUT_TABLE_BOUND + 1, so a larger
+    Aut(G) is refused before its list is complete.
     """
-    perms = automorphism_perms(G)
-    m = len(perms)
-    if m > AUT_TABLE_BOUND:
+    found = _map_search((G,), (G,), AUT_TABLE_BOUND + 1)
+    if len(found) > AUT_TABLE_BOUND:
         raise OrderBoundExceeded(
-            f"Aut table capped at {AUT_TABLE_BOUND} automorphisms, got {m}")
+            f"{G.name or 'the group'} has more than {AUT_TABLE_BOUND} automorphisms, "
+            f"the Aut table bound")
+    perms = sorted(found)
+    m = len(perms)
     gens = generating_set(G)
     index = {tuple([p[g] for g in gens]): i for i, p in enumerate(perms)}
     images = [[q[g] for g in gens] for q in perms]

@@ -13,13 +13,19 @@ tables, and the same exception and message on bad input.
 `lower_central_series`, `right_series` and `left_series` are the
 descending loops over every star product of the last term, which the
 series now take on generators only; the tests require the same terms.
+
+`map_search` is `groups._map_search` as it closed each partial map under
+every ordered pair of known elements in every table, before the first
+table was closed along generator edges only; the tests require the same
+automorphism lists, first isomorphisms and brace maps.
 """
 
 from skewbrace.braces import SkewBrace
 from skewbrace.errors import (DistributivityViolation, NonAssociative,
                               NotClosed, ParseError, RetractNotWellDefined,
                               SolutionInvalid)
-from skewbrace.groups import _Span, closure, generating_set
+from skewbrace.groups import (_Span, closure, conjugacy_class_sizes, element_orders,
+                              generating_set)
 from skewbrace.ybe import Solution, SolutionChecks, _braid_holds
 
 
@@ -205,3 +211,72 @@ def solution_checks(size, r1, r2):
     right = all(_is_perm([r2[x][y] for x in range(n)]) for y in range(n))
     return SolutionChecks(braid=_braid_holds(n, r1, r2), bijective=bijective,
                           nondegenerate=left and right)
+
+
+def map_search(sources, targets, want_all):
+    n = sources[0].order
+    if sorted(element_orders(sources[0])) != sorted(element_orders(targets[0])):
+        return []
+    inv_g, inv_h = (list(zip(*(zip(element_orders(G), conjugacy_class_sizes(G)) for G in side)))
+                    for side in (sources, targets))
+    if sorted(inv_g) != sorted(inv_h):
+        return []
+    pairs = [(G.table, H.table) for G, H in zip(sources, targets)]
+    gens = generating_set(sources[0])
+    results = []
+    fwd = [-1] * n
+    bwd = [-1] * n
+    fwd[0] = 0
+    bwd[0] = 0
+    known = [0]
+
+    def close_over(start):
+        i = start
+        while i < len(known):
+            x = known[i]
+            i += 1
+            for tg, th in pairs:
+                for y in known[: i]:
+                    for a, b in ((x, y), (y, x)):
+                        z = tg[a][b]
+                        w = th[fwd[a]][fwd[b]]
+                        if fwd[z] >= 0:
+                            if fwd[z] != w:
+                                return False
+                        elif bwd[w] >= 0:
+                            return False
+                        else:
+                            fwd[z] = w
+                            bwd[w] = z
+                            known.append(z)
+        return True
+
+    def undo(mark):
+        for x in known[mark:]:
+            bwd[fwd[x]] = -1
+            fwd[x] = -1
+        del known[mark:]
+
+    def assign(gen_pos):
+        if gen_pos == len(gens):
+            if len(known) == n:
+                results.append(tuple(fwd))
+                return not want_all
+            return False
+        g = gens[gen_pos]
+        if fwd[g] >= 0:
+            return assign(gen_pos + 1)
+        for h in range(n):
+            if bwd[h] >= 0 or inv_h[h] != inv_g[g]:
+                continue
+            mark = len(known)
+            fwd[g] = h
+            bwd[h] = g
+            known.append(g)
+            if close_over(mark) and assign(gen_pos + 1):
+                return True
+            undo(mark)
+        return False
+
+    assign(0)
+    return results

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from itertools import product
 
 import pytest
@@ -33,11 +34,14 @@ from skewbrace.census import (
     _label_group,
     _oracle_counts,
     _oracle_tables,
+    _orbit_representatives,
     _regular_families,
 )
 from skewbrace import groups
 from skewbrace.cli import write_census_document
-from skewbrace.groups import _compose, _relabel, element_order, generating_set
+from skewbrace.groups import _compose, _relabel, element_order, element_orders, generating_set
+
+import scalar_reference as ref
 
 EXPECTED_COUNTS = {
     1: 1,
@@ -85,14 +89,15 @@ def test_oracle_matches_census_per_additive_group():
 
 
 def test_oracle_enumerates_automorphisms_once_per_catalog_group(monkeypatch):
-    # Every automorphism enumeration is one all-maps search of G onto itself.
+    # Every automorphism enumeration is one search of G onto itself for
+    # more than one map.
     enumerated = []
     search = groups._map_search
 
-    def counting(sources, targets, want_all, *rest):
-        if want_all:
+    def counting(sources, targets, limit, *rest):
+        if limit > 1:
             enumerated.append(sources[0].name)
-        return search(sources, targets, want_all, *rest)
+        return search(sources, targets, limit, *rest)
 
     monkeypatch.setattr(groups, "_map_search", counting)
     assert census_oracle(8) == EXPECTED_COUNTS[8]
@@ -233,6 +238,118 @@ def test_aut_table_bound(monkeypatch):
         braces_with_additive_group(c2x2x2)
     monkeypatch.setattr(groups, "AUT_TABLE_BOUND", 168)
     assert len(braces_with_additive_group(c2x2x2)) == 8
+
+
+def test_aut_group_stops_the_search_past_the_bound(monkeypatch):
+    c2x2x2 = dict(group_catalog(8))["C2xC2xC2"]
+    search = groups._map_search
+    returned = []
+
+    def recording(*args):
+        found = search(*args)
+        returned.append(len(found))
+        return found
+
+    monkeypatch.setattr(groups, "_map_search", recording)
+    monkeypatch.setattr(groups, "AUT_TABLE_BOUND", 10)
+    with pytest.raises(OrderBoundExceeded, match="more than 10 automorphisms"):
+        aut_group(c2x2x2)
+    assert returned and max(returned) <= 11
+
+
+def test_orbit_representatives_names_the_missing_relabeling():
+    c2x2 = dict(group_catalog(4))["C2xC2"]
+    perms = automorphism_perms(c2x2)
+    moves = [(lambda t, th=theta: _relabel(t, th)) for theta in perms]
+    orbits = [{_relabel(B.mul_group.table, p) for p in perms}
+              for B in braces_with_additive_group(c2x2)]
+    pool = next(orbit for orbit in orbits if len(orbit) > 1)
+    missing = max(pool)
+    with pytest.raises(SkewBraceError, match="dropped a relabeling") as info:
+        _orbit_representatives(pool - {missing}, moves)
+    t, pos = map(int, re.search(r"automorphism (\d+) moves item (\d+)", str(info.value)).groups())
+    assert _relabel(sorted(pool - {missing})[pos], perms[t]) == missing
+
+
+def _first(found):
+    return list(found[0]) if found else None
+
+
+def _relabeled_group(G, rng):
+    perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+    return make_group(_relabel(G.table, perm))
+
+
+def _isomorphism_images(G, H):
+    found = group_isomorphism(G, H)
+    return list(found.images) if found else None
+
+
+def test_group_maps_match_the_all_pairs_search():
+    rng = random.Random(20)
+    for G in CATALOG:
+        assert automorphism_perms(G) == sorted(ref.map_search((G,), (G,), True)), G.name
+        for H in CATALOG:
+            if H.order == G.order:
+                assert _isomorphism_images(G, H) == _first(ref.map_search((G,), (H,), False))
+        R = _relabeled_group(G, rng)
+        for S, T in ((G, R), (R, G)):
+            assert _isomorphism_images(S, T) == _first(ref.map_search((S,), (T,), False))
+
+
+def test_full_pool_group_maps_match_the_all_pairs_search(full_pool):
+    rng = random.Random(21)
+    for B in full_pool:
+        pair = (B.add_group, B.mul_group)
+        for G in pair:
+            # ex32's additive C2^5 has 9,999,360 automorphisms: too many to list.
+            if G.order < 32 or max(element_orders(G)) > 2:
+                assert automorphism_perms(G) == sorted(ref.map_search((G,), (G,), True))
+            R = _relabeled_group(G, rng)
+            assert _isomorphism_images(G, R) == _first(ref.map_search((G,), (R,), False))
+        for S, T in (pair, pair[::-1]):
+            assert _isomorphism_images(S, T) == _first(ref.map_search((S,), (T,), False))
+
+
+def test_two_unrelated_tables_match_the_all_pairs_search():
+    # Bijections that carry a catalog table and a relabeled second table at
+    # once: unlike a brace's pair, the second table has no tie to the first.
+    rng = random.Random(23)
+    for n in (4, 6, 8):
+        catalog = [G for _, G in group_catalog(n)]
+        for A in catalog:
+            for X in catalog:
+                for _ in range(4):
+                    p, q = ([0] + rng.sample(range(1, n), n - 1) for _ in range(2))
+                    sides = ((A, make_group(_relabel(X.table, p))),
+                             (A, make_group(_relabel(X.table, q))))
+                    assert sorted(groups._map_search(*sides, float("inf"))) == sorted(
+                        ref.map_search(*sides, True)), (A.name, X.name, p, q)
+
+
+def _brace_maps_agree(B1, B2):
+    found = brace_isomorphic(B1, B2)
+    sides = ((B1.add_group, B1.mul_group), (B2.add_group, B2.mul_group))
+    assert found == _first(ref.map_search(*sides, False))
+    return found
+
+
+def test_brace_maps_match_the_all_pairs_search(small_entries):
+    braces = [e.brace for e in small_entries]
+    for i, B1 in enumerate(braces):
+        for j, B2 in enumerate(braces):
+            if B1.order == B2.order:
+                assert (_brace_maps_agree(B1, B2) is None) == (i != j)
+
+
+@pytest.mark.parametrize("name", ["ex24xC2", "ex8xex8"])
+def test_relabeled_product_maps_match_the_all_pairs_search(products, name):
+    P = products[name]
+    rng = random.Random(22)
+    perm = [0] + rng.sample(range(1, P.order), P.order - 1)
+    Q = make_brace(_relabel(P.add_group.table, perm), _relabel(P.mul_group.table, perm))
+    assert _brace_maps_agree(P, Q) is not None
+    assert _brace_maps_agree(Q, P) is not None
 
 
 def test_indexed_families_match_tuple_reference():
