@@ -2,9 +2,9 @@
 
 The primary decision procedure is greedy: a nonzero brace is supersoluble
 exactly when it has some prime-order ideal whose quotient is supersoluble,
-so the search never needs to backtrack.  The exhaustive cross-check is the
-one chain search of `series` (`_chain_search`), the walk `is_soluble` makes
-over the same cached ideal lattice, with prime index steps.
+so the search never needs to backtrack.  The exhaustive cross-check,
+`is_supersoluble_oracle`, is the one search that walks the cached ideal
+lattice for a chain.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .series import (
     IdealChain,
     _ascending_series,
     _chain,
-    _chain_search,
     chief_series,
     fitting,
     is_centrally_nilpotent,
@@ -73,14 +72,30 @@ def is_supersoluble(B: SkewBrace) -> SupersolubleResult:
 
 
 def is_supersoluble_oracle(B: SkewBrace) -> bool:
-    """Exhaustive check: whether `series._chain_search` finds a chain of
-    ideals of B climbing from {0} to B through prime index steps.
+    """Exhaustive check: whether some chain of ideals of B climbs from {0}
+    to B through prime index steps.
 
-    Independent of the greedy route (`_ascending_series`, `_covers`): it may
-    backtrack over every chain of the lattice.
+    Independent of the greedy route (`_ascending_series`, `_covers`): depth
+    first over B's cached `all_ideals`, each step to the next candidate in
+    (size, elements) order, remembering the ideals from which no chain
+    climbs, so it may backtrack over every chain of the lattice.
     """
-    found = _chain_search(B, lambda I, coset_of, reps, J: _is_prime(len(J) // len(I)))
-    return found is not None
+    ideals = all_ideals(B)
+    dead: set[tuple[int, ...]] = set()
+
+    def climb(current: tuple[int, ...]) -> bool:
+        if len(current) == B.order:
+            return True
+        if current in dead:
+            return False
+        cur = set(current)
+        if any(_is_prime(len(cand) // len(current)) and cur < set(cand) and climb(cand)
+               for cand in ideals):
+            return True
+        dead.add(current)
+        return False
+
+    return climb((0,))
 
 
 class UPResult(NamedTuple):

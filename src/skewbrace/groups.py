@@ -31,7 +31,7 @@ their exact checks) is a group by theorem, built by `_group` unproven.
 
 from __future__ import annotations
 
-from math import gcd, inf
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -67,7 +67,6 @@ __all__ = [
     "is_supersoluble_group",
     "group_predicates",
     "group_isomorphism",
-    "automorphisms",
     "automorphism_perms",
     "aut_group",
     "generating_set",
@@ -75,9 +74,9 @@ __all__ = [
 
 SUBGROUP_ORDER_BOUND = 64
 # |Aut(G)|^2 table entries: 2,048 automorphisms is about 34 MB of table.  The
-# search behind `aut_group` stops at the next automorphism, so a larger group
-# such as Aut(C2^4) (20,160) or Aut(C2^5) (9,999,360) is refused without its
-# full list.
+# search behind `automorphism_perms` stops at the next automorphism, so a
+# larger group such as Aut(C2^4) (20,160) or Aut(C2^5) (9,999,360) is refused
+# without its full list.
 AUT_TABLE_BOUND = 2048
 
 
@@ -769,13 +768,17 @@ def group_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
 
 
 def automorphism_perms(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms as element permutations in lex order, so identity first."""
-    return sorted(_map_search((G,), (G,), inf))
+    """All automorphisms as element permutations in lex order, so identity first.
 
-
-def automorphisms(G: FiniteGroup) -> list[GroupMap]:
-    """All automorphisms of G as maps, identity first."""
-    return [GroupMap(G, G, p) for p in automorphism_perms(G)]
+    The search stops at automorphism AUT_TABLE_BOUND + 1, so a larger
+    Aut(G) is refused before its list is complete.
+    """
+    found = _map_search((G,), (G,), AUT_TABLE_BOUND + 1)
+    if len(found) > AUT_TABLE_BOUND:
+        raise OrderBoundExceeded(
+            f"{G.name or 'the group'} has more than {AUT_TABLE_BOUND} automorphisms, "
+            f"the Aut table bound")
+    return sorted(found)
 
 
 def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
@@ -789,17 +792,9 @@ def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     is reached in the orbit of the identity under left multiplication by
     them, as row[s . p] = [row_s[v] for v in row_p]; as in `_Span`, a new
     generator s gives a subgroup K with K s = K, so the words ending in s
-    reach all of K.
-
-    The search stops at automorphism AUT_TABLE_BOUND + 1, so a larger
-    Aut(G) is refused before its list is complete.
+    reach all of K.  The list is `automorphism_perms`, so it is bounded.
     """
-    found = _map_search((G,), (G,), AUT_TABLE_BOUND + 1)
-    if len(found) > AUT_TABLE_BOUND:
-        raise OrderBoundExceeded(
-            f"{G.name or 'the group'} has more than {AUT_TABLE_BOUND} automorphisms, "
-            f"the Aut table bound")
-    perms = sorted(found)
+    perms = automorphism_perms(G)
     m = len(perms)
     gens = generating_set(G)
     index = {tuple([p[g] for g in gens]): i for i, p in enumerate(perms)}

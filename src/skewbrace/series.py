@@ -3,12 +3,12 @@
 Ascending series climb from {0} inside B.  Each step works modulo the last
 term I, on B's own tables and B's one cached ideal lattice: by the
 correspondence theorem the ideals of B/I are the ideals of B that contain
-I, so no quotient brace is built.  Descending series shrink through
-terms that the closure kernel of `ideal_generated` builds from the stars
-and commutators of generators, not of every element.  Only terms a caller
-supplies are validated (`ideal_chain`); every term built here is an ideal
-by theorem and is trusted.  One exhaustive chain search (`_chain_search`)
-walks the same lattice for `is_soluble` and for the supersolubility oracle.
+I, so no quotient brace is built.  Descending series, the derived series
+of `is_soluble` among them, shrink through terms that the closure kernel of
+`ideal_generated` builds from the stars and commutators of generators, not
+of every element, and build no lattice.  Only terms a caller supplies are
+validated (`ideal_chain`); every term built here is an ideal by theorem
+and is trusted.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "is_b_centrally_nilpotent",
     "fitting",
     "chief_series",
-    "chief_factors",
     "is_soluble",
 ]
 
@@ -186,6 +185,12 @@ def _stars(B: SkewBrace, left: Iterable[int], right: Sequence[int]) -> list[int]
     return [ta[lam[a][b]][neg[b]] for a in left for b in right]
 
 
+def _commutators(B: SkewBrace, left: Iterable[int], right: Sequence[int]) -> list[int]:
+    """[a, b]+ = a + b - a - b for a in `left` and b in `right`."""
+    ta, neg = B.add_group.table, B.add_group.inverse
+    return [ta[ta[ta[a][b]][neg[a]]][neg[b]] for a in left for b in right]
+
+
 def _descending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
     """Terms from B, each next one the `_Span` that `step(gens)` closes
     from the additive generators of the last term, `generating_set` for B,
@@ -224,11 +229,10 @@ def lower_central_series(B: SkewBrace) -> IdealChain:
     facts of `_descending_series`: G and the term are ideals.
     """
     def step(gens: list[int]):
-        ta, neg = B.add_group.table, B.add_group.inverse
         adds = generating_set(B.add_group)
         return _ideal_closure(
             B, _stars(B, gens, adds) + _stars(B, generating_set(B.mul_group), gens)
-            + [ta[ta[ta[g][a]][neg[g]]][neg[a]] for g in gens for a in adds], _ideal_maps(B))
+            + _commutators(B, gens, adds), _ideal_maps(B))
 
     return _cached(B, "lower_central_series", lambda: _chain(B, _descending_series(B, step)))
 
@@ -327,55 +331,33 @@ def chief_series(B: SkewBrace) -> IdealChain:
     return _chain(B, _ascending_series(B, lambda I, coset_of: _covers(B, I)[0]))
 
 
-def chief_factors(B: SkewBrace) -> list[tuple[int, bool]]:
-    """(order, is_prime) for each factor of the deterministic chief series."""
-    chain = chief_series(B)
-    return [(f.order, f.is_prime_order) for f in chain.factors]
-
-
-def _chain_search(B: SkewBrace, admits) -> Optional[list[tuple[int, ...]]]:
-    """The first chain of ideals from {0} to B whose every step I < J
-    satisfies `admits(I, coset_of, reps, J)`, given the coset indices and
-    the least element of each coset of I; None when there is none.
-
-    The one exhaustive search over the ideal lattice: depth first over B's
-    cached `all_ideals`, each step to the next candidate in (size, elements)
-    order, remembering the ideals from which no chain climbs.
-    """
-    ideals = all_ideals(B)
-    dead: set[tuple[int, ...]] = set()
-
-    def climb(current: tuple[int, ...]) -> Optional[list[tuple[int, ...]]]:
-        if len(current) == B.order:
-            return [current]
-        if current in dead:
-            return None
-        coset_of, reps = _cosets(B.add_group, current)
-        cur = set(current)
-        for cand in ideals:
-            if cur < set(cand) and admits(current, coset_of, reps, cand):
-                rest = climb(cand)
-                if rest is not None:
-                    return [current] + rest
-        dead.add(current)
-        return None
-
-    return climb((0,))
-
-
 def is_soluble(B: SkewBrace) -> tuple[bool, Optional[IdealChain]]:
-    """Search the ideal lattice for a chain with abelian factors: J/I is
-    abelian when its elements, one per coset of I, have trivial star
-    products (lam_x(y) in y + I) and commuting sums modulo I."""
-    ta, lam = B.add_group.table, B.lam_table
+    """Whether B is soluble, with its derived series of ideals ascending from
+    {0} when it is: D_0 = B, and D_{k+1} is the ideal generated by the stars
+    x*y and the commutators [x, y]+ = x + y - x - y of x and y in D_k.
 
-    def abelian(I, coset_of, reps, J) -> bool:
-        elems = [x for x in J if reps[coset_of[x]] == x]
-        return all(coset_of[lam[x][y]] == coset_of[y]
-                   and coset_of[ta[x][y]] == coset_of[ta[y][x]]
-                   for x in elems for y in elems)
+    Each step seeds g*h and [g, h]+ for additive generators g and h of D_k
+    only.  Let J be an ideal holding those seeds, and D = D_k:
+    - a*D lies in J when a*g does for the generators g of D, as J is
+      normal, by the first fact of `_descending_series`;
+    - so K = {a : a*D in J} holds the generators of D.  It is a
+      multiplicative subgroup by (ab)*y = a*(lam_b y) + b*y, as D is
+      lam-invariant, and it contains J, as J is an ideal.  For a and a' in
+      K and D, a*a' in J gives lam_a^-1(a') in a' + J, which lies in K, as
+      a' + j = a' lam_a'^-1(j).  So a + a' = a lam_a^-1(a') is in K: K
+      meets D in an additive subgroup, all of D, and D*D lies in J;
+    - [D, D]+ lies in J when it does on generators, by the last fact of
+      `_descending_series`.
 
-    path = _chain_search(B, abelian)
-    if path is None:
+    The series decides solubility.  D_k/D_{k+1} is abelian (trivial, with an
+    abelian group), so a series that reaches {0} is a chain of ideals with
+    abelian factors.  Conversely, let 0 = I_0 < ... < I_m = B be one.  Then
+    I_{m-k} contains D_k, by induction on k: the stars and commutators of
+    D_k lie in those of I_{m-k}, which lie in the ideal I_{m-k-1}, and
+    D_{k+1} is the least ideal that holds them.  So D_m = {0}.
+    """
+    terms = _descending_series(B, lambda gens: _ideal_closure(
+        B, _stars(B, gens, gens) + _commutators(B, gens, gens), _ideal_maps(B)))
+    if len(terms[-1]) > 1:
         return False, None
-    return True, _chain(B, path)
+    return True, _chain(B, terms[::-1])

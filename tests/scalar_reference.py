@@ -13,6 +13,11 @@ tables, and the same exception and message on bad input.
 `lower_central_series`, `right_series` and `left_series` are the
 descending loops over every star product of the last term, which the
 series now take on generators only; the tests require the same terms.
+`derived_series` is the derived series of ideals seeded by every pair of
+the last term and closed under every map of B, which `series.is_soluble`
+seeds on generators only; `soluble_chain_search` is the search over the
+ideal lattice for a chain with abelian factors that `is_soluble` made
+before it; the tests require the same flag and the series as the chain.
 
 `map_search` is `groups._map_search` as it closed each partial map under
 every ordered pair of known elements in every table, before the first
@@ -24,8 +29,9 @@ from skewbrace.braces import SkewBrace
 from skewbrace.errors import (DistributivityViolation, NonAssociative,
                               NotClosed, ParseError, RetractNotWellDefined,
                               SolutionInvalid)
-from skewbrace.groups import (_Span, closure, conjugacy_class_sizes, element_orders,
+from skewbrace.groups import (_Span, _cosets, closure, conjugacy_class_sizes, element_orders,
                               generating_set)
+from skewbrace.substructure import all_ideals
 from skewbrace.ybe import Solution, SolutionChecks, _braid_holds
 
 
@@ -107,6 +113,57 @@ def right_series(B):
 def left_series(B):
     star = star_table(B)
     return descending_series(B, lambda cur: {star[b][l] for b in B.elements() for l in cur})
+
+
+def ideal_closure(B, seed):
+    ta, tm, lam = B.add_group.table, B.mul_group.table, B.lam_table
+    neg, inv = B.add_group.inverse, B.mul_group.inverse
+    elems = set(closure(B.add_group, seed))
+    while True:
+        images = {z for x in elems for b in B.elements()
+                  for z in (lam[b][x], tm[tm[b][x]][inv[b]], ta[ta[b][x]][neg[b]])}
+        if images <= elems:
+            return tuple(sorted(elems))
+        elems = set(closure(B.add_group, elems | images))
+
+
+def derived_series(B):
+    star = star_table(B)
+    terms = [tuple(range(B.order))]
+    while True:
+        nxt = ideal_closure(B, star_values(B, star, terms[-1], terms[-1]))
+        if len(nxt) == len(terms[-1]):
+            return terms
+        terms.append(nxt)
+
+
+def soluble_chain_search(B):
+    ta, lam = B.add_group.table, B.lam_table
+    ideals = all_ideals(B)
+    dead = set()
+
+    def abelian(coset_of, reps, J):
+        elems = [x for x in J if reps[coset_of[x]] == x]
+        return all(coset_of[lam[x][y]] == coset_of[y]
+                   and coset_of[ta[x][y]] == coset_of[ta[y][x]]
+                   for x in elems for y in elems)
+
+    def climb(current):
+        if len(current) == B.order:
+            return [current]
+        if current in dead:
+            return None
+        coset_of, reps = _cosets(B.add_group, current)
+        cur = set(current)
+        for cand in ideals:
+            if cur < set(cand) and abelian(coset_of, reps, cand):
+                rest = climb(cand)
+                if rest is not None:
+                    return [current] + rest
+        dead.add(current)
+        return None
+
+    return climb((0,))
 
 
 def solution_from_brace(B):

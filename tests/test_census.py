@@ -241,7 +241,10 @@ def test_aut_table_bound(monkeypatch):
 
 
 def test_aut_group_stops_the_search_past_the_bound(monkeypatch):
+    # Both listers share one bounded search: `aut_group` on C2^3 and
+    # `automorphism_perms` on C2^5, whose 9,999,360 maps no test could list.
     c2x2x2 = dict(group_catalog(8))["C2xC2xC2"]
+    c2pow5 = direct_product(c2x2x2, dict(group_catalog(4))["C2xC2"])
     search = groups._map_search
     returned = []
 
@@ -252,9 +255,11 @@ def test_aut_group_stops_the_search_past_the_bound(monkeypatch):
 
     monkeypatch.setattr(groups, "_map_search", recording)
     monkeypatch.setattr(groups, "AUT_TABLE_BOUND", 10)
-    with pytest.raises(OrderBoundExceeded, match="more than 10 automorphisms"):
-        aut_group(c2x2x2)
-    assert returned and max(returned) <= 11
+    for lister, G in ((aut_group, c2x2x2), (automorphism_perms, c2pow5)):
+        returned.clear()
+        with pytest.raises(OrderBoundExceeded, match="more than 10 automorphisms"):
+            lister(G)
+        assert returned and max(returned) <= 11
 
 
 def test_orbit_representatives_names_the_missing_relabeling():
@@ -299,16 +304,22 @@ def test_group_maps_match_the_all_pairs_search():
 
 def test_full_pool_group_maps_match_the_all_pairs_search(full_pool):
     rng = random.Random(21)
+    refused = 0
     for B in full_pool:
         pair = (B.add_group, B.mul_group)
         for G in pair:
-            # ex32's additive C2^5 has 9,999,360 automorphisms: too many to list.
             if G.order < 32 or max(element_orders(G)) > 2:
                 assert automorphism_perms(G) == sorted(ref.map_search((G,), (G,), True))
+            else:
+                # ex32's additive C2^5 has 9,999,360 automorphisms, past the bound.
+                with pytest.raises(OrderBoundExceeded):
+                    automorphism_perms(G)
+                refused += 1
             R = _relabeled_group(G, rng)
             assert _isomorphism_images(G, R) == _first(ref.map_search((G,), (R,), False))
         for S, T in (pair, pair[::-1]):
             assert _isomorphism_images(S, T) == _first(ref.map_search((S,), (T,), False))
+    assert refused == 1
 
 
 def test_two_unrelated_tables_match_the_all_pairs_search():

@@ -300,13 +300,50 @@ def test_solubility_of_examples_and_pool(small_pool):
         assert chain.orders()[-1] == b.order
 
 
+def _permutation_group(n, even):
+    """S_n, or A_n when `even` is set, on the permutations in lex order."""
+    perms = [p for p in itertools.permutations(range(n))
+             if not even or sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0]
+    at = {p: i for i, p in enumerate(perms)}
+    return make_group([[at[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms])
+
+
 def test_trivial_brace_of_a5_is_insoluble():
     """A5 is its only nonzero ideal, and A5 is not abelian."""
-    even = [p for p in itertools.permutations(range(5))
-            if sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0]
-    at = {p: i for i, p in enumerate(even)}
-    a5 = make_group([[at[tuple(p[q[x]] for x in range(5))] for q in even] for p in even])
-    assert is_soluble(trivial_brace(a5)) == (False, None)
+    assert is_soluble(trivial_brace(_permutation_group(5, True))) == (False, None)
+
+
+def test_soluble_matches_the_lattice_search_and_the_all_pairs_series(
+        full_pool, products, ybe_products, worked_examples):
+    """The derived series seeded on generators decides what the search of the
+    ideal lattice for a chain with abelian factors decides, and its terms,
+    ascending, are those seeded by every pair: on the pool, the products of
+    orders 48-576 and the trivial braces of S4 and A5."""
+    ex24 = worked_examples["ex24"].brace
+    braces = full_pool + list(products.values()) + list(ybe_products.values()) + [
+        direct_product_braces(ex24, ex24),
+        trivial_brace(_permutation_group(4, False)),
+        trivial_brace(_permutation_group(5, True)),
+    ]
+    insoluble = []
+    for b in braces:
+        ok, chain = is_soluble(b)
+        assert ok == (ref.soluble_chain_search(b) is not None), b
+        series = ref.derived_series(b)
+        assert ok == (len(series[-1]) == 1), b
+        if ok:
+            assert chain.terms == tuple(series[::-1]), b
+        else:
+            assert chain is None
+            insoluble.append(b.order)
+    assert insoluble == [12, 12, 60]
+
+
+def test_soluble_builds_no_ideal_lattice():
+    b = trivial_brace(reduce(direct_product, [cyclic_group(2)] * 7))
+    ok, chain = is_soluble(b)
+    assert ok and "ideals" not in b.cache
+    assert chain.orders() == (1, 128)
 
 
 def test_ideal_chain_rejects_non_ideal_terms(worked_examples):
