@@ -232,8 +232,8 @@ def brace_from_cocycle(spec: CocycleSpec, name: Optional[str] = None) -> SkewBra
             f"delta must send the identity to 0, got {spec.delta[0]}")
     ta, tm = add.table, mul.table
     acting = spec.acting
-    # Additivity at x and compatibility at c are closed under + and under
-    # products respectively, so x and c only run over generating sets.
+    # Additivity at x, compatibility at c and then the cocycle identity at d
+    # are closed under + or products, so x, c and d run over generating sets.
     full = set(range(n))
     add_gens = generating_set(add)
     for c, p in enumerate(acting):
@@ -251,11 +251,9 @@ def brace_from_cocycle(spec: CocycleSpec, name: Optional[str] = None) -> SkewBra
             if acting[tm[c][d]] != tuple(pc[v] for v in acting[d]):
                 raise ActionNotHomomorphism(
                     f"acting map of {c}{d} differs from composing the maps")
-    for c in range(n):
-        dc = spec.delta[c]
-        pc = acting[c]
-        for d in range(n):
-            if spec.delta[tm[c][d]] != ta[dc][pc[spec.delta[d]]]:
+    for d in generating_set(mul):
+        for c in range(n):
+            if spec.delta[tm[c][d]] != ta[spec.delta[c]][acting[c][spec.delta[d]]]:
                 raise CocycleIdentityViolation(
                     f"delta({c}{d}) != delta({c}) + lambda({c})(delta({d}))")
     inv_delta = [0] * n

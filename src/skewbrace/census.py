@@ -10,10 +10,11 @@ Aut(A) table per entry, and only the representatives are moved, so no
 |Aut(A)|^2 conjugation table is built.  An independent oracle
 recounts everything through the other door: group actions
 lambda: C -> Aut(A), up to Aut(C), paired with bijective cocycles delta,
-deduplicated at the multiplication-table level.  Both identities are proven
-over a generating set of C, one generator at a time, so a branch dies as
-soon as a prefix of generator images fails.  Both routes compose
-automorphisms by one lookup in the indexed Aut(A) of `aut_group`.
+deduplicated at the multiplication-table level.  A homomorphism is a
+cocycle of the trivial action, so one walker finds both, placing generator
+images one at a time and proving the identity on the generator pairs, so a
+branch dies as soon as a prefix of generator images fails.  Both routes
+compose automorphisms by one lookup in the indexed Aut(A) of `aut_group`.
 
 The routes share only table-level primitives: `aut_group` and the one map
 search of `groups` behind it, `_label_group` and `brace_isomorphic` (over
@@ -299,122 +300,91 @@ def brace_isomorphic(B1: SkewBrace, B2: SkewBrace) -> Optional[list[int]]:
     return list(found[0]) if found else None
 
 
-def _bfs_edges(C: FiniteGroup, gens: Sequence[int]):
-    """Edges (x, g, xg) reaching every element from the identity."""
-    seen = [False] * C.order
-    seen[0] = True
-    frontier = [0]
-    edges = []
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = C.table[x][g]
-                if not seen[y]:
-                    seen[y] = True
-                    edges.append((x, g, y))
-                    nxt.append(y)
-        frontier = nxt
-    return edges
-
-
 def _generator_levels(C: FiniteGroup):
-    """One level per generator g_k of `generating_set(C)`, for proving an
-    identity f(xg) = f(x) * f(g) on every x of C and every generator g.
+    """One level per generator g_k of `generating_set(C)`, for proving the
+    identity f(xg) = f(x) acts[x](f(g)) of `_cocycles` on every x of C and
+    every generator g.
 
     A level is (g_k, its order, the elements of H_k = <g_1..g_k>, edges,
-    checks).  The edges (x, g, xg) reach H_k outside H_{k-1}, each x in
-    H_{k-1}, equal to g_k or reached by an earlier edge, so extending f
-    along them makes the identity hold on them.  The checks are the other
-    triples (x, g, xg) with x in H_k, g among g_1..g_k and x != 0 (where the
-    identity holds once f(0) is neutral) that no earlier level covers.
+    checks).  H_k is closed as an orbit of 0, as in `groups._Span`: the
+    elements of H_{k-1} times g_k, and the new ones, g_k first, times
+    g_1..g_k.  A pair (x, g) with x != 0 (where the identity holds once
+    f(0) is neutral) is an edge (x, g, xg) if xg is new, else a check, so
+    each pair of H_k x {g_1..g_k} is visited once and each edge starts at
+    an element placed before.
     """
-    gens = generating_set(C)
-    levels = []
-    inside = {0}
+    gens, t = generating_set(C), C.table
+    elems, inside, levels = [0], {0}, []
     for k, g_k in enumerate(gens):
-        prefix = gens[:k + 1]
-        edges = [e for e in _bfs_edges(C, prefix) if e[0] and e[2] not in inside]
-        fresh = {g_k} | {y for _x, _g, y in edges}
-        built = set(edges)
-        checks = []
-        for x in sorted(inside | fresh):
-            for g in prefix if x in fresh else (g_k,):
-                e = (x, g, C.table[x][g])
-                if x and e not in built:
-                    checks.append(e)
-        inside |= fresh
-        levels.append((g_k, element_order(C, g_k), sorted(inside), edges, checks))
+        mark = len(elems)
+        elems.append(g_k)
+        inside.add(g_k)
+        edges, checks = [], []
+        i = 1
+        while i < len(elems):
+            x = elems[i]
+            for g in gens[:k + 1] if i >= mark else (g_k,):
+                y = t[x][g]
+                if y in inside:
+                    checks.append((x, g, y))
+                else:
+                    inside.add(y)
+                    elems.append(y)
+                    edges.append((x, g, y))
+            i += 1
+        levels.append((g_k, element_order(C, g_k), list(elems), edges, checks))
     return levels
 
 
-def _action_homs(C: FiniteGroup, levels, aut: FiniteGroup):
-    """All homomorphisms lam: C -> aut, as tuples of element indices of aut.
+def _cocycles(levels, G: FiniteGroup, acts, candidates, bijective: bool):
+    """All f: C -> G with f(xy) = f(x) acts[x](f(y)), injective if
+    `bijective`, as tuples; acts[x] is a permutation of G.
 
-    The image of g_k (of order dividing that of g_k) is extended over H_k
-    by table lookup, and lam(xg) = lam(x) lam(g) is proven on H_k and
-    g_1..g_k before g_{k+1} gets an image.  The g that satisfy it for every
-    x are closed under products, so passing the last level proves lam a
-    homomorphism on C.
+    The image of g_k, from candidates[k], is extended over H_k along the
+    edges of levels[k], and its checks (and f injective on H_k) are proven
+    before g_{k+1} gets an image.  If acts is a homomorphism into Aut(G),
+    the g that satisfy the identity for every x are closed under products,
+    f(xgh) = f(x) acts[x](f(g) acts[g](f(h))), so passing the last level
+    proves it on C.  With identity acts the f are the homomorphisms.
     """
-    tx = aut.table
-    aut_orders = element_orders(aut)
-    lam = [0] * C.order
+    tg = G.table
+    f = [0] * len(acts)
     out = []
 
     def extend(k: int) -> None:
         if k == len(levels):
-            out.append(tuple(lam))
+            out.append(tuple(f))
             return
-        g_k, order, _elems, edges, checks = levels[k]
-        for phi in range(aut.order):
-            if order % aut_orders[phi]:
-                continue
-            lam[g_k] = phi
+        g_k, _order, elems, edges, checks = levels[k]
+        for v in candidates[k]:
+            f[g_k] = v
             for x, g, y in edges:
-                lam[y] = tx[lam[x]][lam[g]]
-            if all(lam[y] == tx[lam[x]][lam[g]] for x, g, y in checks):
+                f[y] = tg[f[x]][acts[x][f[g]]]
+            if (not bijective or len({f[x] for x in elems}) == len(elems)) and all(
+                    f[y] == tg[f[x]][acts[x][f[g]]] for x, g, y in checks):
                 extend(k + 1)
 
     extend(0)
     return out
+
+
+def _action_homs(C: FiniteGroup, levels, aut: FiniteGroup):
+    """All homomorphisms lam: C -> aut, the cocycles of the trivial action,
+    as tuples of indices into aut; g_k goes to the images of order dividing
+    its own."""
+    orders = element_orders(aut)
+    return _cocycles(levels, aut, [tuple(range(aut.order))] * C.order,
+                     [[phi for phi in range(aut.order) if order % orders[phi] == 0]
+                      for _g, order, *_ in levels], False)
 
 
 def _bijective_cocycles(C: FiniteGroup, levels, A: FiniteGroup, lam, perms, hol):
-    """All bijections delta with delta(xy) = delta(x) + lam_x(delta(y)).
-
-    lam_x is the automorphism `perms[lam[x]]` of A, and `hol[phi][v]` is the
-    order of (v, perms[phi]) in the holomorph.  The image of g_k (a v whose
-    holomorph order with lam_{g_k} is the order of g_k) is extended over
-    H_k, and delta must be injective on H_k and satisfy
-    delta(xg) = delta(x) + lam_x(delta(g)) on H_k and g_1..g_k before
-    g_{k+1} gets an image.  Since lam is a homomorphism into additive maps,
-    the g that satisfy it for every x are closed under products.
-    """
-    ta = A.table
-    acts = [perms[phi] for phi in lam]
-    delta = [0] * C.order
-    out = []
-
-    def extend(k: int) -> None:
-        if k == len(levels):
-            out.append(tuple(delta))
-            return
-        g_k, order, elems, edges, checks = levels[k]
-        orders = hol[lam[g_k]]
-        for v in range(A.order):
-            if orders[v] != order:
-                continue
-            delta[g_k] = v
-            for x, g, y in edges:
-                delta[y] = ta[delta[x]][acts[x][delta[g]]]
-            if len({delta[x] for x in elems}) == len(elems) and all(
-                delta[y] == ta[delta[x]][acts[x][delta[g]]] for x, g, y in checks
-            ):
-                extend(k + 1)
-
-    extend(0)
-    return out
+    """All bijections delta with delta(xy) = delta(x) + lam_x(delta(y)),
+    lam_x = perms[lam[x]]; g_k goes to the v with holomorph order
+    hol[lam[g_k]][v] equal to the order of g_k."""
+    return _cocycles(levels, A, [perms[phi] for phi in lam],
+                     [[v for v in range(A.order) if hol[lam[g]][v] == order]
+                      for g, order, *_ in levels], True)
 
 
 def _oracle_tables(A: FiniteGroup, aut: FiniteGroup, perms, split) -> set:

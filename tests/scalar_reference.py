@@ -23,14 +23,27 @@ before it; the tests require the same flag and the series as the chain.
 every ordered pair of known elements in every table, before the first
 table was closed along generator edges only; the tests require the same
 automorphism lists, first isomorphisms and brace maps.
+
+`all_pairs_homs` and `all_pairs_cocycles` try every tuple of generator
+images for the census oracle, extend it along the BFS spanning edges of
+`bfs_edges` (the edges the oracle's levels used before they came from one
+orbit; a reference does not run the walker it checks) and keep the maps
+whose identity holds on all pairs; `hol_order` is the holomorph order they
+filter images by.  The tests require the oracle's `_action_homs` and
+`_bijective_cocycles` to give the same sets.  `brace_from_cocycle` is
+`braces.brace_from_cocycle` as it proved the cocycle identity on all
+pairs; the tests require the same braces and the same exception classes.
 """
 
-from skewbrace.braces import SkewBrace
-from skewbrace.errors import (DistributivityViolation, NonAssociative,
+from itertools import product
+
+from skewbrace.braces import SkewBrace, _brace
+from skewbrace.errors import (ActionNotHomomorphism, CocycleIdentityViolation,
+                              DeltaNotBijective, DistributivityViolation, NonAssociative,
                               NotClosed, ParseError, RetractNotWellDefined,
-                              SolutionInvalid)
-from skewbrace.groups import (_Span, _cosets, closure, conjugacy_class_sizes, element_orders,
-                              generating_set)
+                              SolutionInvalid, TranscriptionInvalid)
+from skewbrace.groups import (_Span, _compose, _cosets, _group, closure, conjugacy_class_sizes,
+                              element_order, element_orders, generating_set)
 from skewbrace.substructure import all_ideals
 from skewbrace.ybe import Solution, SolutionChecks, _braid_holds
 
@@ -337,3 +350,134 @@ def map_search(sources, targets, want_all):
 
     assign(0)
     return results
+
+
+def bfs_edges(C, gens):
+    """Edges (x, g, xg) reaching every element from the identity."""
+    seen = [False] * C.order
+    seen[0] = True
+    frontier = [0]
+    edges = []
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = C.table[x][g]
+                if not seen[y]:
+                    seen[y] = True
+                    edges.append((x, g, y))
+                    nxt.append(y)
+        frontier = nxt
+    return edges
+
+
+def hol_order(A, v, phi):
+    """Order of the pair (translate by v, twist by the permutation phi) in
+    the holomorph, by composing permutation tuples."""
+    ident = tuple(range(A.order))
+    w, psi = v, tuple(phi)
+    k = 1
+    while w != 0 or psi != ident:
+        w, psi = A.table[w][psi[v]], _compose(psi, phi)
+        k += 1
+    return k
+
+
+def all_pairs_homs(C, auts):
+    """Every product of generator images of fitting order, extended along
+    BFS edges and kept when lam(ab) = lam(a) lam(b) on all pairs."""
+    gens = generating_set(C)
+    edges = bfs_edges(C, gens)
+    ident = auts[0]
+
+    def perm_order(phi):
+        k, psi = 1, phi
+        while psi != ident:
+            k, psi = k + 1, _compose(psi, phi)
+        return k
+
+    candidates = [
+        [phi for phi in auts if element_order(C, g) % perm_order(phi) == 0]
+        for g in gens
+    ]
+    out = set()
+    for images in product(*candidates):
+        lam = [ident] * C.order
+        for g, phi in zip(gens, images):
+            lam[g] = phi
+        for x, g, y in edges:
+            lam[y] = _compose(lam[x], lam[g])
+        if all(_compose(lam[a], lam[b]) == lam[C.table[a][b]]
+               for a in range(C.order) for b in range(C.order)):
+            out.add(tuple(lam))
+    return out
+
+
+def all_pairs_cocycles(C, A, lam):
+    """Every product of generator images of fitting holomorph order, kept
+    when it is a bijection and a cocycle on all pairs."""
+    n = C.order
+    gens = generating_set(C)
+    edges = bfs_edges(C, gens)
+    candidates = [
+        [v for v in range(n) if hol_order(A, v, lam[g]) == element_order(C, g)]
+        for g in gens
+    ]
+    out = set()
+    for images in product(*candidates):
+        delta = [0] * n
+        for g, v in zip(gens, images):
+            delta[g] = v
+        for x, g, y in edges:
+            delta[y] = A.table[delta[x]][lam[x][delta[g]]]
+        if len(set(delta)) == n and all(
+            delta[C.table[a][b]] == A.table[delta[a]][lam[a][delta[b]]]
+            for a in range(n) for b in range(n)
+        ):
+            out.add(tuple(delta))
+    return out
+
+
+def brace_from_cocycle(spec, name=None):
+    add = spec.additive
+    mul = spec.multiplicative
+    n = add.order
+    if mul.order != n:
+        raise TranscriptionInvalid(
+            f"group orders differ: {n} additive vs {mul.order} multiplicative")
+    if len(spec.delta) != n or len(spec.acting) != n:
+        raise TranscriptionInvalid("acting or delta table has the wrong length")
+    if sorted(spec.delta) != list(range(n)):
+        raise DeltaNotBijective("delta is not a bijection onto the additive carrier")
+    if spec.delta[0] != 0:
+        raise TranscriptionInvalid(
+            f"delta must send the identity to 0, got {spec.delta[0]}")
+    ta, tm = add.table, mul.table
+    acting = spec.acting
+    full = set(range(n))
+    for c, p in enumerate(acting):
+        if len(p) != n or set(p) != full:
+            raise TranscriptionInvalid(f"acting map of element {c} is not a bijection")
+        for x in generating_set(add):
+            for y in range(n):
+                if p[ta[x][y]] != ta[p[x]][p[y]]:
+                    raise TranscriptionInvalid(
+                        f"acting map of element {c} is not additive at ({x}, {y})")
+    for c in generating_set(mul):
+        for d in range(n):
+            if acting[tm[c][d]] != tuple(acting[c][v] for v in acting[d]):
+                raise ActionNotHomomorphism(
+                    f"acting map of {c}{d} differs from composing the maps")
+    for c in range(n):
+        for d in range(n):
+            if spec.delta[tm[c][d]] != ta[spec.delta[c]][acting[c][spec.delta[d]]]:
+                raise CocycleIdentityViolation(
+                    f"delta({c}{d}) != delta({c}) + lambda({c})(delta({d}))")
+    inv_delta = [0] * n
+    for c, v in enumerate(spec.delta):
+        inv_delta[v] = c
+    mul_table = tuple(
+        tuple(spec.delta[tm[inv_delta[a]][inv_delta[b]]] for b in range(n))
+        for a in range(n)
+    )
+    return _brace(add, _group(mul_table), name)

@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from skewbrace import (
     NonAssociative,
     NotAnIdeal,
     NotClosed,
+    SkewBraceError,
     TranscriptionInvalid,
     brace_from_cocycle,
     brace_isomorphic,
@@ -34,6 +36,8 @@ from skewbrace import (
     trivial_brace,
     u_p,
 )
+
+import scalar_reference as ref
 
 
 def catalog_group(n, label):
@@ -165,6 +169,37 @@ def test_corrupted_delta_breaks_cocycle_identity(worked_examples):
     bad = CocycleSpec(spec.additive, spec.multiplicative, spec.acting, tuple(delta))
     with pytest.raises(CocycleIdentityViolation):
         brace_from_cocycle(bad)
+
+
+def _outcome(check, spec):
+    try:
+        return check(spec).tables(), None
+    except SkewBraceError as exc:
+        return type(exc), str(exc)
+
+
+def test_delta_swaps_are_judged_like_the_all_pairs_cocycle_check(worked_examples):
+    """Every swap of two delta values of an example gets the same brace or
+    the same exception class from the generator check as from the all-pairs
+    one, and a named cocycle witness (c, d) really breaks the identity.
+    No swap of these examples is a cocycle."""
+    swaps = rejected = 0
+    for ex in worked_examples.values():
+        spec = ex.spec
+        ta, tm = spec.additive.table, spec.multiplicative.table
+        for c, d in combinations(range(spec.additive.order), 2):
+            delta = list(spec.delta)
+            delta[c], delta[d] = delta[d], delta[c]
+            swapped = spec._replace(delta=tuple(delta))
+            found, message = _outcome(brace_from_cocycle, swapped)
+            assert found == _outcome(ref.brace_from_cocycle, swapped)[0], (ex.name, c, d)
+            if found is CocycleIdentityViolation:
+                x, y = map(int, re.search(r"lambda\((\d+)\)\(delta\((\d+)\)\)",
+                                          message).groups())
+                assert delta[tm[x][y]] != ta[delta[x]][spec.acting[x][delta[y]]]
+            swaps += 1
+            rejected += found in (CocycleIdentityViolation, TranscriptionInvalid)
+    assert rejected == swaps
 
 
 def test_quotient_by_zero_ideal_is_identity(worked_examples):

@@ -3,7 +3,6 @@
 import hashlib
 import random
 import re
-from itertools import product
 
 import pytest
 
@@ -27,7 +26,6 @@ from skewbrace import (
 )
 from skewbrace.census import (
     _action_homs,
-    _bfs_edges,
     _bijective_cocycles,
     _generator_levels,
     _hol_orders,
@@ -124,18 +122,6 @@ EXPORT_SHA256 = {
 }
 
 
-def _hol_order(A, v, phi):
-    """Order of the pair (translate by v, twist by the permutation phi) in
-    the holomorph, by composing permutation tuples."""
-    ident = tuple(range(A.order))
-    w, psi = v, tuple(phi)
-    k = 1
-    while w != 0 or psi != ident:
-        w, psi = A.table[w][psi[v]], _compose(psi, phi)
-        k += 1
-    return k
-
-
 def _reference_families(A):
     """All regular families f_a as permutation tuples, closed by multiplying
     every pair of assigned elements in both orders."""
@@ -144,7 +130,7 @@ def _reference_families(A):
     ident = tuple(range(n))
     auts = automorphism_perms(A)
     usable = {
-        a: [phi for phi in auts if n % _hol_order(A, a, phi) == 0]
+        a: [phi for phi in auts if n % ref.hol_order(A, a, phi) == 0]
         for a in range(1, n)
     }
     results = []
@@ -212,7 +198,7 @@ def test_hol_orders_match_tuple_composition():
     for A in CATALOG:
         aut, perms = aut_group(A)
         hol = _hol_orders(A, aut, perms)
-        assert hol == [[_hol_order(A, v, phi) for v in range(A.order)] for phi in perms]
+        assert hol == [[ref.hol_order(A, v, phi) for v in range(A.order)] for phi in perms]
 
 
 def test_aut_group_matches_composed_permutations():
@@ -399,61 +385,6 @@ def test_oracle_tables_up_to_aut_c_match_all_actions():
             assert _oracle_tables(A, aut, perms, split) == every, (n, A.name)
 
 
-def _all_pairs_homs(C, auts):
-    """Every product of generator images of fitting order, extended along
-    BFS edges and kept when lam(ab) = lam(a) lam(b) on all pairs."""
-    gens = generating_set(C)
-    edges = _bfs_edges(C, gens)
-    ident = auts[0]
-
-    def perm_order(phi):
-        k, psi = 1, phi
-        while psi != ident:
-            k, psi = k + 1, _compose(psi, phi)
-        return k
-
-    candidates = [
-        [phi for phi in auts if element_order(C, g) % perm_order(phi) == 0]
-        for g in gens
-    ]
-    out = set()
-    for images in product(*candidates):
-        lam = [ident] * C.order
-        for g, phi in zip(gens, images):
-            lam[g] = phi
-        for x, g, y in edges:
-            lam[y] = _compose(lam[x], lam[g])
-        if all(_compose(lam[a], lam[b]) == lam[C.table[a][b]]
-               for a in range(C.order) for b in range(C.order)):
-            out.add(tuple(lam))
-    return out
-
-
-def _all_pairs_cocycles(C, A, lam):
-    """Every product of generator images of fitting holomorph order, kept
-    when it is a bijection and a cocycle on all pairs."""
-    n = C.order
-    gens = generating_set(C)
-    edges = _bfs_edges(C, gens)
-    candidates = [
-        [v for v in range(n) if _hol_order(A, v, lam[g]) == element_order(C, g)]
-        for g in gens
-    ]
-    out = set()
-    for images in product(*candidates):
-        delta = [0] * n
-        for g, v in zip(gens, images):
-            delta[g] = v
-        for x, g, y in edges:
-            delta[y] = A.table[delta[x]][lam[x][delta[g]]]
-        if len(set(delta)) == n and all(
-            delta[C.table[a][b]] == A.table[delta[a]][lam[a][delta[b]]]
-            for a in range(n) for b in range(n)
-        ):
-            out.add(tuple(delta))
-    return out
-
-
 def _generator_proofs(C, A):
     """Homomorphisms C -> Aut(A) as permutation tuples, each mapped to its
     set of bijective cocycles, from the oracle's generator proofs."""
@@ -474,9 +405,9 @@ def test_generator_proofs_match_all_pairs_reference():
             auts = aut_group(A)[1]
             for _, C in catalog:
                 found = _generator_proofs(C, A)
-                assert set(found) == _all_pairs_homs(C, auts), (C.name, A.name)
+                assert set(found) == ref.all_pairs_homs(C, auts), (C.name, A.name)
                 for lam, cocycles in found.items():
-                    assert cocycles == _all_pairs_cocycles(C, A, lam), (C.name, A.name)
+                    assert cocycles == ref.all_pairs_cocycles(C, A, lam), (C.name, A.name)
 
 
 def test_order_eight_homomorphism_and_cocycle_totals():
@@ -488,6 +419,31 @@ def test_order_eight_homomorphism_and_cocycle_totals():
         cocycles[label] = sum(len(c) for f in found for c in f.values())
     assert homs == {"C8": 116, "C4xC2": 224, "C2xC2xC2": 1496, "D8": 224, "Q8": 440}
     assert cocycles == {"C8": 56, "C4xC2": 576, "C2xC2xC2": 3360, "D8": 496, "Q8": 528}
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_generator_levels_visit_each_pair_once(n):
+    """Up to level k every (x, g) with x in H_k, x != 0 and g among
+    g_1..g_k is an edge or a check exactly once, each edge starts at an
+    element placed before the one it reaches, and the last level holds C
+    (the trivial group has no level)."""
+    for _, C in group_catalog(n):
+        levels = _generator_levels(C)
+        gens = generating_set(C)
+        assert [level[0] for level in levels] == gens, C.name
+        placed, visited = {0}, []
+        for k, (g_k, order, elems, edges, checks) in enumerate(levels):
+            assert order == element_order(C, g_k), C.name
+            placed.add(g_k)
+            for x, g, y in edges:
+                assert x in placed and y not in placed, C.name
+                placed.add(y)
+            assert placed == set(elems) and len(elems) == len(placed), C.name
+            assert all(C.table[x][g] == y for x, g, y in edges + checks), C.name
+            visited += [(x, g) for x, g, _y in edges + checks]
+            assert sorted(visited) == sorted(
+                (x, g) for x in elems if x for g in gens[:k + 1]), C.name
+        assert placed == set(C.elements()), C.name
 
 
 def test_non_commuting_generator_images_are_rejected():
