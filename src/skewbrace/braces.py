@@ -154,7 +154,7 @@ def _validate_pair(add: FiniteGroup, mul: FiniteGroup) -> None:
                 for c in range(n):
                     if tma[tab[c]] != left_part[tma[c]]:
                         raise DistributivityViolation(
-                            f"{a}({b}+{c}) != {a}{b} - {a} + {a}{c}")
+                            f"{a}({b}+{c}) != {a} {b} - {a} + {a} {c}")
 
 
 def _brace(add: FiniteGroup, mul: FiniteGroup, name: Optional[str] = None) -> SkewBrace:
@@ -250,12 +250,12 @@ def brace_from_cocycle(spec: CocycleSpec, name: Optional[str] = None) -> SkewBra
         for d in range(n):
             if acting[tm[c][d]] != tuple(pc[v] for v in acting[d]):
                 raise ActionNotHomomorphism(
-                    f"acting map of {c}{d} differs from composing the maps")
+                    f"acting map of {c} {d} differs from composing the maps")
     for d in generating_set(mul):
         for c in range(n):
             if spec.delta[tm[c][d]] != ta[spec.delta[c]][acting[c][spec.delta[d]]]:
                 raise CocycleIdentityViolation(
-                    f"delta({c}{d}) != delta({c}) + lambda({c})(delta({d}))")
+                    f"delta({c} {d}) != delta({c}) + lambda({c})(delta({d}))")
     inv_delta = [0] * n
     for c, v in enumerate(spec.delta):
         inv_delta[v] = c

@@ -75,7 +75,7 @@ def validate_pair(add, mul):
             for c in range(n):
                 if tma[tab[c]] != left_part[tma[c]]:
                     raise DistributivityViolation(
-                        f"{a}({b}+{c}) != {a}{b} - {a} + {a}{c}")
+                        f"{a}({b}+{c}) != {a} {b} - {a} + {a} {c}")
 
 
 def brace(add, mul, name=None):
@@ -467,12 +467,12 @@ def brace_from_cocycle(spec, name=None):
         for d in range(n):
             if acting[tm[c][d]] != tuple(acting[c][v] for v in acting[d]):
                 raise ActionNotHomomorphism(
-                    f"acting map of {c}{d} differs from composing the maps")
+                    f"acting map of {c} {d} differs from composing the maps")
     for c in range(n):
         for d in range(n):
             if spec.delta[tm[c][d]] != ta[spec.delta[c]][acting[c][spec.delta[d]]]:
                 raise CocycleIdentityViolation(
-                    f"delta({c}{d}) != delta({c}) + lambda({c})(delta({d}))")
+                    f"delta({c} {d}) != delta({c}) + lambda({c})(delta({d}))")
     inv_delta = [0] * n
     for c, v in enumerate(spec.delta):
         inv_delta[v] = c

@@ -204,6 +204,7 @@ def test_criterion_08_census_integrity(small_entries):
 def test_criterion_09_yang_baxter(full_pool, worked_examples):
     ok = True
     braces = full_pool + [ex.brace for ex in worked_examples.values()]
+    braces += [e.brace for n in (13, 14, 15) for e in census(n).entries]
     for b in braces:
         sol = solution_from_brace(b)
         step = sol

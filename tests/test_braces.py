@@ -202,6 +202,23 @@ def test_delta_swaps_are_judged_like_the_all_pairs_cocycle_check(worked_examples
     assert rejected == swaps
 
 
+def test_cocycle_witness_separates_two_digit_elements(worked_examples):
+    """Swapping delta(12) and delta(13) of ex32 breaks the identity at
+    c = 10, a two-digit element; the witness delta(c d) names the pair
+    without reading the right-hand side, and the pair really violates
+    delta(cd) = delta(c) + lambda(c)(delta(d))."""
+    spec = worked_examples["ex32"].spec
+    delta = list(spec.delta)
+    delta[12], delta[13] = delta[13], delta[12]
+    with pytest.raises(CocycleIdentityViolation) as exc:
+        brace_from_cocycle(spec._replace(delta=tuple(delta)))
+    c, d = map(int, re.match(r"delta\((\d+) (\d+)\) != ", str(exc.value)).groups())
+    assert c >= 10
+    assert str(exc.value) == f"delta({c} {d}) != delta({c}) + lambda({c})(delta({d}))"
+    ta, tm = spec.additive.table, spec.multiplicative.table
+    assert delta[tm[c][d]] != ta[delta[c]][spec.acting[c][delta[d]]]
+
+
 def test_quotient_by_zero_ideal_is_identity(worked_examples):
     b = worked_examples["ex12"].brace
     q, proj = quotient_brace(b, (0,))

@@ -8,9 +8,11 @@ from collections import Counter
 
 import pytest
 
-from skewbrace import (CocycleIdentityViolation, FiniteGroup, ParseError, SkewBrace, census,
+from skewbrace import (BraceCensus, CensusEntry, CocycleIdentityViolation,
+                       DistributivityViolation, FiniteGroup, ParseError, SkewBrace, census,
                        cyclic_group, direct_product_braces, group_catalog, make_brace,
-                       trivial_brace)
+                       make_group, trivial_brace)
+from skewbrace.braces import _brace
 from skewbrace import classify, cli, groups, series, substructure
 from skewbrace.groups import SUBGROUP_ORDER_BOUND
 from skewbrace.cli import (
@@ -338,6 +340,26 @@ def test_enumerate_check_and_export(tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert text.startswith("skewbrace-census 1\norder 4\ncount 4\n")
     assert text == write_census_document(census(4))
+
+
+def test_enumerate_check_reports_each_failing_entry(monkeypatch, capsys):
+    """A non-brace entry is named with its witness and the check goes on to
+    the next entry: additive C4 with multiplicative C4 relabelled by
+    [0, 1, 3, 2] breaks the brace axiom."""
+    c4 = cyclic_group(4)
+    perm = [0, 1, 3, 2]
+    relabelled = make_group([[perm[c4.table[perm[a]][perm[b]]] for b in range(4)]
+                             for a in range(4)])
+    entries = (CensusEntry(_brace(c4, relabelled), "C4", "C4"), census(4).entries[1])
+    monkeypatch.setattr("skewbrace.cli.census", lambda n: BraceCensus(4, entries))
+    assert main(["enumerate", "4", "--check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    with pytest.raises(DistributivityViolation) as exc:
+        make_brace(c4.table, relabelled.table)
+    assert str(exc.value) == "1(1+1) != 1 1 - 1 + 1 1"
+    assert f"FAIL entry 0 (C4 / C4): {exc.value}" in lines
+    assert not any(line.startswith("FAIL entry 1") for line in lines)
+    assert lines[-1] == "checked 2 entries, 1 failures"
 
 
 def test_enumerate_export_write_failure(tmp_path, capsys):

@@ -43,7 +43,6 @@ def scalar_kernels(monkeypatch):
         m.setattr(groups, "_check_closure", ref.check_closure)
         m.setattr(ybe, "_check_closure", ref.check_closure)
         m.setattr(ybe, "verify_solution", ref.solution_checks)
-        m.setattr(cli, "verify_solution", ref.solution_checks)
         yield
 
 
