@@ -179,8 +179,7 @@ class ClassificationReport(NamedTuple):
 
 def brace_report(B: SkewBrace, name: str = "") -> ClassificationReport:
     """Aggregate series, substructure and classification data for one brace."""
-    # The subbrace lattice is the one step capped by an order bound
-    # (SUBGROUP_ORDER_BOUND): taken first, it fails before any ideal is built.
+    # Every ideal is a subbrace: taken first, the subbrace lattice is capped first.
     maximal = maximal_subbraces(B)
     ss = is_supersoluble(B)
     chain = chief_series(B)

@@ -388,7 +388,7 @@ def cmd_enumerate(args) -> int:
     print(f"order {result.order}: {len(result.entries)} braces")
     for label, count in sorted(result.count_by_additive().items()):
         print(f"  additive {label}: {count}")
-    failures = 0
+    rejected = set()
     if args.check:
         for i, entry in enumerate(result.entries):
             try:
@@ -398,11 +398,12 @@ def cmd_enumerate(args) -> int:
             if reason:
                 print(f"FAIL entry {i} ({entry.additive_label} / "
                       f"{entry.multiplicative_label}): {reason}")
-                failures += 1
-        print(f"checked {len(result.entries)} entries, {failures} failures")
+                rejected.add(i)
+        print(f"checked {len(result.entries)} entries, {len(rejected)} failures")
+    failures = len(rejected)
     if args.square_free:
         for i, entry in enumerate(result.entries):
-            if not is_supersoluble(entry.brace).supersoluble:
+            if i not in rejected and not is_supersoluble(entry.brace).supersoluble:
                 print(f"FAIL entry {i} ({entry.additive_label} / "
                       f"{entry.multiplicative_label}): not supersoluble")
                 failures += 1

@@ -12,6 +12,8 @@ subgroup is the orbit of 0 under right multiplication by its generators
 A seed element is kept as a generator only when it is not already inside,
 and each kept generator at least doubles the orbit, so a subgroup H costs
 O(|H| log |H|) table lookups plus one membership test per seed element.
+One join loop (`_joins`) lists the subgroups common to tables on one
+carrier and the ideals, refusing past `LATTICE_ENTRY_BOUND` entries.
 
 One map search (`_map_search`) finds the isomorphisms and automorphisms of
 groups (one table) and of braces (additive, then multiplicative table).  It
@@ -72,7 +74,9 @@ __all__ = [
     "generating_set",
 ]
 
-SUBGROUP_ORDER_BOUND = 64
+# Entries of one lattice: trivial C2^7's 29,212 finish in about 1 s, and
+# trivial C2^8 (417,199) is refused after about 2 s.
+LATTICE_ENTRY_BOUND = 32768
 # |Aut(G)|^2 table entries: 2,048 automorphisms is about 34 MB of table.  The
 # search behind `automorphism_perms` stops at the next automorphism, so a
 # larger group such as Aut(C2^4) (20,160) or Aut(C2^5) (9,999,360) is refused
@@ -376,51 +380,67 @@ def is_normal(G: FiniteGroup, elems: Sequence[int]) -> bool:
     return all(t[t[g][h]][inv[g]] in s for g in G.elements() for h in s)
 
 
-def _joins(G: FiniteGroup, atoms: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """{0} and every join of the subgroups generated by the atoms[g], ordered
-    by (size, elements): the one join loop behind `subgroups` and
-    `substructure.all_ideals`.  Each atoms[g] must generate a subgroup that
-    contains g and lies in every join containing g.
+def _agree(spans: Sequence[_Span], floor: int, start: int = 1) -> bool:
+    """Grow the spans, which share their first `start` elements, by each other's
+    elements until all hold one set; False at the first new one below `floor`."""
+    shared = [start] * len(spans)
+    while len(spans) > 1 and any(len(span.elems) > k for span, k in zip(spans, shared)):
+        for i, span in enumerate(spans):
+            new, shared[i] = span.elems[shared[i]:], len(span.elems)
+            for other in spans:
+                for x in new:
+                    if x not in other.inside and not other.add(x, floor):
+                        return False
+    return True
+
+
+def _joins(groups: Sequence[FiniteGroup], atoms: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """{0} and every join of the atoms[g], each closed in every table of the
+    groups on one carrier, ordered by (size, elements): the one join loop
+    behind `subgroups` and `substructure.all_ideals`.  Each atoms[g] must
+    generate a join that contains g and lies in every join containing g.
 
     Each join is reached once, from its parent (reverse search; Avis &
     Fukuda, Discrete Appl. Math. 65, 1996).  A join K != {0} has the greedy
     sequence s_1 < ... < s_r, s_i the least element of K outside the join
     of the atoms of the earlier ones, and K is its parent, the join for
     s_1..s_{r-1}, joined with atoms[s_r].  So a join H with last element s
-    is extended only by the g > s that are least in their coset H + g, and
-    the extension K is kept only when no element of K below g lies outside
-    H; the closure stops at the first such element.  Each extension starts
-    from H's elements, so one costs O((|K| - |H|) log |K|) lookups at most,
-    plus n lookups per H to mark its cosets.
+    is extended only by the g > s that are least in their coset H g of the
+    first table, and the extension K is kept only when no element of K
+    below g lies outside H; the closures stop at the first such element.
+    Each extension starts one `_Span` per table from H's elements and kept
+    generators, closes atoms[g] in the first and brings the others level by
+    `_agree`: O((|K| - |H|) log |K|) lookups per table at most, plus n per H.
     """
-    t = G.table
+    t = groups[0].table
     out = []
-    frontier = [((0,), (), 0)]
+    frontier = [((0,), ((),) * len(groups), 0)]
     while frontier:
         base, gens, last = frontier.pop()
         out.append(base)
+        if len(out) > LATTICE_ENTRY_BOUND:
+            raise OrderBoundExceeded(f"lattice has more than {LATTICE_ENTRY_BOUND} entries")
         done = set(base)
-        for g in range(1, G.order):
+        for g in range(1, len(t)):
             if g in done:
                 continue
             done.update([t[h][g] for h in base])
             if g < last:
                 continue
-            span = _Span(t, elems=base, gens=gens)
-            if all(a in span.inside or span.add(a, g) for a in atoms[g]):
-                frontier.append((tuple(sorted(span.elems)), tuple(span.gens), g))
+            spans = [_Span(G.table, elems=base, gens=gk) for G, gk in zip(groups, gens)]
+            if (all(a in spans[0].inside or spans[0].add(a, g) for a in atoms[g])
+                    and _agree(spans, g, len(base))):
+                frontier.append((tuple(sorted(spans[0].elems)), [s.gens for s in spans], g))
     return sorted(out, key=lambda s: (len(s), s))
 
 
-def subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """Every subgroup: the joins of the cyclic subgroups <g>.  Each subgroup
-    K costs one closure of O((|K| - |H|) log |K|) from its parent H, plus the
-    extensions of H that stop below their new element and n lookups per
-    subgroup."""
-    if G.order > SUBGROUP_ORDER_BOUND:
-        raise OrderBoundExceeded(
-            f"subgroup enumeration capped at order {SUBGROUP_ORDER_BOUND}, got {G.order}")
-    return _joins(G, [(g,) for g in G.elements()])
+def subgroups(G: FiniteGroup, *others: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every subgroup of G that is also one of each group in `others` on G's
+    carrier, ordered by (size, elements): joins of the least such ones."""
+    for H in others:
+        if H.order != G.order:
+            raise GroupInvalid(f"one carrier needs one order, got {G.order} and {H.order}")
+    return _joins((G, *others), [(g,) for g in G.elements()])
 
 
 def center(G: FiniteGroup) -> tuple[int, ...]:

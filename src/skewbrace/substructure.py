@@ -7,9 +7,10 @@ normal in the multiplicative group.  The flags are computed independently,
 so the containment hierarchy between them is a checkable fact rather than
 an assumption.
 
-Both lattices come from the one join loop `groups._joins`: the subbraces
-are the subgroups of the additive group (joins of cyclic subgroups) closed
-under the product, and the ideals are the joins of the principal ideals.
+Both lattices come from the one join loop `groups._joins`, and both are
+refused past `groups.LATTICE_ENTRY_BOUND` entries: the subbraces are the
+common subgroups of the additive and the multiplicative table, each join
+closed in both, and the ideals are the joins of the principal ideals.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .braces import SkewBrace
 from .errors import MissingZero, NotAnIdeal
-from .groups import (FiniteGroup, _cached, _Span, _joins, _subset, closure, generating_set,
+from .groups import (FiniteGroup, _agree, _cached, _Span, _joins, _subset, generating_set,
                      subgroups)
 
 __all__ = [
@@ -76,18 +77,12 @@ def classify_subset(B: SkewBrace, subset: Iterable[int]) -> SubStructure:
 
 
 def subbrace_generated(B: SkewBrace, seed: Iterable[int]) -> tuple[int, ...]:
-    """The least subset containing the seed closed under both operations.
-
-    Alternates the orbit kernel over the additive and the multiplicative
-    table; every round that does not stop at least doubles the set, so at
-    most log2 |B| rounds of two closures each.
-    """
-    elems = tuple(seed)
-    while True:
-        span = closure(B.add_group, elems)
-        elems = closure(B.mul_group, span)
-        if len(elems) == len(span):
-            return span
+    """The least subset containing the seed closed under both operations: one
+    `_Span` per table, grown by `groups._agree` until both hold one set."""
+    inside = _subset(B.order, seed)
+    spans = [_Span(G.table, inside) for G in (B.add_group, B.mul_group)]
+    _agree(spans, 0)
+    return tuple(sorted(spans[0].elems))
 
 
 def ideal_generated(B: SkewBrace, seed: Iterable[int]) -> tuple[int, ...]:
@@ -146,17 +141,8 @@ def _ideal_closure(B: SkewBrace, seed: Iterable[int], maps: Sequence[Sequence[in
 
 
 def all_subbraces(B: SkewBrace) -> list[tuple[int, ...]]:
-    """Every subbrace, as sorted tuples ordered by (size, elements)."""
-    def build() -> list[tuple[int, ...]]:
-        tm = B.mul_group.table
-        found = []
-        for sub in subgroups(B.add_group):
-            inside = set(sub)
-            if all(tm[a][b] in inside for a in sub for b in sub):
-                found.append(sub)
-        return found
-
-    return list(_cached(B, "subbraces", build))
+    """Every subbrace, ordered by (size, elements): the common subgroups of both groups."""
+    return list(_cached(B, "subbraces", lambda: subgroups(B.add_group, B.mul_group)))
 
 
 def all_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
@@ -169,7 +155,7 @@ def all_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
     O(|P_x| log n) lookups each, under the maps of `ideal_generated`, and
     each ideal then costs one closure from its parent.
     """
-    return list(_cached(B, "ideals", lambda: _joins(B.add_group, [
+    return list(_cached(B, "ideals", lambda: _joins((B.add_group,), [
         tuple(_ideal_closure(B, (x,), _ideal_maps(B)).gens) for x in B.elements()])))
 
 
@@ -212,13 +198,7 @@ def frattini(B: SkewBrace) -> SubStructure:
     No structural level is assumed for the result; the returned flags say
     what it actually is inside this brace.
     """
-    maxes = maximal_subbraces(B)
-    if not maxes:
-        return classify_subset(B, range(B.order))
-    common = set(maxes[0])
-    for other in maxes[1:]:
-        common &= set(other)
-    return classify_subset(B, common)
+    return classify_subset(B, set(B.elements()).intersection(*maximal_subbraces(B)))
 
 
 def brace_core(B: SkewBrace, subset: Sequence[int]) -> tuple[int, ...]:

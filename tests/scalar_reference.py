@@ -33,6 +33,13 @@ filter images by.  The tests require the oracle's `_action_homs` and
 `_bijective_cocycles` to give the same sets.  `brace_from_cocycle` is
 `braces.brace_from_cocycle` as it proved the cocycle identity on all
 pairs; the tests require the same braces and the same exception classes.
+
+`filtered_subbraces` is `substructure.all_subbraces` as it listed every
+subgroup of the additive group and kept those closed under the product, and
+`alternating_subbrace` is `substructure.subbrace_generated` as it closed
+the seed in each table in turn until the set stopped growing; the tests
+require the same lattices and the same generated subbraces from the one
+join loop that closes each join in both tables at once.
 """
 
 from itertools import product
@@ -43,7 +50,7 @@ from skewbrace.errors import (ActionNotHomomorphism, CocycleIdentityViolation,
                               NotClosed, ParseError, RetractNotWellDefined,
                               SolutionInvalid, TranscriptionInvalid)
 from skewbrace.groups import (_Span, _compose, _cosets, _group, closure, conjugacy_class_sizes,
-                              element_order, element_orders, generating_set)
+                              element_order, element_orders, generating_set, subgroups)
 from skewbrace.substructure import all_ideals
 from skewbrace.ybe import Solution, SolutionChecks, _braid_holds
 
@@ -481,3 +488,22 @@ def brace_from_cocycle(spec, name=None):
         for a in range(n)
     )
     return _brace(add, _group(mul_table), name)
+
+
+def filtered_subbraces(B):
+    tm = B.mul_group.table
+    found = []
+    for sub in subgroups(B.add_group):
+        inside = set(sub)
+        if all(tm[a][b] in inside for a in sub for b in sub):
+            found.append(sub)
+    return found
+
+
+def alternating_subbrace(B, seed):
+    elems = tuple(seed)
+    while True:
+        span = closure(B.add_group, elems)
+        elems = closure(B.mul_group, span)
+        if len(elems) == len(span):
+            return span

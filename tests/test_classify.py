@@ -28,7 +28,7 @@ from skewbrace import (
     trivial_brace,
     u_p,
 )
-from skewbrace.groups import SUBGROUP_ORDER_BOUND
+from skewbrace import groups
 
 
 def primes_of(n):
@@ -291,11 +291,12 @@ def test_greedy_matches_oracle_above_order_64(worked_examples):
         assert bool(is_supersoluble(b)) == is_supersoluble_oracle(b), order
 
 
-def test_brace_report_fails_fast_above_the_subgroup_bound():
-    """The capped subbrace lattice comes first, so no ideal is computed."""
-    b = trivial_brace(reduce(direct_product, [cyclic_group(2)] * 7))
-    assert b.order == 128 > SUBGROUP_ORDER_BOUND
-    with pytest.raises(OrderBoundExceeded):
+def test_brace_report_fails_fast_above_the_subgroup_bound(monkeypatch):
+    """The capped subbrace lattice comes first, so no ideal is computed:
+    trivial C2^5 has 374 subbraces, over a bound lowered to 100."""
+    b = trivial_brace(reduce(direct_product, [cyclic_group(2)] * 5))
+    monkeypatch.setattr(groups, "LATTICE_ENTRY_BOUND", 100)
+    with pytest.raises(OrderBoundExceeded, match="more than 100 entries"):
         brace_report(b)
     assert "ideals" not in b.cache
 

@@ -5,16 +5,16 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from functools import reduce
 
 import pytest
 
 from skewbrace import (BraceCensus, CensusEntry, CocycleIdentityViolation,
                        DistributivityViolation, FiniteGroup, ParseError, SkewBrace, census,
-                       cyclic_group, direct_product_braces, group_catalog, make_brace,
-                       make_group, trivial_brace)
+                       cyclic_group, direct_product, direct_product_braces, group_catalog,
+                       make_brace, make_group, trivial_brace)
 from skewbrace.braces import _brace
 from skewbrace import classify, cli, groups, series, substructure
-from skewbrace.groups import SUBGROUP_ORDER_BOUND
 from skewbrace.cli import (
     main,
     parse_brace_document,
@@ -234,14 +234,14 @@ def test_huge_declared_order_fails_at_the_first_row_in_little_memory(tmp_path, c
 
 
 def test_analyze_beyond_subgroup_bound(tmp_path, capsys):
-    doc = write_brace_document(trivial_brace(cyclic_group(SUBGROUP_ORDER_BOUND + 1)))
-    path = write(tmp_path, "big.brace", doc)
+    """Trivial C2^8 has 417,199 subbraces: analyze refuses it at the lattice
+    entry bound, and prints nothing on stdout."""
+    b = trivial_brace(reduce(direct_product, [cyclic_group(2)] * 8))
+    path = write(tmp_path, "big.brace", write_brace_document(b))
     assert main(["analyze", path]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"order bound exceeded: subgroup enumeration capped at order "
-        f"{SUBGROUP_ORDER_BOUND}, got {SUBGROUP_ORDER_BOUND + 1}\n")
+    assert captured.err == "order bound exceeded: lattice has more than 32768 entries\n"
 
 
 def test_round_trip_preserves_structured_report(tmp_path, capsys):
@@ -342,24 +342,43 @@ def test_enumerate_check_and_export(tmp_path, capsys):
     assert text == write_census_document(census(4))
 
 
-def test_enumerate_check_reports_each_failing_entry(monkeypatch, capsys):
-    """A non-brace entry is named with its witness and the check goes on to
-    the next entry: additive C4 with multiplicative C4 relabelled by
-    [0, 1, 3, 2] breaks the brace axiom."""
+@pytest.fixture
+def non_brace_census(monkeypatch):
+    """Order 4 patched into the CLI's census as two entries, the first a
+    non-brace: additive C4 with multiplicative C4 relabelled by [0, 1, 3, 2]
+    breaks the brace axiom.  Returns the two tables of that entry."""
     c4 = cyclic_group(4)
     perm = [0, 1, 3, 2]
     relabelled = make_group([[perm[c4.table[perm[a]][perm[b]]] for b in range(4)]
                              for a in range(4)])
     entries = (CensusEntry(_brace(c4, relabelled), "C4", "C4"), census(4).entries[1])
     monkeypatch.setattr("skewbrace.cli.census", lambda n: BraceCensus(4, entries))
+    return c4.table, relabelled.table
+
+
+def test_enumerate_check_reports_each_failing_entry(non_brace_census, capsys):
+    """A non-brace entry is named with its witness and the check goes on to
+    the next entry."""
     assert main(["enumerate", "4", "--check"]) == 1
     lines = capsys.readouterr().out.splitlines()
     with pytest.raises(DistributivityViolation) as exc:
-        make_brace(c4.table, relabelled.table)
+        make_brace(*non_brace_census)
     assert str(exc.value) == "1(1+1) != 1 1 - 1 + 1 1"
     assert f"FAIL entry 0 (C4 / C4): {exc.value}" in lines
     assert not any(line.startswith("FAIL entry 1") for line in lines)
     assert lines[-1] == "checked 2 entries, 1 failures"
+
+
+def test_enumerate_square_free_skips_the_entries_the_check_rejects(non_brace_census, capsys):
+    """The supersoluble pass skips the entry the brace check rejected, so it
+    prints no verdict on it and no summary, and the command exits 1; without
+    the check, the same entry gets a verdict."""
+    assert main(["enumerate", "4", "--check", "--square-free"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["FAIL entry 0 (C4 / C4): 1(1+1) != 1 1 - 1 + 1 1",
+                          "checked 2 entries, 1 failures"]
+    assert main(["enumerate", "4", "--square-free"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL entry 0 (C4 / C4): not supersoluble"
 
 
 def test_enumerate_export_write_failure(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Tests for subbrace and ideal detection."""
 
+import random
 from functools import reduce
 
 import pytest
 
+import scalar_reference as ref
 from skewbrace import (
+    GroupInvalid,
     MissingZero,
     NotClosed,
+    OrderBoundExceeded,
     b_central_series,
     all_ideals,
     all_subbraces,
@@ -23,6 +27,7 @@ from skewbrace import (
     ideal_chain,
     ideal_generated,
     index,
+    make_brace,
     maximal_subbraces,
     minimal_ideals,
     quotient_brace,
@@ -32,7 +37,8 @@ from skewbrace import (
     subgroups,
     trivial_brace,
 )
-from skewbrace.groups import _Span
+from skewbrace import groups
+from skewbrace.groups import _relabel, _Span
 
 
 def plain_subgroups(G):
@@ -145,6 +151,58 @@ def test_lattice_counts_of_order_64(products):
     for name, subbraces, ideals in (("ex8xex8", 93, 10), ("ex32xC2", 81, 18)):
         assert len(all_subbraces(products[name])) == subbraces, name
         assert len(all_ideals(products[name])) == ideals, name
+
+
+def relabelled(B, seed):
+    """The same brace with its elements renumbered by a seeded permutation
+    fixing 0."""
+    rest = list(range(1, B.order))
+    random.Random(seed).shuffle(rest)
+    perm = [0] + rest
+    return make_brace(_relabel(B.add_group.table, perm), _relabel(B.mul_group.table, perm))
+
+
+def test_subbraces_match_filtered_additive_subgroups(full_pool, products, worked_examples):
+    """The join loop closing each join in both tables against the additive
+    subgroups kept when closed under the product, past order 64 and on
+    relabelled copies, whose elements the joins meet in another order."""
+    ex = {name: w.brace for name, w in worked_examples.items()}
+    braces = full_pool + list(products.values()) + [
+        direct_product_braces(ex["ex24"], ex["ex8"]),
+        direct_product_braces(ex["ex24"], ex["ex12"]),
+        relabelled(products["ex8xex8"], 1),
+        relabelled(products["ex24xC2"], 2),
+    ]
+    assert [b.order for b in braces[-4:]] == [192, 288, 64, 48]
+    for b in braces:
+        assert all_subbraces(b) == ref.filtered_subbraces(b), b
+
+
+def test_subbrace_generated_matches_alternating_closures(full_pool, products):
+    for b in full_pool:
+        for x in b.elements():
+            assert subbrace_generated(b, (x,)) == ref.alternating_subbrace(b, (x,)), (b, x)
+    b = products["ex8xex8"]
+    for seed in ((1, 8), (3, 17, 40), (5, 9), ()):
+        assert subbrace_generated(b, seed) == ref.alternating_subbrace(b, seed), seed
+
+
+def test_common_subgroups_need_one_carrier():
+    with pytest.raises(GroupInvalid, match="got 4 and 6"):
+        subgroups(cyclic_group(4), cyclic_group(6))
+
+
+def test_lattices_refuse_past_the_entry_bound(monkeypatch):
+    """Trivial C2^5 has 374 subbraces, all ideals: a bound of 373 refuses
+    both lattices and caches neither, and 374 lists them."""
+    b = trivial_brace(reduce(direct_product, [cyclic_group(2)] * 5))
+    monkeypatch.setattr(groups, "LATTICE_ENTRY_BOUND", 373)
+    for lattice, key in ((all_ideals, "ideals"), (all_subbraces, "subbraces")):
+        with pytest.raises(OrderBoundExceeded, match="lattice has more than 373 entries"):
+            lattice(b)
+        assert key not in b.cache
+    monkeypatch.setattr(groups, "LATTICE_ENTRY_BOUND", 374)
+    assert len(all_ideals(b)) == len(all_subbraces(b)) == 374
 
 
 def test_ideal_generated_matches_all_maps(full_pool, products):
