@@ -11,14 +11,16 @@ Aut(A) table per entry, and only the representatives are moved, so no
 recounts everything through the other door: group actions
 lambda: C -> Aut(A), up to Aut(C), paired with bijective cocycles delta,
 deduplicated at the multiplication-table level.  A homomorphism is a
-cocycle of the trivial action, so one walker finds both, placing generator
-images one at a time and proving the identity on the generator pairs, so a
-branch dies as soon as a prefix of generator images fails.  Both routes
-compose automorphisms by one lookup in the indexed Aut(A) of `aut_group`.
+cocycle of the trivial action, so the one walker of `groups` (`_walk`)
+finds both, placing generator images one at a time and proving the
+identity on the generator pairs, so a branch dies as soon as a prefix of
+generator images fails.  Both routes compose automorphisms by one lookup
+in the indexed Aut(A) of `aut_group`.
 
-The routes share only table-level primitives: `aut_group` and the one map
-search of `groups` behind it, `_label_group` and `brace_isomorphic` (over
-the additive and multiplicative tables at once), and `_hol_orders`.
+The routes share only table-level primitives: that walker, behind
+`aut_group`, `_label_group` and `brace_isomorphic` (over the additive and
+multiplicative tables at once) as well as the oracle's searches, and
+`_hol_orders`.  The primary route's own search is `_regular_families`.
 """
 
 from __future__ import annotations
@@ -30,15 +32,15 @@ from .errors import OrderBoundExceeded, SkewBraceError
 from .groups import (
     FiniteGroup,
     _dihedral,
+    _generator_levels,
     _group,
     _map_search,
     _relabel,
+    _walk,
     aut_group,
     cyclic_group,
     direct_product,
-    element_order,
     element_orders,
-    generating_set,
     group_isomorphism,
     make_group,
     semidirect_product,
@@ -263,10 +265,11 @@ class BraceCensus(NamedTuple):
 
 def _label_group(G: FiniteGroup, catalog: Sequence[tuple[str, FiniteGroup]]) -> str:
     """The label of the first catalog group isomorphic to G, proven by an
-    explicit isomorphism; the map search rejects a group whose element
-    invariants differ before it maps anything."""
+    explicit isomorphism from it, so the search walks the catalog group's
+    cached generator levels; it rejects a group whose element invariants
+    differ before it maps anything."""
     for label, H in catalog:
-        if group_isomorphism(G, H) is not None:
+        if group_isomorphism(H, G) is not None:
             return label
     raise SkewBraceError(f"no catalog group matches one of order {G.order}")
 
@@ -300,91 +303,25 @@ def brace_isomorphic(B1: SkewBrace, B2: SkewBrace) -> Optional[list[int]]:
     return list(found[0]) if found else None
 
 
-def _generator_levels(C: FiniteGroup):
-    """One level per generator g_k of `generating_set(C)`, for proving the
-    identity f(xg) = f(x) acts[x](f(g)) of `_cocycles` on every x of C and
-    every generator g.
-
-    A level is (g_k, its order, the elements of H_k = <g_1..g_k>, edges,
-    checks).  H_k is closed as an orbit of 0, as in `groups._Span`: the
-    elements of H_{k-1} times g_k, and the new ones, g_k first, times
-    g_1..g_k.  A pair (x, g) with x != 0 (where the identity holds once
-    f(0) is neutral) is an edge (x, g, xg) if xg is new, else a check, so
-    each pair of H_k x {g_1..g_k} is visited once and each edge starts at
-    an element placed before.
-    """
-    gens, t = generating_set(C), C.table
-    elems, inside, levels = [0], {0}, []
-    for k, g_k in enumerate(gens):
-        mark = len(elems)
-        elems.append(g_k)
-        inside.add(g_k)
-        edges, checks = [], []
-        i = 1
-        while i < len(elems):
-            x = elems[i]
-            for g in gens[:k + 1] if i >= mark else (g_k,):
-                y = t[x][g]
-                if y in inside:
-                    checks.append((x, g, y))
-                else:
-                    inside.add(y)
-                    elems.append(y)
-                    edges.append((x, g, y))
-            i += 1
-        levels.append((g_k, element_order(C, g_k), list(elems), edges, checks))
-    return levels
-
-
-def _cocycles(levels, G: FiniteGroup, acts, candidates, bijective: bool):
-    """All f: C -> G with f(xy) = f(x) acts[x](f(y)), injective if
-    `bijective`, as tuples; acts[x] is a permutation of G.
-
-    The image of g_k, from candidates[k], is extended over H_k along the
-    edges of levels[k], and its checks (and f injective on H_k) are proven
-    before g_{k+1} gets an image.  If acts is a homomorphism into Aut(G),
-    the g that satisfy the identity for every x are closed under products,
-    f(xgh) = f(x) acts[x](f(g) acts[g](f(h))), so passing the last level
-    proves it on C.  With identity acts the f are the homomorphisms.
-    """
-    tg = G.table
-    f = [0] * len(acts)
-    out = []
-
-    def extend(k: int) -> None:
-        if k == len(levels):
-            out.append(tuple(f))
-            return
-        g_k, _order, elems, edges, checks = levels[k]
-        for v in candidates[k]:
-            f[g_k] = v
-            for x, g, y in edges:
-                f[y] = tg[f[x]][acts[x][f[g]]]
-            if (not bijective or len({f[x] for x in elems}) == len(elems)) and all(
-                    f[y] == tg[f[x]][acts[x][f[g]]] for x, g, y in checks):
-                extend(k + 1)
-
-    extend(0)
-    return out
-
-
-def _action_homs(C: FiniteGroup, levels, aut: FiniteGroup):
+def _action_homs(C: FiniteGroup, aut: FiniteGroup):
     """All homomorphisms lam: C -> aut, the cocycles of the trivial action,
     as tuples of indices into aut; g_k goes to the images of order dividing
     its own."""
     orders = element_orders(aut)
-    return _cocycles(levels, aut, [tuple(range(aut.order))] * C.order,
-                     [[phi for phi in range(aut.order) if order % orders[phi] == 0]
-                      for _g, order, *_ in levels], False)
+    levels = _generator_levels(C)
+    return _walk(levels, aut, [tuple(range(aut.order))] * C.order,
+                 [[phi for phi in range(aut.order) if order % orders[phi] == 0]
+                  for _g, order, _pairs in levels], False, float("inf"))
 
 
-def _bijective_cocycles(C: FiniteGroup, levels, A: FiniteGroup, lam, perms, hol):
+def _bijective_cocycles(C: FiniteGroup, A: FiniteGroup, lam, perms, hol):
     """All bijections delta with delta(xy) = delta(x) + lam_x(delta(y)),
     lam_x = perms[lam[x]]; g_k goes to the v with holomorph order
     hol[lam[g_k]][v] equal to the order of g_k."""
-    return _cocycles(levels, A, [perms[phi] for phi in lam],
-                     [[v for v in range(A.order) if hol[lam[g]][v] == order]
-                      for g, order, *_ in levels], True)
+    levels = _generator_levels(C)
+    return _walk(levels, A, [perms[phi] for phi in lam],
+                 [[v for v in range(A.order) if hol[lam[g]][v] == order]
+                  for g, order, _pairs in levels], True, float("inf"))
 
 
 def _oracle_tables(A: FiniteGroup, aut: FiniteGroup, perms, split) -> set:
@@ -393,13 +330,13 @@ def _oracle_tables(A: FiniteGroup, aut: FiniteGroup, perms, split) -> set:
     lam alpha and relabels C to the same table as delta."""
     hol = _hol_orders(A, aut, perms)
     tables = set()
-    for C, levels, c_perms in split:
+    for C, c_perms in split:
         seen = set()
-        for lam in _action_homs(C, levels, aut):
+        for lam in _action_homs(C, aut):
             if lam not in seen:
                 seen.update(tuple([lam[x] for x in alpha]) for alpha in c_perms)
                 tables.update(_relabel(C.table, delta) for delta in
-                              _bijective_cocycles(C, levels, A, lam, perms, hol))
+                              _bijective_cocycles(C, A, lam, perms, hol))
     return tables
 
 
@@ -408,7 +345,7 @@ def _oracle_counts(n: int) -> dict[str, int]:
     counts: dict[str, int] = {}
     catalog = group_catalog(n)
     auts = {label: aut_group(C) for label, C in catalog}
-    split = [(C, _generator_levels(C), auts[label][1]) for label, C in catalog]
+    split = [(C, auts[label][1]) for label, C in catalog]
     for label, A in catalog:
         aut, perms = auts[label]
         tables = _oracle_tables(A, aut, perms, split)
@@ -421,8 +358,8 @@ def census_oracle(n: int) -> int:
     """Independent recount of census(n) through actions and cocycles.
 
     Capped by `group_catalog` at order 15.  On a shared 2-vCPU Xeon VM
-    under Python 3.11 (medians of 21 calls) order 8 (C2xC2xC2 has 168
-    automorphisms) takes 0.10-0.13 s and every other order up to 15 under
-    0.05 s.
+    under Python 3.11 (medians of 21 calls, two runs) order 8 (C2xC2xC2
+    has 168 automorphisms) takes 0.09-0.12 s, order 12 0.05 s and every
+    other order up to 15 under 0.02 s.
     """
     return sum(_oracle_counts(n).values())

@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 from .braces import CocycleSpec, SkewBrace, brace_from_cocycle, check_brace_invariants, make_brace
 from .census import BraceCensus, census
 from .classify import brace_report, is_supersoluble
-from .errors import OrderBoundExceeded, ParseError, SkewBraceError
+from .errors import OrderBoundExceeded, ParseError, SkewBraceError, TranscriptionInvalid
 from .fixtures import build, example_names
-from .groups import GroupPredicates, _row_getter, make_group
+from .groups import FiniteGroup, GroupPredicates, _identity_of, _prove_group, _row_getter
 from .series import (
     derived_ideal,
     left_series,
@@ -134,6 +134,16 @@ def _expect(cursor: _Cursor, keyword: str) -> None:
         raise ParseError(lineno, f"expected {keyword!r}, found {line!r}")
 
 
+def _cocycle_group(table: Sequence[Sequence[int]], what: str) -> FiniteGroup:
+    """The group of one table of a cocycle document.  `lambda` and `delta`
+    name elements by the document's labels, so its identity must already be
+    0: moving it there, as `make_group` does, would change what they say."""
+    e = _identity_of(table)
+    if e:
+        raise TranscriptionInvalid(f"the identity of {what} is element {e}, not 0")
+    return _prove_group(table, e, None)
+
+
 def parse_brace_document(text: str) -> SkewBrace:
     """Parse one brace document and return the validated brace."""
     cursor = _Cursor(text)
@@ -174,7 +184,7 @@ def parse_brace_document(text: str) -> SkewBrace:
         delta = _read_int_row(cursor, n, "delta")
         _expect(cursor, "end")
         spec = CocycleSpec(
-            make_group(add), make_group(mult),
+            _cocycle_group(add, "add"), _cocycle_group(mult, "mult"),
             tuple(tuple(row) for row in acting), tuple(delta))
         return brace_from_cocycle(spec, name)
     raise ParseError(lineno, f"expected 'add' or 'cocycle', found {line!r}")

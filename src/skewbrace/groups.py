@@ -15,13 +15,15 @@ O(|H| log |H|) table lookups plus one membership test per seed element.
 One join loop (`_joins`) lists the subgroups common to tables on one
 carrier and the ideals, refusing past `LATTICE_ENTRY_BOUND` entries.
 
-One map search (`_map_search`) finds the isomorphisms and automorphisms of
-groups (one table) and of braces (additive, then multiplicative table).  It
-places images of a generating set S of the first table and closes the
-partial map f there along generator edges only, f(xg) = f(x)f(g) for each
-known x and placed generator g: the g that satisfy this for every x of
-K = <placed generators> are closed under products, so f is a homomorphism
-on K at every node that passes, at O(|K| |S|) lookups instead of O(|K|^2).
+One walker (`_walk`) finds every map: the isomorphisms and automorphisms of
+groups and braces (`_map_search`) and the census oracle's actions and
+bijective cocycles.  It places images of the generators g_1, g_2, .. of
+the source one at a time and proves f(xg) = f(x) acts[x](f(g)) on the
+generator pairs of one orbit of 0, the group's cached `_generator_levels`:
+the g that satisfy it for every x of H_k = <g_1..g_k> are closed under
+products, so f is proven on H_k at every node that passes, at O(|H_k| k)
+lookups instead of O(|H_k|^2).  A brace's multiplicative table is closed
+over all pairs of known elements alongside.
 One coset builder (`_cosets`) gives the quotients of groups and braces.  The
 predicates build no quotient: nilpotency is read off element orders,
 supersolubility climbs modulo its last term on G's own table.
@@ -87,9 +89,9 @@ AUT_TABLE_BOUND = 2048
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    `cache` is bounded: three keys, one value each, built once by `_cached`
-    from the table: "generating_set", "element_orders" and
-    "conjugacy_class_sizes".
+    `cache` is bounded: four keys, one value each, built once by `_cached`
+    from the table: "generating_set", "element_orders",
+    "conjugacy_class_sizes" and "generator_levels".
     """
 
     __slots__ = ("order", "table", "inverse", "name", "cache")
@@ -408,9 +410,10 @@ def _joins(groups: Sequence[FiniteGroup], atoms: Sequence[Sequence[int]]) -> lis
     is extended only by the g > s that are least in their coset H g of the
     first table, and the extension K is kept only when no element of K
     below g lies outside H; the closures stop at the first such element.
-    Each extension starts one `_Span` per table from H's elements and kept
-    generators, closes atoms[g] in the first and brings the others level by
-    `_agree`: O((|K| - |H|) log |K|) lookups per table at most, plus n per H.
+    Each extension closes atoms[g] in a `_Span` of the first table, started
+    from H's elements and kept generators; only if that passes are the
+    other tables' spans started the same way and brought level by `_agree`:
+    O((|K| - |H|) log |K|) lookups per table at most, plus n per H.
     """
     t = groups[0].table
     out = []
@@ -427,10 +430,13 @@ def _joins(groups: Sequence[FiniteGroup], atoms: Sequence[Sequence[int]]) -> lis
             done.update([t[h][g] for h in base])
             if g < last:
                 continue
-            spans = [_Span(G.table, elems=base, gens=gk) for G, gk in zip(groups, gens)]
-            if (all(a in spans[0].inside or spans[0].add(a, g) for a in atoms[g])
-                    and _agree(spans, g, len(base))):
-                frontier.append((tuple(sorted(spans[0].elems)), [s.gens for s in spans], g))
+            first = _Span(t, elems=base, gens=gens[0])
+            if not all(a in first.inside or first.add(a, g) for a in atoms[g]):
+                continue
+            spans = [first] + [_Span(G.table, elems=base, gens=gk)
+                               for G, gk in zip(groups[1:], gens[1:])]
+            if _agree(spans, g, len(base)):
+                frontier.append((tuple(sorted(first.elems)), [s.gens for s in spans], g))
     return sorted(out, key=lambda s: (len(s), s))
 
 
@@ -662,29 +668,138 @@ def generating_set(G: FiniteGroup) -> list[int]:
     return list(_cached(G, "generating_set", lambda: tuple(_Span(G.table, G.elements()).gens)))
 
 
+def _generator_levels(G: FiniteGroup) -> tuple:
+    """One level per generator g_k of `generating_set(G)`, cached in G: the
+    pairs on which `_walk` proves its identity.
+
+    A level is (g_k, its order, pairs).  H_k = <g_1..g_k> is closed as an
+    orbit of 0, as in `_Span`: the elements of H_{k-1} times g_k, then the
+    new ones, g_k first, times g_1..g_k.  Its pairs are the (x, g, xg) of
+    that orbit with x != 0 (where the identity holds once f(0) is neutral),
+    in orbit order, so up to level k each (x, g) of H_k x {g_1..g_k} is
+    listed once, after x is reached.
+    """
+    def build() -> tuple:
+        gens, t, orders = generating_set(G), G.table, element_orders(G)
+        elems, inside, levels = [0], {0}, []
+        for k, g_k in enumerate(gens):
+            mark = len(elems)
+            elems.append(g_k)
+            inside.add(g_k)
+            pairs = []
+            i = 1
+            while i < len(elems):
+                x = elems[i]
+                for g in gens[:k + 1] if i >= mark else (g_k,):
+                    y = t[x][g]
+                    pairs.append((x, g, y))
+                    if y not in inside:
+                        inside.add(y)
+                        elems.append(y)
+                i += 1
+            levels.append((g_k, orders[g_k], tuple(pairs)))
+        return tuple(levels)
+
+    return _cached(G, "generator_levels", build)
+
+
+def _walk(levels, target: FiniteGroup, acts, candidates, injective: bool, limit: float,
+          others=()) -> list[tuple[int, ...]]:
+    """The first `limit` maps f from the group of `levels` to `target` with
+    f(xg) = f(x) acts[x](f(g)), injective if asked, in the order of their
+    generator images in `candidates`; acts[x] is a permutation of the target.
+
+    The one map search (Holt, Eick & O'Brien, 2005, ch. 4).  The image of
+    g_k comes from candidates[k], and each pair (x, g, y) of levels[k] sets
+    f(y) or checks it.  If acts is a homomorphism into Aut(target), the g
+    that satisfy the identity for every x of H_k are closed under products,
+    f(xgh) = f(x) acts[x](f(g) acts[g](f(h))), so passing level k proves it
+    on H_k, at O(|H_k| k) lookups instead of O(|H_k|^2).  With identity acts
+    the f are the homomorphisms.
+
+    Each (ug, uh) of `others` is a second pair of tables on the same
+    carriers (a brace's multiplicative ones), on which f is closed as a
+    homomorphism over every pair of known elements, both ways, so they prune
+    by all pairs and hold on all of them at a leaf.  An element they reach
+    may be a generator not placed yet: it has no choice of image.
+    """
+    f = [-1] * len(acts)
+    f[0] = 0
+    back = [-1] * target.order  # back[w]: the element mapped to w, read if injective
+    back[0] = 0
+    known = [0]
+    same = [tuple(range(target.order))] * len(acts) if others else None
+    out: list[tuple[int, ...]] = []
+
+    def close(pairs, table, twist) -> bool:
+        """Set or check f(y) = f(x) twist[x](f(g)) in `table` for each pair
+        (x, g, y); False at the first clash."""
+        for x, g, y in pairs:
+            w = table[f[x]][twist[x][f[g]]]
+            fy = f[y]
+            if fy < 0:
+                if injective and back[w] >= 0:
+                    return False
+                f[y] = w
+                back[w] = y
+                known.append(y)
+            elif fy != w:
+                return False
+        return True
+
+    def close_others(mark: int) -> bool:
+        """Close f in the other tables over every pair of known elements
+        with one known from position mark on."""
+        i = mark
+        while others and i < len(known):
+            x = known[i]
+            i += 1
+            for ug, uh in others:
+                if not close([(a, b, ug[a][b]) for y in known[:i] for a, b in ((x, y), (y, x))],
+                             uh, same):
+                    return False
+        return True
+
+    def extend(k: int) -> bool:
+        if k == len(levels):
+            out.append(tuple(f))
+            return len(out) == limit
+        g_k, _order, pairs = levels[k]
+        mark = len(known)
+        forced = f[g_k] >= 0
+        for v in (f[g_k],) if forced else candidates[k]:
+            if not forced:
+                if injective and back[v] >= 0:
+                    continue
+                f[g_k] = v
+                back[v] = g_k
+                known.append(g_k)
+            if close(pairs, target.table, acts) and close_others(mark) and extend(k + 1):
+                return True
+            for x in known[mark:]:
+                back[f[x]] = -1
+                f[x] = -1
+            del known[mark:]
+        return False
+
+    extend(0)
+    # Drop the cycle extend -> its cell -> extend, so the walk's lists are
+    # freed now rather than left to the cyclic collector: the oracle walks
+    # once per action.
+    extend = None
+    return out
+
+
 def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
                 limit: float) -> list[tuple[int, ...]]:
     """Bijections carrying each source table onto its target table: the
     first `limit` of them, in the lex order of their generator images.
 
-    The tables of each side share one carrier.  Images of a generating set
-    S of the first source table are placed one by one, in ascending target
-    order (Holt, Eick & O'Brien, 2005, ch. 4), and the partial map f is
-    closed on that table as an orbit under right multiplication by the
-    placed generators: known elements times the newest one, new elements
-    times every one, each checked or extended by f(xg) = f(x)f(g).  That is a proof: in
-    K = <placed generators> the g with f(xg) = f(x)f(g) for every x of K
-    include the placed generators and are closed under products, so f is a
-    homomorphism on K at every node that passes.  At a leaf every generator
-    is placed, so K and the known elements are the whole group.
-
-    The other tables (a brace's multiplicative one) close each new element
-    against every known one, both ways, so they prune by all pairs.  An
-    element they reach may be a generator not placed yet: it has no choice
-    of image, but it is still placed and closed against every known element.
-    An element maps only to one with the same (element order, conjugacy
-    class size) in every table of its side; the sorted element orders of
-    the first tables, the cheapest of these tests, are compared first.
+    `_walk` with identity acts over the first tables, closing the others
+    over all pairs.  An element maps only to one with the same (element
+    order, conjugacy class size) in every table of its side; the sorted
+    element orders of the first tables, the cheapest of these tests, are
+    compared first.
     """
     n = sources[0].order
     if sorted(element_orders(sources[0])) != sorted(element_orders(targets[0])):
@@ -693,90 +808,10 @@ def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
                     for side in (sources, targets))
     if sorted(inv_g) != sorted(inv_h):
         return []
-    (tg, th), *others = [(G.table, H.table) for G, H in zip(sources, targets)]
-    gens = generating_set(sources[0])
-    results: list[tuple[int, ...]] = []
-    fwd = [-1] * n
-    bwd = [-1] * n
-    fwd[0] = 0
-    bwd[0] = 0
-    known = [0]
-    placed: list[int] = []
-
-    def close(mark: int) -> bool:
-        """Close f: on the first table, times the newest generator for the
-        elements known before position mark and times every placed
-        generator from there on; on the others, from known[mark] on."""
-        edges = [(s, fwd[s]) for s in placed]
-        newest = edges[-1:]
-        i = 0
-        while i < len(known):
-            x = known[i]
-            rg, rh = tg[x], th[fwd[x]]
-            i += 1
-            for s, hs in edges if i > mark else newest:
-                z = rg[s]
-                w = rh[hs]
-                if fwd[z] >= 0:
-                    if fwd[z] != w:
-                        return False
-                elif bwd[w] >= 0:
-                    return False
-                else:
-                    fwd[z] = w
-                    bwd[w] = z
-                    known.append(z)
-            if i <= mark:
-                continue
-            for ug, uh in others:
-                for y in known[: i]:
-                    for a, b in ((x, y), (y, x)):
-                        z = ug[a][b]
-                        w = uh[fwd[a]][fwd[b]]
-                        if fwd[z] >= 0:
-                            if fwd[z] != w:
-                                return False
-                        elif bwd[w] >= 0:
-                            return False
-                        else:
-                            fwd[z] = w
-                            bwd[w] = z
-                            known.append(z)
-        return True
-
-    def undo(mark: int) -> None:
-        """Forget every element known from position mark on."""
-        for x in known[mark:]:
-            bwd[fwd[x]] = -1
-            fwd[x] = -1
-        del known[mark:]
-
-    def assign(gen_pos: int) -> bool:
-        if gen_pos == len(gens):
-            results.append(tuple(fwd))
-            return len(results) == limit
-        g = gens[gen_pos]
-        mark = len(known)
-        placed.append(g)
-        if fwd[g] >= 0:
-            if close(mark) and assign(gen_pos + 1):
-                return True
-            undo(mark)
-        else:
-            for h in range(n):
-                if bwd[h] >= 0 or inv_h[h] != inv_g[g]:
-                    continue
-                fwd[g] = h
-                bwd[h] = g
-                known.append(g)
-                if close(mark) and assign(gen_pos + 1):
-                    return True
-                undo(mark)
-        placed.pop()
-        return False
-
-    assign(0)
-    return results
+    levels = _generator_levels(sources[0])
+    candidates = [[h for h in range(n) if inv_h[h] == inv_g[g]] for g, *_ in levels]
+    others = [(G.table, H.table) for G, H in zip(sources[1:], targets[1:])]
+    return _walk(levels, targets[0], [tuple(range(n))] * n, candidates, True, limit, others)
 
 
 def group_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:

@@ -27,7 +27,6 @@ from skewbrace import (
 from skewbrace.census import (
     _action_homs,
     _bijective_cocycles,
-    _generator_levels,
     _hol_orders,
     _label_group,
     _oracle_counts,
@@ -37,7 +36,8 @@ from skewbrace.census import (
 )
 from skewbrace import groups
 from skewbrace.cli import write_census_document
-from skewbrace.groups import _compose, _relabel, element_order, element_orders, generating_set
+from skewbrace.groups import (_compose, _generator_levels, _relabel, element_order,
+                              element_orders, generating_set)
 
 import scalar_reference as ref
 
@@ -372,15 +372,15 @@ def test_census_export_is_unchanged(n):
 def test_oracle_tables_up_to_aut_c_match_all_actions():
     for n in range(1, 13):
         catalog = group_catalog(n)
-        split = [(C, _generator_levels(C), automorphism_perms(C)) for _, C in catalog]
+        split = [(C, automorphism_perms(C)) for _, C in catalog]
         for _, A in catalog:
             aut, perms = aut_group(A)
             hol = _hol_orders(A, aut, perms)
             every = {
                 _relabel(C.table, delta)
-                for C, levels, _ in split
-                for lam in _action_homs(C, levels, aut)
-                for delta in _bijective_cocycles(C, levels, A, lam, perms, hol)
+                for C, _ in split
+                for lam in _action_homs(C, aut)
+                for delta in _bijective_cocycles(C, A, lam, perms, hol)
             }
             assert _oracle_tables(A, aut, perms, split) == every, (n, A.name)
 
@@ -390,11 +390,9 @@ def _generator_proofs(C, A):
     set of bijective cocycles, from the oracle's generator proofs."""
     aut, perms = aut_group(A)
     hol = _hol_orders(A, aut, perms)
-    levels = _generator_levels(C)
     return {
-        tuple(perms[phi] for phi in lam):
-            set(_bijective_cocycles(C, levels, A, lam, perms, hol))
-        for lam in _action_homs(C, levels, aut)
+        tuple(perms[phi] for phi in lam): set(_bijective_cocycles(C, A, lam, perms, hol))
+        for lam in _action_homs(C, aut)
     }
 
 
@@ -421,40 +419,47 @@ def test_order_eight_homomorphism_and_cocycle_totals():
     assert cocycles == {"C8": 56, "C4xC2": 576, "C2xC2xC2": 3360, "D8": 496, "Q8": 528}
 
 
+def _assert_levels_visit_each_pair_once(G):
+    """Up to level k every (x, g) with x in H_k, x != 0 and g among
+    g_1..g_k is listed exactly once, after x is reached (as 0, a generator
+    or the product of an earlier pair), and the last level reaches G (the
+    trivial group has no level)."""
+    levels = _generator_levels(G)
+    gens = generating_set(G)
+    assert [level[0] for level in levels] == gens, G.name
+    reached, listed = {0}, []
+    for k, (g_k, order, pairs) in enumerate(levels):
+        assert order == element_order(G, g_k), G.name
+        reached.add(g_k)
+        for x, g, y in pairs:
+            assert x in reached and G.table[x][g] == y, G.name
+            reached.add(y)
+            listed.append((x, g))
+        assert sorted(listed) == sorted(
+            (x, g) for x in reached if x for g in gens[:k + 1]), G.name
+    assert reached == set(G.elements()), G.name
+
+
 @pytest.mark.parametrize("n", range(1, 16))
 def test_generator_levels_visit_each_pair_once(n):
-    """Up to level k every (x, g) with x in H_k, x != 0 and g among
-    g_1..g_k is an edge or a check exactly once, each edge starts at an
-    element placed before the one it reaches, and the last level holds C
-    (the trivial group has no level)."""
     for _, C in group_catalog(n):
-        levels = _generator_levels(C)
-        gens = generating_set(C)
-        assert [level[0] for level in levels] == gens, C.name
-        placed, visited = {0}, []
-        for k, (g_k, order, elems, edges, checks) in enumerate(levels):
-            assert order == element_order(C, g_k), C.name
-            placed.add(g_k)
-            for x, g, y in edges:
-                assert x in placed and y not in placed, C.name
-                placed.add(y)
-            assert placed == set(elems) and len(elems) == len(placed), C.name
-            assert all(C.table[x][g] == y for x, g, y in edges + checks), C.name
-            visited += [(x, g) for x, g, _y in edges + checks]
-            assert sorted(visited) == sorted(
-                (x, g) for x in elems if x for g in gens[:k + 1]), C.name
-        assert placed == set(C.elements()), C.name
+        _assert_levels_visit_each_pair_once(C)
+
+
+def test_full_pool_generator_levels_visit_each_pair_once(full_pool):
+    for B in full_pool:
+        _assert_levels_visit_each_pair_once(B.add_group)
+        _assert_levels_visit_each_pair_once(B.mul_group)
 
 
 def test_non_commuting_generator_images_are_rejected():
     v4 = dict(group_catalog(4))["C2xC2"]
     aut, perms = aut_group(v4)
-    levels = _generator_levels(v4)
     g1, g2 = generating_set(v4)
     transpositions = [phi for phi in range(aut.order) if element_order(aut, phi) == 2]
     assert len(transpositions) == 3
     assert element_order(v4, g1) == element_order(v4, g2) == 2
-    homs = _action_homs(v4, levels, aut)
+    homs = _action_homs(v4, aut)
     # The trivial map, and each of 3 kernels of index 2 with 3 images.
     assert len(homs) == 10
     for t1 in transpositions:

@@ -277,6 +277,23 @@ def test_cocycle_document_matches_table_document(tmp_path):
     assert brace.tables() == ex.brace.tables()
 
 
+def test_cocycle_document_needs_identity_zero(tmp_path, capsys):
+    # C3 with identity 1 in both tables and delta its inversion, a cocycle of
+    # the trivial action in the document's labels.  Moving the identity to 0
+    # would keep lambda and delta in the old labels and blame delta instead.
+    swap = [1, 0, 2]
+    rows = [[0] * 3 for _ in range(3)]
+    for x in range(3):
+        for y in range(3):
+            rows[swap[x]][swap[y]] = swap[(x + y) % 3]
+    table = [" ".join(map(str, row)) for row in rows]
+    doc = ["skewbrace 1", "order 3", "cocycle", "add", *table, "mult", *table,
+           "lambda", *["0 1 2"] * 3, "delta", "2 1 0", "end"]
+    path = write(tmp_path, "c3.brace", "\n".join(doc) + "\n")
+    assert main(["analyze", path]) == 3
+    assert capsys.readouterr().err == "validation error: the identity of add is element 1, not 0\n"
+
+
 def test_comments_and_blank_lines_are_skipped():
     doc = document_for("ex8")
     noisy = "# leading comment\n\n" + doc.replace(
