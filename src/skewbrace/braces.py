@@ -40,7 +40,8 @@ from .errors import (
     TranscriptionInvalid,
 )
 from .groups import (FiniteGroup, direct_product, generating_set, quotient_group,
-                     _group, _identity_of, _prove_group, _row_getter, _subset)
+                     _automorphism_fault, _group, _identity_of, _induced, _off_carrier,
+                     _prove_group, _relabel, _row_getter, _twisted, _subset)
 
 __all__ = [
     "SkewBrace",
@@ -225,8 +226,9 @@ def brace_from_cocycle(spec: CocycleSpec, name: Optional[str] = None) -> SkewBra
             f"group orders differ: {n} additive vs {mul.order} multiplicative")
     if len(spec.delta) != n or len(spec.acting) != n:
         raise TranscriptionInvalid("acting or delta table has the wrong length")
-    if sorted(spec.delta) != list(range(n)):
-        raise DeltaNotBijective("delta is not a bijection onto the additive carrier")
+    off = _off_carrier(spec.delta, n)
+    if off or len(set(spec.delta)) != n:
+        raise DeltaNotBijective(f"delta {off or 'is not a bijection onto the additive carrier'}")
     if spec.delta[0] != 0:
         raise TranscriptionInvalid(
             f"delta must send the identity to 0, got {spec.delta[0]}")
@@ -234,17 +236,10 @@ def brace_from_cocycle(spec: CocycleSpec, name: Optional[str] = None) -> SkewBra
     acting = spec.acting
     # Additivity at x, compatibility at c and then the cocycle identity at d
     # are closed under + or products, so x, c and d run over generating sets.
-    full = set(range(n))
-    add_gens = generating_set(add)
     for c, p in enumerate(acting):
-        if len(p) != n or set(p) != full:
-            raise TranscriptionInvalid(f"acting map of element {c} is not a bijection")
-        for x in add_gens:
-            px, row = p[x], ta[x]
-            for y in range(n):
-                if p[row[y]] != ta[px][p[y]]:
-                    raise TranscriptionInvalid(
-                        f"acting map of element {c} is not additive at ({x}, {y})")
+        fault = _automorphism_fault(add, p)
+        if fault:
+            raise TranscriptionInvalid(f"acting map of element {c} {fault}")
     for c in generating_set(mul):
         pc = acting[c]
         for d in range(n):
@@ -256,14 +251,7 @@ def brace_from_cocycle(spec: CocycleSpec, name: Optional[str] = None) -> SkewBra
             if spec.delta[tm[c][d]] != ta[spec.delta[c]][acting[c][spec.delta[d]]]:
                 raise CocycleIdentityViolation(
                     f"delta({c} {d}) != delta({c}) + lambda({c})(delta({d}))")
-    inv_delta = [0] * n
-    for c, v in enumerate(spec.delta):
-        inv_delta[v] = c
-    mul_table = tuple(
-        tuple(spec.delta[tm[inv_delta[a]][inv_delta[b]]] for b in range(n))
-        for a in range(n)
-    )
-    return _brace(add, _group(mul_table), name)
+    return _brace(add, _group(_relabel(tm, spec.delta)), name)
 
 
 def quotient_brace(B: SkewBrace, ideal_elems: Sequence[int],
@@ -302,16 +290,16 @@ def sub_brace(B: SkewBrace, elements: Sequence[int],
     if 0 not in inside:
         raise MissingZero("a subbrace must contain 0")
     elems = tuple(sorted(inside))
-    pos = {x: i for i, x in enumerate(elems)}
-    ta, tm = B.add_group.table, B.mul_group.table
-    for a in elems:
-        for b in elems:
-            if ta[a][b] not in pos:
-                raise NotClosed(f"subset not closed under addition at ({a}, {b})")
-            if tm[a][b] not in pos:
-                raise NotClosed(f"subset not closed under multiplication at ({a}, {b})")
-    s_add = tuple(tuple(pos[ta[a][b]] for b in elems) for a in elems)
-    s_mul = tuple(tuple(pos[tm[a][b]] for b in elems) for a in elems)
+    pos = [-1] * B.order
+    for i, x in enumerate(elems):
+        pos[x] = i
+    s_add, s_mul = (_induced(G.table, elems, pos) for G in (B.add_group, B.mul_group))
+    for a, row_add, row_mul in zip(elems, s_add, s_mul):
+        if -1 in row_add or -1 in row_mul:
+            for b, s, p in zip(elems, row_add, row_mul):
+                if s < 0 or p < 0:
+                    op = "addition" if s < 0 else "multiplication"
+                    raise NotClosed(f"subset not closed under {op} at ({a}, {b})")
     return _brace(_group(s_add), _group(s_mul), name)
 
 
@@ -321,20 +309,8 @@ def semidirect_group(B: SkewBrace, name: Optional[str] = None) -> FiniteGroup:
     The additive group is twisted by the lambda action of the multiplicative
     group; pairs flatten as index = x * order + g.
     """
-    n = B.order
-    ta, tm, lam = B.add_group.table, B.mul_group.table, B.lam_table
-    size = n * n
-    table = []
-    for p in range(size):
-        x, g = divmod(p, n)
-        row_add = ta[x]
-        row_lam = lam[g]
-        row_mul = tm[g]
-        table.append(tuple(
-            row_add[row_lam[q // n]] * n + row_mul[q % n] for q in range(size)
-        ))
-    label = name or (B.name and f"semi({B.name})")
-    return _group(tuple(table), label)
+    return _twisted(B.add_group, B.mul_group, B.lam_table,
+                    name or (B.name and f"semi({B.name})"))
 
 
 def direct_product_braces(B1: SkewBrace, B2: SkewBrace,

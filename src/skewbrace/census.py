@@ -38,12 +38,11 @@ from .groups import (
     _relabel,
     _walk,
     aut_group,
+    cyclic_extension,
     cyclic_group,
     direct_product,
     element_orders,
     group_isomorphism,
-    make_group,
-    semidirect_product,
 )
 
 __all__ = [
@@ -62,23 +61,11 @@ ENUMERATION_ORDER_BOUND = 16
 
 
 def quaternion_group() -> FiniteGroup:
-    """The order-8 group of quaternion units, identity first."""
-    unit_mul = (
-        ((0, 0), (0, 1), (0, 2), (0, 3)),
-        ((0, 1), (1, 0), (0, 3), (1, 2)),
-        ((0, 2), (1, 3), (1, 0), (0, 1)),
-        ((0, 3), (0, 2), (1, 1), (1, 0)),
-    )
-    table = []
-    for idx1 in range(8):
-        u1, s1 = divmod(idx1, 2)
-        row = []
-        for idx2 in range(8):
-            u2, s2 = divmod(idx2, 2)
-            extra, unit = unit_mul[u1][u2]
-            row.append(2 * unit + (s1 ^ s2 ^ extra))
-        table.append(tuple(row))
-    return make_group(tuple(table), name="Q8")
+    """The quaternion units 1, -1, i, -i, j, -j, k, -k: C4 = <i> extended
+    by inversion with t = j and t^2 = 2 = -1."""
+    c4 = cyclic_group(4)
+    q8 = cyclic_extension(c4, c4.inverse, 2, 2)
+    return _group(_relabel(q8.table, (0, 4, 2, 6, 1, 5, 3, 7)), "Q8")
 
 
 def group_catalog(n: int) -> list[tuple[str, FiniteGroup]]:
@@ -106,11 +93,9 @@ def group_catalog(n: int) -> list[tuple[str, FiniteGroup]]:
     elif n == 12:
         out.append(("C6xC2", direct_product(c(6), c(2), name="C6xC2")))
         out.append(("D12", _dihedral(6, "D12")))
-        out.append(("Dic3", semidirect_product(
-            c(3), c(4), [(0, 1, 2), (0, 2, 1), (0, 1, 2), (0, 2, 1)], name="Dic3")))
+        out.append(("Dic3", cyclic_extension(c(3), (0, 2, 1), 0, 4, name="Dic3")))
         v4 = direct_product(c(2), c(2))
-        out.append(("A4", semidirect_product(
-            v4, c(3), [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)], name="A4")))
+        out.append(("A4", cyclic_extension(v4, (0, 2, 3, 1), 0, 3, name="A4")))
     elif n == 14:
         out.append(("D14", _dihedral(7, "D14")))
     return out
@@ -179,6 +164,8 @@ def _regular_families(A: FiniteGroup, aut: FiniteGroup, perms, hol) -> list[tupl
         gens.pop()
 
     search()
+    # Drop the cycle search -> its cell -> search, as `groups._walk` does.
+    search = None
     return results
 
 

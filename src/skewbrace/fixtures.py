@@ -19,11 +19,11 @@ from .groups import (
     _compose,
     _dihedral,
     closure,
+    cyclic_extension,
     cyclic_group,
     direct_product,
     group_isomorphism,
     is_nilpotent_group,
-    semidirect_product,
 )
 from .series import (
     derived_ideal,
@@ -308,8 +308,7 @@ def _build_ex32() -> tuple[CocycleSpec, dict[str, tuple[int, ...]]]:
         for idx in range(16)
         for i, j in (divmod(idx, 4),)
     )
-    mul = semidirect_product(c4c4, c2, [tuple(range(16)), twist],
-                             name="(C4xC4):C2")
+    mul = cyclic_extension(c4c4, twist, 0, 2, name="(C4xC4):C2")
 
     def linear(*images: int):
         img = list(images)

@@ -29,8 +29,11 @@ predicates build no quotient: nilpotency is read off element orders,
 supersolubility climbs modulo its last term on G's own table.
 
 Exact at the boundary, trusted after: `make_group` proves a table, and a
-table derived from proven groups (quotients, Aut, semidirect products after
-their exact checks) is a group by theorem, built by `_group` unproven.
+table derived from proven groups (quotients, Aut, products, and cyclic
+extensions once their three conditions are proven) is a group by theorem,
+built by `_group` unproven.  One pair builder (`_twisted`) gives the direct
+products and the lambda product of a brace, and one induced-table builder
+(`_induced`) the relabelings, quotients and subtables.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ __all__ = [
     "make_group",
     "cyclic_group",
     "direct_product",
-    "semidirect_product",
+    "cyclic_extension",
     "closure",
     "subgroups",
     "is_subgroup",
@@ -163,12 +166,20 @@ def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple([p[x] for x in q])
 
 
+def _induced(table: Sequence[Sequence[int]], reps: Sequence[int],
+             label) -> tuple[tuple[int, ...], ...]:
+    """The table on positions i, j of `reps` with entry label[table[reps[i]][reps[j]]]:
+    the one builder of relabelings, quotients and subtables."""
+    through = _row_getter(reps)
+    return tuple([_row_getter(through(table[a]))(label) for a in reps])
+
+
 def _relabel(table: Sequence[Sequence[int]], perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Return the table of the same group with element x renamed perm[x]."""
     inv = [0] * len(table)
     for x, px in enumerate(perm):
         inv[px] = x
-    return tuple(tuple([perm[row[b]] for b in inv]) for row in [table[x] for x in inv])
+    return _induced(table, inv, perm)
 
 
 class _Span:
@@ -290,71 +301,91 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, inverse, f"C{n}")
 
 
+def _twisted(normal: FiniteGroup, acting: FiniteGroup, perms: Sequence[Sequence[int]],
+             name: Optional[str]) -> FiniteGroup:
+    """The trusted pair table (x, h)(y, k) = (x perms[h](y), hk), pairs
+    flattened as index = x * |acting| + h: a group whenever h -> perms[h]
+    is a homomorphism into Aut(normal)."""
+    nh = acting.order
+    through = [_row_getter(p) for p in perms]
+    rows = tuple(tuple([u * nh + v for u in through_h(row_x) for v in row_h])
+                 for row_x in normal.table for through_h, row_h in zip(through, acting.table))
+    return _group(rows, name)
+
+
 def direct_product(left: FiniteGroup, right: FiniteGroup,
                    name: Optional[str] = None) -> FiniteGroup:
     """Direct product on pairs, flattened as index = left_part * |right| + right_part."""
-    nl, nr = left.order, right.order
-    tl, tr = left.table, right.table
-    n = nl * nr
-    table = tuple(
-        tuple(tl[a // nr][b // nr] * nr + tr[a % nr][b % nr] for b in range(n))
-        for a in range(n)
-    )
-    inverse = tuple(left.inverse[a // nr] * nr + right.inverse[a % nr] for a in range(n))
     label = name or f"{left.name or '?'}x{right.name or '?'}"
-    return FiniteGroup(table, inverse, label)
+    return _twisted(left, right, [range(left.order)] * right.order, label)
 
 
-def _is_automorphism_perm(G: FiniteGroup, perm: Sequence[int]) -> bool:
-    n = G.order
-    if sorted(perm) != list(range(n)):
-        return False
-    t = G.table
-    return all(perm[t[a][b]] == t[perm[a]][perm[b]] for a in range(n) for b in range(n))
+def _off_carrier(p: Sequence, n: int) -> Optional[str]:
+    """Names the first entry of p that is not an int in 0..n-1 (a bool is
+    an int, as in `_subset`), or None."""
+    for x, v in enumerate(p):
+        if not (isinstance(v, int) and 0 <= v < n):
+            return f"has entry {v!r} at {x}, not an int in 0..{n - 1}"
+    return None
 
 
-def semidirect_product(normal: FiniteGroup, acting: FiniteGroup,
-                       action: Sequence[Sequence[int]],
-                       name: Optional[str] = None) -> FiniteGroup:
-    """Semidirect product with `acting` twisting `normal`.
+def _automorphism_fault(G: FiniteGroup, p: Sequence[int]) -> Optional[str]:
+    """Why p is not an automorphism of G, or None.  The entries are tested
+    before any is hashed or used as an index.  The x with p(xy) = p(x)p(y)
+    for all y are closed under products, so x runs over `generating_set(G)`;
+    a row over y is compared whole, and scanned only to name a witness."""
+    n, t = G.order, G.table
+    off = _off_carrier(p, n)
+    if off or len(p) != n or len(set(p)) != n:
+        return off or "is not a bijection"
+    through = _row_getter(p)
+    for x in generating_set(G):
+        row = t[x]
+        if _row_getter(row)(p) != through(t[p[x]]):
+            y = next(y for y in range(n) if p[row[y]] != t[p[x]][p[y]])
+            return f"is not additive at ({x}, {y})"
+    return None
 
-    action[h] is the permutation of normal's elements applied by h; it must
-    land in Aut(normal) and h -> action[h] must respect multiplication.
-    Pairs (n, h) flatten as index = n * |acting| + h.
+
+def cyclic_extension(normal: FiniteGroup, alpha: Sequence[int], g: int, m: int,
+                     name: Optional[str] = None) -> FiniteGroup:
+    """The group <N, t> with t x t^-1 = alpha(x) and t^m = g, N = `normal`.
+
+    It exists exactly when alpha is in Aut(N), alpha(g) = g and alpha^m is
+    conjugation by g (Hall, The Theory of Groups, 1959, 15.3).  Each is
+    proven, the last on generators as both sides are automorphisms, and a
+    failure raises ActionNotHomomorphism naming its witness.  x t^i sits at
+    x * m + i, and (x t^i)(y t^j) = x alpha^i(y) t^(i+j), with t^m = g.
     """
-    if len(action) != acting.order:
-        raise ActionNotHomomorphism(
-            f"action has {len(action)} entries for a group of order {acting.order}")
-    perms = [tuple(p) for p in action]
-    for h, p in enumerate(perms):
-        if not _is_automorphism_perm(normal, p):
-            raise ActionNotHomomorphism(f"action of element {h} is not an automorphism")
-    for h1 in acting.elements():
-        for h2 in acting.elements():
-            composed = tuple(perms[h1][perms[h2][x]] for x in normal.elements())
-            if perms[acting.mul(h1, h2)] != composed:
-                raise ActionNotHomomorphism(
-                    f"action of {h1}*{h2} differs from composing the actions")
-    nh = acting.order
-    n = normal.order * nh
-    tn, th = normal.table, acting.table
-    table = []
-    for a in range(n):
-        x, g = divmod(a, nh)
-        px = perms[g]
-        tx = tn[x]
-        tg = th[g]
-        table.append(tuple(tx[px[b // nh]] * nh + tg[b % nh] for b in range(n)))
-    return _group(tuple(table), name)
+    n, t = normal.order, normal.table
+    if not (isinstance(m, int) and m >= 1 and isinstance(g, int) and 0 <= g < n):
+        raise ActionNotHomomorphism(f"need an int m >= 1 and g in N, got m = {m!r}, g = {g!r}")
+    fault = _automorphism_fault(normal, alpha)
+    if fault:
+        raise ActionNotHomomorphism(f"alpha {fault}")
+    if alpha[g] != g:
+        raise ActionNotHomomorphism(f"alpha moves g = {g} to {alpha[g]}")
+    powers = [tuple(range(n))]
+    while len(powers) <= m:
+        powers.append(_compose(alpha, powers[-1]))
+    for x in generating_set(normal):
+        if powers[m][x] != t[t[g][x]][normal.inverse[g]]:
+            raise ActionNotHomomorphism(
+                f"alpha^{m} sends {x} to {powers[m][x]}, not to its conjugate by {g}")
+
+    def at(u: int, k: int) -> int:
+        """The index of u t^k, 0 <= k < 2m."""
+        return u * m + k if k < m else t[u][g] * m + k - m
+
+    rows = tuple(tuple([at(u, i + j) for u in _row_getter(p)(row_x) for j in range(m)])
+                 for row_x in t for i, p in enumerate(powers[:m]))
+    return _group(rows, name)
 
 
 def _dihedral(m: int, name: str) -> FiniteGroup:
-    """The dihedral group of order 2m: C_m twisted by inversion."""
-    return semidirect_product(
-        cyclic_group(m), cyclic_group(2),
-        [tuple(range(m)), tuple((-x) % m for x in range(m))],
-        name=name,
-    )
+    """The dihedral group of order 2m: C_m extended by inversion."""
+    c = cyclic_group(m)
+    return cyclic_extension(c, c.inverse, 0, 2, name)
 
 
 def closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
@@ -536,8 +567,7 @@ def quotient_group(G: FiniteGroup, normal_elems: Sequence[int],
             if t[t[g][h]][inv[g]] not in inside:
                 raise GroupInvalid(f"subset not normal: {g}*{h}*{g}^-1 escapes")
     coset_of, reps = _cosets(G, inside)
-    table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
-    return _group(table, name), coset_of
+    return _group(_induced(t, reps, coset_of), name), coset_of
 
 
 def _cosets(G: FiniteGroup, normal: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -717,11 +747,17 @@ def _walk(levels, target: FiniteGroup, acts, candidates, injective: bool, limit:
     on H_k, at O(|H_k| k) lookups instead of O(|H_k|^2).  With identity acts
     the f are the homomorphisms.
 
-    Each (ug, uh) of `others` is a second pair of tables on the same
+    Each (ug, uh) of `others` is a second pair of group tables on the same
     carriers (a brace's multiplicative ones), on which f is closed as a
-    homomorphism over every pair of known elements, both ways, so they prune
-    by all pairs and hold on all of them at a leaf.  An element they reach
-    may be a generator not placed yet: it has no choice of image.
+    homomorphism over each pair (x, y) of known elements with y known no
+    later than x.  An element they reach may be a generator not placed
+    yet: it has no choice of image.  At an injective leaf that one order
+    proves f a homomorphism on all pairs.  Pulled back by the bijection f,
+    uh is a second group product a.b that equals ug on the closed pairs.
+    Inverses agree, as of a and a^-1 one is known no later and ab = 0 iff
+    ba = 0.  For b known after a, let c = (ab)^-1: if c is known no later
+    than b then b.c = bc = a^-1, else c comes after a and c.a = ca = b^-1;
+    either way a.b.c = 0, so a.b = c^-1 = ab.
     """
     f = [-1] * len(acts)
     f[0] = 0
@@ -748,15 +784,15 @@ def _walk(levels, target: FiniteGroup, acts, candidates, injective: bool, limit:
         return True
 
     def close_others(mark: int) -> bool:
-        """Close f in the other tables over every pair of known elements
-        with one known from position mark on."""
+        """Close f in the other tables over each pair (x, y) of known
+        elements with x known from position mark on and y no later."""
         i = mark
         while others and i < len(known):
             x = known[i]
             i += 1
             for ug, uh in others:
-                if not close([(a, b, ug[a][b]) for y in known[:i] for a, b in ((x, y), (y, x))],
-                             uh, same):
+                ugx = ug[x]
+                if not close([(x, y, ugx[y]) for y in known[:i]], uh, same):
                     return False
         return True
 

@@ -162,6 +162,25 @@ def test_cocycle_validation_rejects_bad_specs():
         )
 
 
+def test_cocycle_entries_must_be_ints_on_the_carrier():
+    """A float equals an int but cannot index a table: it is refused with
+    the class of its table and named, while bools pass as ints."""
+    c4 = cyclic_group(4)
+    ident = (0, 1, 2, 3)
+    for acting, entry in ((ident, ident, ident, (0, 1.0, 2, 3)), "3 has entry 1.0 at 1"), \
+            (((0, 1, 2, None),) + (ident,) * 3, "0 has entry None at 3"):
+        with pytest.raises(TranscriptionInvalid,
+                           match=f"acting map of element {entry}, not an int in 0..3"):
+            brace_from_cocycle(CocycleSpec(c4, c4, acting, ident))
+    for delta, entry in (((0, 1.0, 2, 3), "1.0 at 1"), ((0, 1, 2, -3), "-3 at 3"),
+                         ((0, 1, 2, [3]), r"\[3\] at 3")):
+        with pytest.raises(DeltaNotBijective, match=f"delta has entry {entry}, not an int"):
+            brace_from_cocycle(CocycleSpec(c4, c4, (ident,) * 4, delta))
+    flags = (False, True, 2, 3)
+    b = brace_from_cocycle(CocycleSpec(c4, c4, (flags,) * 4, flags))
+    assert b.tables() == trivial_brace(c4).tables()
+
+
 def test_corrupted_delta_breaks_cocycle_identity(worked_examples):
     spec = worked_examples["ex8"].spec
     delta = list(spec.delta)

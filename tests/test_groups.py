@@ -7,6 +7,7 @@ import re
 import pytest
 
 from skewbrace import (
+    ActionNotHomomorphism,
     GroupInvalid,
     MissingInverse,
     NoIdentity,
@@ -15,15 +16,18 @@ from skewbrace import (
     GroupMap,
     aut_group,
     automorphism_perms,
+    build,
     center,
     closure,
     conjugacy_class_sizes,
+    cyclic_extension,
     cyclic_group,
     derived_subgroup,
     direct_product,
     direct_product_braces,
     element_order,
     element_orders,
+    example_names,
     generating_set,
     group_catalog,
     group_isomorphism,
@@ -35,7 +39,6 @@ from skewbrace import (
     make_group,
     quaternion_group,
     quotient_group,
-    semidirect_product,
     subgroups,
     trivial_brace,
 )
@@ -134,11 +137,98 @@ def test_direct_product_of_cyclics():
 def test_semidirect_product_dihedral():
     c4 = cyclic_group(4)
     inv = tuple(c4.inverse)
-    d8 = semidirect_product(c4, cyclic_group(2), [tuple(range(4)), inv])
+    d8 = cyclic_extension(c4, inv, 0, 2)
     assert_proven(d8)
     assert d8.order == 8
     assert not d8.is_abelian()
     assert group_isomorphism(d8, catalog_group(8, "D8")) is not None
+
+
+def _witness(message, pattern):
+    return tuple(map(int, re.search(pattern, message).groups()))
+
+
+def test_cyclic_extension_rejects_a_non_bijection():
+    c4 = cyclic_group(4)
+    for alpha in ((0, 1, 1, 3), (0, 1, 2), (0, 1, 2, 3, 0)):
+        with pytest.raises(ActionNotHomomorphism, match="alpha is not a bijection"):
+            cyclic_extension(c4, alpha, 0, 2)
+
+
+def test_cyclic_extension_rejects_a_non_additive_bijection():
+    c4 = cyclic_group(4)
+    for alpha in ((0, 2, 1, 3), (0, 1, 3, 2), (0, 3, 1, 2)):
+        with pytest.raises(ActionNotHomomorphism, match="alpha is not additive") as exc:
+            cyclic_extension(c4, alpha, 0, 2)
+        x, y = _witness(str(exc.value), r"at \((\d+), (\d+)\)")
+        assert alpha[c4.table[x][y]] != c4.table[alpha[x]][alpha[y]]
+
+
+def test_cyclic_extension_rejects_an_alpha_moving_g():
+    c4 = cyclic_group(4)
+    with pytest.raises(ActionNotHomomorphism, match="alpha moves g") as exc:
+        cyclic_extension(c4, c4.inverse, 1, 2)
+    g, image = _witness(str(exc.value), r"g = (\d+) to (\d+)")
+    assert (g, image) == (1, 3) and c4.inverse[g] == image != g
+
+
+def test_cyclic_extension_rejects_alpha_power_not_conjugation_by_g():
+    c3, c4 = cyclic_group(3), cyclic_group(4)
+    s3 = catalog_group(6, "S3")
+    cases = [(c3, c3.inverse, 0, 3), (c4, c4.inverse, 0, 1), (c4, c4.inverse, 2, 1)]
+    # In S3 conjugation by a reflection r fixes r and moves the rotations.
+    r = next(x for x in range(6) if element_order(s3, x) == 2)
+    cases.append((s3, tuple(range(6)), r, 2))
+    for normal, alpha, g, m in cases:
+        with pytest.raises(ActionNotHomomorphism, match="not to its conjugate") as exc:
+            cyclic_extension(normal, alpha, g, m)
+        power, x, image, by = _witness(
+            str(exc.value), r"alpha\^(\d+) sends (\d+) to (\d+), not to its conjugate by (\d+)")
+        assert (power, by) == (m, g)
+        y = x
+        for _ in range(m):
+            y = alpha[y]
+        t = normal.table
+        assert y == image != t[t[g][x]][normal.inverse[g]]
+
+
+def test_cyclic_extension_rejects_a_bad_order_or_g():
+    c4 = cyclic_group(4)
+    for m, g in ((0, 0), (-1, 0), (2.0, 0), (None, 0), (2, -1), (2, 4), (2, 1.0), (2, "0")):
+        with pytest.raises(ActionNotHomomorphism,
+                           match=re.escape(f"need an int m >= 1 and g in N, got m = {m!r}, g = {g!r}")):
+            cyclic_extension(c4, c4.inverse, g, m)
+
+
+def test_cyclic_extension_names_an_entry_off_the_carrier():
+    c4 = cyclic_group(4)
+    for alpha, entry in (((0, 3.0, 2, 1), "3.0 at 1"), ((0, 3, 2, 4), "4 at 3"),
+                         ((0, [3], 2, 1), r"\[3\] at 1")):
+        with pytest.raises(ActionNotHomomorphism, match=f"alpha has entry {entry}, not an int"):
+            cyclic_extension(c4, alpha, 0, 2)
+    assert cyclic_extension(c4, (False, 3, 2, True), 0, 2).table == catalog_group(8, "D8").table
+
+
+def test_every_built_table_is_proven_by_make_group():
+    """The catalog, Q8 and the fixture groups are built unproven; each
+    passes the public validator unchanged, and so do extensions with g != 0."""
+    built = [G for n in range(1, 16) for _, G in group_catalog(n)] + [quaternion_group()]
+    for name in example_names():
+        spec = build(name).spec
+        built += [spec.additive, spec.multiplicative]
+    c3, c4, c5, c6, c8 = (cyclic_group(k) for k in (3, 4, 5, 6, 8))
+    for args, like in (((c6, c6.inverse, 3, 2), "Dic3"), ((c3, (0, 1, 2), 1, 3), "C9"),
+                       ((c4, (0, 1, 2, 3), 2, 2), "C4xC2")):
+        G = cyclic_extension(*args)
+        assert group_isomorphism(G, catalog_group(G.order, like)), like
+        built.append(G)
+    q16 = cyclic_extension(c8, c8.inverse, 4, 2)
+    assert sorted(element_orders(q16)).count(2) == 1 and not q16.is_abelian()
+    f20 = cyclic_extension(c5, (0, 2, 4, 1, 3), 0, 4)
+    assert len(center(f20)) == 1 and max(element_orders(f20)) == 5
+    built += [q16, f20]
+    for G in built:
+        assert_proven(G)
 
 
 def test_alternating_group_from_catalog_is_not_supersoluble():
