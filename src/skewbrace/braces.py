@@ -32,16 +32,15 @@ from .errors import (
     CocycleIdentityViolation,
     DeltaNotBijective,
     DistributivityViolation,
-    GroupInvalid,
     IdentityMismatch,
     MissingZero,
     NotAnIdeal,
     NotClosed,
     TranscriptionInvalid,
 )
-from .groups import (FiniteGroup, direct_product, generating_set, quotient_group,
-                     _automorphism_fault, _group, _identity_of, _induced, _off_carrier,
-                     _prove_group, _relabel, _row_getter, _twisted, _subset)
+from .groups import (FiniteGroup, direct_product, generating_set, _automorphism_fault,
+                     _cosets, _escape, _group, _identity_of, _induced, _normal_fault,
+                     _off_carrier, _prove_group, _relabel, _row_getter, _twisted, _subset)
 
 __all__ = [
     "SkewBrace",
@@ -265,18 +264,28 @@ def quotient_brace(B: SkewBrace, ideal_elems: Sequence[int],
     inside = _subset(B.order, ideal_elems)
     if 0 not in inside:
         raise MissingZero("an ideal must contain 0")
-    for b, lb in enumerate(B.lam_table):
-        for i in inside:
-            if lb[i] not in inside:
-                raise NotAnIdeal(f"subset not invariant under lambda of {b}")
-    quotients = []
-    for label, G in (("additive", B.add_group), ("multiplicative", B.mul_group)):
-        try:
-            quotients.append(quotient_group(G, inside))
-        except GroupInvalid as exc:
-            raise NotAnIdeal(f"{label} group: {exc}") from None
-    (add, coset_of), (mul, _) = quotients
+    fault = _ideal_fault(B, inside)
+    if fault:
+        raise NotAnIdeal(fault)
+    coset_of, reps = _cosets(B.add_group, inside)
+    add, mul = (_group(_induced(G.table, reps, coset_of)) for G in (B.add_group, B.mul_group))
     return _brace(add, mul, name), coset_of
+
+
+def _ideal_fault(B: SkewBrace, inside: set[int]) -> Optional[str]:
+    """Why `inside`, holding 0, is not an ideal of B, naming the witness, or
+    None: lambda-invariant and normal in both groups, closed under + and so
+    under products, ij = i + lam_i(j); all proven by `groups._escape`."""
+    gens = generating_set(B.mul_group)
+    w = _escape(inside, maps=[B.lam_table[g] for g in gens])
+    if w:
+        return f"subset not invariant under lambda of {gens[w[0]]}"
+    for label, G, table in (("additive", B.add_group, B.add_group.table),
+                            ("multiplicative", B.mul_group, None)):
+        fault = _normal_fault(G, inside, table)
+        if fault:
+            return f"{label} group: {fault}"
+    return None
 
 
 def sub_brace(B: SkewBrace, elements: Sequence[int],
@@ -289,18 +298,14 @@ def sub_brace(B: SkewBrace, elements: Sequence[int],
     inside = _subset(B.order, elements)
     if 0 not in inside:
         raise MissingZero("a subbrace must contain 0")
+    for G, op in ((B.add_group, "addition"), (B.mul_group, "multiplication")):
+        w = _escape(inside, G.table)
+        if w:
+            raise NotClosed(f"subset not closed under {op} at ({w[0]}, {w[1]})")
     elems = tuple(sorted(inside))
-    pos = [-1] * B.order
-    for i, x in enumerate(elems):
-        pos[x] = i
-    s_add, s_mul = (_induced(G.table, elems, pos) for G in (B.add_group, B.mul_group))
-    for a, row_add, row_mul in zip(elems, s_add, s_mul):
-        if -1 in row_add or -1 in row_mul:
-            for b, s, p in zip(elems, row_add, row_mul):
-                if s < 0 or p < 0:
-                    op = "addition" if s < 0 else "multiplication"
-                    raise NotClosed(f"subset not closed under {op} at ({a}, {b})")
-    return _brace(_group(s_add), _group(s_mul), name)
+    pos = {x: i for i, x in enumerate(elems)}
+    add, mul = (_group(_induced(G.table, elems, pos)) for G in (B.add_group, B.mul_group))
+    return _brace(add, mul, name)
 
 
 def semidirect_group(B: SkewBrace, name: Optional[str] = None) -> FiniteGroup:

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 ENUMERATION_ORDER_BOUND = 16
+_CATALOGS: dict[int, tuple[tuple[str, FiniteGroup], ...]] = {}
 
 
 def quaternion_group() -> FiniteGroup:
@@ -69,11 +70,14 @@ def quaternion_group() -> FiniteGroup:
 
 
 def group_catalog(n: int) -> list[tuple[str, FiniteGroup]]:
-    """All isomorphism types of groups of order n, for orders 1 to 15."""
+    """All isomorphism types of groups of order n, for orders 1 to 15, each
+    order built once and kept; every call returns a new list."""
     if n < 1:
         raise SkewBraceError(f"group order must be positive, got {n}")
     if n > 15:
         raise OrderBoundExceeded(f"group catalog covers orders up to 15, got {n}")
+    if n in _CATALOGS:
+        return list(_CATALOGS[n])
     c = cyclic_group
     out: list[tuple[str, FiniteGroup]] = [(f"C{n}", c(n))]
     if n == 4:
@@ -98,6 +102,7 @@ def group_catalog(n: int) -> list[tuple[str, FiniteGroup]]:
         out.append(("A4", cyclic_extension(v4, (0, 2, 3, 1), 0, 3, name="A4")))
     elif n == 14:
         out.append(("D14", _dihedral(7, "D14")))
+    _CATALOGS[n] = tuple(out)
     return out
 
 

@@ -376,19 +376,11 @@ def _ex32_sum_full(ex: PaperExample) -> bool:
     return len(closure(ex.brace.add_group, combined)) == 32
 
 
-def _ex32_chain_in_I(ex: PaperExample) -> bool:
-    inner = _sub(ex, "I")
-    for key in ("L", "L2", "L3"):
-        local = _local(ex.subsets["I"], ex.subsets[key])
-        if not classify_subset(inner, local).is_ideal:
-            return False
-    return True
-
-
-def _ex32_L_in_J(ex: PaperExample) -> bool:
-    inner = _sub(ex, "J")
-    local = _local(ex.subsets["J"], ex.subsets["L"])
-    return classify_subset(inner, local).is_ideal
+def _ideals_of(ex: PaperExample, outer: str, *keys: str) -> bool:
+    """Whether the named subsets are ideals of the subbrace named `outer`."""
+    inner = _sub(ex, outer)
+    return all(classify_subset(inner, _local(ex.subsets[outer], ex.subsets[key])).is_ideal
+               for key in keys)
 
 
 _EX32_CLAIMS = (
@@ -413,9 +405,9 @@ _EX32_CLAIMS = (
     Claim("L_centrally_nilpotent", "the order-8 ideal has a full central chain of its own",
           lambda ex: is_centrally_nilpotent(_sub(ex, "L"))),
     Claim("L_chain_ideals_of_I", "L and its two shrinkages are ideals of the first 16",
-          _ex32_chain_in_I),
+          lambda ex: _ideals_of(ex, "I", "L", "L2", "L3")),
     Claim("L_ideal_of_J", "L is an ideal of the second 16 as well",
-          _ex32_L_in_J),
+          lambda ex: _ideals_of(ex, "J", "L")),
 )
 
 

@@ -14,6 +14,8 @@ and each kept generator at least doubles the orbit, so a subgroup H costs
 O(|H| log |H|) table lookups plus one membership test per seed element.
 One join loop (`_joins`) lists the subgroups common to tables on one
 carrier and the ideals, refusing past `LATTICE_ENTRY_BOUND` entries.
+One subset prover (`_escape`) decides, on generators, whether a caller's
+subset is a subgroup, normal, a subbrace or an ideal.
 
 One walker (`_walk`) finds every map: the isomorphisms and automorphisms of
 groups and braces (`_map_search`) and the census oracle's actions and
@@ -117,9 +119,8 @@ class FiniteGroup:
         return range(self.order)
 
     def is_abelian(self) -> bool:
-        t = self.table
-        n = self.order
-        return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
+        t, gens = self.table, generating_set(self)
+        return all(t[a][b] == t[b][a] for a in gens for b in gens)
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -231,6 +232,43 @@ class _Span:
                     inside.add(z)
                     elems.append(z)
         return True
+
+
+def _escape(inside: set[int], table: Optional[Sequence[Sequence[int]]] = None,
+            maps: Sequence[Sequence[int]] = ()) -> Optional[tuple[int, int]]:
+    """None when `inside` (holding 0 if `table` is given) is closed in the
+    table and sent into itself by each of `maps`, else the first escape:
+    (a, b) with table[a][b] outside, or (k, x) with maps[k][x] outside.
+    Closed is a seeded `_Span` that adds nothing, O(|S| log |S|) lookups.
+    A map sending a finite set into itself sends it onto itself, so the
+    generators of a group of maps stand for it, at |S| lookups a map: the
+    conjugations by `generating_set(G)` for Inn(G), a brace's lam_g for
+    multiplicative generators g for every lam_b.  Only a failure is scanned."""
+    if table is not None and len(_Span(table, inside).elems) > len(inside):
+        elems = sorted(inside)
+        return next((a, b) for a in elems for b in elems if table[a][b] not in inside)
+    for k, m in enumerate(maps):
+        if not inside.issuperset(map(m.__getitem__, inside)):
+            return k, min(x for x in inside if m[x] not in inside)
+    return None
+
+
+def _conjugation(G: FiniteGroup, g: int) -> tuple[int, ...]:
+    """x -> g x g^-1 in G, as a permutation."""
+    t, row, g_inv = G.table, G.table[g], G.inverse[g]
+    return tuple([t[row[x]][g_inv] for x in G.elements()])
+
+
+def _normal_fault(G: FiniteGroup, inside: set[int],
+                  table: Optional[Sequence[Sequence[int]]]) -> Optional[str]:
+    """Why `inside`, holding 0, is not closed in `table` (if given) and normal
+    in G, naming the witness; or None."""
+    gens = generating_set(G)
+    w = _escape(inside, table)
+    if w:
+        return f"subset not closed: {w[0]}*{w[1]} escapes"
+    w = _escape(inside, maps=[_conjugation(G, g) for g in gens])
+    return w and f"subset not normal: {gens[w[0]]}*{w[1]}*{gens[w[0]]}^-1 escapes"
 
 
 def _row_getter(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -400,17 +438,11 @@ def closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
 
 def is_subgroup(G: FiniteGroup, elems: Sequence[int]) -> bool:
     s = set(elems)
-    if 0 not in s:
-        return False
-    t = G.table
-    return all(t[a][b] in s for a in s for b in s)
+    return 0 in s and _escape(s, G.table) is None
 
 
 def is_normal(G: FiniteGroup, elems: Sequence[int]) -> bool:
-    s = set(elems)
-    t = G.table
-    inv = G.inverse
-    return all(t[t[g][h]][inv[g]] in s for g in G.elements() for h in s)
+    return _escape(set(elems), maps=[_conjugation(G, g) for g in generating_set(G)]) is None
 
 
 def _agree(spans: Sequence[_Span], floor: int, start: int = 1) -> bool:
@@ -481,18 +513,12 @@ def subgroups(G: FiniteGroup, *others: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def center(G: FiniteGroup) -> tuple[int, ...]:
-    t = G.table
-    n = G.order
-    return tuple(a for a in range(n) if all(t[a][b] == t[b][a] for b in range(n)))
+    maps = [_conjugation(G, g) for g in generating_set(G)]
+    return tuple(a for a in G.elements() if all(m[a] == a for m in maps))
 
 
 def element_order(G: FiniteGroup, a: int) -> int:
-    t = G.table
-    k, x = 1, a
-    while x != 0:
-        x = t[x][a]
-        k += 1
-    return k
+    return element_orders(G)[a]
 
 
 def element_orders(G: FiniteGroup) -> tuple[int, ...]:
@@ -531,11 +557,8 @@ def conjugacy_class_sizes(G: FiniteGroup) -> tuple[int, ...]:
 
 
 def derived_subgroup(G: FiniteGroup) -> tuple[int, ...]:
-    t = G.table
-    inv = G.inverse
-    n = G.order
-    comms = {t[t[inv[a]][inv[b]]][t[a][b]] for a in range(n) for b in range(n)}
-    return closure(G, comms)
+    t, inv, carrier = G.table, G.inverse, G.elements()
+    return closure(G, {t[t[inv[a]][inv[b]]][t[a][b]] for a in carrier for b in carrier})
 
 
 def _subset(n: int, elements: Iterable[int]) -> set[int]:
@@ -552,22 +575,17 @@ def quotient_group(G: FiniteGroup, normal_elems: Sequence[int],
                    name: Optional[str] = None) -> tuple[FiniteGroup, list[int]]:
     """Quotient by a normal subgroup; returns the group and the coset index map.
 
-    The subset is proven a normal subgroup, naming an escaping product or
-    conjugate otherwise, so the table on the cosets g N is a group.
+    The subset is proven a normal subgroup by `_escape`, naming an escaping
+    product or conjugate otherwise, so the table on the cosets g N is a group.
     """
     inside = _subset(G.order, normal_elems)
     if 0 not in inside:
         raise GroupInvalid("a normal subgroup must contain 0")
-    t, inv = G.table, G.inverse
-    for h in inside:
-        for k in inside:
-            if t[h][k] not in inside:
-                raise GroupInvalid(f"subset not closed: {h}*{k} escapes")
-        for g in G.elements():
-            if t[t[g][h]][inv[g]] not in inside:
-                raise GroupInvalid(f"subset not normal: {g}*{h}*{g}^-1 escapes")
+    fault = _normal_fault(G, inside, G.table)
+    if fault:
+        raise GroupInvalid(fault)
     coset_of, reps = _cosets(G, inside)
-    return _group(_induced(t, reps, coset_of), name), coset_of
+    return _group(_induced(G.table, reps, coset_of), name), coset_of
 
 
 def _cosets(G: FiniteGroup, normal: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -682,9 +700,7 @@ class GroupMap(NamedTuple):
         return sorted(self.images) == list(range(self.target.order))
 
     def is_homomorphism(self) -> bool:
-        ts, tt = self.source.table, self.target.table
-        im = self.images
-        n = self.source.order
+        ts, tt, im, n = self.source.table, self.target.table, self.images, len(self.images)
         return all(im[ts[a][b]] == tt[im[a]][im[b]] for a in range(n) for b in range(n))
 
 
@@ -749,15 +765,17 @@ def _walk(levels, target: FiniteGroup, acts, candidates, injective: bool, limit:
 
     Each (ug, uh) of `others` is a second pair of group tables on the same
     carriers (a brace's multiplicative ones), on which f is closed as a
-    homomorphism over each pair (x, y) of known elements with y known no
-    later than x.  An element they reach may be a generator not placed
-    yet: it has no choice of image.  At an injective leaf that one order
-    proves f a homomorphism on all pairs.  Pulled back by the bijection f,
-    uh is a second group product a.b that equals ug on the closed pairs.
-    Inverses agree, as of a and a^-1 one is known no later and ab = 0 iff
-    ba = 0.  For b known after a, let c = (ab)^-1: if c is known no later
-    than b then b.c = bc = a^-1, else c comes after a and c.a = ca = b^-1;
-    either way a.b.c = 0, so a.b = c^-1 = ab.
+    homomorphism over each pair (x, y) of known elements with y known
+    before x.  An element they reach may be a generator not placed yet: it
+    has no choice of image.  At an injective leaf that proves f a
+    homomorphism on all pairs.  Pulled back by the bijection f, uh is a
+    second product a.b equal to ug on the closed pairs.  Inverses agree:
+    u != a inverts a in both or neither, as (a, u) or (u, a) is closed and
+    au = 0 iff ua = 0.  For b known no earlier than a, let c = (ab)^-1: if
+    c is known before b, b.c = bc = a^-1; if after a, c.a = ca = b^-1;
+    either way a.b = c^-1 = ab.  Else a = b = c != 0, d = a^-1 = aa != a,
+    and (a.a).d = a = d.(a.a): were a.a != d, the closed one of (a.a, d)
+    and (d, a.a) would give a.a = aa = d.
     """
     f = [-1] * len(acts)
     f[0] = 0
@@ -785,15 +803,15 @@ def _walk(levels, target: FiniteGroup, acts, candidates, injective: bool, limit:
 
     def close_others(mark: int) -> bool:
         """Close f in the other tables over each pair (x, y) of known
-        elements with x known from position mark on and y no later."""
+        elements with x known from position mark on and y before it."""
         i = mark
         while others and i < len(known):
             x = known[i]
-            i += 1
             for ug, uh in others:
                 ugx = ug[x]
                 if not close([(x, y, ugx[y]) for y in known[:i]], uh, same):
                     return False
+            i += 1
         return True
 
     def extend(k: int) -> bool:

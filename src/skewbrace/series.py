@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .braces import SkewBrace
+from .braces import SkewBrace, _ideal_fault
 from .errors import NotAnIdeal
-from .groups import _cached, _cosets, _is_prime, closure, generating_set
-from .substructure import (SubStructure, _conjugation, _covers, _ideal_closure, _ideal_maps,
-                           all_ideals, brace_core, classify_subset)
+from .groups import _cached, _conjugation, _cosets, _is_prime, closure, generating_set
+from .substructure import (SubStructure, _covers, _ideal_closure, _ideal_maps, all_ideals,
+                           brace_core, classify_subset)
 
 __all__ = [
     "FactorInfo",
@@ -82,7 +82,8 @@ def ideal_chain(B: SkewBrace, terms: Sequence[tuple[int, ...]]) -> IdealChain:
         raise NotAnIdeal("chain terms are not strictly monotone")
     for t in terms:
         if not classify_subset(B, t).is_ideal:
-            raise NotAnIdeal(f"chain term of size {len(t)} is not an ideal")
+            raise NotAnIdeal(f"chain term of size {len(t)} is not an ideal: "
+                             f"{_ideal_fault(B, set(t))}")
     return _chain(B, terms)
 
 
@@ -299,14 +300,13 @@ def b_central_series(B: SkewBrace, ideal_elems: Sequence[int]) -> IdealChain:
     """
     target = tuple(sorted(set(ideal_elems)))
     if not classify_subset(B, target).is_ideal:
-        raise NotAnIdeal("relative central series needs an ideal of B")
+        raise NotAnIdeal(f"relative central series needs an ideal of B: "
+                         f"{_ideal_fault(B, set(target))}")
     return _chain(B, _relative_central_terms(B, target))
 
 
 def is_b_centrally_nilpotent(B: SkewBrace, ideal_elems: Sequence[int]) -> bool:
-    target = tuple(sorted(set(ideal_elems)))
-    chain = b_central_series(B, target)
-    return chain.terms[-1] == target
+    return b_central_series(B, ideal_elems).terms[-1] == tuple(sorted(set(ideal_elems)))
 
 
 def fitting(B: SkewBrace) -> SubStructure:

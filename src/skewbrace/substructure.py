@@ -3,9 +3,10 @@
 Subsets are sorted element tuples.  A subbrace is closed under both
 operations; a left ideal is additionally invariant under every lambda map;
 a strong left ideal is also normal in the additive group; an ideal is also
-normal in the multiplicative group.  The flags are computed independently,
-so the containment hierarchy between them is a checkable fact rather than
-an assumption.
+normal in the multiplicative group.  The flags are proven on generators by
+`groups._escape`: two spans that add nothing, then invariance under the
+lam_g, under the maps of `ideal_generated`, and only for a left ideal that
+is not an ideal under the additive conjugations.
 
 Both lattices come from the one join loop `groups._joins`, and both are
 refused past `groups.LATTICE_ENTRY_BOUND` entries: the subbraces are the
@@ -20,8 +21,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .braces import SkewBrace
 from .errors import MissingZero, NotAnIdeal
-from .groups import (FiniteGroup, _agree, _cached, _Span, _joins, _subset, generating_set,
-                     subgroups)
+from .groups import (_agree, _cached, _conjugation, _escape, _Span, _joins, _subset,
+                     generating_set, subgroups)
 
 __all__ = [
     "SubStructure",
@@ -58,22 +59,13 @@ def classify_subset(B: SkewBrace, subset: Iterable[int]) -> SubStructure:
     if 0 not in inside:
         raise MissingZero("classification requires a subset containing 0")
     elems = tuple(sorted(inside))
-    ta, tm, lam = B.add_group.table, B.mul_group.table, B.lam_table
-    neg, inv = B.add_group.inverse, B.mul_group.inverse
-
-    closed_add = all(ta[a][b] in inside for a in elems for b in elems)
-    closed_mul = all(tm[a][b] in inside for a in elems for b in elems)
-    lam_invariant = all(lam[b][s] in inside for b in B.elements() for s in elems)
-    add_normal = all(ta[ta[b][s]][neg[b]] in inside
-                     for b in B.elements() for s in elems)
-    mul_normal = all(tm[tm[b][s]][inv[b]] in inside
-                     for b in B.elements() for s in elems)
-
-    is_subbrace = closed_add and closed_mul
-    is_left = closed_add and lam_invariant and closed_mul
-    is_strong = is_left and add_normal
-    is_ideal = is_strong and mul_normal
-    return SubStructure(elems, is_subbrace, is_left, is_strong, is_ideal)
+    if _escape(inside, B.add_group.table) or _escape(inside, B.mul_group.table):
+        return SubStructure(elems, False, False, False, False)
+    is_left = not _escape(inside, maps=[B.lam_table[g] for g in generating_set(B.mul_group)])
+    is_ideal = is_left and not _escape(inside, maps=_ideal_maps(B))
+    is_strong = is_ideal or is_left and not _escape(inside, maps=[
+        _conjugation(B.add_group, a) for a in generating_set(B.add_group)])
+    return SubStructure(elems, True, is_left, is_strong, is_ideal)
 
 
 def subbrace_generated(B: SkewBrace, seed: Iterable[int]) -> tuple[int, ...]:
@@ -89,16 +81,11 @@ def ideal_generated(B: SkewBrace, seed: Iterable[int]) -> tuple[int, ...]:
     """The least ideal containing the seed.
 
     Sums come from the orbit kernel over the additive table, grown by every
-    image that falls outside under lam_g and g x g^-1 for g in a generating
-    set of the multiplicative group and a + x - a for a in one of the
-    additive group.  That is exact: lambda is a homomorphism from the
-    multiplicative group to Aut(B, +), and a finite additive subgroup that
-    some injective map sends into itself is sent onto itself, so invariance
-    under the lam_g gives invariance under every lam_b.  Products then come
-    for free from ab = a + lam_a(b), and normality under the generators of
-    each group gives normality in it.  With both generating sets at most
-    log2 n long, the ideal I costs O(|I| log n) lookups plus O(n log n) to
-    tabulate the maps once per brace.
+    image that falls outside under the maps of `_ideal_maps`.  That is
+    exact: as `groups._escape` proves, invariance under the lam_g and the
+    conjugations by generators is invariance under every lam_b and in both
+    groups, and products come for free from ab = a + lam_a(b).  The ideal I
+    costs O(|I| log n) lookups plus O(n log n) to tabulate the maps once.
     """
     return tuple(sorted(_ideal_closure(B, _subset(B.order, seed), _ideal_maps(B)).elems))
 
@@ -109,21 +96,13 @@ def _ideal_maps(B: SkewBrace) -> tuple[tuple[int, ...], ...]:
     the multiplicative group, and a + x - a for a in one of the additive
     group."""
     def build() -> tuple[tuple[int, ...], ...]:
-        maps = []
-        for g in generating_set(B.mul_group):
-            maps.append(B.lam_table[g])
-            maps.append(_conjugation(B.mul_group, g))
+        maps = [m for g in generating_set(B.mul_group)
+                for m in (B.lam_table[g], _conjugation(B.mul_group, g))]
         maps.extend(_conjugation(B.add_group, a) for a in generating_set(B.add_group))
         identity = tuple(B.elements())
         return tuple(m for m in dict.fromkeys(maps) if m != identity)
 
     return _cached(B, "ideal_maps", build)
-
-
-def _conjugation(G: FiniteGroup, g: int) -> tuple[int, ...]:
-    """x -> g x g^-1 in G, as a permutation."""
-    t, row, g_inv = G.table, G.table[g], G.inverse[g]
-    return tuple([t[row[x]][g_inv] for x in G.elements()])
 
 
 def _ideal_closure(B: SkewBrace, seed: Iterable[int], maps: Sequence[Sequence[int]]) -> _Span:

@@ -40,6 +40,11 @@ subgroup of the additive group and kept those closed under the product, and
 the seed in each table in turn until the set stopped growing; the tests
 require the same lattices and the same generated subbraces from the one
 join loop that closes each join in both tables at once.
+
+`classify_subset`, `is_subgroup` and `is_normal` are their namesakes in
+`substructure` and `groups` as they tested every pair of a subset and of
+the carrier, before one subset prover proved them on generators; the tests
+require the same flags, and filter the ideal lattice's oracles by them.
 """
 
 from itertools import product
@@ -51,7 +56,7 @@ from skewbrace.errors import (ActionNotHomomorphism, CocycleIdentityViolation,
                               SolutionInvalid, TranscriptionInvalid)
 from skewbrace.groups import (_Span, _compose, _cosets, _group, closure, conjugacy_class_sizes,
                               element_order, element_orders, generating_set, subgroups)
-from skewbrace.substructure import all_ideals
+from skewbrace.substructure import SubStructure, all_ideals
 from skewbrace.ybe import Solution, SolutionChecks, _braid_holds
 
 
@@ -507,3 +512,31 @@ def alternating_subbrace(B, seed):
         elems = closure(B.mul_group, span)
         if len(elems) == len(span):
             return span
+
+
+def classify_subset(B, subset):
+    inside = set(subset)
+    elems = tuple(sorted(inside))
+    ta, tm, lam = B.add_group.table, B.mul_group.table, B.lam_table
+    neg, inv = B.add_group.inverse, B.mul_group.inverse
+    closed_add = all(ta[a][b] in inside for a in elems for b in elems)
+    closed_mul = all(tm[a][b] in inside for a in elems for b in elems)
+    lam_invariant = all(lam[b][s] in inside for b in B.elements() for s in elems)
+    add_normal = all(ta[ta[b][s]][neg[b]] in inside for b in B.elements() for s in elems)
+    mul_normal = all(tm[tm[b][s]][inv[b]] in inside for b in B.elements() for s in elems)
+    is_subbrace = closed_add and closed_mul
+    is_left = closed_add and lam_invariant and closed_mul
+    is_strong = is_left and add_normal
+    is_ideal = is_strong and mul_normal
+    return SubStructure(elems, is_subbrace, is_left, is_strong, is_ideal)
+
+
+def is_subgroup(G, elems):
+    s = set(elems)
+    return 0 in s and all(G.table[a][b] in s for a in s for b in s)
+
+
+def is_normal(G, elems):
+    s = set(elems)
+    t, inv = G.table, G.inverse
+    return all(t[t[g][h]][inv[g]] in s for g in G.elements() for h in s)

@@ -622,6 +622,14 @@ def test_order_bounds_raise():
         group_catalog(16)
 
 
+def test_group_catalog_is_built_once_per_order():
+    first, second = group_catalog(12), group_catalog(12)
+    assert first == second and first is not second
+    assert all(g is h for (_, g), (_, h) in zip(first, second))
+    first.clear()
+    assert [label for label, _ in group_catalog(12)] == [label for label, _ in second]
+
+
 def test_group_catalog_shapes():
     assert [lbl for lbl, _ in group_catalog(8)] == [
         "C8",

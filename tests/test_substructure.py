@@ -1,7 +1,9 @@
 """Tests for subbrace and ideal detection."""
 
 import random
+import re
 from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -9,8 +11,10 @@ import scalar_reference as ref
 from skewbrace import (
     GroupInvalid,
     MissingZero,
+    NotAnIdeal,
     NotClosed,
     OrderBoundExceeded,
+    SkewBraceError,
     b_central_series,
     all_ideals,
     all_subbraces,
@@ -27,6 +31,8 @@ from skewbrace import (
     ideal_chain,
     ideal_generated,
     index,
+    is_normal,
+    is_subgroup,
     make_brace,
     maximal_subbraces,
     minimal_ideals,
@@ -226,7 +232,7 @@ def test_all_ideals_match_plain_enumeration(small_entries, medium_entries):
         b = entry.brace
         if b.add_group.table not in reference:
             reference[b.add_group.table] = plain_subgroups(b.add_group)
-        expected = [s for s in reference[b.add_group.table] if classify_subset(b, s).is_ideal]
+        expected = [s for s in reference[b.add_group.table] if ref.classify_subset(b, s).is_ideal]
         assert all_ideals(b) == expected, b.name
 
 
@@ -381,7 +387,7 @@ def test_index_is_multiplicative(worked_examples):
 
 def test_all_ideals_match_classified_subgroups(full_pool, products):
     for b in full_pool + [products[k] for k in ("ex24xC2", "ex12xC4", "ex8xex8")]:
-        expected = [s for s in subgroups(b.add_group) if classify_subset(b, s).is_ideal]
+        expected = [s for s in subgroups(b.add_group) if ref.classify_subset(b, s).is_ideal]
         assert all_ideals(b) == expected, b
 
 
@@ -410,3 +416,121 @@ def test_subset_element_outside_the_carrier_is_named(worked_examples, name, bad)
     assert b.order == 8
     with pytest.raises(NotClosed, match=rf"subset element {bad!r} is not an int in 0\.\.7"):
         SUBSET_VALIDATORS[name](b, [0, bad])
+
+
+def subsets_with_zero(n):
+    """Every subset of 0..n-1 that holds 0."""
+    for r in range(n):
+        yield from ((0,) + rest for rest in combinations(range(1, n), r))
+
+
+def test_subset_prover_matches_all_pairs_reference(small_entries, medium_entries,
+                                                   worked_examples):
+    """`classify_subset`, `is_subgroup` and `is_normal`, proven on generators,
+    against the all-pairs references, exactly: on every subset holding 0 of
+    each census brace of order <= 10, and on 300 seeded random subsets
+    holding 0 and every subbrace of each brace of orders 11-12 and of the
+    four examples."""
+    rng = random.Random(0)
+    pool = []
+    for b in (e.brace for e in small_entries + medium_entries):
+        if b.order <= 10:
+            pool.append((b, list(subsets_with_zero(b.order))))
+    for b in [e.brace for e in medium_entries if e.brace.order > 10] + [
+            w.brace for w in worked_examples.values()]:
+        rest = range(1, b.order)
+        randoms = [(0, *rng.sample(rest, rng.randrange(b.order))) for _ in range(300)]
+        pool.append((b, randoms + all_subbraces(b)))
+    assert sum(len(subsets) for _, subsets in pool) == 23672
+    for b, subsets in pool:
+        for s in subsets:
+            assert classify_subset(b, s) == ref.classify_subset(b, s), (b.name, s)
+            for G in (b.add_group, b.mul_group):
+                assert is_subgroup(G, s) == ref.is_subgroup(G, s), (b.name, s)
+                assert is_normal(G, s) == ref.is_normal(G, s), (b.name, s)
+
+
+def named_escape(b, subset, message, group=None):
+    """Whether the witness that a rejection message names really leaves the
+    subset, re-checked in b's tables: a lambda image, a product or a
+    conjugate in `group`, or else in the group the message names."""
+    inside = set(subset)
+    if group is None:
+        group = b.mul_group if "multiplicati" in message else b.add_group
+    t, inv = group.table, group.inverse
+    if m := re.search(r"lambda of (\d+)$", message):
+        lam = b.lam_table[int(m[1])]
+        return any(lam[x] not in inside for x in inside)
+    if m := re.search(r"at \((\d+), (\d+)\)$|: (\d+)\*(\d+) escapes$", message):
+        x, y = (int(v) for v in m.groups() if v is not None)
+        return x in inside and y in inside and t[x][y] not in inside
+    if m := re.search(r": (\d+)\*(\d+)\*(\d+)\^-1 escapes$", message):
+        g, h, g_again = map(int, m.groups())
+        return g == g_again and h in inside and t[t[g][h]][inv[g]] not in inside
+    return False
+
+
+IDEAL_FAULTS = (
+    "subset not invariant under lambda of #",
+    "additive group: subset not closed: #*# escapes",
+    "additive group: subset not normal: #*#*#^-# escapes",
+    "multiplicative group: subset not normal: #*#*#^-# escapes",
+)
+GROUP_FAULTS = ("subset not closed: #*# escapes", "subset not normal: #*#*#^-# escapes")
+REJECTION_PATHS = {
+    "sub_brace": {f"subset not closed under {op} at (#, #)"
+                  for op in ("addition", "multiplication")},
+    "quotient_group+": set(GROUP_FAULTS),
+    "quotient_group*": set(GROUP_FAULTS),
+    "quotient_brace": set(IDEAL_FAULTS),
+    "ideal_chain": {f"chain term of size # is not an ideal: {f}" for f in IDEAL_FAULTS},
+    "b_central_series": {f"relative central series needs an ideal of B: {f}"
+                         for f in IDEAL_FAULTS},
+}
+
+
+def test_every_rejection_names_a_witness_that_escapes(small_entries):
+    """Every subset holding 0 of every census brace of order <= 8 through each
+    subset validator: each rejection keeps its exception class and names a
+    product, conjugate or lambda image that really leaves the subset, and
+    every rejection path with a witness is taken."""
+    seen = {name: set() for name in REJECTION_PATHS}
+    for b in (e.brace for e in small_entries):
+        for s in subsets_with_zero(b.order):
+            validators = (
+                ("sub_brace", lambda: sub_brace(b, s), NotClosed, None),
+                ("quotient_group+", lambda: quotient_group(b.add_group, s), GroupInvalid,
+                 b.add_group),
+                ("quotient_group*", lambda: quotient_group(b.mul_group, s), GroupInvalid,
+                 b.mul_group),
+                ("quotient_brace", lambda: quotient_brace(b, s), NotAnIdeal, None),
+                ("ideal_chain", lambda: ideal_chain(b, [s]), NotAnIdeal, None),
+                ("b_central_series", lambda: b_central_series(b, s), NotAnIdeal, None),
+            )
+            for name, call, error, group in validators:
+                try:
+                    call()
+                except SkewBraceError as exc:
+                    assert type(exc) is error, (name, b.name, s, exc)
+                    assert named_escape(b, s, str(exc), group), (name, b.name, s, exc)
+                    seen[name].add(re.sub(r"\d+", "#", str(exc)))
+    assert seen == REJECTION_PATHS
+
+
+def test_rejection_paths_without_a_witness(worked_examples):
+    b = worked_examples["ex8"].brace
+    for call, error, message in (
+        (lambda: sub_brace(b, (1,)), MissingZero, "a subbrace must contain 0"),
+        (lambda: quotient_group(b.add_group, (1,)), GroupInvalid,
+         "a normal subgroup must contain 0"),
+        (lambda: quotient_brace(b, (1,)), MissingZero, "an ideal must contain 0"),
+        (lambda: ideal_chain(b, [(1,)]), MissingZero,
+         "classification requires a subset containing 0"),
+        (lambda: b_central_series(b, (1,)), MissingZero,
+         "classification requires a subset containing 0"),
+        (lambda: ideal_chain(b, []), NotAnIdeal, "a chain needs at least one term"),
+        (lambda: ideal_chain(b, [(0,), (0,)]), NotAnIdeal,
+         "chain terms are not strictly monotone"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
