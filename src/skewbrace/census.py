@@ -3,11 +3,15 @@
 The primary route walks regular families f: A -> Aut(A) (equivalently,
 regular subgroups of the holomorph of A) by backtracking: each chosen f_a
 is a new generator of a subgroup of the holomorph, closed as an orbit of
-(0, id), so a branch dies as soon as one a gets two twists.  One
-representative per relabeling orbit is kept: a relabeling by theta in
-Aut(A) moves f to a -> theta f_{theta^-1(a)} theta^-1, two lookups in the
-Aut(A) table per entry, and only the representatives are moved, so no
-|Aut(A)|^2 conjugation table is built.  An independent oracle
+(0, id), so a branch dies as soon as one a gets two twists.  It searches
+up to symmetry at the root: the twist f_1 of the first free element runs
+only over one representative of each class under conjugation by the
+stabiliser of 1 in Aut(A), which every relabeling orbit meets (McKay,
+J. Algorithms 26 (1998), in its first step).  One representative per
+relabeling orbit is kept: a relabeling by theta in Aut(A) moves f to
+a -> theta f_{theta^-1(a)} theta^-1, two lookups in the Aut(A) table per
+entry, and only the representatives are moved, so no |Aut(A)|^2
+conjugation table is built.  An independent oracle
 recounts everything through the other door: group actions
 lambda: C -> Aut(A), up to Aut(C), paired with bijective cocycles delta,
 deduplicated at the multiplication-table level.  A homomorphism is a
@@ -19,8 +23,9 @@ in the indexed Aut(A) of `aut_group`.
 
 The routes share only table-level primitives: that walker, behind
 `aut_group`, `_label_group` and `brace_isomorphic` (over the additive and
-multiplicative tables at once) as well as the oracle's searches, and
-`_hol_orders`.  The primary route's own search is `_regular_families`.
+multiplicative tables at once) as well as the oracle's searches,
+`_hol_orders` and the orbit kernel `_orbit_representatives`.  The primary
+route's own search is `_regular_families`.
 """
 
 from __future__ import annotations
@@ -120,15 +125,44 @@ def _hol_orders(A: FiniteGroup, aut: FiniteGroup, perms) -> list[list[int]]:
     return hol
 
 
-def _regular_families(A: FiniteGroup, aut: FiniteGroup, perms, hol) -> list[tuple[int, ...]]:
-    """All families f with f_0 = id and f_{a + f_a(b)} = f_a f_b, f_a an
-    index into `perms`.  The chosen (a, f_a) are closed as the orbit of
-    (0, id) under right multiplication by them: old elements times the
-    newest one, new elements times all.  Two twists for one a, or an orbit
-    whose size does not divide n, kill a branch."""
+def _root_twists(aut: FiniteGroup, perms) -> set[int]:
+    """The least index in each class phi ~ theta phi theta^-1 of Aut(A),
+    theta in Stab(1) = {theta in Aut(A) : theta(1) = 1}; every index if A
+    has no element 1."""
+    tx, inv = aut.table, aut.inverse
+    stab = [t for t, p in enumerate(perms) if p[1:2] == (1,)]
+    roots: set[int] = set()
+    seen: set[int] = set()
+    for phi in range(aut.order):
+        if phi not in seen:
+            roots.add(phi)
+            seen.update(tx[tx[t][phi]][inv[t]] for t in stab)
+    return roots
+
+
+def _regular_families(A: FiniteGroup, aut: FiniteGroup, perms, hol,
+                      roots) -> list[tuple[int, ...]]:
+    """Every family f with f_0 = id, f_{a + f_a(b)} = f_a f_b and f_1 in
+    `roots`, f_a an index into `perms`.  The chosen (a, f_a) are closed as
+    the orbit of (0, id) under right multiplication by them: old elements
+    times the newest one, new elements times all.  Two twists for one a, or
+    an orbit whose size does not divide n, kill a branch.
+
+    With `_root_twists` as roots, every relabeling orbit of families meets
+    the result, and every member of an orbit whose twist at 1 is a root is
+    in it.  The first free element of the search is always 1, and the
+    search is otherwise complete, so it finds exactly the families whose
+    f_1 is a root.  For any family f pick sigma in Stab(1) with
+    sigma f_1 sigma^-1 a root; relabeled by sigma, f has twist
+    sigma f_{sigma^-1(1)} sigma^-1 = sigma f_1 sigma^-1 at 1, so it is
+    found.  The lex-least member g of an orbit is found too: relabeling g
+    by sigma in Stab(1) gives a member with twist sigma g_1 sigma^-1 at 1,
+    no less than g_1, so g_1 is the least index in its class, a root.
+    """
     n = A.order
     ta, tx = A.table, aut.table
-    usable = [[phi for phi in range(aut.order) if n % hol[phi][a] == 0] for a in range(n)]
+    usable = [[phi for phi in range(aut.order)
+               if n % hol[phi][a] == 0 and (a != 1 or phi in roots)] for a in range(n)]
     f = [-1] * n
     f[0] = 0
     elems = [0]
@@ -174,13 +208,16 @@ def _regular_families(A: FiniteGroup, aut: FiniteGroup, perms, hol) -> list[tupl
     return results
 
 
-def _orbit_representatives(items, transports) -> list:
-    """First-seen lex-minimal representative of each relabeling orbit.
+def _orbit_representatives(items, transports, held=None) -> list:
+    """The lex-least member of each relabeling orbit that meets `items`, in
+    order, where `transports` lists every relabeling.
 
-    Every transported item must already be in the input set; a miss means
-    the generator lost part of an orbit, and the error names the
-    representative's position in the sorted pool and the index of the
-    transport (the automorphism) that moves it outside.
+    The pool must hold every transported item for which held(item) is true
+    (every one if held is None), and must hold the lex-least member of
+    each orbit; then that member is the first of its orbit in the sorted
+    pool.  A miss means the generator lost part of an orbit, and the error
+    names the representative's position in the sorted pool and the index
+    of the transport (the automorphism) that moves it outside.
     """
     pool = set(items)
     covered = set()
@@ -191,12 +228,13 @@ def _orbit_representatives(items, transports) -> list:
         reps.append(item)
         for t, move in enumerate(transports):
             moved = move(item)
-            if moved not in pool:
+            if moved in pool:
+                covered.add(moved)
+            elif held is None or held(moved):
                 raise SkewBraceError(
                     "enumeration dropped a relabeling of one of its own results: "
                     f"automorphism {t} moves item {pos} of the sorted pool outside it"
                 )
-            covered.add(moved)
     return reps
 
 
@@ -205,7 +243,10 @@ def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
 
     A regular subgroup of Hol(A) gives a brace by theorem (Guarnieri &
     Vendramin 2017), so each is built by the trusted constructor; the exact
-    proof is `enumerate --check`.
+    proof is `enumerate --check`.  Each comes from the lex-least family of
+    its relabeling orbit, searched only with a root twist at 1 (see
+    `_regular_families`); a relabeled family with a root twist at 1 that
+    the search missed raises `SkewBraceError` naming the automorphism.
     """
     if A.order > ENUMERATION_ORDER_BOUND:
         raise OrderBoundExceeded(
@@ -214,7 +255,8 @@ def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
     n = A.order
     ta = A.table
     aut, perms = aut_group(A)
-    families = _regular_families(A, aut, perms, _hol_orders(A, aut, perms))
+    roots = _root_twists(aut, perms)
+    families = _regular_families(A, aut, perms, _hol_orders(A, aut, perms), roots)
     # Relabeling by theta = perms[t] puts theta f_a theta^-1 at theta(a), found
     # by two lookups per entry.  Index order is the lex order of `perms`, so
     # reps are unchanged.
@@ -223,7 +265,7 @@ def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
               tuple([tx[row[fam[a]]][t_inv] for a in back]))
              for t in range(aut.order)]
     braces = []
-    for family in _orbit_representatives(families, moves):
+    for family in _orbit_representatives(families, moves, lambda fam: fam[1] in roots):
         mul = tuple(tuple(map(ta[a].__getitem__, perms[family[a]])) for a in range(n))
         name = f"{A.name or 'A'}#{len(braces)}"
         braces.append(_brace(_group(ta, f"{name}+"), _group(mul, f"{name}*"), name))

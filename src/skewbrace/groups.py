@@ -25,7 +25,8 @@ generator pairs of one orbit of 0, the group's cached `_generator_levels`:
 the g that satisfy it for every x of H_k = <g_1..g_k> are closed under
 products, so f is proven on H_k at every node that passes, at O(|H_k| k)
 lookups instead of O(|H_k|^2).  A brace's multiplicative table is closed
-over all pairs of known elements alongside.
+alongside, over the pairs of known elements whose right factor is one of
+its generators.
 One coset builder (`_cosets`) gives the quotients of groups and braces.  The
 predicates build no quotient: nilpotency is read off element orders,
 supersolubility climbs modulo its last term on G's own table.
@@ -763,19 +764,16 @@ def _walk(levels, target: FiniteGroup, acts, candidates, injective: bool, limit:
     on H_k, at O(|H_k| k) lookups instead of O(|H_k|^2).  With identity acts
     the f are the homomorphisms.
 
-    Each (ug, uh) of `others` is a second pair of group tables on the same
-    carriers (a brace's multiplicative ones), on which f is closed as a
-    homomorphism over each pair (x, y) of known elements with y known
-    before x.  An element they reach may be a generator not placed yet: it
-    has no choice of image.  At an injective leaf that proves f a
-    homomorphism on all pairs.  Pulled back by the bijection f, uh is a
-    second product a.b equal to ug on the closed pairs.  Inverses agree:
-    u != a inverts a in both or neither, as (a, u) or (u, a) is closed and
-    au = 0 iff ua = 0.  For b known no earlier than a, let c = (ab)^-1: if
-    c is known before b, b.c = bc = a^-1; if after a, c.a = ca = b^-1;
-    either way a.b = c^-1 = ab.  Else a = b = c != 0, d = a^-1 = aa != a,
-    and (a.a).d = a = d.(a.a): were a.a != d, the closed one of (a.a, d)
-    and (d, a.a) would give a.a = aa = d.
+    Each (ug, uh, gens) of `others` is a second pair of group tables on the
+    same carriers (a brace's multiplicative ones) and a generating set of
+    ug, on which f is closed as a homomorphism over each pair (x, h) of
+    known elements with h in gens, as the later of x and h becomes known.
+    An element they reach may be a generator not placed yet: it has no
+    choice of image.  At a leaf, where every element is known, that proves
+    f a homomorphism from ug to uh: the h with f(xh) = f(x) f(h) for every
+    x are closed under products, as f(x h h') = f(xh) f(h') =
+    f(x) f(h) f(h') = f(x) f(hh'), and so, in a finite group, they hold the
+    subgroup gens generate.
     """
     f = [-1] * len(acts)
     f[0] = 0
@@ -802,14 +800,19 @@ def _walk(levels, target: FiniteGroup, acts, candidates, injective: bool, limit:
         return True
 
     def close_others(mark: int) -> bool:
-        """Close f in the other tables over each pair (x, y) of known
-        elements with x known from position mark on and y before it."""
+        """Close f in the other tables over each pair (x, h) of known
+        elements, h in gens, with x or h known from position mark on: a
+        pair is closed when its later element is reached, and may be
+        closed again when its earlier one is."""
         i = mark
         while others and i < len(known):
             x = known[i]
-            for ug, uh in others:
+            for ug, uh, gens in others:
                 ugx = ug[x]
-                if not close([(x, y, ugx[y]) for y in known[:i]], uh, same):
+                pairs = [(x, h, ugx[h]) for h in gens if f[h] >= 0]
+                if x in gens:
+                    pairs += [(y, x, ug[y][x]) for y in known[:i]]
+                if not close(pairs, uh, same):
                     return False
             i += 1
         return True
@@ -850,10 +853,10 @@ def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
     first `limit` of them, in the lex order of their generator images.
 
     `_walk` with identity acts over the first tables, closing the others
-    over all pairs.  An element maps only to one with the same (element
-    order, conjugacy class size) in every table of its side; the sorted
-    element orders of the first tables, the cheapest of these tests, are
-    compared first.
+    over the pairs whose right factor is in their `generating_set`.  An
+    element maps only to one with the same (element order, conjugacy class
+    size) in every table of its side; the sorted element orders of the
+    first tables, the cheapest of these tests, are compared first.
     """
     n = sources[0].order
     if sorted(element_orders(sources[0])) != sorted(element_orders(targets[0])):
@@ -864,7 +867,7 @@ def _map_search(sources: Sequence[FiniteGroup], targets: Sequence[FiniteGroup],
         return []
     levels = _generator_levels(sources[0])
     candidates = [[h for h in range(n) if inv_h[h] == inv_g[g]] for g, *_ in levels]
-    others = [(G.table, H.table) for G, H in zip(sources[1:], targets[1:])]
+    others = [(G.table, H.table, generating_set(G)) for G, H in zip(sources[1:], targets[1:])]
     return _walk(levels, targets[0], [tuple(range(n))] * n, candidates, True, limit, others)
 
 

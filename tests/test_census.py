@@ -1,8 +1,10 @@
 """Tests for brace enumeration and isomorphism search."""
 
 import hashlib
+import itertools
 import random
 import re
+import sys
 
 import pytest
 
@@ -16,6 +18,7 @@ from skewbrace import (
     census,
     census_oracle,
     check_brace_invariants,
+    closure,
     cyclic_group,
     direct_product,
     group_catalog,
@@ -33,6 +36,7 @@ from skewbrace.census import (
     _oracle_tables,
     _orbit_representatives,
     _regular_families,
+    _root_twists,
 )
 from skewbrace import groups
 from skewbrace.cli import write_census_document
@@ -104,8 +108,9 @@ def test_oracle_enumerates_automorphisms_once_per_catalog_group(monkeypatch):
 
 CATALOG = [G for n in range(1, 16) for _, G in group_catalog(n)]
 
-# SHA-256 of `enumerate n --export` for n = 1..12, as written by the
-# tuple-composition primary route.
+# SHA-256 of `enumerate n --export` for n = 1..15, as written by the
+# tuple-composition primary route (1..12) and by the unrestricted family
+# search (13..15).
 EXPORT_SHA256 = {
     1: "ebb769bfe10fd08d34220ea94b2ede5002ade1e390fdca49813a2fa2e313c9d6",
     2: "4f8927a3e56e7e698bb0a6878d41b76de99d47494f5de0c59f44d784ebdb0e30",
@@ -119,6 +124,19 @@ EXPORT_SHA256 = {
     10: "eec70a78e14758335620559624b4ee10fdb01ceba728124ee755e16002f75695",
     11: "d5dc1afe1a7774ebcc0ec3e3a88a55387c2118c7f5643b9e88f0deea3f3a0a0a",
     12: "836b713528fd5a8d47c2da6dadaabcc667887da4c6de96cb227b0bbba96dff5c",
+    13: "4699e00f9254fd95ae51ae993d558fceff7435c93a9c171403a3b892f6d5dc8a",
+    14: "941e4d6fdace12312677684b44873373cdd55aba8b864fe0b75fd6f7c4cacb42",
+    15: "19a3c098046525339f76714af32295d55b5f4600cfdf6bdf42b780a7e9a353c6",
+}
+
+# Brace count and SHA-256 of the repr of the list of multiplicative tables
+# of `braces_with_additive_group(A)`, as written by the unrestricted family
+# search: the groups where a search up to symmetry prunes the most.
+FAMILY_TABLES_SHA256 = {
+    "C2xC2xC2": (8, "0652b9fe774b4254534e2c0ead4c1c69109caa480e7688753e99b46f3bcb4228"),
+    "C4xC4": (83, "89bfab693380182fb394c10a17d96e327ae4b33a7bd231b0c157aaebd6a12ccd"),
+    "C4xC2xC2": (161, "b367f8272e4f5dd210ab3a1fd341c176b1e32ff6e68516a8b7e21a41727db2ea"),
+    "C8xC2": (66, "139271c24176116f7f23fa209885f140d0892f3b2443e774299f77b2ece2dc9b"),
 }
 
 
@@ -262,6 +280,33 @@ def test_orbit_representatives_names_the_missing_relabeling():
     assert _relabel(sorted(pool - {missing})[pos], perms[t]) == missing
 
 
+def test_family_search_names_the_dropped_relabeling(monkeypatch):
+    # The restricted pool must hold every relabeled family with a root at
+    # 1: drop one whose orbit meets the pool again, and the self-check of
+    # `braces_with_additive_group` names an automorphism moving a pool
+    # member onto it.
+    module = sys.modules["skewbrace.census"]
+    c2x2x2 = dict(group_catalog(8))["C2xC2xC2"]
+    aut, perms = aut_group(c2x2x2)
+    pool = sorted(_regular_families(c2x2x2, aut, perms, _hol_orders(c2x2x2, aut, perms),
+                                    _root_twists(aut, perms)))
+    index = {p: i for i, p in enumerate(perms)}
+
+    def relabel(fam, theta):
+        # theta f_a theta^-1 at theta(a).
+        back = tuple(sorted(range(8), key=theta.__getitem__))
+        return tuple(index[_compose(_compose(theta, perms[fam[a]]), back)] for a in back)
+
+    orbits = [{relabel(fam, theta) for theta in perms} & set(pool) for fam in pool]
+    dropped = max(fam for fam, orbit in zip(pool, orbits) if len(orbit) > 1)
+    kept = [fam for fam in pool if fam != dropped]
+    monkeypatch.setattr(module, "_regular_families", lambda *args: kept)
+    with pytest.raises(SkewBraceError, match="dropped a relabeling") as info:
+        braces_with_additive_group(c2x2x2)
+    t, pos = map(int, re.search(r"automorphism (\d+) moves item (\d+)", str(info.value)).groups())
+    assert relabel(kept[pos], perms[t]) == dropped
+
+
 def _first(found):
     return list(found[0]) if found else None
 
@@ -324,6 +369,39 @@ def test_two_unrelated_tables_match_the_all_pairs_search():
                         ref.map_search(*sides, True)), (A.name, X.name, p, q)
 
 
+def _least_generating_sets(G):
+    """Every generating set of G of the least size, as lists."""
+    for k in range(G.order):
+        found = [list(S) for S in itertools.combinations(range(1, G.order), k)
+                 if len(closure(G, S)) == G.order]
+        if found:
+            return found
+
+
+def test_other_tables_closed_on_any_generating_set_match_the_all_pairs_search():
+    # `_walk` closes a second table only over the pairs (x, h) with h in the
+    # generating set it is given.  Every least generating set of the
+    # catalog tables and of their relabeling 0, n-1, 1, n-2, ... gives the
+    # all-pairs maps; a closure that skips the pairs (y, h) with y known
+    # before h returns wrong maps here (C8 onto C8 over C2xC2xC2, h = 4).
+    for n in (4, 6, 8):
+        catalog = [G for _, G in group_catalog(n)]
+        interleaved = [0] + [x for pair in zip(range(n - 1, 0, -1), range(1, n)) for x in pair]
+        for A in catalog:
+            levels = _generator_levels(A)
+            for X in catalog:
+                for p in (range(n), interleaved[:n]):
+                    Xp = make_group(_relabel(X.table, p))
+                    spans = _least_generating_sets(Xp)
+                    for Y in catalog:
+                        want = sorted(ref.map_search((A, Xp), (A, Y), True))
+                        for S in spans:
+                            assert sorted(groups._walk(
+                                levels, A, [tuple(range(n))] * n, [range(n)] * len(levels),
+                                True, float("inf"), [(Xp.table, Y.table, S)])) == want, (
+                                    A.name, X.name, Y.name, list(p), S)
+
+
 def _brace_maps_agree(B1, B2):
     found = brace_isomorphic(B1, B2)
     sides = ((B1.add_group, B1.mul_group), (B2.add_group, B2.mul_group))
@@ -349,12 +427,26 @@ def test_relabeled_product_maps_match_the_all_pairs_search(products, name):
     assert _brace_maps_agree(Q, P) is not None
 
 
+def _roots_at_one(auts):
+    """The lex-least automorphism of each class under conjugation by the
+    automorphisms fixing 1, as permutation tuples."""
+    stab = [(theta, tuple(sorted(range(len(theta)), key=theta.__getitem__)))
+            for theta in auts if theta[1] == 1]
+    return {phi for phi in auts
+            if phi == min(_compose(_compose(theta, phi), theta_inv) for theta, theta_inv in stab)}
+
+
 def test_indexed_families_match_tuple_reference():
+    # The restricted pool is the full reference's families with a root at
+    # 1, and its braces are the full reference's orbit representatives.
     for A in CATALOG:
         aut, perms = aut_group(A)
-        indexed = _regular_families(A, aut, perms, _hol_orders(A, aut, perms))
+        indexed = _regular_families(A, aut, perms, _hol_orders(A, aut, perms),
+                                    _root_twists(aut, perms))
         families = _reference_families(A)
-        assert {tuple(perms[i] for i in fam) for fam in indexed} == set(families), A.name
+        roots = _roots_at_one(perms) if A.order > 1 else set()
+        assert {tuple(perms[i] for i in fam) for fam in indexed} == {
+            fam for fam in families if A.order == 1 or fam[1] in roots}, A.name
         reps = _reference_representatives(families, perms)
         ta = A.table
         assert [B.mul_group.table for B in braces_with_additive_group(A)] == [
@@ -363,7 +455,7 @@ def test_indexed_families_match_tuple_reference():
         ], A.name
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 16))
 def test_census_export_is_unchanged(n):
     text = write_census_document(census(n))
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[n]
@@ -601,6 +693,20 @@ def test_extended_bound_pins():
     assert len(braces_with_additive_group(c16)) == 8
     c4x4 = direct_product(cyclic_group(4), cyclic_group(4))
     assert len(braces_with_additive_group(c4x4)) == 83
+
+
+@pytest.mark.parametrize("label", sorted(FAMILY_TABLES_SHA256))
+def test_family_search_tables_are_unchanged(label):
+    c = cyclic_group
+    groups_by_label = {
+        "C2xC2xC2": direct_product(direct_product(c(2), c(2)), c(2)),
+        "C4xC4": direct_product(c(4), c(4)),
+        "C4xC2xC2": direct_product(direct_product(c(4), c(2)), c(2)),
+        "C8xC2": direct_product(c(8), c(2)),
+    }
+    tables = [B.mul_group.table for B in braces_with_additive_group(groups_by_label[label])]
+    assert (len(tables), hashlib.sha256(repr(tables).encode()).hexdigest()) == (
+        FAMILY_TABLES_SHA256[label])
 
 
 def test_extended_census_on_doubled_primes():

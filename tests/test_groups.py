@@ -42,7 +42,7 @@ from skewbrace import (
     subgroups,
     trivial_brace,
 )
-from skewbrace.groups import _is_prime, _relabel
+from skewbrace.groups import _is_prime
 
 
 def catalog_group(n, label):
@@ -518,18 +518,3 @@ def test_element_orders_match_the_power_walk(full_pool, ybe_products):
             predicates = group_predicates(G)
             assert predicates.element_orders == tuple(sorted(orders))
             assert predicates.nilpotent == is_nilpotent_group(G)
-
-
-def test_products_agreeing_below_the_diagonal_agree():
-    """The lemma `groups._walk` closes brace maps on: two group products on
-    one carrier with identity 0 that agree on every pair (x, y) with y
-    before x agree everywhere, the diagonal included.  On every relabelling
-    fixing 0 of every group of order <= 8, the entries below the diagonal
-    determine the table."""
-    for n in range(1, 9):
-        tables = {}
-        for label, G in group_catalog(n):
-            for rest in itertools.permutations(range(1, n)):
-                table = _relabel(G.table, (0, *rest))
-                below = tuple(table[x][y] for x in range(n) for y in range(x))
-                assert tables.setdefault(below, table) == table, (label, rest)
