@@ -13,8 +13,13 @@ a -> theta f_{theta^-1(a)} theta^-1, two lookups in the Aut(A) table per
 entry, and only the representatives are moved, so no |Aut(A)|^2
 conjugation table is built.  An independent oracle
 recounts everything through the other door: group actions
-lambda: C -> Aut(A), up to Aut(C), paired with bijective cocycles delta,
-deduplicated at the multiplication-table level.  A homomorphism is a
+lambda: C -> Aut(A) paired with bijective cocycles delta (Guarnieri &
+Vendramin, Math. Comp. 86 (2017)), also up to symmetry.  It takes one
+lambda per class under (alpha, theta) lambda = theta (lambda alpha)
+theta^-1, alpha in Aut(C) and theta in Aut(A), walking only the lambda
+whose image of the first generator of C is the least of its conjugacy
+class in Aut(A), and deduplicates the tables of each lambda by the
+relabelings in its stabiliser.  A homomorphism is a
 cocycle of the trivial action, so the one walker of `groups` (`_walk`)
 finds both, placing generator images one at a time and proving the
 identity on the generator pairs, so a branch dies as soon as a prefix of
@@ -24,8 +29,10 @@ in the indexed Aut(A) of `aut_group`.
 The routes share only table-level primitives: that walker, behind
 `aut_group`, `_label_group` and `brace_isomorphic` (over the additive and
 multiplicative tables at once) as well as the oracle's searches,
-`_hol_orders` and the orbit kernel `_orbit_representatives`.  The primary
-route's own search is `_regular_families`.
+`_hol_orders`, the class-root kernel `_class_roots` (under Stab(1) for
+the primary route, under all of Aut(A) for the oracle) and the orbit
+kernel `_orbit_representatives`.  The primary route's own search is
+`_regular_families`.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .braces import SkewBrace, _brace
 from .errors import OrderBoundExceeded, SkewBraceError
 from .groups import (
     FiniteGroup,
+    _Span,
     _dihedral,
     _generator_levels,
     _group,
@@ -47,6 +55,7 @@ from .groups import (
     cyclic_group,
     direct_product,
     element_orders,
+    generating_set,
     group_isomorphism,
 )
 
@@ -125,19 +134,39 @@ def _hol_orders(A: FiniteGroup, aut: FiniteGroup, perms) -> list[list[int]]:
     return hol
 
 
+def _class_roots(aut: FiniteGroup, gens) -> tuple[list[int], list[int]]:
+    """For each index phi of aut, the least index of its class
+    phi ~ theta phi theta^-1 under the subgroup the indices `gens` generate,
+    and an index kappa with kappa phi kappa^-1 that least index.
+
+    Each class is closed as the orbit of its least member, the first of it
+    in index order, under conjugation by the generators: psi = g x g^-1
+    gets kappa_x g^-1, as kappa_x g^-1 psi g kappa_x^-1 = kappa_x x kappa_x^-1.
+    """
+    tx, inv = aut.table, aut.inverse
+    root = [-1] * aut.order
+    canon = [0] * aut.order
+    for phi in range(aut.order):
+        if root[phi] < 0:
+            root[phi] = phi
+            orbit = [phi]
+            for x in orbit:
+                for g in gens:
+                    psi = tx[tx[g][x]][inv[g]]
+                    if root[psi] < 0:
+                        root[psi] = phi
+                        canon[psi] = tx[canon[x]][inv[g]]
+                        orbit.append(psi)
+    return root, canon
+
+
 def _root_twists(aut: FiniteGroup, perms) -> set[int]:
     """The least index in each class phi ~ theta phi theta^-1 of Aut(A),
     theta in Stab(1) = {theta in Aut(A) : theta(1) = 1}; every index if A
     has no element 1."""
-    tx, inv = aut.table, aut.inverse
-    stab = [t for t, p in enumerate(perms) if p[1:2] == (1,)]
-    roots: set[int] = set()
-    seen: set[int] = set()
-    for phi in range(aut.order):
-        if phi not in seen:
-            roots.add(phi)
-            seen.update(tx[tx[t][phi]][inv[t]] for t in stab)
-    return roots
+    stab = _Span(aut.table, [t for t, p in enumerate(perms) if p[1:2] == (1,)]).gens
+    root = _class_roots(aut, stab)[0]
+    return {phi for phi in range(aut.order) if root[phi] == phi}
 
 
 def _regular_families(A: FiniteGroup, aut: FiniteGroup, perms, hol,
@@ -210,7 +239,7 @@ def _regular_families(A: FiniteGroup, aut: FiniteGroup, perms, hol,
 
 def _orbit_representatives(items, transports, held=None) -> list:
     """The lex-least member of each relabeling orbit that meets `items`, in
-    order, where `transports` lists every relabeling.
+    order, where `transports` lists every relabeling of the acting group.
 
     The pool must hold every transported item for which held(item) is true
     (every one if held is None), and must hold the lex-least member of
@@ -337,15 +366,77 @@ def brace_isomorphic(B1: SkewBrace, B2: SkewBrace) -> Optional[list[int]]:
     return list(found[0]) if found else None
 
 
-def _action_homs(C: FiniteGroup, aut: FiniteGroup):
-    """All homomorphisms lam: C -> aut, the cocycles of the trivial action,
-    as tuples of indices into aut; g_k goes to the images of order dividing
-    its own."""
+def _action_homs(C: FiniteGroup, aut: FiniteGroup, first):
+    """All homomorphisms lam: C -> aut with lam(g_1) in `first`, the
+    cocycles of the trivial action, as tuples of indices into aut; g_k goes
+    to the images of order dividing its own."""
     orders = element_orders(aut)
     levels = _generator_levels(C)
     return _walk(levels, aut, [tuple(range(aut.order))] * C.order,
-                 [[phi for phi in range(aut.order) if order % orders[phi] == 0]
-                  for _g, order, _pairs in levels], False, float("inf"))
+                 [[phi for phi in (first if k == 0 else range(aut.order))
+                   if order % orders[phi] == 0]
+                  for k, (_g, order, _pairs) in enumerate(levels)], False, float("inf"))
+
+
+def _action_classes(C: FiniteGroup, c_aut: FiniteGroup, c_perms, aut: FiniteGroup,
+                    root, canon) -> list[tuple[int, ...]]:
+    """One homomorphism lam: C -> aut per class under
+    (alpha, theta) lam = theta (lam alpha) theta^-1, alpha in Aut(C) (the
+    automorphisms `c_perms`, indexed by c_aut), theta in aut; `root` and
+    `canon` are `_class_roots` of aut under its own generators.
+
+    Only the rooted homomorphisms, lam(g_1) the root of its class (g_1 the
+    first generator of C, or 0 if C is trivial), are walked.  Every class
+    meets them: lam is conjugate by kappa = canon[lam(g_1)] to the rooted
+    kappa lam kappa^-1.  Two moves connect each class within them: compose
+    with a generator alpha of Aut(C) and conjugate by the canoniser of the
+    new image of g_1, or conjugate by a generator of the centraliser of
+    lam(g_1).  For a class member theta (lam w) theta^-1, w a word
+    alpha_1 .. alpha_k in the generators, the first move step by step
+    reaches kappa (lam w) kappa^-1 for some kappa, as
+    (kappa (lam alpha) kappa^-1) beta = kappa (lam alpha beta) kappa^-1.
+    Both are rooted conjugates of lam w, so their images of g_1 are
+    conjugate roots, hence equal, and theta kappa^-1 centralises it: a word
+    in the centraliser's generators, each step of which stays rooted.
+
+    A move landing outside the walk's list means the walk lost a
+    homomorphism, and raises `SkewBraceError` naming the hom's position in
+    the list and the move's (alpha, theta) as indices of c_aut and aut.
+    """
+    homs = _action_homs(C, aut, [phi for phi in range(aut.order) if root[phi] == phi])
+    index = {lam: i for i, lam in enumerate(homs)}
+    tx, inv = aut.table, aut.inverse
+    g1 = generating_set(C)[0] if C.order > 1 else 0
+    alphas = generating_set(c_aut)
+    centralisers: dict[int, list[int]] = {}
+    seen = [False] * len(homs)
+    reps = []
+    for i, lam in enumerate(homs):
+        if seen[i]:
+            continue
+        seen[i] = True
+        reps.append(lam)
+        orbit = [i]
+        for j in orbit:
+            lam = homs[j]
+            r = lam[g1]
+            if r not in centralisers:
+                centralisers[r] = _Span(tx, [t for t in range(aut.order)
+                                             if tx[t][r] == tx[r][t]]).gens
+            moves = [(a, canon[lam[c_perms[a][g1]]]) for a in alphas]
+            moves += [(0, t) for t in centralisers[r]]
+            for a, t in moves:
+                row, t_inv = tx[t], inv[t]
+                k = index.get(tuple([tx[row[lam[x]]][t_inv] for x in c_perms[a]]), -1)
+                if k < 0:
+                    raise SkewBraceError(
+                        "action search dropped a homomorphism of its own class: "
+                        f"automorphisms (alpha {a}, theta {t}) move hom {j} of the "
+                        "walk's list outside it")
+                if not seen[k]:
+                    seen[k] = True
+                    orbit.append(k)
+    return reps
 
 
 def _bijective_cocycles(C: FiniteGroup, A: FiniteGroup, lam, perms, hol):
@@ -358,33 +449,52 @@ def _bijective_cocycles(C: FiniteGroup, A: FiniteGroup, lam, perms, hol):
                   for g, order, _pairs in levels], True, float("inf"))
 
 
-def _oracle_tables(A: FiniteGroup, aut: FiniteGroup, perms, split) -> set:
-    """Each C of `split` relabeled by the bijective cocycles of one lam per
-    orbit lam ~ lam alpha, alpha in Aut(C): delta alpha is a cocycle for
-    lam alpha and relabels C to the same table as delta."""
+def _oracle_pools(A: FiniteGroup, aut: FiniteGroup, perms, split) -> list:
+    """(tables, Stab(lam)) for one lam per class of `_action_classes` with a
+    bijective cocycle, over each (C, (c_aut, c_perms)) of `split`: the
+    tables are C relabeled by lam's bijective cocycles delta, and
+    Stab(lam) lists the theta of Aut(A) with theta lam theta^-1 in
+    lam Aut(C).
+
+    The tables of lam are closed under Stab(lam): if
+    theta lam theta^-1 = lam alpha, then theta delta alpha^-1 is a
+    lam-cocycle, and it relabels C to theta's relabeling of delta's table.
+    Different classes never give isomorphic braces, and two tables of one
+    class related by theta in Aut(A) are related by Stab(lam): a table T
+    fixes lam = lam^T delta up to Aut(C), lam^T the brace's lambda map,
+    because delta is unique up to Aut(C), and relabeling T by theta
+    conjugates lam^T by theta.  So the braces with additive group A are
+    the Stab(lam)-orbits on the tables, summed over the pools.
+    """
     hol = _hol_orders(A, aut, perms)
-    tables = set()
-    for C, c_perms in split:
-        seen = set()
-        for lam in _action_homs(C, aut):
-            if lam not in seen:
-                seen.update(tuple([lam[x] for x in alpha]) for alpha in c_perms)
-                tables.update(_relabel(C.table, delta) for delta in
-                              _bijective_cocycles(C, A, lam, perms, hol))
-    return tables
+    tx, inv = aut.table, aut.inverse
+    root, canon = _class_roots(aut, generating_set(aut))
+    pools = []
+    for C, (c_aut, c_perms) in split:
+        for lam in _action_classes(C, c_aut, c_perms, aut, root, canon):
+            tables = {_relabel(C.table, delta) for delta in
+                      _bijective_cocycles(C, A, lam, perms, hol)}
+            if tables:
+                twins = {tuple([lam[x] for x in alpha]) for alpha in c_perms}
+                pools.append((tables, [t for t in range(aut.order) if tuple(
+                    [tx[tx[t][phi]][inv[t]] for phi in lam]) in twins]))
+    return pools
 
 
 def _oracle_counts(n: int) -> dict[str, int]:
-    """Brace counts per additive group via the cocycle parametrization."""
+    """Brace counts per additive group via the cocycle parametrization:
+    the Stab(lam)-orbits on each pool of `_oracle_pools`, every
+    relabeling by Stab(lam) required in the pool."""
     counts: dict[str, int] = {}
     catalog = group_catalog(n)
     auts = {label: aut_group(C) for label, C in catalog}
-    split = [(C, auts[label][1]) for label, C in catalog]
+    split = [(C, auts[label]) for label, C in catalog]
     for label, A in catalog:
         aut, perms = auts[label]
-        tables = _oracle_tables(A, aut, perms, split)
-        moves = [(lambda t, th=theta: _relabel(t, th)) for theta in perms]
-        counts[label] = len(_orbit_representatives(tables, moves))
+        counts[label] = sum(
+            len(_orbit_representatives(
+                tables, [(lambda t, th=perms[theta]: _relabel(t, th)) for theta in stab]))
+            for tables, stab in _oracle_pools(A, aut, perms, split))
     return counts
 
 
@@ -393,7 +503,7 @@ def census_oracle(n: int) -> int:
 
     Capped by `group_catalog` at order 15.  On a shared 2-vCPU Xeon VM
     under Python 3.11 (medians of 21 calls, two runs) order 8 (C2xC2xC2
-    has 168 automorphisms) takes 0.09-0.12 s, order 12 0.05 s and every
-    other order up to 15 under 0.02 s.
+    has 168 automorphisms) takes 0.03-0.04 s, order 12 0.02 s and every
+    other order up to 15 under 0.01 s.
     """
     return sum(_oracle_counts(n).values())

@@ -28,12 +28,14 @@ from skewbrace import (
     trivial_brace,
 )
 from skewbrace.census import (
+    _action_classes,
     _action_homs,
     _bijective_cocycles,
+    _class_roots,
     _hol_orders,
     _label_group,
     _oracle_counts,
-    _oracle_tables,
+    _oracle_pools,
     _orbit_representatives,
     _regular_families,
     _root_twists,
@@ -461,20 +463,135 @@ def test_census_export_is_unchanged(n):
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[n]
 
 
-def test_oracle_tables_up_to_aut_c_match_all_actions():
+def _oracle_split(catalog):
+    return [(C, aut_group(C)) for _, C in catalog]
+
+
+def _inverse(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def test_oracle_class_pools_match_all_actions():
+    # Relabeled by all of Aut(A), the class pools give every table of every
+    # action, and no table of one pool relabels into another.
     for n in range(1, 13):
         catalog = group_catalog(n)
-        split = [(C, automorphism_perms(C)) for _, C in catalog]
+        split = _oracle_split(catalog)
         for _, A in catalog:
             aut, perms = aut_group(A)
             hol = _hol_orders(A, aut, perms)
             every = {
                 _relabel(C.table, delta)
                 for C, _ in split
-                for lam in _action_homs(C, aut)
+                for lam in _action_homs(C, aut, range(aut.order))
                 for delta in _bijective_cocycles(C, A, lam, perms, hol)
             }
-            assert _oracle_tables(A, aut, perms, split) == every, (n, A.name)
+            closures = [{_relabel(t, theta) for t in tables for theta in perms}
+                        for tables, _stab in _oracle_pools(A, aut, perms, split)]
+            union = set().union(*closures)
+            assert union == every, (n, A.name)
+            assert sum(map(len, closures)) == len(union), (n, A.name)
+
+
+def _reference_class_count(C, A):
+    """The classes of every homomorphism C -> Aut(A) under
+    (alpha, theta) lam = theta (lam alpha) theta^-1, folded by every alpha
+    and theta on full tuples; automorphisms conjugate as permutations."""
+    perms = automorphism_perms(A)
+    index = {p: i for i, p in enumerate(perms)}
+    conj = [[index[_compose(_compose(theta, phi), _inverse(theta))] for phi in perms]
+            for theta in perms]
+    c_perms = automorphism_perms(C)
+    seen, classes = set(), 0
+    for lam in _action_homs(C, aut_group(A)[0], range(len(perms))):
+        if lam not in seen:
+            classes += 1
+            for alpha in c_perms:
+                moved = [lam[x] for x in alpha]
+                seen.update(tuple(map(row.__getitem__, moved)) for row in conj)
+    return classes
+
+
+def test_action_classes_match_the_fold_by_every_pair():
+    for n in range(1, 9):
+        catalog = group_catalog(n)
+        for _, A in catalog:
+            aut, perms = aut_group(A)
+            root, canon = _class_roots(aut, generating_set(aut))
+            for C, (c_aut, c_perms) in _oracle_split(catalog):
+                found = _action_classes(C, c_aut, c_perms, aut, root, canon)
+                assert len(set(found)) == len(found) == _reference_class_count(C, A), (
+                    C.name, A.name)
+
+
+def test_class_roots_canonise_onto_the_least_conjugate():
+    for A in CATALOG:
+        aut, perms = aut_group(A)
+        for gens in (generating_set(aut), [t for t, p in enumerate(perms) if p[1:2] == (1,)]):
+            root, canon = _class_roots(aut, gens)
+            group = closure(aut, gens)
+            for phi in range(aut.order):
+                kappa = canon[phi]
+                assert kappa in group, A.name
+                assert aut.table[aut.table[kappa][phi]][aut.inverse[kappa]] == root[phi], A.name
+                assert root[phi] == min(
+                    aut.table[aut.table[t][phi]][aut.inverse[t]] for t in group), A.name
+
+
+def test_action_search_names_the_dropped_homomorphism(monkeypatch):
+    # Every move of a rooted homomorphism must land in the walk's list:
+    # drop one whose rooted class has another member, and the class search
+    # names a move taking a listed hom onto it.
+    module = sys.modules["skewbrace.census"]
+    c2x2x2 = dict(group_catalog(8))["C2xC2xC2"]
+    aut, perms = aut_group(c2x2x2)
+    c_aut, c_perms = aut, perms
+    root, canon = _class_roots(aut, generating_set(aut))
+    roots = [phi for phi in range(aut.order) if root[phi] == phi]
+    homs = _action_homs(c2x2x2, aut, roots)
+    tx, inv = aut.table, aut.inverse
+
+    def move(lam, a, t):
+        return tuple(tx[tx[t][lam[x]]][inv[t]] for x in c_perms[a])
+
+    rooted = set(homs)
+    dropped = next(lam for lam in sorted(homs, reverse=True) if len(rooted & {
+        move(lam, a, t) for a in range(c_aut.order) for t in range(aut.order)}) > 1)
+    kept = [lam for lam in homs if lam != dropped]
+    monkeypatch.setattr(module, "_action_homs", lambda *args: kept)
+    with pytest.raises(SkewBraceError, match="dropped a homomorphism") as info:
+        _action_classes(c2x2x2, c_aut, c_perms, aut, root, canon)
+    a, t, j = map(int, re.search(r"\(alpha (\d+), theta (\d+)\) move hom (\d+)",
+                                 str(info.value)).groups())
+    assert move(kept[j], a, t) == dropped
+
+
+def test_oracle_names_the_dropped_table(monkeypatch):
+    # Each class pool must hold every relabeling by its stabiliser: drop
+    # one table whose Stab(lam)-orbit has another member, and the oracle
+    # names a stabiliser element moving a pool table onto it.
+    module = sys.modules["skewbrace.census"]
+    catalog = group_catalog(8)
+    c2x2x2 = dict(catalog)["C2xC2xC2"]
+    aut, perms = aut_group(c2x2x2)
+    split = _oracle_split(catalog)
+    pools = _oracle_pools(c2x2x2, aut, perms, split)
+    orbits = [({_relabel(t, perms[theta]) for theta in stab}, i)
+              for i, (tables, stab) in enumerate(pools) for t in tables]
+    dropped, i = max((max(orbit), i) for orbit, i in orbits if len(orbit) > 1)
+    cocycles = module._bijective_cocycles
+
+    def dropping(C, A, *rest):
+        return [delta for delta in cocycles(C, A, *rest)
+                if A is not c2x2x2 or _relabel(C.table, delta) != dropped]
+
+    monkeypatch.setattr(module, "_bijective_cocycles", dropping)
+    with pytest.raises(SkewBraceError, match="dropped a relabeling") as info:
+        _oracle_counts(8)
+    t, pos = map(int, re.search(r"automorphism (\d+) moves item (\d+)", str(info.value)).groups())
+    tables, stab = _oracle_pools(c2x2x2, aut, perms, split)[i]
+    assert tables == pools[i][0] - {dropped}
+    assert _relabel(sorted(tables)[pos], perms[stab[t]]) == dropped
 
 
 def _generator_proofs(C, A):
@@ -484,7 +601,7 @@ def _generator_proofs(C, A):
     hol = _hol_orders(A, aut, perms)
     return {
         tuple(perms[phi] for phi in lam): set(_bijective_cocycles(C, A, lam, perms, hol))
-        for lam in _action_homs(C, aut)
+        for lam in _action_homs(C, aut, range(aut.order))
     }
 
 
@@ -551,7 +668,7 @@ def test_non_commuting_generator_images_are_rejected():
     transpositions = [phi for phi in range(aut.order) if element_order(aut, phi) == 2]
     assert len(transpositions) == 3
     assert element_order(v4, g1) == element_order(v4, g2) == 2
-    homs = _action_homs(v4, aut)
+    homs = _action_homs(v4, aut, range(aut.order))
     # The trivial map, and each of 3 kernels of index 2 with 3 images.
     assert len(homs) == 10
     for t1 in transpositions:
