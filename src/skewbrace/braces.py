@@ -38,9 +38,10 @@ from .errors import (
     NotClosed,
     TranscriptionInvalid,
 )
-from .groups import (FiniteGroup, direct_product, generating_set, _automorphism_fault,
-                     _cosets, _escape, _group, _identity_of, _induced, _normal_fault,
-                     _off_carrier, _prove_group, _relabel, _row_getter, _twisted, _subset)
+from .groups import (FiniteGroup, direct_product, element_orders, generating_set,
+                     _automorphism_fault, _cosets, _escape, _group, _identity_of, _induced,
+                     _normal_fault, _off_carrier, _prove_group, _relabel, _row_getter,
+                     _twisted, _subset)
 
 __all__ = [
     "SkewBrace",
@@ -100,20 +101,12 @@ class SkewBrace:
         return self.add_group.table[self.lam_table[a][b]][self.add_group.inverse[b]]
 
     def add_power(self, a: int, k: int) -> int:
-        """k-fold additive multiple of a; negative k uses -a."""
-        base = a if k >= 0 else self.neg(a)
-        x = 0
-        for _ in range(abs(k)):
-            x = self.add(x, base)
-        return x
+        """k-fold additive multiple of a, for any integer k."""
+        return _power(self.add_group, a, k)
 
     def mul_power(self, a: int, k: int) -> int:
-        """k-fold multiplicative power of a; negative k uses a^-1."""
-        base = a if k >= 0 else self.inv(a)
-        x = 0
-        for _ in range(abs(k)):
-            x = self.mul(x, base)
-        return x
+        """k-fold multiplicative power of a, for any integer k."""
+        return _power(self.mul_group, a, k)
 
     def is_trivial(self) -> bool:
         """Whether ab = a + b everywhere, i.e. the star product vanishes."""
@@ -128,6 +121,14 @@ class SkewBrace:
     def __repr__(self) -> str:
         label = self.name or "brace"
         return f"SkewBrace({label}, order={self.order})"
+
+
+def _power(G: FiniteGroup, a: int, k: int) -> int:
+    """a^k in G: k is reduced modulo the order of a, which also covers k < 0."""
+    row, x = G.table[a], 0
+    for _ in range(k % element_orders(G)[a]):
+        x = row[x]
+    return x
 
 
 def _validate_pair(add: FiniteGroup, mul: FiniteGroup) -> None:

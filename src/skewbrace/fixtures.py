@@ -1,15 +1,22 @@
-"""Four embedded worked examples, each rebuilt from its cocycle table.
+"""Four embedded worked examples, each rebuilt from the paper's own data.
 
-Every example carries the literal delta table, the action extended from
-generator images, and a registry of named claims evaluated against the
-other modules.  Carrier conventions: an element written as a sum of the
-stated additive generators is encoded with the leftmost generator in the
-highest position (so ia + jb becomes 2i + j on a C12 x C2 carrier).
+An example is given as its lambda/delta presentation (Guarnieri &
+Vendramin, Math. Comp. 86, 2017): the additive and multiplicative groups,
+lambda on the multiplicative generators as images of the additive
+generators written as words, and delta as a table indexed by words in the
+multiplicative generators.  lambda is a homomorphism, so its images of the
+generators fix it; `brace_from_cocycle` proves the extended action and the
+cocycle.  Each example also carries named subsets and a registry of named
+claims evaluated against the other modules.  The subsets are written on the
+additive carrier, where ia + jb of C4 x C2 or C12 x C2 is 2i + j and the
+bits of C2^5 are a=16, b=8, c=4, d=2, e=1.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from functools import reduce
+from itertools import product
+from typing import Callable, NamedTuple, Sequence
 
 from .braces import CocycleSpec, SkewBrace, brace_from_cocycle, sub_brace
 from .classify import is_supersoluble
@@ -22,6 +29,7 @@ from .groups import (
     cyclic_extension,
     cyclic_group,
     direct_product,
+    element_orders,
     group_isomorphism,
     is_nilpotent_group,
 )
@@ -66,11 +74,42 @@ def example_names() -> tuple[str, ...]:
     return ("ex8", "ex12", "ex24", "ex32")
 
 
-def _powers(perm, count, size):
-    out = [tuple(range(size))]
-    for _ in range(count - 1):
-        out.append(_compose(out[-1], perm))
-    return out
+def _word(table: Sequence[Sequence[int]], gens: Sequence[int],
+          exponents: Sequence[int]) -> int:
+    """The element g_1^e_1 g_2^e_2 .. of a group table, gens = (g_1, g_2, ..)."""
+    x = 0
+    for g, e in zip(gens, exponents):
+        for _ in range(e):
+            x = table[x][g]
+    return x
+
+
+def _linear(G: FiniteGroup, gens: Sequence[int],
+            image_words: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The endomorphism of the abelian group G, with basis `gens`, sending
+    gens[k] to the element that image_words[k] names: sum e_k g_k goes to
+    sum e_k f(g_k).  `brace_from_cocycle` and `cyclic_extension` prove it an
+    automorphism."""
+    images = [_word(G.table, gens, w) for w in image_words]
+    out = [0] * G.order
+    for e in product(*(range(element_orders(G)[g]) for g in gens)):
+        out[_word(G.table, gens, e)] = _word(G.table, images, e)
+    return tuple(out)
+
+
+def _spec(add: FiniteGroup, mul: FiniteGroup, gens: Sequence[int],
+          maps: Sequence[Sequence[int]], delta_by_word: dict) -> CocycleSpec:
+    """The cocycle data of a table of delta by words in the generators `gens`
+    of `mul`: the word names an element c, lambda_c is the generators' `maps`
+    composed along it, and delta(c) is the table's value.  An element no word
+    names keeps None, which `brace_from_cocycle` rejects, naming it."""
+    acting, delta = [None] * mul.order, [None] * mul.order
+    for w, value in delta_by_word.items():
+        c = _word(mul.table, gens, w)
+        letters = [m for m, e in zip(maps, w) for _ in range(e)]
+        acting[c] = reduce(_compose, letters, tuple(range(add.order)))
+        delta[c] = value
+    return CocycleSpec(add, mul, tuple(acting), tuple(delta))
 
 
 def _local(parent_elems: tuple[int, ...], subset) -> tuple[int, ...]:
@@ -90,34 +129,19 @@ def _iso(G: FiniteGroup, H: FiniteGroup) -> bool:
 # ---------------------------------------------------------------- order 8
 
 def _build_ex8() -> tuple[CocycleSpec, dict[str, tuple[int, ...]]]:
-    """Additive C4 x C2, multiplicative D8; carrier index of ia+jb is 2i+j."""
+    """Additive C4 x C2 = <a, b> = <2, 1>, multiplicative D8 = <x, y> =
+    <2, 1>, x a rotation and y a reflection."""
     add = direct_product(cyclic_group(4), cyclic_group(2), name="C4xC2")
     mul = _dihedral(4, "D8")
-
-    def linear(img_a, img_b):
-        out = []
-        for idx in range(8):
-            i, j = divmod(idx, 2)
-            ca = (i * img_a[0] + j * img_b[0]) % 4
-            cb = (i * img_a[1] + j * img_b[1]) % 2
-            out.append(2 * ca + cb)
-        return tuple(out)
-
-    lam_x = linear((3, 1), (2, 1))
-    lam_y = linear((3, 1), (0, 1))
-    x_pows = _powers(lam_x, 4, 8)
-    acting = tuple(
-        _compose(x_pows[i], lam_y if j else x_pows[0])
-        for idx in range(8)
-        for i, j in (divmod(idx, 2),)
-    )
+    a_b = (2, 1)
+    lam_x = _linear(add, a_b, ((3, 1), (2, 1)))
+    lam_y = _linear(add, a_b, ((3, 1), (0, 1)))
     delta_by_word = {
         (0, 0): 0, (1, 0): 2, (2, 0): 1, (3, 0): 7,
         (0, 1): 4, (1, 1): 6, (2, 1): 5, (3, 1): 3,
     }
-    delta = tuple(delta_by_word[divmod(idx, 2)] for idx in range(8))
     subsets = {"maximal": (0, 1, 4, 5)}
-    return CocycleSpec(add, mul, acting, delta), subsets
+    return _spec(add, mul, (2, 1), (lam_x, lam_y), delta_by_word), subsets
 
 
 _EX8_CLAIMS = (
@@ -146,25 +170,22 @@ _EX8_CLAIMS = (
 # --------------------------------------------------------------- order 12
 
 def _build_ex12() -> tuple[CocycleSpec, dict[str, tuple[int, ...]]]:
-    """Additive C12, multiplicative D12; the action is by units 7 and 5."""
+    """Additive C12 = <a> = <1>, multiplicative D12 = <x, y> = <2, 1>, x a
+    rotation and y a reflection; x acts as a -> 7a, y as a -> 5a."""
     add = cyclic_group(12)
     mul = _dihedral(6, "D12")
-    acting = []
-    for idx in range(12):
-        i, j = divmod(idx, 2)
-        unit = (pow(7, i, 12) * pow(5, j, 12)) % 12
-        acting.append(tuple((unit * v) % 12 for v in range(12)))
+    lam_x = _linear(add, (1,), ((7,),))
+    lam_y = _linear(add, (1,), ((5,),))
     delta_by_word = {
         (0, 0): 0, (1, 0): 5, (2, 0): 4, (3, 0): 9, (4, 0): 8, (5, 0): 1,
         (0, 1): 6, (1, 1): 11, (2, 1): 10, (3, 1): 3, (4, 1): 2, (5, 1): 7,
     }
-    delta = tuple(delta_by_word[divmod(idx, 2)] for idx in range(12))
     subsets = {
         "socle": (0, 4, 8),
         "socle2": (0, 2, 4, 6, 8, 10),
         "star_span": (0, 2, 4, 6, 8, 10),
     }
-    return CocycleSpec(add, mul, tuple(acting), delta), subsets
+    return _spec(add, mul, (2, 1), (lam_x, lam_y), delta_by_word), subsets
 
 
 _EX12_CLAIMS = (
@@ -193,28 +214,23 @@ _EX12_CLAIMS = (
 # --------------------------------------------------------------- order 24
 
 def _build_ex24() -> tuple[CocycleSpec, dict[str, tuple[int, ...]]]:
-    """Additive C12 x C2, multiplicative S3 x C2 x C2.
+    """Additive C12 x C2 = <a, b> = <2, 1>, multiplicative S3 x C2 x C2 =
+    <x, y, z, t> = <8, 4, 2, 1>, x a rotation and y a reflection of S3.
 
-    Carrier index of ia+jb is 2i+j; the product group index of the word
-    x^i y^j z^k t^l is 8i + 4j + 2k + l.  One table cell reads "10+b" in
-    the source and is completed to 10a+b, the only bijective choice.
+    One table cell reads "10+b" in the source and is completed to 10a+b,
+    the only bijective choice.
     """
     add = direct_product(cyclic_group(12), cyclic_group(2), name="C12xC2")
     s3 = _dihedral(3, "S3")
     mul = direct_product(direct_product(s3, cyclic_group(2)), cyclic_group(2),
                          name="S3xC2xC2")
-    acting = []
-    for idx in range(24):
-        i, rest = divmod(idx, 8)
-        j, rest = divmod(rest, 4)
-        k, l = divmod(rest, 2)
-        unit = (pow(5, j, 12) * pow(7, k + l, 12)) % 12
-        shift = 6 * l
-        perm = []
-        for v in range(24):
-            p, q = divmod(v, 2)
-            perm.append(2 * ((unit * p + shift * q) % 12) + q)
-        acting.append(tuple(perm))
+    a_b = (2, 1)
+    maps = (
+        _linear(add, a_b, ((1, 0), (0, 1))),
+        _linear(add, a_b, ((5, 0), (0, 1))),
+        _linear(add, a_b, ((7, 0), (0, 1))),
+        _linear(add, a_b, ((7, 0), (6, 1))),
+    )
     delta_by_word = {
         (0, 0, 0, 0): 0, (1, 0, 0, 0): 16, (2, 0, 0, 0): 8,
         (0, 1, 0, 0): 12, (1, 1, 0, 0): 4, (2, 1, 0, 0): 20,
@@ -225,22 +241,14 @@ def _build_ex24() -> tuple[CocycleSpec, dict[str, tuple[int, ...]]]:
         (0, 0, 1, 1): 19, (1, 0, 1, 1): 11, (2, 0, 1, 1): 3,
         (0, 1, 1, 1): 7, (1, 1, 1, 1): 23, (2, 1, 1, 1): 15,
     }
-
-    def word(idx):
-        i, rest = divmod(idx, 8)
-        j, rest = divmod(rest, 4)
-        k, l = divmod(rest, 2)
-        return (i, j, k, l)
-
-    delta = tuple(delta_by_word[word(idx)] for idx in range(24))
     b, two_a, four_a = 1, 4, 8
     subsets = {
         "socle": (0, 8, 16),
         "socle2": (0, 4, 8, 12, 16, 20),
-        "I": tuple(sorted(closure(add, (two_a, b)))),
-        "fit_I": tuple(sorted(closure(add, (four_a, b)))),
+        "I": closure(add, (two_a, b)),
+        "fit_I": closure(add, (four_a, b)),
     }
-    return CocycleSpec(add, mul, tuple(acting), delta), subsets
+    return _spec(add, mul, (8, 4, 2, 1), maps, delta_by_word), subsets
 
 
 def _ex24_fitting_matches(ex: PaperExample) -> bool:
@@ -284,56 +292,26 @@ _EX24_CLAIMS = (
 
 # --------------------------------------------------------------- order 32
 
-def _span32(*masks: int) -> tuple[int, ...]:
-    out = {0}
-    for m in masks:
-        out |= {v ^ m for v in out}
-    return tuple(sorted(out))
-
-
 def _build_ex32() -> tuple[CocycleSpec, dict[str, tuple[int, ...]]]:
-    """Additive C2^5, multiplicative (C4 x C4) : C2.
-
-    Carrier bits: a=16, b=8, c=4, d=2, e=1.  Product group index of the
-    word x^i y^j z^k is 8i + 2j + k.
-    """
+    """Additive C2^5 = <a, b, c, d, e> = <16, 8, 4, 2, 1>, multiplicative
+    (C4 x C4) : C2 = <x, y, z> = <8, 2, 1> with z x z^-1 = x^3 y^2 and
+    z y z^-1 = x^2 y.  An image of lambda is a word in a..e, the source's
+    bit mask."""
     c2 = cyclic_group(2)
     add = direct_product(
         direct_product(direct_product(direct_product(c2, c2), c2), c2), c2,
         name="C2^5",
     )
     c4c4 = direct_product(cyclic_group(4), cyclic_group(4))
-    twist = tuple(
-        4 * ((3 * i + 2 * j) % 4) + (2 * i + j) % 4
-        for idx in range(16)
-        for i, j in (divmod(idx, 4),)
-    )
+    twist = _linear(c4c4, (4, 1), ((3, 2), (2, 1)))
     mul = cyclic_extension(c4c4, twist, 0, 2, name="(C4xC4):C2")
-
-    def linear(*images: int):
-        img = list(images)
-        out = []
-        for v in range(32):
-            w = 0
-            for bit in range(5):
-                if v >> (4 - bit) & 1:
-                    w ^= img[bit]
-            out.append(w)
-        return tuple(out)
-
-    lam_x = linear(0b00111, 0b00101, 0b10100, 0b11000, 0b11100)
-    lam_y = linear(0b10000, 0b10101, 0b11110, 0b01000, 0b10001)
-    lam_z = linear(0b10000, 0b01111, 0b11110, 0b00101, 0b11100)
-    x_pows = _powers(lam_x, 4, 32)
-    y_pows = _powers(lam_y, 4, 32)
-    acting = []
-    for idx in range(32):
-        i, rest = divmod(idx, 8)
-        j, k = divmod(rest, 2)
-        perm = _compose(x_pows[i], y_pows[j])
-        if k:
-            perm = _compose(perm, lam_z)
-        acting.append(perm)
+    abcde = (16, 8, 4, 2, 1)
+    lam_x = _linear(add, abcde, ((0, 0, 1, 1, 1), (0, 0, 1, 0, 1), (1, 0, 1, 0, 0),
+                                 (1, 1, 0, 0, 0), (1, 1, 1, 0, 0)))
+    lam_y = _linear(add, abcde, ((1, 0, 0, 0, 0), (1, 0, 1, 0, 1), (1, 1, 1, 1, 0),
+                                 (0, 1, 0, 0, 0), (1, 0, 0, 0, 1)))
+    lam_z = _linear(add, abcde, ((1, 0, 0, 0, 0), (0, 1, 1, 1, 1), (1, 1, 1, 1, 0),
+                                 (0, 0, 1, 0, 1), (1, 1, 1, 0, 0)))
     delta_by_word = {
         (0, 0, 0): 0, (1, 0, 0): 20, (2, 0, 0): 7, (3, 0, 0): 4,
         (0, 1, 0): 21, (1, 1, 0): 27, (2, 1, 0): 18, (3, 1, 0): 11,
@@ -344,22 +322,15 @@ def _build_ex32() -> tuple[CocycleSpec, dict[str, tuple[int, ...]]]:
         (0, 2, 1): 26, (1, 2, 1): 14, (2, 2, 1): 29, (3, 2, 1): 30,
         (0, 3, 1): 24, (1, 3, 1): 22, (2, 3, 1): 31, (3, 3, 1): 6,
     }
-
-    def word(idx):
-        i, rest = divmod(idx, 8)
-        j, k = divmod(rest, 2)
-        return (i, j, k)
-
-    delta = tuple(delta_by_word[word(idx)] for idx in range(32))
     subsets = {
-        "I": _span32(16, 4, 10, 9),
-        "J": _span32(16, 8, 2, 5),
-        "K": _span32(16, 12, 10, 1),
-        "L": _span32(16, 10, 13),
-        "L2": _span32(26, 13),
-        "L3": _span32(13),
+        "I": closure(add, (16, 4, 10, 9)),
+        "J": closure(add, (16, 8, 2, 5)),
+        "K": closure(add, (16, 12, 10, 1)),
+        "L": closure(add, (16, 10, 13)),
+        "L2": closure(add, (26, 13)),
+        "L3": closure(add, (13,)),
     }
-    return CocycleSpec(add, mul, tuple(acting), delta), subsets
+    return _spec(add, mul, (8, 2, 1), (lam_x, lam_y, lam_z), delta_by_word), subsets
 
 
 def _ex32_ideals_exact(ex: PaperExample) -> bool:

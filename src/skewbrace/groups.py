@@ -438,12 +438,13 @@ def closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
 
 
 def is_subgroup(G: FiniteGroup, elems: Sequence[int]) -> bool:
-    s = set(elems)
+    s = _subset(G.order, elems)
     return 0 in s and _escape(s, G.table) is None
 
 
 def is_normal(G: FiniteGroup, elems: Sequence[int]) -> bool:
-    return _escape(set(elems), maps=[_conjugation(G, g) for g in generating_set(G)]) is None
+    s = _subset(G.order, elems)
+    return _escape(s, maps=[_conjugation(G, g) for g in generating_set(G)]) is None
 
 
 def _agree(spans: Sequence[_Span], floor: int, start: int = 1) -> bool:

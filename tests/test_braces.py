@@ -111,12 +111,22 @@ def test_full_invariant_suite_on_worked_examples(worked_examples):
         assert check_brace_invariants(ex.brace), ex.name
 
 
-def test_power_helpers():
+def test_power_helpers(worked_examples):
+    """A huge or negative k costs at most one pass over the element's order."""
     b = trivial_brace(cyclic_group(6))
     assert b.add_power(1, 6) == 0
     assert b.add_power(1, 4) == 4
     assert b.mul_power(5, 6) == 0
     assert b.neg(2) == 4
+    assert b.add_power(1, 10**12) == b.add_power(1, -2) == 4
+    assert b.add_power(1, 6 * 10**12) == b.add_power(1, -6) == 0
+    assert b.mul_power(5, 6 * 10**12) == b.mul_power(5, -6) == 0
+    ex8 = worked_examples["ex8"].brace
+    for a in ex8.elements():
+        for k in range(-9, 10):
+            assert ex8.add_power(a, k + 1) == ex8.add(ex8.add_power(a, k), a)
+            assert ex8.mul_power(a, k + 1) == ex8.mul(ex8.mul_power(a, k), a)
+            assert ex8.mul_power(a, -k) == ex8.inv(ex8.mul_power(a, k))
 
 
 def test_cocycle_round_trip_recovers_action_and_product(worked_examples):

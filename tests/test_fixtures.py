@@ -1,10 +1,13 @@
 """Tests for the embedded worked examples and their claim registry."""
 
+import hashlib
+
 import pytest
 
 from skewbrace import (
     CocycleIdentityViolation,
     CocycleSpec,
+    DeltaNotBijective,
     SkewBraceError,
     brace_from_cocycle,
     build,
@@ -12,6 +15,7 @@ from skewbrace import (
     example_names,
     verify_claims,
 )
+from skewbrace import fixtures
 
 EXPECTED_ORDERS = {"ex8": 8, "ex12": 12, "ex24": 24, "ex32": 32}
 
@@ -22,6 +26,16 @@ DELTA_SPOT_VALUES = {
     "ex12": {0: 0, 2: 5, 1: 6, 11: 7, 10: 1},
     "ex24": {0: 0, 8: 16, 2: 1, 1: 6, 22: 21, 21: 2},
     "ex32": {0: 0, 8: 20, 1: 16, 2: 21, 31: 6},
+}
+
+# SHA-256 of repr((additive table, multiplicative table, acting, delta)) of
+# each example's spec: how the spec is built from the paper's data must not
+# move a single entry.
+SPEC_SHA256 = {
+    "ex8": "d0ac06e020fc52af9290758c8aef8c25a6200a614c4f3054eeb9cde97616fd18",
+    "ex12": "822ef19d771e038acbe44da5eb341c5ae6b938d8c0a95a72c8ea25d52c3992aa",
+    "ex24": "3e3811e574538a6d57de2aa87bd223aa0d72aace3e7ac4aacc349017f58513ce",
+    "ex32": "e89bbd0537b0895bcc83bb71e667debc2f870850e1700248f032cc5c1fd13279",
 }
 
 
@@ -89,3 +103,28 @@ def test_subsets_are_recorded(worked_examples):
     assert set(worked_examples["ex12"].subsets) == {"socle", "socle2", "star_span"}
     assert set(worked_examples["ex24"].subsets) == {"I", "fit_I", "socle", "socle2"}
     assert set(worked_examples["ex32"].subsets) == {"I", "J", "K", "L", "L2", "L3"}
+
+
+def test_specs_are_pinned():
+    for name, digest in SPEC_SHA256.items():
+        s = build(name).spec
+        data = (s.additive.table, s.multiplicative.table, s.acting, s.delta)
+        assert hashlib.sha256(repr(data).encode()).hexdigest() == digest, name
+
+
+def test_dropped_delta_word_names_the_element_left_without_one(monkeypatch):
+    """Each example's delta table, less any one word, is rejected naming the
+    element that word named."""
+    calls = []
+    real = fixtures._spec
+    monkeypatch.setattr(fixtures, "_spec", lambda *args: calls.append(args) or real(*args))
+    for name in example_names():
+        fixtures._BUILDERS[name][0]()
+        add, mul, gens, maps, delta_by_word = calls.pop()
+        full = build(name).spec.delta
+        for word, value in delta_by_word.items():
+            kept = {w: v for w, v in delta_by_word.items() if w != word}
+            spec = real(add, mul, gens, maps, kept)
+            with pytest.raises(DeltaNotBijective,
+                               match=rf"delta has entry None at {full.index(value)}, "):
+                brace_from_cocycle(spec)

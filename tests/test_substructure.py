@@ -399,6 +399,8 @@ SUBSET_VALIDATORS = {
     "ideal_chain": lambda b, s: ideal_chain(b, [s]),
     "b_central_series": b_central_series,
     "closure": lambda b, s: closure(b.add_group, s),
+    "is_subgroup": lambda b, s: is_subgroup(b.add_group, s),
+    "is_normal": lambda b, s: is_normal(b.mul_group, s),
     "additive_closure": additive_closure,
     "subbrace_generated": subbrace_generated,
     "ideal_generated": ideal_generated,
