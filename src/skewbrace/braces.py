@@ -6,9 +6,11 @@ a^-1), sharing 0 as identity and tied together by a(b + c) = ab - a + ac.
 The derived map lam_a(b) = -a + ab is the one table built at construction;
 the star product a*b = lam_a(b) - b is read from it and the additive table.
 
-Validation is exact at every order.  Both tables are proven to be groups
-and the linking axiom is proven for b over an additive generating set S,
-with a and c over all elements: O(|S| n^2) lookups, |S| <= log2 n.  That
+Validation is exact at every order.  Both tables are proven closed, once,
+by `make_brace` or the document reader that hands them over, then proven
+to be groups, and the linking axiom is proven for a over a multiplicative
+and b over an additive generating set, with c over all elements:
+O(|S_mul| |S_add| n) lookups, each set of at most log2 n elements.  That
 lambda is a homomorphism into Aut(A) and the star identities follow from
 the axiom and need no check of their own (Guarnieri & Vendramin, Math.
 Comp. 86, 2017).
@@ -39,9 +41,9 @@ from .errors import (
     TranscriptionInvalid,
 )
 from .groups import (FiniteGroup, direct_product, element_orders, generating_set,
-                     _automorphism_fault, _cosets, _escape, _group, _identity_of, _induced,
-                     _normal_fault, _off_carrier, _prove_group, _relabel, _row_getter,
-                     _twisted, _subset)
+                     _automorphism_fault, _check_closure, _cosets, _escape, _group,
+                     _identity_of, _induced, _normal_fault, _off_carrier, _prove_group,
+                     _relabel, _row_getter, _twisted, _subset)
 
 __all__ = [
     "SkewBrace",
@@ -132,30 +134,42 @@ def _power(G: FiniteGroup, a: int, k: int) -> int:
 
 
 def _validate_pair(add: FiniteGroup, mul: FiniteGroup) -> None:
-    """Prove a(b + c) = ab - a + ac for all a, b, c.
+    """Prove a(b + c) = ab - a + ac for all a, b, c, given two proven groups
+    with the identity 0, as `make_brace` proves them before this call.
 
-    The b satisfying it for all a and c contain 0 and are closed under +,
-    since a(b + b' + c) = ab - a + a(b' + c), so b only runs over an
-    additive generating set: O(|S| n^2) with |S| <= log2 n.  Rows over c
-    are compared whole (a(b + .) is row a through row b, ab - a + a. is
-    row ab - a through row a); only a differing row names the witness.
+    With lam_a(b) = -a + ab the axiom at a says lam_a(b + c) = lam_a(b) +
+    lam_a(c).  For one a, the b satisfying it for all c contain 0 and are
+    closed under +, since a(b + b' + c) = ab - a + a(b' + c), so b runs over
+    an additive generating set S_add.  The set M of a satisfying it for all
+    b, c contains 0 and is closed under products: for a in M and any b, c,
+    (ab)c = a(bc) = a(b + lam_b(c)) = ab - a + a lam_b(c), so lam_ab =
+    lam_a lam_b, an endomorphism when b is in M too (lambda is a
+    homomorphism; Guarnieri & Vendramin, Math. Comp. 86, 2017).  Every
+    element is a left-nested product of a multiplicative generating set
+    S_mul, so a runs over S_mul: O(|S_mul| |S_add| n) lookups, both sets of
+    at most log2 n elements.  Rows over c are compared whole (a(b + .) is
+    row a through row b, ab - a + a. is row ab - a through row a).  Once a
+    generator fails, every a is tried in order, so the witness named is the
+    first failing (a, b, c) of the all-elements scan.
     """
     n = add.order
     ta, tm = add.table, mul.table
     neg = add.inverse
     shifts = [(b, _row_getter(ta[b])) for b in generating_set(add)]
-    for a in range(n):
+
+    def fault(a: int) -> Optional[str]:
         tma = tm[a]
-        na = neg[a]
         through_a = _row_getter(tma)
         for b, shift in shifts:
-            left_part = ta[ta[tma[b]][na]]
+            left_part = ta[ta[tma[b]][neg[a]]]
             if shift(tma) != through_a(left_part):
                 tab = ta[b]
-                for c in range(n):
-                    if tma[tab[c]] != left_part[tma[c]]:
-                        raise DistributivityViolation(
-                            f"{a}({b}+{c}) != {a} {b} - {a} + {a} {c}")
+                c = next(c for c in range(n) if tma[tab[c]] != left_part[tma[c]])
+                return f"{a}({b}+{c}) != {a} {b} - {a} + {a} {c}"
+        return None
+
+    if any(map(fault, generating_set(mul))):
+        raise DistributivityViolation(next(filter(None, map(fault, range(n)))))
 
 
 def _brace(add: FiniteGroup, mul: FiniteGroup, name: Optional[str] = None) -> SkewBrace:
@@ -173,6 +187,15 @@ def make_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence[
     if len(add_table) != len(mul_table):
         raise BraceInvalid(
             f"table sizes differ: {len(add_table)} vs {len(mul_table)}")
+    _check_closure(add_table)
+    _check_closure(mul_table)
+    return _prove_brace(add_table, mul_table, name)
+
+
+def _prove_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence[int]],
+                 name: Optional[str]) -> SkewBrace:
+    """`make_brace` on two tables of one order proven closed: the shared
+    identity, then each group, then the axiom, which needs both groups."""
     e_add = _identity_of(add_table)
     e_mul = _identity_of(mul_table)
     if e_add != e_mul:

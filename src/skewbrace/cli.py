@@ -12,7 +12,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .braces import CocycleSpec, SkewBrace, brace_from_cocycle, check_brace_invariants, make_brace
+from .braces import (CocycleSpec, SkewBrace, brace_from_cocycle, check_brace_invariants,
+                     _prove_brace)
 from .census import BraceCensus, census
 from .classify import brace_report, is_supersoluble
 from .errors import OrderBoundExceeded, ParseError, SkewBraceError, TranscriptionInvalid
@@ -98,7 +99,9 @@ def _read_int_row(cursor: _Cursor, n: int, what: str) -> list[int]:
 
 
 def _read_table(cursor: _Cursor, n: int, what: str) -> list[Sequence[int]]:
-    """The n rows of an n x n table over 0..n-1.
+    """The n rows of an n x n table over 0..n-1: the table's closure proof,
+    which the constructors the rows go to (`braces._prove_brace`,
+    `groups._prove_group`) do not repeat.
 
     The document's first table row is read by `_read_int_row`.  Only once it
     has parsed with n entries is the map str(v) -> v for v in 0..n-1 built,
@@ -172,7 +175,7 @@ def parse_brace_document(text: str) -> SkewBrace:
         _expect(cursor, "mul")
         mul = _read_table(cursor, n, "mul")
         _expect(cursor, "end")
-        return make_brace(add, mul, name)
+        return _prove_brace(add, mul, name)
     if line == "cocycle":
         _expect(cursor, "add")
         add = _read_table(cursor, n, "add")

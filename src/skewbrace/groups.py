@@ -154,8 +154,9 @@ def _check_closure(table: Sequence[Sequence[int]]) -> None:
 
 
 def _identity_of(table: Sequence[Sequence[int]]) -> int:
-    """The two-sided identity of a table, once its entries are proven in range."""
-    _check_closure(table)
+    """The two-sided identity of a table already proven closed: by
+    `_check_closure` in the public constructors, or by the document reader,
+    which reads every entry as an int in 0..n-1."""
     n = len(table)
     for e in range(n):
         if all(table[e][x] == x and table[x][e] == x for x in range(n)):
@@ -280,8 +281,9 @@ def _row_getter(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]
     return itemgetter(*idx)
 
 
-def _assoc_generators(table: Sequence[Sequence[int]]) -> None:
-    """Associativity proven from a generating set.
+def _assoc_generators(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Associativity proven from a generating set, which is returned: the
+    group's `generating_set`, as both span the table the same way.
 
     The set of elements a with (a*x)*y == a*(x*y) for all x, y contains the
     identity and is closed under products, and every element is a
@@ -292,7 +294,8 @@ def _assoc_generators(table: Sequence[Sequence[int]]) -> None:
     """
     n = len(table)
     through = [_row_getter(row) for row in table]
-    for s in _Span(table, range(n)).gens:
+    gens = tuple(_Span(table, range(n)).gens)
+    for s in gens:
         ts = table[s]
         for x in range(n):
             tsx = table[ts[x]]
@@ -301,28 +304,34 @@ def _assoc_generators(table: Sequence[Sequence[int]]) -> None:
                 for y in range(n):
                     if tsx[y] != ts[tx[y]]:
                         raise NonAssociative(f"({s}*{x})*{y} != {s}*({x}*{y})")
+    return gens
 
 
 def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> FiniteGroup:
     """Validate a Cayley table and return the group, identity moved to 0."""
+    _check_closure(table)
     return _prove_group(table, _identity_of(table), name)
 
 
 def _prove_group(table: Sequence[Sequence[int]], e: int, name: Optional[str]) -> FiniteGroup:
-    """`make_group` on a table proven closed, with identity e."""
+    """`make_group` on a table proven closed, with identity e.  The
+    generators of the associativity proof become the group's cached
+    `generating_set`, so the table is spanned once."""
     n = len(table)
     rows = tuple(tuple(row) for row in table)
     if e != 0:
         perm = list(range(n))
         perm[0], perm[e] = e, 0
         rows = _relabel(rows, perm)
-    _assoc_generators(rows)
+    gens = _assoc_generators(rows)
     # In an associative table with identity a right inverse is unique, so
     # the first 0 in row a is the only candidate for a's inverse.
     for a, row in enumerate(rows):
         if 0 not in row or rows[row.index(0)][a] != 0:
             raise MissingInverse(f"element {a} has no two-sided inverse")
-    return _group(rows, name)
+    G = _group(rows, name)
+    _cached(G, "generating_set", lambda: gens)
+    return G
 
 
 def _group(rows: tuple[tuple[int, ...], ...], name: Optional[str] = None) -> FiniteGroup:
@@ -443,8 +452,10 @@ def is_subgroup(G: FiniteGroup, elems: Sequence[int]) -> bool:
 
 
 def is_normal(G: FiniteGroup, elems: Sequence[int]) -> bool:
+    """Whether `elems` is a normal subgroup of G: it holds 0, is closed, and
+    is sent into itself by conjugation."""
     s = _subset(G.order, elems)
-    return _escape(s, maps=[_conjugation(G, g) for g in generating_set(G)]) is None
+    return 0 in s and _normal_fault(G, s, G.table) is None
 
 
 def _agree(spans: Sequence[_Span], floor: int, start: int = 1) -> bool:

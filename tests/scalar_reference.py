@@ -1,8 +1,10 @@
 """Cell-by-cell references for the row-at-a-time kernels.
 
 Each function is the scalar loop its kernel ran before rows were compared
-and built whole: `assoc_generators` for `groups._assoc_generators`,
-`validate_pair` for `braces._validate_pair`, `brace` for `braces._brace`,
+and built whole: `assoc_generators` for `groups._assoc_generators` (both
+return the generators they prove on), `validate_pair` for
+`braces._validate_pair` (over every a, before a ran over multiplicative
+generators), `brace` for `braces._brace`,
 `solution_from_brace` and `retract` for their `ybe` namesakes,
 `table_lines` for `cli._table_lines`, `read_table` for `cli._read_table`,
 `check_closure` for `groups._check_closure`, and `solution_checks` for
@@ -45,6 +47,7 @@ join loop that closes each join in both tables at once.
 `substructure` and `groups` as they tested every pair of a subset and of
 the carrier, before one subset prover proved them on generators; the tests
 require the same flags, and filter the ideal lattice's oracles by them.
+`is_normal` means a normal subgroup: a subgroup, and conjugation-invariant.
 """
 
 from itertools import product
@@ -62,7 +65,8 @@ from skewbrace.ybe import Solution, SolutionChecks, _braid_holds
 
 def assoc_generators(table):
     n = len(table)
-    for s in _Span(table, range(n)).gens:
+    gens = tuple(_Span(table, range(n)).gens)
+    for s in gens:
         ts = table[s]
         for x in range(n):
             sx = ts[x]
@@ -71,6 +75,7 @@ def assoc_generators(table):
             for y in range(n):
                 if tsx[y] != ts[tx[y]]:
                     raise NonAssociative(f"({s}*{x})*{y} != {s}*({x}*{y})")
+    return gens
 
 
 def validate_pair(add, mul):
@@ -539,4 +544,4 @@ def is_subgroup(G, elems):
 def is_normal(G, elems):
     s = set(elems)
     t, inv = G.table, G.inverse
-    return all(t[t[g][h]][inv[g]] in s for g in G.elements() for h in s)
+    return is_subgroup(G, s) and all(t[t[g][h]][inv[g]] in s for g in G.elements() for h in s)

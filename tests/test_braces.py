@@ -37,6 +37,8 @@ from skewbrace import (
     u_p,
 )
 
+from skewbrace import braces
+
 import scalar_reference as ref
 
 
@@ -80,6 +82,20 @@ def test_make_brace_rejects_ragged_tables():
         make_brace([[0], [1, 0]], [[0, 1], [1, 0]])
     with pytest.raises(NotClosed):
         make_brace([[0, 1], [1, 0]], [[0, 1], [1]])
+
+
+@pytest.mark.parametrize("entry", [2, 1.0])
+def test_make_brace_proves_both_tables_closed(entry):
+    """An entry off the carrier, in either table, raises NotClosed naming its
+    cell, in `make_brace` and in `make_group`."""
+    for side in range(2):
+        tables = [[[0, 1], [1, 0]], [[0, 1], [1, 0]]]
+        tables[side][1][1] = entry
+        message = re.escape(f"entry at (1, 1) is {entry!r}, outside 0..1")
+        with pytest.raises(NotClosed, match=message):
+            make_brace(*tables)
+        with pytest.raises(NotClosed, match=message):
+            make_group(tables[side])
 
 
 def test_make_brace_detects_distributivity_violation():
@@ -442,3 +458,26 @@ def test_single_cell_corruptions_of_brace_tables_are_rejected(worked_examples, p
             else:
                 assert not any(_violates(b.add_group, mul, a, x, y) for a in range(n)
                                for x in range(n) for y in range(n))
+
+
+def test_distributivity_witness_is_the_first_of_the_scan_over_every_element(
+        ybe_products, monkeypatch):
+    """The labels 1 and 2 swapped in ex24xex8's product table break the axiom
+    at every multiplicative generator.  The proof runs a over generators, but
+    the witness is the first failing (a, b, c) of the scan over every a, as
+    the reference names it, also with the generators in reverse order."""
+    B = ybe_products["ex24xex8"]
+    n = B.order
+    perm = list(range(n))
+    perm[1], perm[2] = 2, 1
+    mul = make_group(_relabel_fixing_zero(B.mul_group.table, perm))
+    expected = "1(1+1) != 1 1 - 1 + 1 1"
+    with pytest.raises(DistributivityViolation) as exc:
+        ref.validate_pair(B.add_group, mul)
+    assert str(exc.value) == expected
+    ascending = braces.generating_set
+    for gens in (ascending, lambda G: ascending(G)[::-1] if G is mul else ascending(G)):
+        monkeypatch.setattr(braces, "generating_set", gens)
+        with pytest.raises(DistributivityViolation) as exc:
+            braces._validate_pair(B.add_group, mul)
+        assert str(exc.value) == expected

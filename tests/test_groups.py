@@ -44,6 +44,8 @@ from skewbrace import (
 )
 from skewbrace.groups import _is_prime
 
+import scalar_reference as ref
+
 
 def catalog_group(n, label):
     for lbl, g in group_catalog(n):
@@ -355,6 +357,17 @@ def test_is_subgroup():
     c12 = cyclic_group(12)
     assert is_subgroup(c12, [0, 4, 8])
     assert not is_subgroup(c12, [0, 4, 7])
+
+
+@pytest.mark.parametrize("elems, expected", [
+    ([1, 3], False), ([], False), ([0, 1], False), ([0], True), ([0, 2], True),
+    ([0, 1, 2, 3], True)])
+def test_is_normal_means_a_normal_subgroup(elems, expected):
+    """A subset without 0, or not closed, is no normal subgroup, although
+    every subset of an abelian group is closed under conjugation."""
+    c4 = cyclic_group(4)
+    assert is_normal(c4, elems) is expected
+    assert ref.is_normal(c4, elems) is expected
 
 
 AUT_ORDERS = {

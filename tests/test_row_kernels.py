@@ -41,6 +41,7 @@ def scalar_kernels(monkeypatch):
         m.setattr(cli, "_table_lines", ref.table_lines)
         m.setattr(cli, "_read_table", ref.read_table)
         m.setattr(groups, "_check_closure", ref.check_closure)
+        m.setattr(braces, "_check_closure", ref.check_closure)
         m.setattr(ybe, "_check_closure", ref.check_closure)
         m.setattr(ybe, "verify_solution", ref.solution_checks)
         yield
@@ -207,7 +208,7 @@ def _read_outcome(text):
         return [list(row) for row in add], [list(row) for row in mul], name
     try:
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(cli, "make_brace", capture)
+            m.setattr(cli, "_prove_brace", capture)
             return parse_brace_document(text)
     except ParseError as exc:
         return exc.line, str(exc)
