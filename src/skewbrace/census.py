@@ -44,6 +44,7 @@ from .errors import OrderBoundExceeded, SkewBraceError
 from .groups import (
     FiniteGroup,
     _Span,
+    _cached,
     _dihedral,
     _generator_levels,
     _group,
@@ -120,18 +121,22 @@ def group_catalog(n: int) -> list[tuple[str, FiniteGroup]]:
     return out
 
 
-def _hol_orders(A: FiniteGroup, aut: FiniteGroup, perms) -> list[list[int]]:
-    """hol[phi][v]: the order of (translate by v, twist by perms[phi]) in the
-    holomorph, where (w, psi)(v, phi) = (w + psi(v), psi phi)."""
-    ta, tx = A.table, aut.table
-    hol = [[1] * A.order for _ in perms]
-    for phi, row in enumerate(hol):
-        for v in range(A.order):
-            w, psi = v, phi
-            while w or psi:
-                w, psi = ta[w][perms[psi][v]], tx[psi][phi]
-                row[v] += 1
-    return hol
+def _hol_orders(A: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """hol[phi][v]: the order of (v, phi) in the holomorph of A, phi an index
+    of `aut_group(A)`, (w, psi)(v, phi) = (w + psi(v), psi phi); cached in A."""
+    def build() -> tuple[tuple[int, ...], ...]:
+        aut, perms = aut_group(A)
+        ta, tx = A.table, aut.table
+        hol = [[1] * A.order for _ in perms]
+        for phi, row in enumerate(hol):
+            for v in range(A.order):
+                w, psi = v, phi
+                while w or psi:
+                    w, psi = ta[w][perms[psi][v]], tx[psi][phi]
+                    row[v] += 1
+        return tuple(map(tuple, hol))
+
+    return _cached(A, "hol_orders", build)
 
 
 def _class_roots(aut: FiniteGroup, gens) -> tuple[list[int], list[int]]:
@@ -285,7 +290,7 @@ def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
     ta = A.table
     aut, perms = aut_group(A)
     roots = _root_twists(aut, perms)
-    families = _regular_families(A, aut, perms, _hol_orders(A, aut, perms), roots)
+    families = _regular_families(A, aut, perms, _hol_orders(A), roots)
     # Relabeling by theta = perms[t] puts theta f_a theta^-1 at theta(a), found
     # by two lookups per entry.  Index order is the lex order of `perms`, so
     # reps are unchanged.
@@ -449,12 +454,11 @@ def _bijective_cocycles(C: FiniteGroup, A: FiniteGroup, lam, perms, hol):
                   for g, order, _pairs in levels], True, float("inf"))
 
 
-def _oracle_pools(A: FiniteGroup, aut: FiniteGroup, perms, split) -> list:
+def _oracle_pools(A: FiniteGroup, sources: Sequence[FiniteGroup]) -> list:
     """(tables, Stab(lam)) for one lam per class of `_action_classes` with a
-    bijective cocycle, over each (C, (c_aut, c_perms)) of `split`: the
-    tables are C relabeled by lam's bijective cocycles delta, and
-    Stab(lam) lists the theta of Aut(A) with theta lam theta^-1 in
-    lam Aut(C).
+    bijective cocycle, over each group C of `sources`: the tables are C
+    relabeled by lam's bijective cocycles delta, and Stab(lam) lists the
+    theta of Aut(A), as permutations, with theta lam theta^-1 in lam Aut(C).
 
     The tables of lam are closed under Stab(lam): if
     theta lam theta^-1 = lam alpha, then theta delta alpha^-1 is a
@@ -466,17 +470,18 @@ def _oracle_pools(A: FiniteGroup, aut: FiniteGroup, perms, split) -> list:
     conjugates lam^T by theta.  So the braces with additive group A are
     the Stab(lam)-orbits on the tables, summed over the pools.
     """
-    hol = _hol_orders(A, aut, perms)
+    aut, perms = aut_group(A)
     tx, inv = aut.table, aut.inverse
     root, canon = _class_roots(aut, generating_set(aut))
     pools = []
-    for C, (c_aut, c_perms) in split:
+    for C in sources:
+        c_aut, c_perms = aut_group(C)
         for lam in _action_classes(C, c_aut, c_perms, aut, root, canon):
             tables = {_relabel(C.table, delta) for delta in
-                      _bijective_cocycles(C, A, lam, perms, hol)}
+                      _bijective_cocycles(C, A, lam, perms, _hol_orders(A))}
             if tables:
                 twins = {tuple([lam[x] for x in alpha]) for alpha in c_perms}
-                pools.append((tables, [t for t in range(aut.order) if tuple(
+                pools.append((tables, [perms[t] for t in range(aut.order) if tuple(
                     [tx[tx[t][phi]][inv[t]] for phi in lam]) in twins]))
     return pools
 
@@ -487,14 +492,11 @@ def _oracle_counts(n: int) -> dict[str, int]:
     relabeling by Stab(lam) required in the pool."""
     counts: dict[str, int] = {}
     catalog = group_catalog(n)
-    auts = {label: aut_group(C) for label, C in catalog}
-    split = [(C, auts[label]) for label, C in catalog]
     for label, A in catalog:
-        aut, perms = auts[label]
         counts[label] = sum(
             len(_orbit_representatives(
-                tables, [(lambda t, th=perms[theta]: _relabel(t, th)) for theta in stab]))
-            for tables, stab in _oracle_pools(A, aut, perms, split))
+                tables, [(lambda t, theta=theta: _relabel(t, theta)) for theta in stab]))
+            for tables, stab in _oracle_pools(A, [C for _, C in catalog]))
     return counts
 
 
@@ -502,8 +504,8 @@ def census_oracle(n: int) -> int:
     """Independent recount of census(n) through actions and cocycles.
 
     Capped by `group_catalog` at order 15.  On a shared 2-vCPU Xeon VM
-    under Python 3.11 (medians of 21 calls, two runs) order 8 (C2xC2xC2
-    has 168 automorphisms) takes 0.03-0.04 s, order 12 0.02 s and every
-    other order up to 15 under 0.01 s.
+    under Python 3.11 (medians of 21 calls after a first, five runs) order
+    8 (C2xC2xC2: 168 automorphisms) takes 0.04-0.05 s, order 12 0.02-0.03 s,
+    every other order up to 15 under 0.01 s, and a first call at order 8 0.05 s.
     """
     return sum(_oracle_counts(n).values())

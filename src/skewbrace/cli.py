@@ -487,9 +487,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The parser is built on the first call to `main` and reused by every later
-# call in the same process: parsing leaves it unchanged, and building it
-# costs about as much as a small command.  Nothing else is kept across calls.
+# The parser is built on the first call to `main` and reused by every later call in
+# the same process: parsing leaves it unchanged, and building it costs about as much
+# as a small command.  Also kept: the worked examples, and the catalog groups and their Aut.
 _PARSER: Optional[argparse.ArgumentParser] = None
 
 

@@ -95,9 +95,9 @@ AUT_TABLE_BOUND = 2048
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    `cache` is bounded: four keys, one value each, built once by `_cached`
-    from the table: "generating_set", "element_orders",
-    "conjugacy_class_sizes" and "generator_levels".
+    `cache` is bounded: six keys, one value each, built once by `_cached`:
+    "generating_set", "element_orders", "conjugacy_class_sizes",
+    "generator_levels", "aut_group" and `census`'s "hol_orders".
     """
 
     __slots__ = ("order", "table", "inverse", "name", "cache")
@@ -324,12 +324,13 @@ def _prove_group(table: Sequence[Sequence[int]], e: int, name: Optional[str]) ->
         perm[0], perm[e] = e, 0
         rows = _relabel(rows, perm)
     gens = _assoc_generators(rows)
-    # In an associative table with identity a right inverse is unique, so
-    # the first 0 in row a is the only candidate for a's inverse.
-    for a, row in enumerate(rows):
-        if 0 not in row or rows[row.index(0)][a] != 0:
+    # In an associative table with identity a right inverse is unique: the
+    # first 0 in row a, or none (read as 0, failing as rows[0][a] = a != 0).
+    inverse = tuple([row.index(0) if 0 in row else 0 for row in rows])
+    for a, b in enumerate(inverse):
+        if rows[b][a] != 0:
             raise MissingInverse(f"element {a} has no two-sided inverse")
-    G = _group(rows, name)
+    G = FiniteGroup(rows, inverse, name)
     _cached(G, "generating_set", lambda: gens)
     return G
 
@@ -917,30 +918,37 @@ def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     them, as row[s . p] = [row_s[v] for v in row_p]; as in `_Span`, a new
     generator s gives a subgroup K with K s = K, so the words ending in s
     reach all of K.  The list is `automorphism_perms`, so it is bounded.
+    Both are cached in G while G lives, at most about 34 MB at the bound;
+    each call checks the bound again and returns the shared aut and a new list.
     """
-    perms = automorphism_perms(G)
-    m = len(perms)
-    gens = generating_set(G)
-    index = {tuple([p[g] for g in gens]): i for i, p in enumerate(perms)}
-    images = [[q[g] for g in gens] for q in perms]
-    rows: list = [None] * m
-    rows[0] = tuple(range(m))
-    elems = [0]
-    gen_rows: list[tuple[int, ...]] = []
-    for s, p in enumerate(perms):
-        if rows[s] is not None:
-            continue
-        rows[s] = tuple([index[tuple([p[x] for x in qg])] for qg in images])
-        gen_rows.append(rows[s])
-        i = len(elems)
-        elems.append(s)
-        while i < len(elems):
-            e = elems[i]
-            row_e = rows[e]
-            i += 1
-            for row_s in gen_rows:
-                z = row_s[e]
-                if rows[z] is None:
-                    rows[z] = tuple([row_s[v] for v in row_e])
-                    elems.append(z)
-    return _group(tuple(rows), f"Aut({G.name or '?'})"), perms
+    def build() -> tuple[FiniteGroup, tuple[tuple[int, ...], ...]]:
+        perms = automorphism_perms(G)
+        gens = generating_set(G)
+        index = {tuple([p[g] for g in gens]): i for i, p in enumerate(perms)}
+        images = [[q[g] for g in gens] for q in perms]
+        rows: list = [None] * len(perms)
+        rows[0] = tuple(range(len(perms)))
+        elems = [0]
+        gen_rows: list[tuple[int, ...]] = []
+        for s, p in enumerate(perms):
+            if rows[s] is not None:
+                continue
+            rows[s] = tuple([index[tuple([p[x] for x in qg])] for qg in images])
+            gen_rows.append(rows[s])
+            i = len(elems)
+            elems.append(s)
+            while i < len(elems):
+                e = elems[i]
+                row_e = rows[e]
+                i += 1
+                for row_s in gen_rows:
+                    z = row_s[e]
+                    if rows[z] is None:
+                        rows[z] = _row_getter(row_e)(row_s)
+                        elems.append(z)
+        return _group(tuple(rows), f"Aut({G.name or '?'})"), tuple(perms)
+
+    aut, perms = _cached(G, "aut_group", build)
+    if len(perms) > AUT_TABLE_BOUND:
+        automorphism_perms(G)  # raises: G has more automorphisms than the bound
+    return aut, list(perms)

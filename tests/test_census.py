@@ -42,7 +42,7 @@ from skewbrace.census import (
 )
 from skewbrace import groups
 from skewbrace.cli import write_census_document
-from skewbrace.groups import (_compose, _generator_levels, _relabel, element_order,
+from skewbrace.groups import (_compose, _generator_levels, _group, _relabel, element_order,
                               element_orders, generating_set)
 
 import scalar_reference as ref
@@ -94,18 +94,22 @@ def test_oracle_matches_census_per_additive_group():
 
 def test_oracle_enumerates_automorphisms_once_per_catalog_group(monkeypatch):
     # Every automorphism enumeration is one search of G onto itself for
-    # more than one map.
+    # more than one map.  From a fresh catalog, both routes and a second
+    # census read each catalog group's Aut from one search.
+    monkeypatch.setattr(sys.modules["skewbrace.census"], "_CATALOGS", {})
     enumerated = []
     search = groups._map_search
 
     def counting(sources, targets, limit, *rest):
         if limit > 1:
-            enumerated.append(sources[0].name)
+            enumerated.append(sources[0])
         return search(sources, targets, limit, *rest)
 
     monkeypatch.setattr(groups, "_map_search", counting)
+    assert census(8).count() == EXPECTED_COUNTS[8]
     assert census_oracle(8) == EXPECTED_COUNTS[8]
-    assert sorted(enumerated) == sorted(G.name for _, G in group_catalog(8))
+    assert census(8).count() == EXPECTED_COUNTS[8]
+    assert sorted(map(id, enumerated)) == sorted(id(G) for _, G in group_catalog(8))
 
 
 CATALOG = [G for n in range(1, 16) for _, G in group_catalog(n)]
@@ -216,18 +220,22 @@ def test_package_attribute_census_is_the_function_not_the_module():
 
 def test_hol_orders_match_tuple_composition():
     for A in CATALOG:
-        aut, perms = aut_group(A)
-        hol = _hol_orders(A, aut, perms)
-        assert hol == [[ref.hol_order(A, v, phi) for v in range(A.order)] for phi in perms]
+        perms = aut_group(A)[1]
+        assert _hol_orders(A) == tuple(
+            tuple(ref.hol_order(A, v, phi) for v in range(A.order)) for phi in perms), A.name
+
+
+# Abelian groups of order 16 with 96, 16 and 192 automorphisms: C4xC4,
+# C8xC2 and C4xC2xC2.
+EXTRA = [direct_product(cyclic_group(4), cyclic_group(4)),
+         direct_product(cyclic_group(8), cyclic_group(2)),
+         direct_product(direct_product(cyclic_group(4), cyclic_group(2)), cyclic_group(2))]
 
 
 def test_aut_group_matches_composed_permutations():
     assert len(CATALOG) == 28
-    c = cyclic_group
-    extra = [direct_product(c(4), c(4)), direct_product(c(8), c(2)),
-             direct_product(direct_product(c(4), c(2)), c(2))]
     orders = []
-    for A in CATALOG + extra:
+    for A in CATALOG + EXTRA:
         aut, perms = aut_group(A)
         index = {p: i for i, p in enumerate(perms)}
         assert aut.table == tuple(
@@ -237,18 +245,54 @@ def test_aut_group_matches_composed_permutations():
     assert orders[-3:] == [96, 16, 192]
 
 
+def test_aut_group_returns_a_new_list_each_call():
+    # A copy of D8, so that a leak would corrupt no group other tests share.
+    d8 = _group(dict(group_catalog(8))["D8"].table)
+    aut, perms = aut_group(d8)
+    expected = automorphism_perms(d8)
+    assert perms == expected
+    perms.reverse()
+    perms.append(perms[0])
+    again, listed = aut_group(d8)
+    assert again is aut and listed is not perms
+    assert listed == expected
+
+
+def test_cached_aut_and_holomorph_orders_match_a_fresh_group():
+    # The caches hold group invariants: a fresh copy of each table, with
+    # an empty cache, rebuilds the same Aut, and the uncached search lists
+    # the same automorphisms.
+    for G in CATALOG + EXTRA:
+        aut, perms = aut_group(G)
+        hol = _hol_orders(G)
+        assert type(hol) is tuple and all(type(row) is tuple for row in hol), G.name
+        fresh = _group(G.table)
+        assert fresh.cache == {}
+        fresh_aut, fresh_perms = aut_group(fresh)
+        assert perms == fresh_perms == automorphism_perms(fresh), G.name
+        assert aut.table == fresh_aut.table, G.name
+        assert hol == _hol_orders(fresh), G.name
+        assert hol == tuple(tuple(ref.hol_order(fresh, v, phi) for v in range(fresh.order))
+                            for phi in fresh_perms), G.name
+
+
 def test_aut_table_bound(monkeypatch):
+    # The bound is checked again on a group whose Aut is already cached.
     c2x2x2 = dict(group_catalog(8))["C2xC2xC2"]
+    aut_group(c2x2x2)
     monkeypatch.setattr(groups, "AUT_TABLE_BOUND", 167)
-    with pytest.raises(OrderBoundExceeded):
+    with pytest.raises(OrderBoundExceeded, match=re.escape(
+            "C2xC2xC2 has more than 167 automorphisms, the Aut table bound")):
         braces_with_additive_group(c2x2x2)
     monkeypatch.setattr(groups, "AUT_TABLE_BOUND", 168)
     assert len(braces_with_additive_group(c2x2x2)) == 8
 
 
 def test_aut_group_stops_the_search_past_the_bound(monkeypatch):
-    # Both listers share one bounded search: `aut_group` on C2^3 and
-    # `automorphism_perms` on C2^5, whose 9,999,360 maps no test could list.
+    # Both listers share one bounded search: `aut_group` on a C2^3 with
+    # no cached Aut yet, and `automorphism_perms` on C2^5, whose 9,999,360
+    # maps no test could list.
+    monkeypatch.setattr(sys.modules["skewbrace.census"], "_CATALOGS", {})
     c2x2x2 = dict(group_catalog(8))["C2xC2xC2"]
     c2pow5 = direct_product(c2x2x2, dict(group_catalog(4))["C2xC2"])
     search = groups._map_search
@@ -290,7 +334,7 @@ def test_family_search_names_the_dropped_relabeling(monkeypatch):
     module = sys.modules["skewbrace.census"]
     c2x2x2 = dict(group_catalog(8))["C2xC2xC2"]
     aut, perms = aut_group(c2x2x2)
-    pool = sorted(_regular_families(c2x2x2, aut, perms, _hol_orders(c2x2x2, aut, perms),
+    pool = sorted(_regular_families(c2x2x2, aut, perms, _hol_orders(c2x2x2),
                                     _root_twists(aut, perms)))
     index = {p: i for i, p in enumerate(perms)}
 
@@ -443,8 +487,7 @@ def test_indexed_families_match_tuple_reference():
     # 1, and its braces are the full reference's orbit representatives.
     for A in CATALOG:
         aut, perms = aut_group(A)
-        indexed = _regular_families(A, aut, perms, _hol_orders(A, aut, perms),
-                                    _root_twists(aut, perms))
+        indexed = _regular_families(A, aut, perms, _hol_orders(A), _root_twists(aut, perms))
         families = _reference_families(A)
         roots = _roots_at_one(perms) if A.order > 1 else set()
         assert {tuple(perms[i] for i in fam) for fam in indexed} == {
@@ -463,10 +506,6 @@ def test_census_export_is_unchanged(n):
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[n]
 
 
-def _oracle_split(catalog):
-    return [(C, aut_group(C)) for _, C in catalog]
-
-
 def _inverse(p):
     return tuple(sorted(range(len(p)), key=p.__getitem__))
 
@@ -475,19 +514,17 @@ def test_oracle_class_pools_match_all_actions():
     # Relabeled by all of Aut(A), the class pools give every table of every
     # action, and no table of one pool relabels into another.
     for n in range(1, 13):
-        catalog = group_catalog(n)
-        split = _oracle_split(catalog)
-        for _, A in catalog:
+        sources = [C for _, C in group_catalog(n)]
+        for A in sources:
             aut, perms = aut_group(A)
-            hol = _hol_orders(A, aut, perms)
             every = {
                 _relabel(C.table, delta)
-                for C, _ in split
+                for C in sources
                 for lam in _action_homs(C, aut, range(aut.order))
-                for delta in _bijective_cocycles(C, A, lam, perms, hol)
+                for delta in _bijective_cocycles(C, A, lam, perms, _hol_orders(A))
             }
             closures = [{_relabel(t, theta) for t in tables for theta in perms}
-                        for tables, _stab in _oracle_pools(A, aut, perms, split)]
+                        for tables, _stab in _oracle_pools(A, sources)]
             union = set().union(*closures)
             assert union == every, (n, A.name)
             assert sum(map(len, closures)) == len(union), (n, A.name)
@@ -518,7 +555,8 @@ def test_action_classes_match_the_fold_by_every_pair():
         for _, A in catalog:
             aut, perms = aut_group(A)
             root, canon = _class_roots(aut, generating_set(aut))
-            for C, (c_aut, c_perms) in _oracle_split(catalog):
+            for _, C in catalog:
+                c_aut, c_perms = aut_group(C)
                 found = _action_classes(C, c_aut, c_perms, aut, root, canon)
                 assert len(set(found)) == len(found) == _reference_class_count(C, A), (
                     C.name, A.name)
@@ -573,10 +611,9 @@ def test_oracle_names_the_dropped_table(monkeypatch):
     module = sys.modules["skewbrace.census"]
     catalog = group_catalog(8)
     c2x2x2 = dict(catalog)["C2xC2xC2"]
-    aut, perms = aut_group(c2x2x2)
-    split = _oracle_split(catalog)
-    pools = _oracle_pools(c2x2x2, aut, perms, split)
-    orbits = [({_relabel(t, perms[theta]) for theta in stab}, i)
+    sources = [C for _, C in catalog]
+    pools = _oracle_pools(c2x2x2, sources)
+    orbits = [({_relabel(t, theta) for theta in stab}, i)
               for i, (tables, stab) in enumerate(pools) for t in tables]
     dropped, i = max((max(orbit), i) for orbit, i in orbits if len(orbit) > 1)
     cocycles = module._bijective_cocycles
@@ -589,16 +626,16 @@ def test_oracle_names_the_dropped_table(monkeypatch):
     with pytest.raises(SkewBraceError, match="dropped a relabeling") as info:
         _oracle_counts(8)
     t, pos = map(int, re.search(r"automorphism (\d+) moves item (\d+)", str(info.value)).groups())
-    tables, stab = _oracle_pools(c2x2x2, aut, perms, split)[i]
+    tables, stab = _oracle_pools(c2x2x2, sources)[i]
     assert tables == pools[i][0] - {dropped}
-    assert _relabel(sorted(tables)[pos], perms[stab[t]]) == dropped
+    assert _relabel(sorted(tables)[pos], stab[t]) == dropped
 
 
 def _generator_proofs(C, A):
     """Homomorphisms C -> Aut(A) as permutation tuples, each mapped to its
     set of bijective cocycles, from the oracle's generator proofs."""
     aut, perms = aut_group(A)
-    hol = _hol_orders(A, aut, perms)
+    hol = _hol_orders(A)
     return {
         tuple(perms[phi] for phi in lam): set(_bijective_cocycles(C, A, lam, perms, hol))
         for lam in _action_homs(C, aut, range(aut.order))
