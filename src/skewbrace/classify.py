@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .braces import SkewBrace
-from .groups import (GroupPredicates, _cached, _is_prime, _primes_of, element_orders,
-                     group_predicates)
+from .groups import (GroupPredicates, _cached, _cosets, _is_prime, _primes_of,
+                     element_orders, group_predicates)
 from .series import (
     IdealChain,
     _ascending_series,
@@ -60,7 +60,7 @@ def is_supersoluble(B: SkewBrace) -> SupersolubleResult:
     of the minimal ideals of B/I, are reported.
     """
     def build() -> SupersolubleResult:
-        terms = _ascending_series(B, lambda I, coset_of: next(
+        terms = _ascending_series(B, lambda I: next(
             (J for J in _covers(B, I) if _is_prime(len(J) // len(I))), I))
         last = terms[-1]
         if len(last) == B.order:
@@ -143,8 +143,9 @@ def sylow_tower(B: SkewBrace) -> Optional[IdealChain]:
         target = {x for x in B.elements() if primes_of_order[add_ord[x]] <= allowed}
         sections.append((q, target))
 
-    def step(I: tuple[int, ...], coset_of) -> tuple[int, ...]:
+    def step(I: tuple[int, ...]) -> tuple[int, ...]:
         # The last section is all of B, so below B some image is nontrivial.
+        coset_of = _cosets(B.add_group, I)[0]
         for q, target in sections:
             image = {coset_of[x] for x in target}
             if len(image) > 1:
@@ -179,7 +180,8 @@ class ClassificationReport(NamedTuple):
 
 def brace_report(B: SkewBrace, name: str = "") -> ClassificationReport:
     """Aggregate series, substructure and classification data for one brace."""
-    # Every ideal is a subbrace: taken first, the subbrace lattice is capped first.
+    # Every ideal is a subbrace: taken first, the subbrace lattice is capped
+    # first, and `all_ideals` filters it instead of building a second lattice.
     maximal = maximal_subbraces(B)
     ss = is_supersoluble(B)
     chain = chief_series(B)

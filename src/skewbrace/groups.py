@@ -637,13 +637,13 @@ def _is_prime(n: int) -> bool:
     return _primes_of(n) == (n,)
 
 
-def is_nilpotent_group(G: FiniteGroup) -> bool:
-    """Whether, for each prime p, G has exactly |G|_p elements of p-power
-    order, i.e. of order dividing |G|_p.  A finite group is nilpotent
-    exactly when its Sylow subgroups are normal, and every p-element lies
-    in a Sylow p-subgroup, which holds |G|_p of them: so there are exactly
-    |G|_p when the Sylow p-subgroup is unique, and more otherwise."""
-    n, orders = G.order, element_orders(G)
+def _nilpotent(orders: Sequence[int], elems: Sequence[int]) -> bool:
+    """Whether the subgroup H = `elems`, with element orders `orders`, has
+    exactly |H|_p elements of order dividing |H|_p for each prime p.  A
+    finite group is nilpotent exactly when its Sylow subgroups are normal,
+    and every p-element lies in a Sylow p-subgroup, which holds |H|_p of
+    them: so there are |H|_p exactly when that subgroup is unique."""
+    n, orders = len(elems), [orders[x] for x in elems]
     for p in _primes_of(n):
         part = p
         while n % (part * p) == 0:
@@ -651,6 +651,11 @@ def is_nilpotent_group(G: FiniteGroup) -> bool:
         if sum(part % k == 0 for k in orders) != part:
             return False
     return True
+
+
+def is_nilpotent_group(G: FiniteGroup) -> bool:
+    """Whether G is nilpotent, read off its element orders by `_nilpotent`."""
+    return _nilpotent(element_orders(G), G.elements())
 
 
 def is_supersoluble_group(G: FiniteGroup) -> bool:
@@ -690,11 +695,14 @@ class GroupPredicates(NamedTuple):
 
 
 def group_predicates(G: FiniteGroup) -> GroupPredicates:
+    """The class predicates of G.  A nilpotent G is supersoluble with no climb:
+    its upper central series refines to a normal series of prime factors."""
+    nilpotent = is_nilpotent_group(G)
     return GroupPredicates(
         order=G.order,
         abelian=G.is_abelian(),
-        nilpotent=is_nilpotent_group(G),
-        supersoluble=is_supersoluble_group(G),
+        nilpotent=nilpotent,
+        supersoluble=nilpotent or is_supersoluble_group(G),
         element_orders=tuple(sorted(element_orders(G))),
         primes=_primes_of(G.order),
     )

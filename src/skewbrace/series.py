@@ -17,7 +17,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .braces import SkewBrace, _ideal_fault
 from .errors import NotAnIdeal
-from .groups import _cached, _conjugation, _cosets, _is_prime, closure, generating_set
+from .groups import (_cached, _conjugation, _cosets, _is_prime, _nilpotent, closure,
+                     element_orders, generating_set)
 from .substructure import (SubStructure, _covers, _ideal_closure, _ideal_maps, all_ideals,
                            brace_core, classify_subset)
 
@@ -142,13 +143,12 @@ def zeta(B: SkewBrace) -> tuple[int, ...]:
 
 
 def _ascending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
-    """Terms from {0}, each next one `step(I, coset_of)`, an ideal of B that
-    contains the last term I, given the coset indices of I; until B or a
-    step that does not grow."""
+    """Terms from {0}, each next one `step(I)`, an ideal of B that contains
+    the last term I, until B or a step that does not grow.  A step that
+    works modulo I indexes the cosets of I itself; the others never pay."""
     terms = [(0,)]
     while len(terms[-1]) < B.order:
-        coset_of, _ = _cosets(B.add_group, terms[-1])
-        grown = step(terms[-1], coset_of)
+        grown = step(terms[-1])
         if len(grown) == len(terms[-1]):
             break
         terms.append(grown)
@@ -158,7 +158,7 @@ def _ascending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
 def socle_series(B: SkewBrace) -> IdealChain:
     """The ascending series of socle preimages, cached in B."""
     return _cached(B, "socle_series", lambda: _chain(B, _ascending_series(
-        B, lambda I, coset_of: _central(B, coset_of, B.elements(), False))))
+        B, lambda I: _central(B, _cosets(B.add_group, I)[0], B.elements(), False))))
 
 
 def multipermutation_level(B: SkewBrace) -> Optional[int]:
@@ -172,7 +172,7 @@ def multipermutation_level(B: SkewBrace) -> Optional[int]:
 def upper_central_series(B: SkewBrace) -> IdealChain:
     """The ascending series of center preimages, cached in B."""
     return _cached(B, "upper_central_series", lambda: _chain(B, _ascending_series(
-        B, lambda I, coset_of: _central(B, coset_of, B.elements(), True))))
+        B, lambda I: _central(B, _cosets(B.add_group, I)[0], B.elements(), True))))
 
 
 def is_centrally_nilpotent(B: SkewBrace) -> bool:
@@ -289,7 +289,7 @@ def _relative_central_terms(B: SkewBrace, target: tuple[int, ...]) -> list[tuple
     the largest ideal of B inside the preimage of the center of the image of
     `target` in B/I, so every term lies in `target`."""
     return _ascending_series(
-        B, lambda I, coset_of: brace_core(B, _central(B, coset_of, target, True)))
+        B, lambda I: brace_core(B, _central(B, _cosets(B.add_group, I)[0], target, True)))
 
 
 def b_central_series(B: SkewBrace, ideal_elems: Sequence[int]) -> IdealChain:
@@ -314,10 +314,16 @@ def fitting(B: SkewBrace) -> SubStructure:
     whose central series relative to B reaches them.  Scanned from the
     largest, skipping each ideal inside the union kept so far, which cannot
     change the sum.  A sum of ideals is an ideal by theorem, so its flags
-    are stated, not computed."""
+    are stated, not computed.  Only ideals with both groups nilpotent
+    (`groups._nilpotent`) are tested: the relative series of I is a chain of
+    ideals of B, each factor central in both groups of I over the last term.
+    For B that series is the upper central series: an ideal is its own core."""
+    orders = element_orders(B.add_group), element_orders(B.mul_group)
     union: set[int] = set()
     for i in reversed(all_ideals(B)):
-        if not union.issuperset(i) and _relative_central_terms(B, i)[-1] == i:
+        if (not union.issuperset(i) and all(_nilpotent(o, i) for o in orders)
+                and (upper_central_series(B).terms if len(i) == B.order
+                     else _relative_central_terms(B, i))[-1] == i):
             union.update(i)
     return SubStructure(additive_closure(B, union), True, True, True, True)
 
@@ -328,7 +334,7 @@ def chief_series(B: SkewBrace) -> IdealChain:
     At every step the ideal minimal over the last term that is least under
     (size, elements) is taken, so the output is deterministic.
     """
-    return _chain(B, _ascending_series(B, lambda I, coset_of: _covers(B, I)[0]))
+    return _chain(B, _ascending_series(B, lambda I: _covers(B, I)[0]))
 
 
 def is_soluble(B: SkewBrace) -> tuple[bool, Optional[IdealChain]]:

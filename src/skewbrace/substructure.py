@@ -11,7 +11,8 @@ is not an ideal under the additive conjugations.
 Both lattices come from the one join loop `groups._joins`, and both are
 refused past `groups.LATTICE_ENTRY_BOUND` entries: the subbraces are the
 common subgroups of the additive and the multiplicative table, each join
-closed in both, and the ideals are the joins of the principal ideals.
+closed in both, and the ideals are the joins of the principal ideals, or
+the subbraces that are ideals when the subbrace lattice is built already.
 """
 
 from __future__ import annotations
@@ -127,15 +128,18 @@ def all_subbraces(B: SkewBrace) -> list[tuple[int, ...]]:
 def all_ideals(B: SkewBrace) -> list[tuple[int, ...]]:
     """Every ideal, as sorted tuples ordered by (size, elements).
 
-    Every ideal is the join of the principal ideals P_x of its elements, and
-    the join of ideals is the additive subgroup their sum generates.  So the
+    Once B holds its subbrace lattice, these are the subbraces that the maps
+    of `ideal_generated` send into themselves, |S| lookups a map: every ideal
+    is a subbrace, and `groups._escape` proves such a subbrace an ideal.
+    Else every ideal is the join of the principal ideals P_x of its elements,
+    and a join of ideals is the additive subgroup their sum generates: so the
     lattice is `groups._joins` of the additive group with atoms[x] the
-    generators the closure of P_x kept.  The n principal ideals cost
-    O(|P_x| log n) lookups each, under the maps of `ideal_generated`, and
-    each ideal then costs one closure from its parent.
+    generators the closure of P_x kept, O(|P_x| log n) lookups each.
     """
+    maps, subs = _ideal_maps(B), B.cache.get("subbraces")
     return list(_cached(B, "ideals", lambda: _joins((B.add_group,), [
-        tuple(_ideal_closure(B, (x,), _ideal_maps(B)).gens) for x in B.elements()])))
+        _ideal_closure(B, (x,), maps).gens for x in B.elements()]) if subs is None
+        else [s for s in subs if not _escape(set(s), maps=maps)]))
 
 
 def _covers(B: SkewBrace, base: tuple[int, ...]) -> list[tuple[int, ...]]:

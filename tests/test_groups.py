@@ -517,6 +517,7 @@ def test_group_predicates_match_the_quotient_table_reference(
     for g in distinct:
         assert is_nilpotent_group(g) == _reference_is_nilpotent(g)
         assert is_supersoluble_group(g) == _reference_is_supersoluble(g)
+        assert group_predicates(g).supersoluble == _reference_is_supersoluble(g)
     for g in (s4, a5):
         assert not is_nilpotent_group(g) and not is_supersoluble_group(g)
 

@@ -17,6 +17,7 @@ from skewbrace import (
     derived_ideal,
     direct_product,
     direct_product_braces,
+    element_orders,
     fitting,
     group_catalog,
     ideal_chain,
@@ -42,6 +43,7 @@ from skewbrace import (
     upper_central_series,
     zeta,
 )
+from skewbrace.groups import _nilpotent
 from skewbrace.series import _central, _relative_central_terms
 from skewbrace.substructure import _covers
 
@@ -417,6 +419,20 @@ def _reference_fitting(B):
 def test_fitting_matches_the_all_ideals_reference(full_pool, products):
     for b in full_pool + list(products.values()):
         assert fitting(b).elements == _reference_fitting(b), b.name
+
+
+def test_b_centrally_nilpotent_ideals_have_nilpotent_groups(full_pool, products):
+    """The premise of the Fitting scan's filter: an ideal whose central series
+    relative to B reaches it has both groups nilpotent by the element-order
+    kernel, so the scan skips no such ideal."""
+    reached = 0
+    for b in full_pool + list(products.values()):
+        orders = element_orders(b.add_group), element_orders(b.mul_group)
+        for i in all_ideals(b):
+            if _relative_central_terms(b, i)[-1] == i:
+                reached += 1
+                assert all(_nilpotent(o, i) for o in orders), (b.name, i)
+    assert reached > len(full_pool)
 
 
 def test_fitting_of_trivial_c2_power_six_is_everything():

@@ -44,6 +44,7 @@ from skewbrace import (
     trivial_brace,
 )
 from skewbrace import groups
+from skewbrace.braces import SkewBrace
 from skewbrace.groups import _relabel, _Span
 
 
@@ -234,6 +235,20 @@ def test_all_ideals_match_plain_enumeration(small_entries, medium_entries):
             reference[b.add_group.table] = plain_subgroups(b.add_group)
         expected = [s for s in reference[b.add_group.table] if ref.classify_subset(b, s).is_ideal]
         assert all_ideals(b) == expected, b.name
+
+
+def test_ideals_read_off_the_subbraces_match_the_join_loop(full_pool, products):
+    """`all_ideals` filters the subbrace lattice when B holds it and runs the
+    join loop over principal ideals when not: both give one list, on each
+    brace of the pool (the worked examples among them), the products and
+    trivial C2^6, each route on its own copy with an empty cache."""
+    c2_6 = trivial_brace(reduce(direct_product, [cyclic_group(2)] * 6))
+    for b in full_pool + list(products.values()) + [c2_6]:
+        joined, filtered = [SkewBrace(b.add_group, b.mul_group, b.lam_table) for _ in range(2)]
+        all_subbraces(filtered)
+        assert all_ideals(filtered) == all_ideals(joined), b.name
+        assert "subbraces" not in joined.cache
+    assert len(all_ideals(filtered)) == 2825
 
 
 def test_subset_must_contain_zero(worked_examples):
