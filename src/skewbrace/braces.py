@@ -26,7 +26,7 @@ runs only over a row that differs, to name the first witness.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     ActionNotHomomorphism,
@@ -38,6 +38,7 @@ from .errors import (
     MissingZero,
     NotAnIdeal,
     NotClosed,
+    SkewBraceError,
     TranscriptionInvalid,
 )
 from .groups import (FiniteGroup, direct_product, element_orders, generating_set,
@@ -56,6 +57,7 @@ __all__ = [
     "semidirect_group",
     "direct_product_braces",
     "check_brace_invariants",
+    "check_braces",
 ]
 
 class SkewBrace:
@@ -210,7 +212,71 @@ def _prove_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequenc
 
 
 def check_brace_invariants(brace: SkewBrace) -> bool:
-    """Re-run the full construction suite on an existing brace."""
+    """Re-run the full construction suite on an existing brace: whether
+    `make_brace` on its two tables rebuilds its tables and lambda table.
+    This is `check_braces` on [brace], raising the error it returns."""
+    verdict, = check_braces([brace])
+    if isinstance(verdict, SkewBraceError):
+        raise verdict
+    return verdict
+
+
+def check_braces(braces: Sequence[SkewBrace]) -> list[Union[bool, SkewBraceError]]:
+    """`check_brace_invariants` of each brace, in order: True or False, or
+    the `SkewBraceError` it raises.
+
+    Braces over one additive group carry its table (each census brace over
+    A carries A's own), so each distinct additive table is proven once per
+    call, keyed by its content: closure, its identity and `_prove_group`.
+    An equal table held in another object is proven closed again, since
+    equal content may hide entries of another type (1.0 == 1).  Each brace
+    then gets the proof of its multiplicative table, `_validate_pair` and
+    the comparison with the rebuilt tables and lambda.  A brace failing
+    any step, or with a table that cannot be a key (rows held as lists),
+    is checked again by `make_brace`, so its verdict, error class and
+    message are those of a rebuild on its own.
+    """
+    proven: dict = {}
+    verdicts: list[Union[bool, SkewBraceError]] = []
+    for B in braces:
+        try:
+            if _matches_shared_proof(B, proven):
+                verdicts.append(True)
+                continue
+        except (SkewBraceError, TypeError):  # a failed proof, or a table of lists
+            pass
+        try:
+            verdicts.append(_rebuild_matches(B))
+        except SkewBraceError as exc:
+            verdicts.append(exc)
+    return verdicts
+
+
+def _matches_shared_proof(B: SkewBrace, proven: dict) -> bool:
+    """Whether B passes the rebuild of `_rebuild_matches`, with the proof of
+    its additive table read from `proven` (table -> (first such table, its
+    group)) or added to it; False or an error when that is not shown."""
+    add, mul = B.add_group.table, B.mul_group.table
+    if len(add) != len(mul):
+        return False
+    hit = proven.get(add)
+    if hit is None:
+        _check_closure(add)
+        hit = proven[add] = (add, _prove_group(add, _identity_of(add), None))
+    elif hit[0] is not add:
+        _check_closure(add)
+    A = hit[1]
+    _check_closure(mul)
+    M = _prove_group(mul, _identity_of(mul), None)
+    _validate_pair(A, M)
+    # A proof moves an identity other than 0 to 0, so such a table fails
+    # the comparison and make_brace judges the brace.
+    return A.table == add and M.table == mul and _brace(A, M).lam_table == B.lam_table
+
+
+def _rebuild_matches(brace: SkewBrace) -> bool:
+    """Whether `make_brace` on the brace's two tables rebuilds its tables
+    and lambda table; raises what `make_brace` raises."""
     rebuilt = make_brace(brace.add_group.table, brace.mul_group.table, brace.name)
     return (rebuilt.add_group.table == brace.add_group.table
             and rebuilt.mul_group.table == brace.mul_group.table

@@ -165,13 +165,17 @@ def _class_roots(aut: FiniteGroup, gens) -> tuple[list[int], list[int]]:
     return root, canon
 
 
-def _root_twists(aut: FiniteGroup, perms) -> set[int]:
-    """The least index in each class phi ~ theta phi theta^-1 of Aut(A),
-    theta in Stab(1) = {theta in Aut(A) : theta(1) = 1}; every index if A
-    has no element 1."""
-    stab = _Span(aut.table, [t for t, p in enumerate(perms) if p[1:2] == (1,)]).gens
-    root = _class_roots(aut, stab)[0]
-    return {phi for phi in range(aut.order) if root[phi] == phi}
+def _root_twists(A: FiniteGroup) -> frozenset[int]:
+    """The least index in each class phi ~ theta phi theta^-1 of
+    `aut_group(A)`, theta in Stab(1) = {theta in Aut(A) : theta(1) = 1};
+    every index if A has no element 1.  Cached in A."""
+    def build() -> frozenset[int]:
+        aut, perms = aut_group(A)
+        stab = _Span(aut.table, [t for t, p in enumerate(perms) if p[1:2] == (1,)]).gens
+        root = _class_roots(aut, stab)[0]
+        return frozenset(phi for phi in range(aut.order) if root[phi] == phi)
+
+    return _cached(A, "root_twists", build)
 
 
 def _regular_families(A: FiniteGroup, aut: FiniteGroup, perms, hol,
@@ -276,11 +280,13 @@ def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
     """One brace per isomorphism class with additive group A.
 
     A regular subgroup of Hol(A) gives a brace by theorem (Guarnieri &
-    Vendramin 2017), so each is built by the trusted constructor; the exact
-    proof is `enumerate --check`.  Each comes from the lex-least family of
-    its relabeling orbit, searched only with a root twist at 1 (see
-    `_regular_families`); a relabeled family with a root twist at 1 that
-    the search missed raises `SkewBraceError` naming the automorphism.
+    Vendramin 2017), so each is built by the trusted constructor, on A
+    itself: the braces share A and the invariants it caches, and the exact
+    proof, `enumerate --check`, proves A's table once.  Each comes from the
+    lex-least family of its relabeling orbit, searched only with a root
+    twist at 1 (see `_regular_families`); a relabeled family with a root
+    twist at 1 that the search missed raises `SkewBraceError` naming the
+    automorphism.
     """
     if A.order > ENUMERATION_ORDER_BOUND:
         raise OrderBoundExceeded(
@@ -289,7 +295,7 @@ def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
     n = A.order
     ta = A.table
     aut, perms = aut_group(A)
-    roots = _root_twists(aut, perms)
+    roots = _root_twists(A)
     families = _regular_families(A, aut, perms, _hol_orders(A), roots)
     # Relabeling by theta = perms[t] puts theta f_a theta^-1 at theta(a), found
     # by two lookups per entry.  Index order is the lex order of `perms`, so
@@ -302,7 +308,7 @@ def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
     for family in _orbit_representatives(families, moves, lambda fam: fam[1] in roots):
         mul = tuple(tuple(map(ta[a].__getitem__, perms[family[a]])) for a in range(n))
         name = f"{A.name or 'A'}#{len(braces)}"
-        braces.append(_brace(_group(ta, f"{name}+"), _group(mul, f"{name}*"), name))
+        braces.append(_brace(A, _group(mul, f"{name}*"), name))
     return braces
 
 

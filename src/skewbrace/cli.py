@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .braces import (CocycleSpec, SkewBrace, brace_from_cocycle, check_brace_invariants,
+from .braces import (CocycleSpec, SkewBrace, brace_from_cocycle, check_braces,
                      _prove_brace)
 from .census import BraceCensus, census
 from .classify import brace_report, is_supersoluble
@@ -403,12 +403,10 @@ def cmd_enumerate(args) -> int:
         print(f"  additive {label}: {count}")
     rejected = set()
     if args.check:
-        for i, entry in enumerate(result.entries):
-            try:
-                reason = "" if check_brace_invariants(entry.brace) else "invariant check"
-            except SkewBraceError as exc:
-                reason = str(exc)
-            if reason:
+        verdicts = check_braces([entry.brace for entry in result.entries])
+        for i, (entry, verdict) in enumerate(zip(result.entries, verdicts)):
+            if verdict is not True:
+                reason = "invariant check" if verdict is False else str(verdict)
                 print(f"FAIL entry {i} ({entry.additive_label} / "
                       f"{entry.multiplicative_label}): {reason}")
                 rejected.add(i)

@@ -95,9 +95,10 @@ AUT_TABLE_BOUND = 2048
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    `cache` is bounded: six keys, one value each, built once by `_cached`:
+    `cache` is bounded: seven keys, one value each, built once by `_cached`:
     "generating_set", "element_orders", "conjugacy_class_sizes",
-    "generator_levels", "aut_group" and `census`'s "hol_orders".
+    "generator_levels", "aut_group" and `census`'s "hol_orders" and
+    "root_twists".
     """
 
     __slots__ = ("order", "table", "inverse", "name", "cache")

@@ -19,10 +19,14 @@ from skewbrace import (
     NotAnIdeal,
     NotClosed,
     SkewBraceError,
+    FiniteGroup,
+    SkewBrace,
     TranscriptionInvalid,
     brace_from_cocycle,
     brace_isomorphic,
+    census,
     check_brace_invariants,
+    check_braces,
     cyclic_group,
     direct_product,
     direct_product_braces,
@@ -38,6 +42,8 @@ from skewbrace import (
 )
 
 from skewbrace import braces
+from skewbrace.braces import _brace
+from skewbrace.groups import _group
 
 import scalar_reference as ref
 
@@ -481,3 +487,163 @@ def test_distributivity_witness_is_the_first_of_the_scan_over_every_element(
         with pytest.raises(DistributivityViolation) as exc:
             braces._validate_pair(B.add_group, mul)
         assert str(exc.value) == expected
+
+
+def _outcome(check, B):
+    """check(B), or the class and message of the `SkewBraceError` it raises."""
+    try:
+        return check(B)
+    except SkewBraceError as exc:
+        return type(exc), str(exc)
+
+
+def _rebuilt_verdict(B):
+    """The check of one brace by definition: `make_brace` on its tables,
+    then the rebuilt tables and lambda compared with the stored ones."""
+    rebuilt = make_brace(B.add_group.table, B.mul_group.table, B.name)
+    return (rebuilt.add_group.table == B.add_group.table
+            and rebuilt.mul_group.table == B.mul_group.table
+            and rebuilt.lam_table == B.lam_table)
+
+
+def _assert_batch_matches_rebuilds(pool):
+    """Entry by entry, `check_braces` and `check_brace_invariants` give the
+    rebuild's verdict, or its error class and message; returns them."""
+    expected = [_outcome(_rebuilt_verdict, B) for B in pool]
+    batch = [(type(v), str(v)) if isinstance(v, SkewBraceError) else v
+             for v in check_braces(pool)]
+    assert [(type(v), v) for v in batch] == [(type(v), v) for v in expected]
+    assert [_outcome(check_brace_invariants, B) for B in pool] == expected
+    return expected
+
+
+def _census_pool(n):
+    return [entry.brace for entry in census(n).entries]
+
+
+def _with_row_swapped(B, x):
+    """B with cells x(n-2) and x(n-1) of its product table swapped: a row
+    that stays a permutation, so no group axiom fails before associativity,
+    and lambda derived from the new table."""
+    mul = [list(row) for row in B.mul_group.table]
+    mul[x][-2], mul[x][-1] = mul[x][-1], mul[x][-2]
+    return _brace(B.add_group, _group(tuple(map(tuple, mul))), B.name)
+
+
+def _with_labels_swapped(B):
+    """B with the labels 1 and 2 of its product table swapped, which
+    breaks the brace axiom in most entries."""
+    perm = list(range(B.order))
+    perm[1], perm[2] = 2, 1
+    mul = _relabel_fixing_zero(B.mul_group.table, perm)
+    return _brace(B.add_group, _group(tuple(map(tuple, mul))), B.name)
+
+
+def test_check_rejects_a_lambda_table_that_disagrees_with_the_tables():
+    """Both tables form a brace, so only the comparison with the rebuild
+    can reject the stored lambda table."""
+    B = _census_pool(4)[0]
+    row = list(B.lam_table[1])
+    row[2], row[3] = row[3], row[2]
+    tampered = B.lam_table[:1] + (tuple(row),) + B.lam_table[2:]
+    bad = SkewBrace(B.add_group, B.mul_group, tampered, B.name)
+    assert check_brace_invariants(bad) is False
+    assert check_braces([B, bad, B]) == [True, False, True]
+
+
+def test_batch_check_matches_the_rebuild_on_every_census_entry():
+    for n in range(1, 16):
+        pool = _census_pool(n)
+        assert _assert_batch_matches_rebuilds(pool) == [True] * len(pool), n
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def test_batch_check_names_each_broken_entry_as_the_rebuild_does(n):
+    """One entry at a time, its product table broken in the brace axiom or
+    in associativity; the entries around it share its additive table."""
+    pool = _census_pool(n)
+    for k, B in enumerate(pool):
+        for bad in (_with_labels_swapped(B), _with_row_swapped(B, n - 1)):
+            expected = _assert_batch_matches_rebuilds(pool[:k] + [bad] + pool[k + 1:])
+            assert expected[:k] + expected[k + 1:] == [True] * (len(pool) - 1)
+    # Associativity fails in every row-swapped entry, and the brace axiom
+    # in some label-swapped ones.
+    assert {_outcome(_rebuilt_verdict, _with_row_swapped(B, n - 1))[0]
+            for B in pool} == {NonAssociative}
+    swapped = [_outcome(_rebuilt_verdict, _with_labels_swapped(B)) for B in pool]
+    assert any(v is not True and v[0] is DistributivityViolation for v in swapped)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_batch_check_fails_every_entry_over_a_corrupted_shared_table(n):
+    """After the first entry over each additive group A, every entry over A
+    gets one shared corrupted copy of A's table under A's own name: each
+    fails with make_brace's message, not with the first entry's proof."""
+    pool, corrupt, seen = [], {}, set()
+    for B in _census_pool(n):
+        A = B.add_group
+        if A.name in seen:
+            if A.name not in corrupt:
+                table = [list(row) for row in A.table]
+                table[1][1] = table[1][2]
+                corrupt[A.name] = FiniteGroup(tuple(map(tuple, table)), A.inverse, A.name)
+            B = SkewBrace(corrupt[A.name], B.mul_group, B.lam_table, B.name)
+        seen.add(A.name)
+        pool.append(B)
+    expected = _assert_batch_matches_rebuilds(pool)
+    for B, verdict in zip(pool, expected):
+        assert (verdict is True) == (B.add_group not in corrupt.values())
+
+
+def test_batch_check_proves_equal_tables_in_distinct_objects():
+    """Copies of a proven table pass as the original does; a copy that is
+    equal but holds floats (1.0 == 1), or lists, gets the rebuild's verdict,
+    NotClosed or False, not the original's proof."""
+    pool = _census_pool(8)
+    copies = []
+    for B in pool:
+        A = B.add_group
+        for rows in (tuple(map(tuple, A.table)), tuple(tuple(map(float, r)) for r in A.table),
+                     [list(r) for r in A.table]):
+            copies.append(SkewBrace(FiniteGroup(rows, A.inverse, A.name), B.mul_group,
+                                    B.lam_table, B.name))
+    expected = _assert_batch_matches_rebuilds(pool + copies)
+    assert expected[len(pool)::3] == [True] * len(pool)
+    assert {v[0] for v in expected[len(pool) + 1::3]} == {NotClosed}
+    assert expected[len(pool) + 2::3] == [False] * len(pool)
+
+
+def test_batch_check_proves_each_additive_table_once(monkeypatch):
+    """A pool of braces proves each distinct additive table once and each
+    product table once, with no make_brace rebuild: an additive table is
+    known by its content, not by its group's name or by its object."""
+    pool = _census_pool(4) + _census_pool(8)
+    for G in (cyclic_group(4), catalog_group(4, "C2xC2")):
+        renamed = FiniteGroup(tuple(map(tuple, G.table)), G.inverse, "same name")
+        pool.append(trivial_brace(renamed))
+    proved, rebuilt = [], []
+    prove, make = braces._prove_group, braces.make_brace
+    monkeypatch.setattr(braces, "_prove_group",
+                        lambda table, *rest: proved.append(table) or prove(table, *rest))
+    monkeypatch.setattr(braces, "make_brace",
+                        lambda *args: rebuilt.append(args) or make(*args))
+    assert check_braces(pool) == [True] * len(pool)
+    additive = {B.add_group.table for B in pool}
+    assert len(additive) == 7 and rebuilt == []
+    assert sorted(proved) == sorted(list(additive) + [B.mul_group.table for B in pool])
+
+
+def test_batch_check_names_the_first_fault_of_an_entry_with_two():
+    """An additive table that is no group and a product table with an entry
+    off the carrier: make_brace proves both tables closed first, so it
+    names the product table's entry, and so must the batch."""
+    B = _census_pool(8)[0]
+    add = [list(row) for row in B.add_group.table]
+    add[1][1] = add[1][2]
+    mul = [list(row) for row in B.mul_group.table]
+    mul[3][3] = 8
+    bad = SkewBrace(FiniteGroup(tuple(map(tuple, add)), B.add_group.inverse),
+                    FiniteGroup(tuple(map(tuple, mul)), B.mul_group.inverse),
+                    B.lam_table, B.name)
+    expected = _assert_batch_matches_rebuilds([B, bad])
+    assert expected[1] == (NotClosed, "entry at (3, 3) is 8, outside 0..7")

@@ -335,7 +335,7 @@ def test_family_search_names_the_dropped_relabeling(monkeypatch):
     c2x2x2 = dict(group_catalog(8))["C2xC2xC2"]
     aut, perms = aut_group(c2x2x2)
     pool = sorted(_regular_families(c2x2x2, aut, perms, _hol_orders(c2x2x2),
-                                    _root_twists(aut, perms)))
+                                    _root_twists(c2x2x2)))
     index = {p: i for i, p in enumerate(perms)}
 
     def relabel(fam, theta):
@@ -487,7 +487,7 @@ def test_indexed_families_match_tuple_reference():
     # 1, and its braces are the full reference's orbit representatives.
     for A in CATALOG:
         aut, perms = aut_group(A)
-        indexed = _regular_families(A, aut, perms, _hol_orders(A), _root_twists(aut, perms))
+        indexed = _regular_families(A, aut, perms, _hol_orders(A), _root_twists(A))
         families = _reference_families(A)
         roots = _roots_at_one(perms) if A.order > 1 else set()
         assert {tuple(perms[i] for i in fam) for fam in indexed} == {
@@ -888,6 +888,33 @@ def test_group_catalog_is_built_once_per_order():
     assert all(g is h for (_, g), (_, h) in zip(first, second))
     first.clear()
     assert [label for label, _ in group_catalog(12)] == [label for label, _ in second]
+
+
+def test_root_twists_are_built_once_per_catalog_group(monkeypatch):
+    # From a fresh catalog, two censuses of order 8 read each catalog
+    # group's root twists from one class-root pass over its Aut.
+    monkeypatch.setattr(sys.modules["skewbrace.census"], "_CATALOGS", {})
+    module = sys.modules["skewbrace.census"]
+    rooted = []
+    roots = module._class_roots
+
+    def counting(aut, gens):
+        rooted.append(aut)
+        return roots(aut, gens)
+
+    monkeypatch.setattr(module, "_class_roots", counting)
+    assert census(8).count() == census(8).count() == EXPECTED_COUNTS[8]
+    catalog = [G for _, G in group_catalog(8)]
+    assert sorted(map(id, rooted)) == sorted(id(aut_group(G)[0]) for G in catalog)
+    assert all(type(G.cache["root_twists"]) is frozenset for G in catalog)
+
+
+def test_census_braces_are_built_on_their_catalog_group():
+    for n in (4, 8, 12):
+        catalog = dict(group_catalog(n))
+        for entry in census(n).entries:
+            assert entry.brace.add_group is catalog[entry.additive_label], entry.brace.name
+    assert repr(census(4).entries[-1].brace.add_group) == "FiniteGroup(C4, order=4)"
 
 
 def test_group_catalog_shapes():

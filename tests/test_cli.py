@@ -398,6 +398,26 @@ def test_enumerate_square_free_skips_the_entries_the_check_rejects(non_brace_cen
     assert capsys.readouterr().out.splitlines()[-1] == "FAIL entry 0 (C4 / C4): not supersoluble"
 
 
+def test_enumerate_check_rejects_a_lambda_table_that_disagrees(monkeypatch, capsys):
+    """Order 4 patched into the CLI's census with entry 0's lambda table
+    tampered: both tables still form a brace, so only the comparison with
+    the rebuilt lambda table rejects it."""
+    entries = census(4).entries
+    B = entries[0].brace
+    row = list(B.lam_table[1])
+    row[2], row[3] = row[3], row[2]
+    tampered = SkewBrace(B.add_group, B.mul_group,
+                         B.lam_table[:1] + (tuple(row),) + B.lam_table[2:], B.name)
+    patched = (entries[0]._replace(brace=tampered),) + entries[1:]
+    monkeypatch.setattr("skewbrace.cli.census", lambda n: BraceCensus(4, patched))
+    assert main(["enumerate", "4", "--check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    label = f"{entries[0].additive_label} / {entries[0].multiplicative_label}"
+    assert f"FAIL entry 0 ({label}): invariant check" in lines
+    assert not any(line.startswith("FAIL entry 1") for line in lines)
+    assert lines[-1] == "checked 4 entries, 1 failures"
+
+
 def test_enumerate_export_write_failure(tmp_path, capsys):
     target = tmp_path / "missing" / "census4.doc"
     assert main(["enumerate", "4", "--export", str(target)]) == 2
