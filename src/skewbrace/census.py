@@ -10,21 +10,24 @@ stabiliser of 1 in Aut(A), which every relabeling orbit meets (McKay,
 J. Algorithms 26 (1998), in its first step).  One representative per
 relabeling orbit is kept: a relabeling by theta in Aut(A) moves f to
 a -> theta f_{theta^-1(a)} theta^-1, two lookups in the Aut(A) table per
-entry, and only the representatives are moved, so no |Aut(A)|^2
-conjugation table is built.  An independent oracle
+entry, and each orbit is closed under generators of Aut(A) alone, so no
+|Aut(A)|^2 conjugation table is built.  Each brace is read off its
+family (lambda_a = f_a, and a has the order of (a, f_a) in the
+holomorph), and its multiplicative group labeled by one walk from the
+catalog groups with its sorted element orders.  An independent oracle
 recounts everything through the other door: group actions
 lambda: C -> Aut(A) paired with bijective cocycles delta (Guarnieri &
 Vendramin, Math. Comp. 86 (2017)), also up to symmetry.  It takes one
 lambda per class under (alpha, theta) lambda = theta (lambda alpha)
 theta^-1, alpha in Aut(C) and theta in Aut(A), walking only the lambda
 whose image of the first generator of C is the least of its conjugacy
-class in Aut(A), and deduplicates the tables of each lambda by the
-relabelings in its stabiliser.  A homomorphism is a
-cocycle of the trivial action, so the one walker of `groups` (`_walk`)
-finds both, placing generator images one at a time and proving the
-identity on the generator pairs, so a branch dies as soon as a prefix of
-generator images fails.  Both routes compose automorphisms by one lookup
-in the indexed Aut(A) of `aut_group`.
+class in Aut(A), and deduplicates the tables of each lambda by
+generators of its stabiliser.  A homomorphism is a cocycle of the
+trivial action, so the one walker of `groups` (`_walk`) finds both,
+placing generator images one at a time and proving the identity on the
+generator pairs, so a branch dies as soon as a prefix of generator
+images fails.  Both routes compose automorphisms by one lookup in the
+indexed Aut(A) of `aut_group`.
 
 The routes share only table-level primitives: that walker, behind
 `aut_group`, `_label_group` and `brace_isomorphic` (over the additive and
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .braces import SkewBrace, _brace
+from .braces import SkewBrace
 from .errors import OrderBoundExceeded, SkewBraceError
 from .groups import (
     FiniteGroup,
@@ -57,7 +60,6 @@ from .groups import (
     direct_product,
     element_orders,
     generating_set,
-    group_isomorphism,
 )
 
 __all__ = [
@@ -246,57 +248,64 @@ def _regular_families(A: FiniteGroup, aut: FiniteGroup, perms, hol,
     return results
 
 
-def _orbit_representatives(items, transports, held=None) -> list:
+def _orbit_representatives(items, transports, gens, held=None) -> list:
     """The lex-least member of each relabeling orbit that meets `items`, in
-    order, where `transports` lists every relabeling of the acting group.
+    order; `transports` lists every relabeling of the acting group, and
+    `gens` the indices of a generating set of it.
 
-    The pool must hold every transported item for which held(item) is true
-    (every one if held is None), and must hold the lex-least member of
-    each orbit; then that member is the first of its orbit in the sorted
-    pool.  A miss means the generator lost part of an orbit, and the error
-    names the representative's position in the sorted pool and the index
-    of the transport (the automorphism) that moves it outside.
+    Each orbit is closed from its representative under the generators,
+    through members outside the pool too: every element of a finite group
+    is a word in them.  The pool must hold each member with held(member)
+    true (every one if held is None) and the lex-least member of each
+    orbit, which is then the first of its orbit in the sorted pool.  A miss
+    means the search lost part of an orbit, and the error names the
+    representative's position in the sorted pool and the first transport
+    (the automorphism) moving it outside.
     """
-    pool = set(items)
-    covered = set()
-    reps = []
+    pool, seen, reps = set(items), set(), []
+
+    def outside(x) -> bool:
+        return x not in pool and (held is None or held(x))
+
     for pos, item in enumerate(sorted(pool)):
-        if item in covered:
+        if item in seen:
             continue
         reps.append(item)
-        for t, move in enumerate(transports):
-            moved = move(item)
-            if moved in pool:
-                covered.add(moved)
-            elif held is None or held(moved):
-                raise SkewBraceError(
-                    "enumeration dropped a relabeling of one of its own results: "
-                    f"automorphism {t} moves item {pos} of the sorted pool outside it"
-                )
+        seen.add(item)
+        orbit = [item]
+        for x in orbit:
+            for moved in [transports[g](x) for g in gens]:
+                if moved not in seen:
+                    seen.add(moved)
+                    orbit.append(moved)
+        if any(map(outside, orbit)):
+            raise SkewBraceError(
+                "enumeration dropped a relabeling of one of its own results: automorphism "
+                f"{next(t for t, move in enumerate(transports) if outside(move(item)))} "
+                f"moves item {pos} of the sorted pool outside it")
     return reps
 
 
 def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
     """One brace per isomorphism class with additive group A.
 
-    A regular subgroup of Hol(A) gives a brace by theorem (Guarnieri &
-    Vendramin 2017), so each is built by the trusted constructor, on A
-    itself: the braces share A and the invariants it caches, and the exact
-    proof, `enumerate --check`, proves A's table once.  Each comes from the
-    lex-least family of its relabeling orbit, searched only with a root
-    twist at 1 (see `_regular_families`); a relabeled family with a root
-    twist at 1 that the search missed raises `SkewBraceError` naming the
-    automorphism.
+    A regular family f gives the brace a b = a + f_a(b), and a -> (a, f_a)
+    maps it onto a regular subgroup of Hol(A) (Guarnieri & Vendramin
+    2017), so each is built unproven on A itself, sharing A's cached
+    invariants, and read off f: lam_a(b) = -a + a b = f_a(b), and a has
+    the order hol[f_a][a] of (a, f_a).  Each comes from the lex-least
+    family of its relabeling orbit, searched only with a root twist at 1
+    (see `_regular_families`); a relabeled family with a root twist at 1
+    that the search missed raises `SkewBraceError` naming the automorphism.
     """
     if A.order > ENUMERATION_ORDER_BOUND:
         raise OrderBoundExceeded(
             f"enumeration capped at order {ENUMERATION_ORDER_BOUND}, got {A.order}"
         )
-    n = A.order
     ta = A.table
     aut, perms = aut_group(A)
-    roots = _root_twists(A)
-    families = _regular_families(A, aut, perms, _hol_orders(A), roots)
+    roots, hol = _root_twists(A), _hol_orders(A)
+    families = _regular_families(A, aut, perms, hol, roots)
     # Relabeling by theta = perms[t] puts theta f_a theta^-1 at theta(a), found
     # by two lookups per entry.  Index order is the lex order of `perms`, so
     # reps are unchanged.
@@ -305,10 +314,14 @@ def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
               tuple([tx[row[fam[a]]][t_inv] for a in back]))
              for t in range(aut.order)]
     braces = []
-    for family in _orbit_representatives(families, moves, lambda fam: fam[1] in roots):
-        mul = tuple(tuple(map(ta[a].__getitem__, perms[family[a]])) for a in range(n))
+    for family in _orbit_representatives(families, moves, generating_set(aut),
+                                         lambda fam: fam[1] in roots):
         name = f"{A.name or 'A'}#{len(braces)}"
-        braces.append(_brace(A, _group(mul, f"{name}*"), name))
+        lam = tuple(perms[phi] for phi in family)
+        mul = _group(tuple(tuple(map(ta[a].__getitem__, row)) for a, row in enumerate(lam)),
+                     f"{name}*")
+        mul.cache["element_orders"] = tuple(hol[phi][a] for a, phi in enumerate(family))
+        braces.append(SkewBrace(A, mul, lam, name))
     return braces
 
 
@@ -338,12 +351,17 @@ class BraceCensus(NamedTuple):
 
 
 def _label_group(G: FiniteGroup, catalog: Sequence[tuple[str, FiniteGroup]]) -> str:
-    """The label of the first catalog group isomorphic to G, proven by an
-    explicit isomorphism from it, so the search walks the catalog group's
-    cached generator levels; it rejects a group whose element invariants
-    differ before it maps anything."""
+    """The label of the first catalog group H isomorphic to G, among those
+    with G's sorted element orders, proven by one `_walk` over H's cached
+    generator levels onto the elements of G of each generator's order: an
+    injective homomorphism between groups of one order is an isomorphism,
+    and it keeps the order of every element."""
+    orders = element_orders(G)
+    ident = [tuple(range(G.order))] * G.order
     for label, H in catalog:
-        if group_isomorphism(H, G) is not None:
+        levels = _generator_levels(H)
+        if sorted(element_orders(H)) == sorted(orders) and _walk(levels, G, ident, [
+                [x for x in G.elements() if orders[x] == k] for _g, k, _p in levels], True, 1):
             return label
     raise SkewBraceError(f"no catalog group matches one of order {G.order}")
 
@@ -354,14 +372,8 @@ def census(n: int) -> BraceCensus:
     Capped by the group catalog, which covers the orders up to 15.
     """
     catalog = group_catalog(n)
-    entries = []
-    for label, A in catalog:
-        for B in braces_with_additive_group(A):
-            entries.append(CensusEntry(
-                brace=B,
-                additive_label=label,
-                multiplicative_label=_label_group(B.mul_group, catalog),
-            ))
+    entries = [CensusEntry(B, label, _label_group(B.mul_group, catalog))
+               for label, A in catalog for B in braces_with_additive_group(A)]
     entries.sort(key=lambda e: (e.additive_label, e.multiplicative_label,
                                 e.brace.mul_group.table))
     return BraceCensus(order=n, entries=tuple(entries))
@@ -494,15 +506,19 @@ def _oracle_pools(A: FiniteGroup, sources: Sequence[FiniteGroup]) -> list:
 
 def _oracle_counts(n: int) -> dict[str, int]:
     """Brace counts per additive group via the cocycle parametrization:
-    the Stab(lam)-orbits on each pool of `_oracle_pools`, every
-    relabeling by Stab(lam) required in the pool."""
+    the Stab(lam)-orbits on each pool of `_oracle_pools`, closed under
+    generators of Stab(lam), every relabeling by it required in the pool."""
     counts: dict[str, int] = {}
     catalog = group_catalog(n)
     for label, A in catalog:
-        counts[label] = sum(
-            len(_orbit_representatives(
-                tables, [(lambda t, theta=theta: _relabel(t, theta)) for theta in stab]))
-            for tables, stab in _oracle_pools(A, [C for _, C in catalog]))
+        aut, perms = aut_group(A)
+        index = {p: t for t, p in enumerate(perms)}
+        counts[label] = 0
+        for tables, stab in _oracle_pools(A, [C for _, C in catalog]):
+            at = [index[theta] for theta in stab]
+            counts[label] += len(_orbit_representatives(
+                tables, [(lambda t, theta=theta: _relabel(t, theta)) for theta in stab],
+                [at.index(g) for g in _Span(aut.table, at).gens]))
     return counts
 
 
@@ -510,8 +526,8 @@ def census_oracle(n: int) -> int:
     """Independent recount of census(n) through actions and cocycles.
 
     Capped by `group_catalog` at order 15.  On a shared 2-vCPU Xeon VM
-    under Python 3.11 (medians of 21 calls after a first, five runs) order
-    8 (C2xC2xC2: 168 automorphisms) takes 0.04-0.05 s, order 12 0.02-0.03 s,
-    every other order up to 15 under 0.01 s, and a first call at order 8 0.05 s.
+    under Python 3.11 (medians of 21 calls after a first, three runs) order
+    8 (C2xC2xC2: 168 automorphisms) takes 26-39 ms, order 12 17-20 ms, and
+    every other order up to 15 under 6 ms.
     """
     return sum(_oracle_counts(n).values())

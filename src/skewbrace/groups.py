@@ -96,9 +96,9 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     `cache` is bounded: seven keys, one value each, built once by `_cached`:
-    "generating_set", "element_orders", "conjugacy_class_sizes",
-    "generator_levels", "aut_group" and `census`'s "hol_orders" and
-    "root_twists".
+    "generating_set", "element_orders" (which `census` reads off the
+    holomorph for its braces), "conjugacy_class_sizes", "generator_levels",
+    "aut_group" and `census`'s "hol_orders" and "root_twists".
     """
 
     __slots__ = ("order", "table", "inverse", "name", "cache")

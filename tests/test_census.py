@@ -42,6 +42,7 @@ from skewbrace.census import (
 )
 from skewbrace import groups
 from skewbrace.cli import write_census_document
+from skewbrace.braces import _brace
 from skewbrace.groups import (_compose, _generator_levels, _group, _relabel, element_order,
                               element_orders, generating_set)
 
@@ -314,16 +315,32 @@ def test_aut_group_stops_the_search_past_the_bound(monkeypatch):
 
 def test_orbit_representatives_names_the_missing_relabeling():
     c2x2 = dict(group_catalog(4))["C2xC2"]
-    perms = automorphism_perms(c2x2)
+    aut, perms = aut_group(c2x2)
     moves = [(lambda t, th=theta: _relabel(t, th)) for theta in perms]
     orbits = [{_relabel(B.mul_group.table, p) for p in perms}
               for B in braces_with_additive_group(c2x2)]
     pool = next(orbit for orbit in orbits if len(orbit) > 1)
     missing = max(pool)
     with pytest.raises(SkewBraceError, match="dropped a relabeling") as info:
-        _orbit_representatives(pool - {missing}, moves)
+        _orbit_representatives(pool - {missing}, moves, generating_set(aut))
     t, pos = map(int, re.search(r"automorphism (\d+) moves item (\d+)", str(info.value)).groups())
     assert _relabel(sorted(pool - {missing})[pos], perms[t]) == missing
+
+
+def test_orbit_representatives_close_orbits_through_unheld_members():
+    # C6 acting on Z/6 by translation, generated by +1.  From the pool's
+    # least member 0 the missing 2 is reached only through 1, which lies
+    # outside the pool but need not be in it: the orbit is closed through
+    # every member, so 2 is found, and the error names the translation
+    # moving 0 onto it.
+    moves = [(lambda x, k=k: (x + k) % 6) for k in range(6)]
+    pool = {0, 3, 4, 5}
+    with pytest.raises(SkewBraceError, match="dropped a relabeling") as info:
+        _orbit_representatives(pool, moves, [1], lambda x: x != 1)
+    t, pos = map(int, re.search(r"automorphism (\d+) moves item (\d+)", str(info.value)).groups())
+    assert (t, pos) == (2, 0) and moves[t](sorted(pool)[pos]) == 2
+    assert _orbit_representatives(pool | {2}, moves, [1], lambda x: x != 1) == [0]
+    assert _orbit_representatives(range(6), moves, [2]) == [0, 1]
 
 
 def test_family_search_names_the_dropped_relabeling(monkeypatch):
@@ -485,6 +502,7 @@ def _roots_at_one(auts):
 def test_indexed_families_match_tuple_reference():
     # The restricted pool is the full reference's families with a root at
     # 1, and its braces are the full reference's orbit representatives.
+    masses = {}
     for A in CATALOG:
         aut, perms = aut_group(A)
         indexed = _regular_families(A, aut, perms, _hol_orders(A), _root_twists(A))
@@ -494,10 +512,31 @@ def test_indexed_families_match_tuple_reference():
             fam for fam in families if A.order == 1 or fam[1] in roots}, A.name
         reps = _reference_representatives(families, perms)
         ta = A.table
-        assert [B.mul_group.table for B in braces_with_additive_group(A)] == [
+        braces = braces_with_additive_group(A)
+        assert [B.mul_group.table for B in braces] == [
             tuple(tuple(ta[a][fam[a][b]] for b in range(A.order)) for a in range(A.order))
             for fam in reps
         ], A.name
+        # Mass formula: the Aut(A)-orbits of the braces' families, each read
+        # from the lambda rows, partition the regular families.
+        masses[A.name] = sum(len({_relabel(B.lam_table, theta) for theta in perms})
+                             for B in braces)
+        assert masses[A.name] == len(families), A.name
+    assert (masses["C2xC2xC2"], masses["D8"], masses["A4"]) == (232, 20, 42)
+
+
+def test_multiplicative_orders_and_lambda_are_read_off_the_family():
+    # The primary route caches each multiplicative group's element orders
+    # from the holomorph and takes lambda from the twists: both must be
+    # what a fresh group and the trusted constructor derive from the tables.
+    braces = [e.brace for n in range(1, 16) for e in census(n).entries]
+    braces += [B for A in EXTRA for B in braces_with_additive_group(A)]
+    assert len(braces) == 119 + 83 + 66 + 161
+    for B in braces:
+        G = B.mul_group
+        assert "element_orders" in G.cache, B.name
+        assert element_orders(G) == element_orders(_group(G.table)), B.name
+        assert B.lam_table == _brace(B.add_group, G).lam_table, B.name
 
 
 @pytest.mark.parametrize("n", range(1, 16))
