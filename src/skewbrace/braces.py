@@ -186,18 +186,29 @@ def _brace(add: FiniteGroup, mul: FiniteGroup, name: Optional[str] = None) -> Sk
 def make_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence[int]],
                name: Optional[str] = None) -> SkewBrace:
     """Validate a pair of Cayley tables as a skew brace."""
+    return _make_brace(add_table, mul_table, name, None)
+
+
+def _make_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence[int]],
+                name: Optional[str], known) -> SkewBrace:
+    """`make_brace`'s steps: the sizes, the closure of both tables, then
+    `_prove_brace`.  `known` is None or (a table equal to add_table, its
+    proven group), whose group is reused, and its closure proof too if it
+    is add_table itself."""
     if len(add_table) != len(mul_table):
         raise BraceInvalid(
             f"table sizes differ: {len(add_table)} vs {len(mul_table)}")
-    _check_closure(add_table)
+    if known is None or known[0] is not add_table:
+        _check_closure(add_table)
     _check_closure(mul_table)
-    return _prove_brace(add_table, mul_table, name)
+    return _prove_brace(add_table, mul_table, name, known and known[1])
 
 
 def _prove_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence[int]],
-                 name: Optional[str]) -> SkewBrace:
+                 name: Optional[str], add: Optional[FiniteGroup] = None) -> SkewBrace:
     """`make_brace` on two tables of one order proven closed: the shared
-    identity, then each group, then the axiom, which needs both groups."""
+    identity, then each group (the additive one `add`, if already proven),
+    then the axiom, which needs both groups."""
     e_add = _identity_of(add_table)
     e_mul = _identity_of(mul_table)
     if e_add != e_mul:
@@ -205,7 +216,8 @@ def _prove_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequenc
             f"additive identity is {e_add}, multiplicative identity is {e_mul}")
     # With one shared identity, both tables move it to 0 by the same swap,
     # so they stay aligned.
-    add = _prove_group(add_table, e_add, name and f"{name}+")
+    if add is None:
+        add = _prove_group(add_table, e_add, name and f"{name}+")
     mul = _prove_group(mul_table, e_mul, name and f"{name}*")
     _validate_pair(add, mul)
     return _brace(add, mul, name)
@@ -225,62 +237,32 @@ def check_braces(braces: Sequence[SkewBrace]) -> list[Union[bool, SkewBraceError
     """`check_brace_invariants` of each brace, in order: True or False, or
     the `SkewBraceError` it raises.
 
-    Braces over one additive group carry its table (each census brace over
-    A carries A's own), so each distinct additive table is proven once per
-    call, keyed by its content: closure, its identity and `_prove_group`.
-    An equal table held in another object is proven closed again, since
-    equal content may hide entries of another type (1.0 == 1).  Each brace
-    then gets the proof of its multiplicative table, `_validate_pair` and
-    the comparison with the rebuilt tables and lambda.  A brace failing
-    any step, or with a table that cannot be a key (rows held as lists),
-    is checked again by `make_brace`, so its verdict, error class and
-    message are those of a rebuild on its own.
+    Each brace goes through `make_brace`'s own steps, so its verdict, error
+    class and message are those of a rebuild on its own.  Braces over one
+    additive group carry its table (each census brace over A carries A's
+    own), so the additive group of each brace rebuilt is kept for the call,
+    keyed by its table's content.  An equal table held in another
+    object is proven closed again, since equal content may hide entries of
+    another type (1.0 == 1); a table that cannot be a key (rows held as
+    lists) is proven in full.
     """
     proven: dict = {}
     verdicts: list[Union[bool, SkewBraceError]] = []
     for B in braces:
+        add, mul = B.add_group.table, B.mul_group.table
         try:
-            if _matches_shared_proof(B, proven):
-                verdicts.append(True)
-                continue
-        except (SkewBraceError, TypeError):  # a failed proof, or a table of lists
-            pass
+            known, keyed = proven.get(add), True
+        except TypeError:  # rows held as lists: proven in full, not kept
+            known, keyed = None, False
         try:
-            verdicts.append(_rebuild_matches(B))
+            rebuilt = _make_brace(add, mul, None, known)
         except SkewBraceError as exc:
             verdicts.append(exc)
+            continue
+        if keyed and known is None:
+            proven[add] = (add, rebuilt.add_group)
+        verdicts.append(rebuilt.tables() == (add, mul) and rebuilt.lam_table == B.lam_table)
     return verdicts
-
-
-def _matches_shared_proof(B: SkewBrace, proven: dict) -> bool:
-    """Whether B passes the rebuild of `_rebuild_matches`, with the proof of
-    its additive table read from `proven` (table -> (first such table, its
-    group)) or added to it; False or an error when that is not shown."""
-    add, mul = B.add_group.table, B.mul_group.table
-    if len(add) != len(mul):
-        return False
-    hit = proven.get(add)
-    if hit is None:
-        _check_closure(add)
-        hit = proven[add] = (add, _prove_group(add, _identity_of(add), None))
-    elif hit[0] is not add:
-        _check_closure(add)
-    A = hit[1]
-    _check_closure(mul)
-    M = _prove_group(mul, _identity_of(mul), None)
-    _validate_pair(A, M)
-    # A proof moves an identity other than 0 to 0, so such a table fails
-    # the comparison and make_brace judges the brace.
-    return A.table == add and M.table == mul and _brace(A, M).lam_table == B.lam_table
-
-
-def _rebuild_matches(brace: SkewBrace) -> bool:
-    """Whether `make_brace` on the brace's two tables rebuilds its tables
-    and lambda table; raises what `make_brace` raises."""
-    rebuilt = make_brace(brace.add_group.table, brace.mul_group.table, brace.name)
-    return (rebuilt.add_group.table == brace.add_group.table
-            and rebuilt.mul_group.table == brace.mul_group.table
-            and rebuilt.lam_table == brace.lam_table)
 
 
 def trivial_brace(G: FiniteGroup, name: Optional[str] = None) -> SkewBrace:

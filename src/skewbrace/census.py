@@ -32,10 +32,12 @@ indexed Aut(A) of `aut_group`.
 The routes share only table-level primitives: that walker, behind
 `aut_group`, `_label_group` and `brace_isomorphic` (over the additive and
 multiplicative tables at once) as well as the oracle's searches,
-`_hol_orders`, the class-root kernel `_class_roots` (under Stab(1) for
-the primary route, under all of Aut(A) for the oracle) and the orbit
-kernel `_orbit_representatives`.  The primary route's own search is
-`_regular_families`.
+`_hol_orders`, one stabiliser helper `_stabiliser`, and one orbit kernel
+`_orbits`, which returns the Schreier tree of the orbits.  Read off that
+tree are the class roots `_class_roots` (under Stab(1) for the primary
+route, under all of Aut(A) for the oracle), the relabeling orbits of
+`_orbit_representatives` and the classes of `_action_classes`.  The
+primary route's own search is `_regular_families`.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ def quaternion_group() -> FiniteGroup:
 def group_catalog(n: int) -> list[tuple[str, FiniteGroup]]:
     """All isomorphism types of groups of order n, for orders 1 to 15, each
     order built once and kept; every call returns a new list."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SkewBraceError(f"group order must be an int, got {n!r}")
     if n < 1:
         raise SkewBraceError(f"group order must be positive, got {n}")
     if n > 15:
@@ -141,29 +145,50 @@ def _hol_orders(A: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return _cached(A, "hol_orders", build)
 
 
+def _orbits(points, moves) -> dict:
+    """The Schreier tree of the orbits meeting `points` (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005, 4.1): each
+    orbit closed breadth first from the first point not yet reached,
+    through members outside `points` too, under moves(x), the (label, y)
+    pairs of the moves of x.  Each reached member maps to the
+    (parent, label) that first reached it, or to None for a root, in the
+    order reached."""
+    tree: dict = {}
+    for p in points:
+        if p not in tree:
+            tree[p] = None
+            orbit = [p]
+            for x in orbit:
+                for label, y in moves(x):
+                    if y not in tree:
+                        tree[y] = (x, label)
+                        orbit.append(y)
+    return tree
+
+
+def _stabiliser(aut: FiniteGroup, fixes) -> list[int]:
+    """Generators of the subgroup of the indices t of aut with fixes(t)."""
+    return _Span(aut.table, filter(fixes, range(aut.order))).gens
+
+
 def _class_roots(aut: FiniteGroup, gens) -> tuple[list[int], list[int]]:
     """For each index phi of aut, the least index of its class
     phi ~ theta phi theta^-1 under the subgroup the indices `gens` generate,
     and an index kappa with kappa phi kappa^-1 that least index.
 
-    Each class is closed as the orbit of its least member, the first of it
-    in index order, under conjugation by the generators: psi = g x g^-1
-    gets kappa_x g^-1, as kappa_x g^-1 psi g kappa_x^-1 = kappa_x x kappa_x^-1.
+    Read off the `_orbits` tree of conjugation by the generators, whose
+    roots are the least members: psi = g x g^-1 gets kappa_x g^-1, as
+    kappa_x g^-1 psi g kappa_x^-1 = kappa_x x kappa_x^-1.
     """
     tx, inv = aut.table, aut.inverse
-    root = [-1] * aut.order
-    canon = [0] * aut.order
-    for phi in range(aut.order):
-        if root[phi] < 0:
-            root[phi] = phi
-            orbit = [phi]
-            for x in orbit:
-                for g in gens:
-                    psi = tx[tx[g][x]][inv[g]]
-                    if root[psi] < 0:
-                        root[psi] = phi
-                        canon[psi] = tx[canon[x]][inv[g]]
-                        orbit.append(psi)
+    root, canon = [0] * aut.order, [0] * aut.order
+    tree = _orbits(range(aut.order), lambda x: [(g, tx[tx[g][x]][inv[g]]) for g in gens])
+    for psi, edge in tree.items():
+        if edge is None:
+            root[psi] = psi
+        else:
+            x, g = edge
+            root[psi], canon[psi] = root[x], tx[canon[x]][inv[g]]
     return root, canon
 
 
@@ -173,8 +198,7 @@ def _root_twists(A: FiniteGroup) -> frozenset[int]:
     every index if A has no element 1.  Cached in A."""
     def build() -> frozenset[int]:
         aut, perms = aut_group(A)
-        stab = _Span(aut.table, [t for t, p in enumerate(perms) if p[1:2] == (1,)]).gens
-        root = _class_roots(aut, stab)[0]
+        root = _class_roots(aut, _stabiliser(aut, lambda t: perms[t][1:2] == (1,)))[0]
         return frozenset(phi for phi in range(aut.order) if root[phi] == phi)
 
     return _cached(A, "root_twists", build)
@@ -248,42 +272,32 @@ def _regular_families(A: FiniteGroup, aut: FiniteGroup, perms, hol,
     return results
 
 
-def _orbit_representatives(items, transports, gens, held=None) -> list:
+def _orbit_representatives(items, move, gens, table, held=None) -> list:
     """The lex-least member of each relabeling orbit that meets `items`, in
-    order; `transports` lists every relabeling of the acting group, and
-    `gens` the indices of a generating set of it.
+    order: the roots of the `_orbits` tree of the sorted pool under
+    move(x, g), the relabeling of x by g of `gens`, indices of the acting
+    group's table `table` (identity 0; relabeling by s, then t, is
+    relabeling by table[t][s]).
 
-    Each orbit is closed from its representative under the generators,
-    through members outside the pool too: every element of a finite group
-    is a word in them.  The pool must hold each member with held(member)
-    true (every one if held is None) and the lex-least member of each
-    orbit, which is then the first of its orbit in the sorted pool.  A miss
-    means the search lost part of an orbit, and the error names the
-    representative's position in the sorted pool and the first transport
-    (the automorphism) moving it outside.
+    The pool must hold each member with held(member) true (every one if
+    held is None) and the lex-least member of each orbit, which is then the
+    first of its orbit in the sorted pool.  A miss means the search lost
+    part of an orbit, and the error names the root's position in the sorted
+    pool and the automorphism composed along the tree path onto the miss.
     """
-    pool, seen, reps = set(items), set(), []
-
-    def outside(x) -> bool:
-        return x not in pool and (held is None or held(x))
-
-    for pos, item in enumerate(sorted(pool)):
-        if item in seen:
-            continue
-        reps.append(item)
-        seen.add(item)
-        orbit = [item]
-        for x in orbit:
-            for moved in [transports[g](x) for g in gens]:
-                if moved not in seen:
-                    seen.add(moved)
-                    orbit.append(moved)
-        if any(map(outside, orbit)):
+    inside = set(items)
+    pool = sorted(inside)
+    tree = _orbits(pool, lambda x: [(g, move(x, g)) for g in gens])
+    for x, edge in tree.items():
+        if x not in inside and (held is None or held(x)):
+            t = 0
+            while edge is not None:
+                x, g = edge
+                t, edge = table[t][g], tree[x]
             raise SkewBraceError(
                 "enumeration dropped a relabeling of one of its own results: automorphism "
-                f"{next(t for t, move in enumerate(transports) if outside(move(item)))} "
-                f"moves item {pos} of the sorted pool outside it")
-    return reps
+                f"{t} moves item {pool.index(x)} of the sorted pool outside it")
+    return [x for x, edge in tree.items() if edge is None]
 
 
 def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
@@ -306,15 +320,15 @@ def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
     aut, perms = aut_group(A)
     roots, hol = _root_twists(A), _hol_orders(A)
     families = _regular_families(A, aut, perms, hol, roots)
-    # Relabeling by theta = perms[t] puts theta f_a theta^-1 at theta(a), found
-    # by two lookups per entry.  Index order is the lex order of `perms`, so
-    # reps are unchanged.
     tx, inv = aut.table, aut.inverse
-    moves = [(lambda fam, row=tx[t], t_inv=inv[t], back=perms[inv[t]]:
-              tuple([tx[row[fam[a]]][t_inv] for a in back]))
-             for t in range(aut.order)]
+
+    def move(fam, t):
+        """fam relabeled by theta = perms[t]: theta f_a theta^-1 at theta(a)."""
+        row, t_inv = tx[t], inv[t]
+        return tuple([tx[row[fam[a]]][t_inv] for a in perms[t_inv]])
+
     braces = []
-    for family in _orbit_representatives(families, moves, generating_set(aut),
+    for family in _orbit_representatives(families, move, generating_set(aut), tx,
                                          lambda fam: fam[1] in roots):
         name = f"{A.name or 'A'}#{len(braces)}"
         lam = tuple(perms[phi] for phi in family)
@@ -431,35 +445,24 @@ def _action_classes(C: FiniteGroup, c_aut: FiniteGroup, c_perms, aut: FiniteGrou
     tx, inv = aut.table, aut.inverse
     g1 = generating_set(C)[0] if C.order > 1 else 0
     alphas = generating_set(c_aut)
-    centralisers: dict[int, list[int]] = {}
-    seen = [False] * len(homs)
-    reps = []
-    for i, lam in enumerate(homs):
-        if seen[i]:
-            continue
-        seen[i] = True
-        reps.append(lam)
-        orbit = [i]
-        for j in orbit:
-            lam = homs[j]
-            r = lam[g1]
-            if r not in centralisers:
-                centralisers[r] = _Span(tx, [t for t in range(aut.order)
-                                             if tx[t][r] == tx[r][t]]).gens
-            moves = [(a, canon[lam[c_perms[a][g1]]]) for a in alphas]
-            moves += [(0, t) for t in centralisers[r]]
-            for a, t in moves:
-                row, t_inv = tx[t], inv[t]
-                k = index.get(tuple([tx[row[lam[x]]][t_inv] for x in c_perms[a]]), -1)
-                if k < 0:
-                    raise SkewBraceError(
-                        "action search dropped a homomorphism of its own class: "
-                        f"automorphisms (alpha {a}, theta {t}) move hom {j} of the "
-                        "walk's list outside it")
-                if not seen[k]:
-                    seen[k] = True
-                    orbit.append(k)
-    return reps
+    centralisers: dict[int, list] = {}
+
+    def moves(j: int):
+        lam = homs[j]
+        r = lam[g1]
+        if r not in centralisers:
+            centralisers[r] = [(0, t) for t in _stabiliser(aut, lambda t: tx[t][r] == tx[r][t])]
+        for a, t in [(a, canon[lam[c_perms[a][g1]]]) for a in alphas] + centralisers[r]:
+            row, t_inv = tx[t], inv[t]
+            k = index.get(tuple([tx[row[lam[x]]][t_inv] for x in c_perms[a]]), -1)
+            if k < 0:
+                raise SkewBraceError(
+                    "action search dropped a homomorphism of its own class: "
+                    f"automorphisms (alpha {a}, theta {t}) move hom {j} of the "
+                    "walk's list outside it")
+            yield (a, t), k
+
+    return [homs[j] for j, edge in _orbits(range(len(homs)), moves).items() if edge is None]
 
 
 def _bijective_cocycles(C: FiniteGroup, A: FiniteGroup, lam, perms, hol):
@@ -475,8 +478,9 @@ def _bijective_cocycles(C: FiniteGroup, A: FiniteGroup, lam, perms, hol):
 def _oracle_pools(A: FiniteGroup, sources: Sequence[FiniteGroup]) -> list:
     """(tables, Stab(lam)) for one lam per class of `_action_classes` with a
     bijective cocycle, over each group C of `sources`: the tables are C
-    relabeled by lam's bijective cocycles delta, and Stab(lam) lists the
-    theta of Aut(A), as permutations, with theta lam theta^-1 in lam Aut(C).
+    relabeled by lam's bijective cocycles delta, and Stab(lam) lists
+    generators, as indices of `aut_group(A)`, of the theta of Aut(A) with
+    theta lam theta^-1 in lam Aut(C).
 
     The tables of lam are closed under Stab(lam): if
     theta lam theta^-1 = lam alpha, then theta delta alpha^-1 is a
@@ -499,8 +503,8 @@ def _oracle_pools(A: FiniteGroup, sources: Sequence[FiniteGroup]) -> list:
                       _bijective_cocycles(C, A, lam, perms, _hol_orders(A))}
             if tables:
                 twins = {tuple([lam[x] for x in alpha]) for alpha in c_perms}
-                pools.append((tables, [perms[t] for t in range(aut.order) if tuple(
-                    [tx[tx[t][phi]][inv[t]] for phi in lam]) in twins]))
+                pools.append((tables, _stabiliser(aut, lambda t: tuple(
+                    [tx[tx[t][phi]][inv[t]] for phi in lam]) in twins)))
     return pools
 
 
@@ -512,13 +516,9 @@ def _oracle_counts(n: int) -> dict[str, int]:
     catalog = group_catalog(n)
     for label, A in catalog:
         aut, perms = aut_group(A)
-        index = {p: t for t, p in enumerate(perms)}
-        counts[label] = 0
-        for tables, stab in _oracle_pools(A, [C for _, C in catalog]):
-            at = [index[theta] for theta in stab]
-            counts[label] += len(_orbit_representatives(
-                tables, [(lambda t, theta=theta: _relabel(t, theta)) for theta in stab],
-                [at.index(g) for g in _Span(aut.table, at).gens]))
+        counts[label] = sum(len(_orbit_representatives(
+            tables, lambda t, g: _relabel(t, perms[g]), stab, aut.table))
+            for tables, stab in _oracle_pools(A, [C for _, C in catalog]))
     return counts
 
 

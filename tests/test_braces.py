@@ -43,7 +43,7 @@ from skewbrace import (
 
 from skewbrace import braces
 from skewbrace.braces import _brace
-from skewbrace.groups import _group
+from skewbrace.groups import _group, _relabel
 
 import scalar_reference as ref
 
@@ -631,6 +631,29 @@ def test_batch_check_proves_each_additive_table_once(monkeypatch):
     additive = {B.add_group.table for B in pool}
     assert len(additive) == 7 and rebuilt == []
     assert sorted(proved) == sorted(list(additive) + [B.mul_group.table for B in pool])
+
+
+def test_batch_check_judges_braces_with_their_identity_at_one(monkeypatch):
+    """Census braces relabeled by the swap of 0 and 1 are braces with the
+    identity at 1, which make_brace moves back to 0, so every rebuild
+    differs from the stored tables.  Entries over one additive group share
+    one relabeled table object, whose relabeled group is proven once."""
+    swap = (1, 0) + tuple(range(2, 8))
+    shared, pool = {}, []
+    for B in _census_pool(8):
+        A = B.add_group
+        if A.name not in shared:
+            shared[A.name] = FiniteGroup(_relabel(A.table, swap), A.inverse, A.name)
+        mul = FiniteGroup(_relabel(B.mul_group.table, swap), B.mul_group.inverse)
+        pool.append(SkewBrace(shared[A.name], mul, _relabel(B.lam_table, swap), B.name))
+    assert len(pool) > len(shared)
+    assert _assert_batch_matches_rebuilds(pool) == [False] * len(pool)
+    proved, prove = [], braces._prove_group
+    monkeypatch.setattr(braces, "_prove_group",
+                        lambda table, *rest: proved.append(table) or prove(table, *rest))
+    assert check_braces(pool) == [False] * len(pool)
+    tables = [G.table for G in shared.values()]
+    assert [t for t in proved if any(t is u for u in tables)] == tables
 
 
 def test_batch_check_names_the_first_fault_of_an_entry_with_two():

@@ -37,6 +37,7 @@ from skewbrace.census import (
     _oracle_counts,
     _oracle_pools,
     _orbit_representatives,
+    _orbits,
     _regular_families,
     _root_twists,
 )
@@ -313,16 +314,46 @@ def test_aut_group_stops_the_search_past_the_bound(monkeypatch):
         assert returned and max(returned) <= 11
 
 
+def test_orbits_are_schreier_trees_closed_through_non_points():
+    # Conjugation on Aut(C2xC2xC2) by its generators from every fifth
+    # index, and translation by 2 on Z/6 from 0, 3 and 4: each edge is a
+    # move, the roots are the points no earlier orbit reached, and each
+    # orbit is closed through members that are not points.
+    aut, _ = aut_group(dict(group_catalog(8))["C2xC2xC2"])
+    tx, inv, gens = aut.table, aut.inverse, generating_set(aut)
+    group = closure(aut, gens)
+    z6 = cyclic_group(6).table
+    cases = [(range(0, aut.order, 5), lambda x: [(g, tx[tx[g][x]][inv[g]]) for g in gens],
+              lambda x: {tx[tx[t][x]][inv[t]] for t in group}),
+             ([0, 3, 4], lambda x: [(2, z6[2][x])], lambda x: {z6[k][x] for k in (0, 2, 4)})]
+    for points, moves, orbit in cases:
+        tree = _orbits(points, moves)
+        order = list(tree)
+        for y, edge in tree.items():
+            if edge is not None:
+                x, g = edge
+                assert dict(moves(x))[g] == y and order.index(x) < order.index(y)
+        roots, reached = [], set()
+        for p in points:
+            if p not in reached:
+                roots.append(p)
+                reached |= orbit(p)
+        assert [x for x, edge in tree.items() if edge is None] == roots
+        assert set(tree) == reached and not reached <= set(points)
+    assert _orbits([0, 3, 4], cases[1][1]) == {
+        0: None, 2: (0, 2), 4: (2, 2), 3: None, 5: (3, 2), 1: (5, 2)}
+
+
 def test_orbit_representatives_names_the_missing_relabeling():
     c2x2 = dict(group_catalog(4))["C2xC2"]
     aut, perms = aut_group(c2x2)
-    moves = [(lambda t, th=theta: _relabel(t, th)) for theta in perms]
     orbits = [{_relabel(B.mul_group.table, p) for p in perms}
               for B in braces_with_additive_group(c2x2)]
     pool = next(orbit for orbit in orbits if len(orbit) > 1)
     missing = max(pool)
     with pytest.raises(SkewBraceError, match="dropped a relabeling") as info:
-        _orbit_representatives(pool - {missing}, moves, generating_set(aut))
+        _orbit_representatives(pool - {missing}, lambda t, g: _relabel(t, perms[g]),
+                               generating_set(aut), aut.table)
     t, pos = map(int, re.search(r"automorphism (\d+) moves item (\d+)", str(info.value)).groups())
     assert _relabel(sorted(pool - {missing})[pos], perms[t]) == missing
 
@@ -332,15 +363,16 @@ def test_orbit_representatives_close_orbits_through_unheld_members():
     # least member 0 the missing 2 is reached only through 1, which lies
     # outside the pool but need not be in it: the orbit is closed through
     # every member, so 2 is found, and the error names the translation
-    # moving 0 onto it.
-    moves = [(lambda x, k=k: (x + k) % 6) for k in range(6)]
+    # composed along the path 0 -> 1 -> 2.
+    z6 = cyclic_group(6).table
     pool = {0, 3, 4, 5}
     with pytest.raises(SkewBraceError, match="dropped a relabeling") as info:
-        _orbit_representatives(pool, moves, [1], lambda x: x != 1)
+        _orbit_representatives(pool, lambda x, k: z6[k][x], [1], z6, lambda x: x != 1)
     t, pos = map(int, re.search(r"automorphism (\d+) moves item (\d+)", str(info.value)).groups())
-    assert (t, pos) == (2, 0) and moves[t](sorted(pool)[pos]) == 2
-    assert _orbit_representatives(pool | {2}, moves, [1], lambda x: x != 1) == [0]
-    assert _orbit_representatives(range(6), moves, [2]) == [0, 1]
+    assert (t, pos) == (2, 0) and z6[t][sorted(pool)[pos]] == 2
+    assert _orbit_representatives(pool | {2}, lambda x, k: z6[k][x], [1], z6,
+                                  lambda x: x != 1) == [0]
+    assert _orbit_representatives(range(6), lambda x, k: z6[k][x], [2], z6) == [0, 1]
 
 
 def test_family_search_names_the_dropped_relabeling(monkeypatch):
@@ -646,13 +678,14 @@ def test_action_search_names_the_dropped_homomorphism(monkeypatch):
 def test_oracle_names_the_dropped_table(monkeypatch):
     # Each class pool must hold every relabeling by its stabiliser: drop
     # one table whose Stab(lam)-orbit has another member, and the oracle
-    # names a stabiliser element moving a pool table onto it.
+    # names an element of the span of Stab(lam) moving a pool table onto it.
     module = sys.modules["skewbrace.census"]
     catalog = group_catalog(8)
     c2x2x2 = dict(catalog)["C2xC2xC2"]
+    aut, perms = aut_group(c2x2x2)
     sources = [C for _, C in catalog]
     pools = _oracle_pools(c2x2x2, sources)
-    orbits = [({_relabel(t, theta) for theta in stab}, i)
+    orbits = [({_relabel(t, perms[theta]) for theta in closure(aut, stab)}, i)
               for i, (tables, stab) in enumerate(pools) for t in tables]
     dropped, i = max((max(orbit), i) for orbit, i in orbits if len(orbit) > 1)
     cocycles = module._bijective_cocycles
@@ -666,8 +699,8 @@ def test_oracle_names_the_dropped_table(monkeypatch):
         _oracle_counts(8)
     t, pos = map(int, re.search(r"automorphism (\d+) moves item (\d+)", str(info.value)).groups())
     tables, stab = _oracle_pools(c2x2x2, sources)[i]
-    assert tables == pools[i][0] - {dropped}
-    assert _relabel(sorted(tables)[pos], stab[t]) == dropped
+    assert tables == pools[i][0] - {dropped} and t in closure(aut, stab)
+    assert _relabel(sorted(tables)[pos], perms[t]) == dropped
 
 
 def _generator_proofs(C, A):
@@ -919,6 +952,19 @@ def test_order_bounds_raise():
         braces_with_additive_group(cyclic_group(17))
     with pytest.raises(OrderBoundExceeded):
         group_catalog(16)
+
+
+@pytest.mark.parametrize("bad", [True, 8.0, "8"])
+def test_group_catalog_rejects_orders_that_are_not_ints(bad):
+    # Neither a cold nor a warm cache takes a bool, a float or a string for
+    # an order, and none of them is cached under the int it equals.
+    for _ in range(2):
+        with pytest.raises(SkewBraceError, match=re.escape(f"got {bad!r}")):
+            group_catalog(bad)
+        with pytest.raises(SkewBraceError, match=re.escape(f"got {bad!r}")):
+            census(bad)
+        group_catalog(8)
+    assert census(1).entries[0].additive_label == "C1"
 
 
 def test_group_catalog_is_built_once_per_order():
