@@ -208,9 +208,9 @@ def _regular_families(A: FiniteGroup, aut: FiniteGroup, perms, hol,
                       roots) -> list[tuple[int, ...]]:
     """Every family f with f_0 = id, f_{a + f_a(b)} = f_a f_b and f_1 in
     `roots`, f_a an index into `perms`.  The chosen (a, f_a) are closed as
-    the orbit of (0, id) under right multiplication by them: old elements
-    times the newest one, new elements times all.  Two twists for one a, or
-    an orbit whose size does not divide n, kill a branch.
+    the orbit of (0, id) under right multiplication by them, by `_Span`'s
+    rule: the elements found from the newest one on, times all.  Two twists
+    for one a, or an orbit whose size does not divide n, kill a branch.
 
     With `_root_twists` as roots, every relabeling orbit of families meets
     the result, and every member of an orbit whose twist at 1 is a root is
@@ -234,11 +234,11 @@ def _regular_families(A: FiniteGroup, aut: FiniteGroup, perms, hol,
     results: list[tuple[int, ...]] = []
 
     def close(mark: int) -> bool:
-        i = 0
+        i = mark
         while i < len(elems):
             x = elems[i]
             tax, px, tfx = ta[x], perms[f[x]], tx[f[x]]
-            for g in gens if i >= mark else gens[-1:]:
+            for g in gens:
                 z = tax[px[g]]
                 w = tfx[f[g]]
                 if f[z] < 0:

@@ -21,12 +21,12 @@ One walker (`_walk`) finds every map: the isomorphisms and automorphisms of
 groups and braces (`_map_search`) and the census oracle's actions and
 bijective cocycles.  It places images of the generators g_1, g_2, .. of
 the source one at a time and proves f(xg) = f(x) acts[x](f(g)) on the
-generator pairs of one orbit of 0, the group's cached `_generator_levels`:
-the g that satisfy it for every x of H_k = <g_1..g_k> are closed under
-products, so f is proven on H_k at every node that passes, at O(|H_k| k)
-lookups instead of O(|H_k|^2).  A brace's multiplicative table is closed
-alongside, over the pairs of known elements whose right factor is one of
-its generators.
+group's cached `_generator_levels`, which replay `_Span` over the
+generators: level k closes the graph of f on H_k = <g_1..g_k> by
+`_Span`'s rule, so f is proven on H_k at every node that passes, at
+O(|H_k| k) lookups instead of O(|H_k|^2).  A brace's multiplicative table
+is closed alongside, over the pairs of known elements whose right factor
+is one of its generators.
 One coset builder (`_cosets`) gives the quotients of groups and braces.  The
 predicates build no quotient: nilpotency is read off element orders,
 supersolubility climbs modulo its last term on G's own table.
@@ -53,6 +53,7 @@ from .errors import (
     NonAssociative,
     NotClosed,
     OrderBoundExceeded,
+    SkewBraceError,
 )
 
 __all__ = [
@@ -276,9 +277,9 @@ def _normal_fault(G: FiniteGroup, inside: set[int],
 
 def _row_getter(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """The map row -> (row[i] for i in idx) in one C call, `itemgetter(*idx)`,
-    kept a tuple also when idx has a single entry."""
-    if len(idx) == 1:
-        return lambda row: (row[idx[0]],)
+    kept a tuple also when idx has one entry or none."""
+    if len(idx) < 2:
+        return lambda row: tuple([row[i] for i in idx])
     return itemgetter(*idx)
 
 
@@ -344,6 +345,8 @@ def _group(rows: tuple[tuple[int, ...], ...], name: Optional[str] = None) -> Fin
 
 def cyclic_group(n: int) -> FiniteGroup:
     """The cyclic group of order n, written additively mod n."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SkewBraceError(f"group order must be an int, got {n!r}")
     if n < 1:
         raise NoIdentity(f"cyclic group order must be positive, got {n}")
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
@@ -741,32 +744,19 @@ def _generator_levels(G: FiniteGroup) -> tuple:
     """One level per generator g_k of `generating_set(G)`, cached in G: the
     pairs on which `_walk` proves its identity.
 
-    A level is (g_k, its order, pairs).  H_k = <g_1..g_k> is closed as an
-    orbit of 0, as in `_Span`: the elements of H_{k-1} times g_k, then the
-    new ones, g_k first, times g_1..g_k.  Its pairs are the (x, g, xg) of
-    that orbit with x != 0 (where the identity holds once f(0) is neutral),
-    in orbit order, so up to level k each (x, g) of H_k x {g_1..g_k} is
-    listed once, after x is reached.
+    A level is (g_k, its order, pairs).  `_Span` is replayed over the
+    generating set, and level k's pairs are the (x, g, xg) for each x that
+    adding g_k appends, in its order, and each g of g_1..g_k.  So up to
+    level k each (x, g) with x new at a level j <= k and g among g_1..g_j
+    is listed once, after x is reached.
     """
     def build() -> tuple:
-        gens, t, orders = generating_set(G), G.table, element_orders(G)
-        elems, inside, levels = [0], {0}, []
-        for k, g_k in enumerate(gens):
-            mark = len(elems)
-            elems.append(g_k)
-            inside.add(g_k)
-            pairs = []
-            i = 1
-            while i < len(elems):
-                x = elems[i]
-                for g in gens[:k + 1] if i >= mark else (g_k,):
-                    y = t[x][g]
-                    pairs.append((x, g, y))
-                    if y not in inside:
-                        inside.add(y)
-                        elems.append(y)
-                i += 1
-            levels.append((g_k, orders[g_k], tuple(pairs)))
+        t, orders, span, levels = G.table, element_orders(G), _Span(G.table), []
+        for g_k in generating_set(G):
+            mark = len(span.elems)
+            span.add(g_k)
+            pairs = tuple([(x, g, t[x][g]) for x in span.elems[mark:] for g in span.gens])
+            levels.append((g_k, orders[g_k], pairs))
         return tuple(levels)
 
     return _cached(G, "generator_levels", build)
@@ -780,10 +770,13 @@ def _walk(levels, target: FiniteGroup, acts, candidates, injective: bool, limit:
 
     The one map search (Holt, Eick & O'Brien, 2005, ch. 4).  The image of
     g_k comes from candidates[k], and each pair (x, g, y) of levels[k] sets
-    f(y) or checks it.  If acts is a homomorphism into Aut(target), the g
-    that satisfy the identity for every x of H_k are closed under products,
-    f(xgh) = f(x) acts[x](f(g) acts[g](f(h))), so passing level k proves it
-    on H_k, at O(|H_k| k) lookups instead of O(|H_k|^2).  With identity acts
+    f(y) or checks it.  If acts is a homomorphism into Aut(target), the
+    pairs (x, u) form a group under (x, u)(y, v) = (xy, u acts[x](v)), and
+    the identity at (x, g) says (x, f(x))(g, f(g)) = (xg, f(xg)).  Level k's
+    pairs are the `_Span` closure of the placed (g_i, f(g_i)) from
+    (g_k, f(g_k)), keyed by the source element, so a level that passes with
+    no clash proves that f's graph on H_k is a subgroup: the identity on
+    H_k, at O(|H_k| k) lookups instead of O(|H_k|^2).  With identity acts
     the f are the homomorphisms.
 
     Each (ug, uh, gens) of `others` is a second pair of group tables on the

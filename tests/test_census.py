@@ -738,23 +738,26 @@ def test_order_eight_homomorphism_and_cocycle_totals():
 
 
 def _assert_levels_visit_each_pair_once(G):
-    """Up to level k every (x, g) with x in H_k, x != 0 and g among
-    g_1..g_k is listed exactly once, after x is reached (as 0, a generator
-    or the product of an earlier pair), and the last level reaches G (the
-    trivial group has no level)."""
+    """Up to level k every (x, g) with x new at a level j <= k (in H_j, not
+    in H_{j-1}) and g among g_1..g_j is listed exactly once, after x is
+    reached (as 0, a generator or the product of an earlier pair), level k
+    reaches H_k, and the last level reaches G (the trivial group has no
+    level)."""
     levels = _generator_levels(G)
     gens = generating_set(G)
     assert [level[0] for level in levels] == gens, G.name
-    reached, listed = {0}, []
+    reached, listed, expected = {0}, [], []
     for k, (g_k, order, pairs) in enumerate(levels):
         assert order == element_order(G, g_k), G.name
+        new = set(closure(G, gens[:k + 1])) - reached
         reached.add(g_k)
         for x, g, y in pairs:
             assert x in reached and G.table[x][g] == y, G.name
             reached.add(y)
             listed.append((x, g))
-        assert sorted(listed) == sorted(
-            (x, g) for x in reached if x for g in gens[:k + 1]), G.name
+        expected += [(x, g) for x in new for g in gens[:k + 1]]
+        assert sorted(listed) == sorted(expected), G.name
+        assert reached == set(closure(G, gens[:k + 1])), G.name
     assert reached == set(G.elements()), G.name
 
 

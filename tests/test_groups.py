@@ -14,6 +14,7 @@ from skewbrace import (
     NonAssociative,
     NotClosed,
     GroupMap,
+    SkewBraceError,
     aut_group,
     automorphism_perms,
     build,
@@ -42,7 +43,7 @@ from skewbrace import (
     subgroups,
     trivial_brace,
 )
-from skewbrace.groups import _is_prime
+from skewbrace.groups import _Span, _is_prime
 
 import scalar_reference as ref
 
@@ -85,6 +86,15 @@ def test_cyclic_group_basics():
     assert g.mul(1, 3) == 0
     assert element_order(g, 1) == 4
     assert element_order(g, 2) == 2
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+def test_cyclic_group_rejects_orders_that_are_not_ints(bad):
+    with pytest.raises(SkewBraceError, match=re.escape(f"group order must be an int, got {bad!r}")):
+        cyclic_group(bad)
+    with pytest.raises(NoIdentity, match="cyclic group order must be positive, got 0"):
+        cyclic_group(0)
+    assert cyclic_group(1).name == "C1"
 
 
 def test_make_group_rejects_bad_tables():
@@ -345,6 +355,24 @@ def test_closure_matches_naive_fixed_point(worked_examples):
             seeds.append(tuple(picks + picks[: rng.randrange(len(picks) + 1)] + [0]))
         for seed in seeds:
             assert closure(g, seed) == naive_closure(g, seed), (label, seed)
+
+
+def test_span_grows_a_subgroup_by_the_elements_found_from_a_new_generator():
+    # `_Span` multiplies only g and the elements found from it on by the
+    # generators.  Started from each subgroup H of the catalog groups and
+    # of S4 with the generators it keeps for H, adding each g outside H
+    # must give the closure of H and g under all products.
+    s4 = _permutation_group(list(itertools.permutations(range(4))))
+    cases = 0
+    for G in [G for n in range(1, 16) for _, G in group_catalog(n)] + [s4]:
+        for H in subgroups(G):
+            kept = _Span(G.table, H).gens
+            for g in sorted(set(G.elements()) - set(H)):
+                span = _Span(G.table, elems=H, gens=kept)
+                span.add(g)
+                assert sorted(span.elems) == list(naive_closure(G, H + (g,))), (G.name, H, g)
+                cases += 1
+    assert cases == 1554
 
 
 def test_generating_set_matches_naive_greedy():

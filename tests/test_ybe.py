@@ -186,6 +186,12 @@ def test_singleton_solution_level_zero():
     assert retraction_level(sol) == 0
 
 
+def test_empty_solution_retracts_to_itself():
+    # verify_solution passes the empty solution, and it has no points to
+    # identify.
+    assert retract(Solution(0, (), ())) == (Solution(0, (), ()), [])
+
+
 def test_retract_rejects_inconsistent_tables():
     r1 = ((0, 1, 2), (0, 1, 2), (0, 2, 1))
     r2 = ((0, 0, 2), (0, 0, 2), (1, 1, 0))
