@@ -32,11 +32,12 @@ indexed Aut(A) of `aut_group`.
 The routes share only table-level primitives: that walker, behind
 `aut_group`, `_label_group` and `brace_isomorphic` (over the additive and
 multiplicative tables at once) as well as the oracle's searches,
-`_hol_orders`, one stabiliser helper `_stabiliser`, and one orbit kernel
-`_orbits`, which returns the Schreier tree of the orbits.  Read off that
-tree are the class roots `_class_roots` (under Stab(1) for the primary
-route, under all of Aut(A) for the oracle), the relabeling orbits of
-`_orbit_representatives` and the classes of `_action_classes`.  The
+`_hol_orders`, one helper `_stabiliser` giving the generators of every
+acting group and stabiliser by descending element order, and one orbit
+kernel `_orbits`, which returns the Schreier tree of the orbits.  Read off
+that tree are the class roots `_class_roots` (under Stab(1) for the
+primary route, under all of Aut(A) for the oracle), the relabeling orbits
+of `_orbit_representatives` and the classes of `_action_classes`.  The
 primary route's own search is `_regular_families`.
 """
 
@@ -166,9 +167,17 @@ def _orbits(points, moves) -> dict:
     return tree
 
 
-def _stabiliser(aut: FiniteGroup, fixes) -> list[int]:
-    """Generators of the subgroup of the indices t of aut with fixes(t)."""
-    return _Span(aut.table, filter(fixes, range(aut.order))).gens
+def _stabiliser(aut: FiniteGroup, fixes=None) -> list[int]:
+    """Generators of the subgroup of the indices t of aut with fixes(t), or
+    of all of aut if fixes is None, kept by `_Span` from the candidates in
+    descending element order, ties by index: an element of large order
+    reaches much of the group at once, so Aut(C2xC2xC2) = GL(3,2) gets 2
+    generators where ascending index keeps 5.  Only the subgroup generated
+    matters to the orbits and class roots read off these generators.  The
+    candidate order is cached in aut."""
+    candidates = _cached(aut, "descending_orders", lambda: tuple(sorted(
+        aut.elements(), key=lambda t: (-element_orders(aut)[t], t))))
+    return _Span(aut.table, filter(fixes, candidates) if fixes else candidates).gens
 
 
 def _class_roots(aut: FiniteGroup, gens) -> tuple[list[int], list[int]]:
@@ -328,7 +337,7 @@ def braces_with_additive_group(A: FiniteGroup) -> list[SkewBrace]:
         return tuple([tx[row[fam[a]]][t_inv] for a in perms[t_inv]])
 
     braces = []
-    for family in _orbit_representatives(families, move, generating_set(aut), tx,
+    for family in _orbit_representatives(families, move, _stabiliser(aut), tx,
                                          lambda fam: fam[1] in roots):
         name = f"{A.name or 'A'}#{len(braces)}"
         lam = tuple(perms[phi] for phi in family)
@@ -364,17 +373,23 @@ class BraceCensus(NamedTuple):
         return out
 
 
-def _label_group(G: FiniteGroup, catalog: Sequence[tuple[str, FiniteGroup]]) -> str:
+def _label_group(G: FiniteGroup, catalog: Sequence[tuple[str, FiniteGroup]],
+                 spectra: Optional[Sequence[list[int]]] = None) -> str:
     """The label of the first catalog group H isomorphic to G, among those
     with G's sorted element orders, proven by one `_walk` over H's cached
     generator levels onto the elements of G of each generator's order: an
     injective homomorphism between groups of one order is an isomorphism,
-    and it keeps the order of every element."""
+    and it keeps the order of every element.  `spectra`, the catalog
+    groups' sorted element orders in catalog order, is sorted here if not
+    given."""
     orders = element_orders(G)
+    spectrum = sorted(orders)
+    if spectra is None:
+        spectra = [sorted(element_orders(H)) for _, H in catalog]
     ident = [tuple(range(G.order))] * G.order
-    for label, H in catalog:
+    for (label, H), sorted_orders in zip(catalog, spectra):
         levels = _generator_levels(H)
-        if sorted(element_orders(H)) == sorted(orders) and _walk(levels, G, ident, [
+        if sorted_orders == spectrum and _walk(levels, G, ident, [
                 [x for x in G.elements() if orders[x] == k] for _g, k, _p in levels], True, 1):
             return label
     raise SkewBraceError(f"no catalog group matches one of order {G.order}")
@@ -386,7 +401,8 @@ def census(n: int) -> BraceCensus:
     Capped by the group catalog, which covers the orders up to 15.
     """
     catalog = group_catalog(n)
-    entries = [CensusEntry(B, label, _label_group(B.mul_group, catalog))
+    spectra = [sorted(element_orders(H)) for _, H in catalog]
+    entries = [CensusEntry(B, label, _label_group(B.mul_group, catalog, spectra))
                for label, A in catalog for B in braces_with_additive_group(A)]
     entries.sort(key=lambda e: (e.additive_label, e.multiplicative_label,
                                 e.brace.mul_group.table))
@@ -416,11 +432,14 @@ def _action_homs(C: FiniteGroup, aut: FiniteGroup, first):
 
 
 def _action_classes(C: FiniteGroup, c_aut: FiniteGroup, c_perms, aut: FiniteGroup,
-                    root, canon) -> list[tuple[int, ...]]:
+                    root, canon, centralisers: Optional[dict] = None) -> list[tuple[int, ...]]:
     """One homomorphism lam: C -> aut per class under
     (alpha, theta) lam = theta (lam alpha) theta^-1, alpha in Aut(C) (the
     automorphisms `c_perms`, indexed by c_aut), theta in aut; `root` and
     `canon` are `_class_roots` of aut under its own generators.
+    `centralisers` maps a root r to the moves (0, t), t generators of its
+    centraliser in aut; it is filled as roots come up, and may be shared
+    by the calls over one aut.
 
     Only the rooted homomorphisms, lam(g_1) the root of its class (g_1 the
     first generator of C, or 0 if C is trivial), are walked.  Every class
@@ -444,8 +463,9 @@ def _action_classes(C: FiniteGroup, c_aut: FiniteGroup, c_perms, aut: FiniteGrou
     index = {lam: i for i, lam in enumerate(homs)}
     tx, inv = aut.table, aut.inverse
     g1 = generating_set(C)[0] if C.order > 1 else 0
-    alphas = generating_set(c_aut)
-    centralisers: dict[int, list] = {}
+    alphas = _stabiliser(c_aut)
+    if centralisers is None:
+        centralisers = {}
 
     def moves(j: int):
         lam = homs[j]
@@ -490,15 +510,17 @@ def _oracle_pools(A: FiniteGroup, sources: Sequence[FiniteGroup]) -> list:
     fixes lam = lam^T delta up to Aut(C), lam^T the brace's lambda map,
     because delta is unique up to Aut(C), and relabeling T by theta
     conjugates lam^T by theta.  So the braces with additive group A are
-    the Stab(lam)-orbits on the tables, summed over the pools.
+    the Stab(lam)-orbits on the tables, summed over the pools.  The
+    centralisers of the class roots are found once for A, across every C.
     """
     aut, perms = aut_group(A)
     tx, inv = aut.table, aut.inverse
-    root, canon = _class_roots(aut, generating_set(aut))
+    root, canon = _class_roots(aut, _stabiliser(aut))
+    centralisers: dict[int, list] = {}
     pools = []
     for C in sources:
         c_aut, c_perms = aut_group(C)
-        for lam in _action_classes(C, c_aut, c_perms, aut, root, canon):
+        for lam in _action_classes(C, c_aut, c_perms, aut, root, canon, centralisers):
             tables = {_relabel(C.table, delta) for delta in
                       _bijective_cocycles(C, A, lam, perms, _hol_orders(A))}
             if tables:
@@ -527,7 +549,7 @@ def census_oracle(n: int) -> int:
 
     Capped by `group_catalog` at order 15.  On a shared 2-vCPU Xeon VM
     under Python 3.11 (medians of 21 calls after a first, three runs) order
-    8 (C2xC2xC2: 168 automorphisms) takes 26-39 ms, order 12 17-20 ms, and
-    every other order up to 15 under 6 ms.
+    8 (C2xC2xC2: 168 automorphisms) takes 22-25 ms, order 12 14-22 ms, and
+    every other order up to 15 under 5 ms.
     """
     return sum(_oracle_counts(n).values())

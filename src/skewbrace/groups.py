@@ -96,10 +96,12 @@ AUT_TABLE_BOUND = 2048
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    `cache` is bounded: seven keys, one value each, built once by `_cached`:
+    `cache` is bounded: eight keys, one value each, built once by `_cached`:
     "generating_set", "element_orders" (which `census` reads off the
     holomorph for its braces), "conjugacy_class_sizes", "generator_levels",
-    "aut_group" and `census`'s "hol_orders" and "root_twists".
+    "aut_group" and `census`'s "hol_orders", "root_twists" and, on an
+    automorphism group, "descending_orders" (its indices by descending
+    element order, the candidate generators of its subgroups).
     """
 
     __slots__ = ("order", "table", "inverse", "name", "cache")

@@ -40,12 +40,13 @@ from skewbrace.census import (
     _orbits,
     _regular_families,
     _root_twists,
+    _stabiliser,
 )
 from skewbrace import groups
 from skewbrace.cli import write_census_document
 from skewbrace.braces import _brace
-from skewbrace.groups import (_compose, _generator_levels, _group, _relabel, element_order,
-                              element_orders, generating_set)
+from skewbrace.groups import (_Span, _compose, _generator_levels, _group, _relabel,
+                              element_order, element_orders, generating_set)
 
 import scalar_reference as ref
 
@@ -625,10 +626,11 @@ def test_action_classes_match_the_fold_by_every_pair():
         catalog = group_catalog(n)
         for _, A in catalog:
             aut, perms = aut_group(A)
-            root, canon = _class_roots(aut, generating_set(aut))
+            root, canon = _class_roots(aut, _stabiliser(aut))
+            centralisers = {}
             for _, C in catalog:
                 c_aut, c_perms = aut_group(C)
-                found = _action_classes(C, c_aut, c_perms, aut, root, canon)
+                found = _action_classes(C, c_aut, c_perms, aut, root, canon, centralisers)
                 assert len(set(found)) == len(found) == _reference_class_count(C, A), (
                     C.name, A.name)
 
@@ -636,7 +638,8 @@ def test_action_classes_match_the_fold_by_every_pair():
 def test_class_roots_canonise_onto_the_least_conjugate():
     for A in CATALOG:
         aut, perms = aut_group(A)
-        for gens in (generating_set(aut), [t for t, p in enumerate(perms) if p[1:2] == (1,)]):
+        for gens in (generating_set(aut), _stabiliser(aut),
+                     [t for t, p in enumerate(perms) if p[1:2] == (1,)]):
             root, canon = _class_roots(aut, gens)
             group = closure(aut, gens)
             for phi in range(aut.order):
@@ -645,6 +648,75 @@ def test_class_roots_canonise_onto_the_least_conjugate():
                 assert aut.table[aut.table[kappa][phi]][aut.inverse[kappa]] == root[phi], A.name
                 assert root[phi] == min(
                     aut.table[aut.table[t][phi]][aut.inverse[t]] for t in group), A.name
+
+
+def test_stabiliser_generators_span_exactly_the_fixed_indices():
+    # For all of Aut(A), Stab(1) and the centraliser of each class root, the
+    # kept generators pass the condition and their span holds every index
+    # that does; none of the groups needs more generators than the greedy
+    # ascending-index set of the whole group.
+    for A in CATALOG:
+        aut, perms = aut_group(A)
+        tx = aut.table
+        gens = _stabiliser(aut)
+        assert len(_Span(tx, gens).elems) == aut.order, A.name
+        assert len(gens) <= len(generating_set(aut)), A.name
+        root = _class_roots(aut, gens)[0]
+        conditions = [lambda t: perms[t][1:2] == (1,)] * (A.order > 1) + [
+            lambda t, r=r: tx[t][r] == tx[r][t] for r in range(aut.order) if root[r] == r]
+        for fixes in conditions:
+            kept = _stabiliser(aut, fixes)
+            assert all(map(fixes, kept)), A.name
+            assert len(_Span(tx, kept).elems) == sum(map(fixes, range(aut.order))), A.name
+    c2x2x2 = dict(group_catalog(8))["C2xC2xC2"]
+    assert len(_stabiliser(aut_group(c2x2x2)[0])) == 2
+
+
+def test_census_orbits_run_on_small_generating_sets(monkeypatch):
+    # Points and moves of every orbit closed by one census(8) and one
+    # census_oracle(8), after a first call of each has cached the root
+    # twists: the points depend only on the groups acting, the moves on
+    # their generators (1,408 and 9,411 with ascending-index generators).
+    module = sys.modules["skewbrace.census"]
+    orbits = module._orbits
+    counts = {"points": 0, "moves": 0}
+
+    def counting(points, moves):
+        def counted(x):
+            out = list(moves(x))
+            counts["moves"] += len(out)
+            return out
+
+        tree = orbits(points, counted)
+        counts["points"] += len(tree)
+        return tree
+
+    census(8)
+    census_oracle(8)
+    monkeypatch.setattr(module, "_orbits", counting)
+    for route, points, moves in ((census, 314, 628), (census_oracle, 1374, 4934)):
+        counts.update(points=0, moves=0)
+        route(8)
+        assert counts["points"] == points and counts["moves"] <= moves, (route, counts)
+
+
+def test_oracle_finds_each_centraliser_once_per_additive_group(monkeypatch):
+    # The stabiliser scans of one census_oracle(8), the calls with a
+    # condition: one centraliser per class root and additive group, kept
+    # across the multiplicative groups, and one Stab(lam) per pool (122
+    # scans when each (C, A) pair found its own centralisers).
+    module = sys.modules["skewbrace.census"]
+    stabiliser = module._stabiliser
+    scans = []
+
+    def counting(aut, fixes=None):
+        if fixes is not None:
+            scans.append(aut)
+        return stabiliser(aut, fixes)
+
+    monkeypatch.setattr(module, "_stabiliser", counting)
+    assert census_oracle(8) == EXPECTED_COUNTS[8]
+    assert len(scans) <= 66
 
 
 def test_action_search_names_the_dropped_homomorphism(monkeypatch):
@@ -819,6 +891,8 @@ def test_label_without_matching_catalog_group_raises():
     catalog = group_catalog(8)
     q8 = dict(catalog)["Q8"]
     assert _label_group(q8, catalog) == "Q8"
+    spectra = [sorted(element_orders(H)) for _, H in catalog]
+    assert _label_group(q8, catalog, spectra) == "Q8"
     without = [entry for entry in catalog if entry[0] != "Q8"]
     with pytest.raises(SkewBraceError, match="no catalog group matches"):
         _label_group(q8, without)
