@@ -29,16 +29,16 @@ generator pairs, so a branch dies as soon as a prefix of generator
 images fails.  Both routes compose automorphisms by one lookup in the
 indexed Aut(A) of `aut_group`.
 
-The routes share only table-level primitives: that walker, behind
-`aut_group`, `_label_group` and `brace_isomorphic` (over the additive and
-multiplicative tables at once) as well as the oracle's searches,
-`_hol_orders`, one helper `_stabiliser` giving the generators of every
-acting group and stabiliser by descending element order, and one orbit
-kernel `_orbits`, which returns the Schreier tree of the orbits.  Read off
-that tree are the class roots `_class_roots` (under Stab(1) for the
-primary route, under all of Aut(A) for the oracle), the relabeling orbits
-of `_orbit_representatives` and the classes of `_action_classes`.  The
-primary route's own search is `_regular_families`.
+The routes share only table-level primitives, the group actions from
+`groups`: the walker, behind `aut_group`, `_label_group` and
+`brace_isomorphic` (over the additive and multiplicative tables at once)
+as well as the oracle's searches; `_stabiliser`, the generators of every
+acting group and stabiliser; the orbit kernel `_orbits`, whose Schreier
+tree gives the relabeling orbits of `_orbit_representatives` and the
+classes of `_action_classes`; and `_class_roots` (under Stab(1) for the
+primary route, under all of Aut(A) for the oracle).  Besides them the
+routes share `_hol_orders`; the primary route's own search is
+`_regular_families`.
 """
 
 from __future__ import annotations
@@ -49,13 +49,15 @@ from .braces import SkewBrace
 from .errors import OrderBoundExceeded, SkewBraceError
 from .groups import (
     FiniteGroup,
-    _Span,
     _cached,
+    _class_roots,
     _dihedral,
     _generator_levels,
     _group,
     _map_search,
+    _orbits,
     _relabel,
+    _stabiliser,
     _walk,
     aut_group,
     cyclic_extension,
@@ -144,61 +146,6 @@ def _hol_orders(A: FiniteGroup) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, hol))
 
     return _cached(A, "hol_orders", build)
-
-
-def _orbits(points, moves) -> dict:
-    """The Schreier tree of the orbits meeting `points` (Holt, Eick &
-    O'Brien, Handbook of Computational Group Theory, 2005, 4.1): each
-    orbit closed breadth first from the first point not yet reached,
-    through members outside `points` too, under moves(x), the (label, y)
-    pairs of the moves of x.  Each reached member maps to the
-    (parent, label) that first reached it, or to None for a root, in the
-    order reached."""
-    tree: dict = {}
-    for p in points:
-        if p not in tree:
-            tree[p] = None
-            orbit = [p]
-            for x in orbit:
-                for label, y in moves(x):
-                    if y not in tree:
-                        tree[y] = (x, label)
-                        orbit.append(y)
-    return tree
-
-
-def _stabiliser(aut: FiniteGroup, fixes=None) -> list[int]:
-    """Generators of the subgroup of the indices t of aut with fixes(t), or
-    of all of aut if fixes is None, kept by `_Span` from the candidates in
-    descending element order, ties by index: an element of large order
-    reaches much of the group at once, so Aut(C2xC2xC2) = GL(3,2) gets 2
-    generators where ascending index keeps 5.  Only the subgroup generated
-    matters to the orbits and class roots read off these generators.  The
-    candidate order is cached in aut."""
-    candidates = _cached(aut, "descending_orders", lambda: tuple(sorted(
-        aut.elements(), key=lambda t: (-element_orders(aut)[t], t))))
-    return _Span(aut.table, filter(fixes, candidates) if fixes else candidates).gens
-
-
-def _class_roots(aut: FiniteGroup, gens) -> tuple[list[int], list[int]]:
-    """For each index phi of aut, the least index of its class
-    phi ~ theta phi theta^-1 under the subgroup the indices `gens` generate,
-    and an index kappa with kappa phi kappa^-1 that least index.
-
-    Read off the `_orbits` tree of conjugation by the generators, whose
-    roots are the least members: psi = g x g^-1 gets kappa_x g^-1, as
-    kappa_x g^-1 psi g kappa_x^-1 = kappa_x x kappa_x^-1.
-    """
-    tx, inv = aut.table, aut.inverse
-    root, canon = [0] * aut.order, [0] * aut.order
-    tree = _orbits(range(aut.order), lambda x: [(g, tx[tx[g][x]][inv[g]]) for g in gens])
-    for psi, edge in tree.items():
-        if edge is None:
-            root[psi] = psi
-        else:
-            x, g = edge
-            root[psi], canon[psi] = root[x], tx[canon[x]][inv[g]]
-    return root, canon
 
 
 def _root_twists(A: FiniteGroup) -> frozenset[int]:
@@ -374,18 +321,15 @@ class BraceCensus(NamedTuple):
 
 
 def _label_group(G: FiniteGroup, catalog: Sequence[tuple[str, FiniteGroup]],
-                 spectra: Optional[Sequence[list[int]]] = None) -> str:
+                 spectra: Sequence[list[int]]) -> str:
     """The label of the first catalog group H isomorphic to G, among those
     with G's sorted element orders, proven by one `_walk` over H's cached
     generator levels onto the elements of G of each generator's order: an
     injective homomorphism between groups of one order is an isomorphism,
-    and it keeps the order of every element.  `spectra`, the catalog
-    groups' sorted element orders in catalog order, is sorted here if not
-    given."""
+    and it keeps the order of every element.  `spectra` holds the catalog
+    groups' sorted element orders, in catalog order."""
     orders = element_orders(G)
     spectrum = sorted(orders)
-    if spectra is None:
-        spectra = [sorted(element_orders(H)) for _, H in catalog]
     ident = [tuple(range(G.order))] * G.order
     for (label, H), sorted_orders in zip(catalog, spectra):
         levels = _generator_levels(H)
@@ -432,7 +376,7 @@ def _action_homs(C: FiniteGroup, aut: FiniteGroup, first):
 
 
 def _action_classes(C: FiniteGroup, c_aut: FiniteGroup, c_perms, aut: FiniteGroup,
-                    root, canon, centralisers: Optional[dict] = None) -> list[tuple[int, ...]]:
+                    root, canon, centralisers: dict) -> list[tuple[int, ...]]:
     """One homomorphism lam: C -> aut per class under
     (alpha, theta) lam = theta (lam alpha) theta^-1, alpha in Aut(C) (the
     automorphisms `c_perms`, indexed by c_aut), theta in aut; `root` and
@@ -464,8 +408,6 @@ def _action_classes(C: FiniteGroup, c_aut: FiniteGroup, c_perms, aut: FiniteGrou
     tx, inv = aut.table, aut.inverse
     g1 = generating_set(C)[0] if C.order > 1 else 0
     alphas = _stabiliser(c_aut)
-    if centralisers is None:
-        centralisers = {}
 
     def moves(j: int):
         lam = homs[j]

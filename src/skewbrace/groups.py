@@ -27,6 +27,9 @@ generators: level k closes the graph of f on H_k = <g_1..g_k> by
 O(|H_k| k) lookups instead of O(|H_k|^2).  A brace's multiplicative table
 is closed alongside, over the pairs of known elements whose right factor
 is one of its generators.
+One orbit kernel (`_orbits`) gives the Schreier tree of every group action:
+the conjugacy classes and centre, the class roots (`_class_roots`) under the
+subgroups that `_stabiliser` generates, and `census`'s orbits.
 One coset builder (`_cosets`) gives the quotients of groups and braces.  The
 predicates build no quotient: nilpotency is read off element orders,
 supersolubility climbs modulo its last term on G's own table.
@@ -96,12 +99,13 @@ AUT_TABLE_BOUND = 2048
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    `cache` is bounded: eight keys, one value each, built once by `_cached`:
+    `cache` is bounded: nine keys, one value each, built once by `_cached`:
     "generating_set", "element_orders" (which `census` reads off the
     holomorph for its braces), "conjugacy_class_sizes", "generator_levels",
-    "aut_group" and `census`'s "hol_orders", "root_twists" and, on an
-    automorphism group, "descending_orders" (its indices by descending
-    element order, the candidate generators of its subgroups).
+    "aut_group", on an acting group `_stabiliser`'s "descending_orders"
+    (its elements by descending element order, the candidate generators of
+    its subgroups) and "descending_generators" (those kept for all of it),
+    and `census`'s "hol_orders" and "root_twists".
     """
 
     __slots__ = ("order", "table", "inverse", "name", "cache")
@@ -328,13 +332,11 @@ def _prove_group(table: Sequence[Sequence[int]], e: int, name: Optional[str]) ->
         perm[0], perm[e] = e, 0
         rows = _relabel(rows, perm)
     gens = _assoc_generators(rows)
-    # In an associative table with identity a right inverse is unique: the
-    # first 0 in row a, or none (read as 0, failing as rows[0][a] = a != 0).
-    inverse = tuple([row.index(0) if 0 in row else 0 for row in rows])
-    for a, b in enumerate(inverse):
-        if rows[b][a] != 0:
+    # Finite and associative with identity 0: ab = 0 gives ba = 0.
+    for a, row in enumerate(rows):
+        if 0 not in row:
             raise MissingInverse(f"element {a} has no two-sided inverse")
-    G = FiniteGroup(rows, inverse, name)
+    G = _group(rows, name)
     _cached(G, "generating_set", lambda: gens)
     return G
 
@@ -533,8 +535,9 @@ def subgroups(G: FiniteGroup, *others: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def center(G: FiniteGroup) -> tuple[int, ...]:
-    maps = [_conjugation(G, g) for g in generating_set(G)]
-    return tuple(a for a in G.elements() if all(m[a] == a for m in maps))
+    """The elements whose conjugacy class is one element."""
+    sizes = conjugacy_class_sizes(G)
+    return tuple(a for a in G.elements() if sizes[a] == 1)
 
 
 def element_order(G: FiniteGroup, a: int) -> int:
@@ -560,18 +563,73 @@ def element_orders(G: FiniteGroup) -> tuple[int, ...]:
     return _cached(G, "element_orders", build)
 
 
+def _orbits(points, moves) -> dict:
+    """The Schreier tree of the orbits meeting `points` (Holt, Eick &
+    O'Brien, 2005, 4.1): each orbit closed breadth first from the first
+    point not yet reached, through members outside `points` too, under
+    moves(x), the (label, y) pairs of the moves of x.  Each reached member
+    maps to the (parent, label) that first reached it, or to None for a
+    root, in the order reached."""
+    tree: dict = {}
+    for p in points:
+        if p not in tree:
+            tree[p] = None
+            orbit = [p]
+            for x in orbit:
+                for label, y in moves(x):
+                    if y not in tree:
+                        tree[y] = (x, label)
+                        orbit.append(y)
+    return tree
+
+
+def _stabiliser(G: FiniteGroup, fixes=None) -> list[int]:
+    """Generators of the subgroup of the elements t of G with fixes(t), or
+    of all of G if fixes is None, kept by `_Span` from the candidates in
+    descending element order, ties by index: an element of large order
+    reaches much of the group at once, so Aut(C2xC2xC2) = GL(3,2) gets 2
+    generators where ascending index keeps 5.  Only the subgroup generated
+    matters to the orbits and class roots read off these generators.  The
+    candidate order and the generators of all of G are cached in G."""
+    candidates = _cached(G, "descending_orders", lambda: tuple(sorted(
+        G.elements(), key=lambda t: (-element_orders(G)[t], t))))
+    if fixes is None:
+        return list(_cached(G, "descending_generators",
+                            lambda: tuple(_Span(G.table, candidates).gens)))
+    return _Span(G.table, filter(fixes, candidates)).gens
+
+
+def _class_roots(G: FiniteGroup, gens) -> tuple[list[int], list[int]]:
+    """For each element x of G, the least element of its class
+    x ~ t x t^-1 under the subgroup the elements `gens` generate, and an
+    element kappa with kappa x kappa^-1 that least element.
+
+    Read off the `_orbits` tree of conjugation by the generators, whose
+    roots are the least members: y = g x g^-1 gets kappa_x g^-1, as
+    kappa_x g^-1 y g kappa_x^-1 = kappa_x x kappa_x^-1.
+    """
+    t, inv = G.table, G.inverse
+    root, canon = [0] * G.order, [0] * G.order
+    tree = _orbits(G.elements(), lambda x: [(g, t[t[g][x]][inv[g]]) for g in gens])
+    for y, edge in tree.items():
+        if edge is None:
+            root[y] = y
+        else:
+            x, g = edge
+            root[y], canon[y] = root[x], t[canon[x]][inv[g]]
+    return root, canon
+
+
 def conjugacy_class_sizes(G: FiniteGroup) -> tuple[int, ...]:
-    """Size of the conjugacy class of each element, indexed by element;
-    cached in G."""
+    """Size of the conjugacy class of each element, indexed by element:
+    the classes are the `_class_roots` of G under its `generating_set`,
+    O(n |S|) lookups.  Cached in G."""
     def build() -> tuple[int, ...]:
-        t, inv, n = G.table, G.inverse, G.order
-        sizes = [0] * n
-        for a in range(n):
-            if not sizes[a]:
-                cls = {t[t[g][a]][inv[g]] for g in range(n)}
-                for x in cls:
-                    sizes[x] = len(cls)
-        return tuple(sizes)
+        root = _class_roots(G, generating_set(G))[0]
+        sizes = [0] * G.order
+        for r in root:
+            sizes[r] += 1
+        return tuple([sizes[r] for r in root])
 
     return _cached(G, "conjugacy_class_sizes", build)
 

@@ -126,20 +126,19 @@ def _central(B: SkewBrace, coset_of: Sequence[int], inside: Iterable[int],
 
 
 def socle(B: SkewBrace) -> tuple[int, ...]:
-    """Elements with identity lambda map lying in the additive center.
-
-    An ideal by theorem (Guarnieri & Vendramin 2017).
-    """
-    # Modulo I = {0}, every element is its own coset index.
-    return _central(B, B.elements(), B.elements(), False)
+    """Elements with identity lambda map lying in the additive center: an
+    ideal by theorem (Guarnieri & Vendramin 2017), the first term of the
+    socle series after {0}."""
+    terms = socle_series(B).terms
+    return terms[min(1, len(terms) - 1)]
 
 
 def zeta(B: SkewBrace) -> tuple[int, ...]:
-    """The center: socle elements that also commute multiplicatively.
-
-    An ideal by theorem (Guarnieri & Vendramin 2017).
-    """
-    return _central(B, B.elements(), B.elements(), True)
+    """The center: socle elements that also commute multiplicatively; an
+    ideal by theorem (Guarnieri & Vendramin 2017), the first term of the
+    upper central series after {0}."""
+    terms = upper_central_series(B).terms
+    return terms[min(1, len(terms) - 1)]
 
 
 def _ascending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:

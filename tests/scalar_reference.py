@@ -57,8 +57,8 @@ from skewbrace.errors import (ActionNotHomomorphism, CocycleIdentityViolation,
                               DeltaNotBijective, DistributivityViolation, NonAssociative,
                               NotClosed, ParseError, RetractNotWellDefined,
                               SolutionInvalid, TranscriptionInvalid)
-from skewbrace.groups import (_Span, _compose, _cosets, _group, closure, conjugacy_class_sizes,
-                              element_order, element_orders, generating_set, subgroups)
+from skewbrace.groups import (_Span, _compose, _cosets, _group, closure, element_order,
+                              element_orders, generating_set, subgroups)
 from skewbrace.substructure import SubStructure, all_ideals
 from skewbrace.ybe import Solution, SolutionChecks, _braid_holds
 
@@ -298,6 +298,26 @@ def solution_checks(size, r1, r2):
     right = all(_is_perm([r2[x][y] for x in range(n)]) for y in range(n))
     return SolutionChecks(braid=_braid_holds(n, r1, r2), bijective=bijective,
                           nondegenerate=left and right)
+
+
+def conjugacy_class_sizes(G):
+    """The size of each element's conjugacy class, each class found by
+    conjugating its first element by every element: O(n k) lookups for k
+    classes."""
+    t, inv, n = G.table, G.inverse, G.order
+    sizes = [0] * n
+    for a in range(n):
+        if not sizes[a]:
+            cls = {t[t[g][a]][inv[g]] for g in range(n)}
+            for x in cls:
+                sizes[x] = len(cls)
+    return tuple(sizes)
+
+
+def center(G):
+    """The elements commuting with every element."""
+    t = G.table
+    return tuple(a for a in G.elements() if all(t[a][g] == t[g][a] for g in G.elements()))
 
 
 def map_search(sources, targets, want_all):

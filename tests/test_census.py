@@ -31,22 +31,20 @@ from skewbrace.census import (
     _action_classes,
     _action_homs,
     _bijective_cocycles,
-    _class_roots,
     _hol_orders,
     _label_group,
     _oracle_counts,
     _oracle_pools,
     _orbit_representatives,
-    _orbits,
     _regular_families,
     _root_twists,
-    _stabiliser,
 )
 from skewbrace import groups
 from skewbrace.cli import write_census_document
 from skewbrace.braces import _brace
-from skewbrace.groups import (_Span, _compose, _generator_levels, _group, _relabel,
-                              element_order, element_orders, generating_set)
+from skewbrace.groups import (_Span, _class_roots, _compose, _generator_levels, _group, _orbits,
+                              _relabel, _stabiliser, element_order, element_orders,
+                              generating_set)
 
 import scalar_reference as ref
 
@@ -677,8 +675,10 @@ def test_census_orbits_run_on_small_generating_sets(monkeypatch):
     # census_oracle(8), after a first call of each has cached the root
     # twists: the points depend only on the groups acting, the moves on
     # their generators (1,408 and 9,411 with ascending-index generators).
+    # The kernel is counted in `groups`, where the class roots call it,
+    # and under the name `census` imports.
     module = sys.modules["skewbrace.census"]
-    orbits = module._orbits
+    orbits = groups._orbits
     counts = {"points": 0, "moves": 0}
 
     def counting(points, moves):
@@ -693,11 +693,33 @@ def test_census_orbits_run_on_small_generating_sets(monkeypatch):
 
     census(8)
     census_oracle(8)
+    monkeypatch.setattr(groups, "_orbits", counting)
     monkeypatch.setattr(module, "_orbits", counting)
     for route, points, moves in ((census, 314, 628), (census_oracle, 1374, 4934)):
         counts.update(points=0, moves=0)
         route(8)
         assert counts["points"] == points and counts["moves"] <= moves, (route, counts)
+
+
+def test_acting_groups_are_spanned_once(monkeypatch):
+    # After a first call, census(8) spans no group again: Aut(A) keeps the
+    # generators `_stabiliser` found for it.  census_oracle(8) spans only
+    # the filtered stabilisers, the centralisers and the Stab(lam) (96
+    # spans when Aut(A) and Aut(C) were spanned again on every call).
+    spans = []
+
+    class Counting(_Span):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            spans.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    census(8)
+    census_oracle(8)
+    monkeypatch.setattr(groups, "_Span", Counting)
+    assert census(8).count() == EXPECTED_COUNTS[8] and not spans
+    assert census_oracle(8) == EXPECTED_COUNTS[8] and 0 < len(spans) <= 66
 
 
 def test_oracle_finds_each_centraliser_once_per_additive_group(monkeypatch):
@@ -741,7 +763,7 @@ def test_action_search_names_the_dropped_homomorphism(monkeypatch):
     kept = [lam for lam in homs if lam != dropped]
     monkeypatch.setattr(module, "_action_homs", lambda *args: kept)
     with pytest.raises(SkewBraceError, match="dropped a homomorphism") as info:
-        _action_classes(c2x2x2, c_aut, c_perms, aut, root, canon)
+        _action_classes(c2x2x2, c_aut, c_perms, aut, root, canon, {})
     a, t, j = map(int, re.search(r"\(alpha (\d+), theta (\d+)\) move hom (\d+)",
                                  str(info.value)).groups())
     assert move(kept[j], a, t) == dropped
@@ -890,12 +912,11 @@ def test_keyed_labels_match_first_isomorphic_catalog_group(n):
 def test_label_without_matching_catalog_group_raises():
     catalog = group_catalog(8)
     q8 = dict(catalog)["Q8"]
-    assert _label_group(q8, catalog) == "Q8"
     spectra = [sorted(element_orders(H)) for _, H in catalog]
     assert _label_group(q8, catalog, spectra) == "Q8"
     without = [entry for entry in catalog if entry[0] != "Q8"]
     with pytest.raises(SkewBraceError, match="no catalog group matches"):
-        _label_group(q8, without)
+        _label_group(q8, without, [sorted(element_orders(H)) for _, H in without])
 
 
 def test_census_label_order():

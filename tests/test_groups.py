@@ -447,6 +447,17 @@ def test_conjugacy_class_sizes():
     assert tuple(sorted(conjugacy_class_sizes(q8))) == (1, 1, 2, 2, 2, 2, 2, 2)
 
 
+def test_class_sizes_and_centre_match_the_all_elements_scan(full_pool, products):
+    # The classes come from the Schreier tree of conjugation by a
+    # generating set; the reference conjugates by every element.
+    groups = [aut_group(A)[0] for n in range(1, 16) for _, A in group_catalog(n)]
+    for B in full_pool + list(products.values()):
+        groups += [B.add_group, B.mul_group]
+    for G in groups:
+        assert conjugacy_class_sizes(G) == ref.conjugacy_class_sizes(G), G.name
+        assert center(G) == ref.center(G), G.name
+
+
 def test_group_isomorphism_positive_and_negative():
     c6 = cyclic_group(6)
     assert group_isomorphism(c6, direct_product(cyclic_group(2), cyclic_group(3))) is not None
