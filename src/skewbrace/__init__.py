@@ -5,12 +5,10 @@ ideal and series structure, decides supersolubility with certificates,
 derives and retracts set-theoretic Yang-Baxter solutions, and enumerates
 all braces of a given small order by two independent routes.
 
-The package re-exports the `__all__` of each submodule; from `census` it
-takes the names below, so `ENUMERATION_ORDER_BOUND` stays in the module.
-`skewbrace.census` is the function `census`, bound over the submodule of
-the same name, and so is `import skewbrace.census as m`.  The module is
-reached by `from skewbrace.census import ...` or by
-`sys.modules["skewbrace.census"]`.
+The package re-exports the `__all__` of each submodule.  `skewbrace.census`
+is the function `census`, bound over the submodule of the same name, and
+so is `import skewbrace.census as m`.  The module is reached by
+`from skewbrace.census import ...` or by `sys.modules["skewbrace.census"]`.
 """
 
 from .errors import *
@@ -20,16 +18,7 @@ from .substructure import *
 from .series import *
 from .classify import *
 from .ybe import *
-from .census import (
-    CensusEntry,
-    BraceCensus,
-    quaternion_group,
-    group_catalog,
-    braces_with_additive_group,
-    census,
-    census_oracle,
-    brace_isomorphic,
-)
+from .census import *
 from .fixtures import *
 
 __version__ = "1.0.0"

@@ -304,13 +304,13 @@ def brace_from_cocycle(spec: CocycleSpec, name: Optional[str] = None) -> SkewBra
         raise TranscriptionInvalid(
             f"delta must send the identity to 0, got {spec.delta[0]}")
     ta, tm = add.table, mul.table
-    acting = spec.acting
     # Additivity at x, compatibility at c and then the cocycle identity at d
     # are closed under + or products, so x, c and d run over generating sets.
-    for c, p in enumerate(acting):
+    for c, p in enumerate(spec.acting):
         fault = _automorphism_fault(add, p)
         if fault:
             raise TranscriptionInvalid(f"acting map of element {c} {fault}")
+    acting = [tuple(p) for p in spec.acting]
     for c in generating_set(mul):
         pc = acting[c]
         for d in range(n):

@@ -68,7 +68,6 @@ from .groups import (
 )
 
 __all__ = [
-    "ENUMERATION_ORDER_BOUND",
     "group_catalog",
     "quaternion_group",
     "braces_with_additive_group",

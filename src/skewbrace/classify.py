@@ -4,7 +4,8 @@ The primary decision procedure is greedy: a nonzero brace is supersoluble
 exactly when it has some prime-order ideal whose quotient is supersoluble,
 so the search never needs to backtrack.  The exhaustive cross-check,
 `is_supersoluble_oracle`, is the one search that walks the cached ideal
-lattice for a chain.
+lattice for a chain.  A Sylow tower is the same greedy climb with its
+primes ranked in the tower's order.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .braces import SkewBrace
-from .groups import (GroupPredicates, _cached, _cosets, _is_prime, _primes_of,
-                     element_orders, group_predicates)
+from .groups import (GroupPredicates, _cached, _is_prime, _primes_of, element_orders,
+                     group_predicates)
 from .series import (
     IdealChain,
     _ascending_series,
@@ -51,17 +52,24 @@ class SupersolubleResult(NamedTuple):
         return self.supersoluble
 
 
+def _prime_cover(B: SkewBrace, I: tuple[int, ...], rank) -> tuple[int, ...]:
+    """The ideal of prime index p over the ideal I least by (rank(p),
+    elements), read off `_covers`, or I when there is none: the one step of
+    the greedy prime-index climbs."""
+    return min((J for J in _covers(B, I) if _is_prime(len(J) // len(I))),
+               key=lambda J: (rank(len(J) // len(I)), J), default=I)
+
+
 def is_supersoluble(B: SkewBrace) -> SupersolubleResult:
     """Greedy search for a chain of ideals of B with prime-order factors.
 
-    At each level the ideal of prime index over the last term I that is
-    minimal over I and least under (size, elements) is taken.  When there
-    is none, the indices of the ideals minimal over I, which are the orders
-    of the minimal ideals of B/I, are reported.
+    At each level the `_prime_cover` of the last term I ranked by its
+    prime, the one least under (size, elements), is taken.  When there is
+    none, the indices of the ideals minimal over I, which are the orders of
+    the minimal ideals of B/I, are reported.
     """
     def build() -> SupersolubleResult:
-        terms = _ascending_series(B, lambda I: next(
-            (J for J in _covers(B, I) if _is_prime(len(J) // len(I))), I))
+        terms = _ascending_series(B, lambda I: _prime_cover(B, I, lambda p: p))
         last = terms[-1]
         if len(last) == B.order:
             return SupersolubleResult(True, _chain(B, terms), tuple(terms), ())
@@ -128,31 +136,20 @@ def u_p(B: SkewBrace, p: int) -> UPResult:
 def sylow_tower(B: SkewBrace) -> Optional[IdealChain]:
     """A chain of prime-order factors grouped by descending odd primes, 2 last.
 
-    Only supersoluble braces carry one; the builder climbs section by
-    section, each section exhausted through ideals of prime index minimal
-    over the last term before the next prime starts.
+    Only supersoluble braces carry one.  It is the greedy prime-index climb
+    in that order: each step takes the `_prime_cover` of the last term I
+    ranked by (p == 2, -p), with no search over sections.  The section of a
+    prime q holds the elements whose additive order has no prime ranked
+    after q.  An ideal J of prime index q over I is I + <a> for the q-part
+    a of any x in J outside I, as a lies in x + I and has q-power additive
+    order; so J lies in the section of q.  Once the sections of the primes
+    ranked before q lie inside I, no such prime indexes a cover of I or
+    divides |B/I|, and the Sylow tower of the supersoluble B/I starts with
+    the image of a cover of index q.
     """
     if not is_supersoluble(B).supersoluble:
         return None
-    add_ord = element_orders(B.add_group)
-    primes_of_order = {k: set(_primes_of(k)) for k in set(add_ord)}
-    sections = []
-    allowed: set[int] = set()
-    for q in sorted(_primes_of(B.order), key=lambda q: (q == 2, -q)):
-        allowed.add(q)
-        target = {x for x in B.elements() if primes_of_order[add_ord[x]] <= allowed}
-        sections.append((q, target))
-
-    def step(I: tuple[int, ...]) -> tuple[int, ...]:
-        # The last section is all of B, so below B some image is nontrivial.
-        coset_of = _cosets(B.add_group, I)[0]
-        for q, target in sections:
-            image = {coset_of[x] for x in target}
-            if len(image) > 1:
-                return next(J for J in _covers(B, I) if len(J) == q * len(I)
-                            and {coset_of[x] for x in J} <= image)
-
-    return _chain(B, _ascending_series(B, step))
+    return _chain(B, _ascending_series(B, lambda I: _prime_cover(B, I, lambda p: (p == 2, -p))))
 
 
 class ClassificationReport(NamedTuple):

@@ -29,7 +29,8 @@ is closed alongside, over the pairs of known elements whose right factor
 is one of its generators.
 One orbit kernel (`_orbits`) gives the Schreier tree of every group action:
 the conjugacy classes and centre, the class roots (`_class_roots`) under the
-subgroups that `_stabiliser` generates, and `census`'s orbits.
+subgroups that `_stabiliser` generates, `census`'s orbits, and the rows of
+`aut_group`'s table, composed from its strong generators' rows.
 One coset builder (`_cosets`) gives the quotients of groups and braces.  The
 predicates build no quotient: nilpotency is read off element orders,
 supersolubility climbs modulo its last term on G's own table.
@@ -968,46 +969,49 @@ def automorphism_perms(G: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
+def _strong_generators(images: Sequence[tuple[int, ...]], gens: Sequence[int]) -> list[int]:
+    """Positions of the strong generating set of `aut_group`, given each
+    automorphism's images of the base `gens` in list order: for each pair
+    (i, v) with g_i the first generator an automorphism moves and v its
+    image, the first automorphism listed with that pair."""
+    first: dict[tuple[int, int], int] = {}
+    for k, im in enumerate(images):
+        moved = next((i for i, (v, g) in enumerate(zip(im, gens)) if v != g), None)
+        if moved is not None:
+            first.setdefault((moved, im[moved]), k)
+    return list(first.values())
+
+
 def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     """The automorphism group under composition, with its permutation list.
 
-    The table is built from generator rows.  An automorphism is fixed by its
-    images of generators, so the row of p (the index of p . q for every q)
-    can be looked up by the images p(q(g)) of a generating set of G.  That
-    is done only for the automorphisms kept greedily, in index order, as
-    generators of Aut(G): at most log2 |Aut(G)| + 1 rows.  Every other row
-    is reached in the orbit of the identity under left multiplication by
-    them, as row[s . p] = [row_s[v] for v in row_p]; as in `_Span`, a new
-    generator s gives a subgroup K with K s = K, so the words ending in s
-    reach all of K.  The list is `automorphism_perms`, so it is bounded.
-    Both are cached in G while G lives, at most about 34 MB at the bound;
-    each call checks the bound again and returns the shared aut and a new list.
+    An automorphism is fixed by its images of the generators g_1..g_k of
+    `generating_set(G)`, so the row of p (the index of p . q for every q)
+    can be looked up by the images p(q(g)).  That is done only for the
+    `_strong_generators` of Aut(G) for the base g_1..g_k (Sims 1970; Holt,
+    Eick & O'Brien, 2005, ch. 4), each row through one C-level getter per
+    automorphism q.  Let U_i be the automorphisms fixing g_1..g_{i-1}.  The
+    kept automorphisms at level i represent the cosets of U_{i+1} in U_i
+    other than U_{i+1}, told apart by the image of g_i, and U_{k+1} is
+    trivial.  So they generate Aut(G), with no membership test.  Every
+    other row is composed along the `_orbits` tree of left multiplication
+    by them from the identity: row[s . e] is row[e] read through row[s].
+    The list is `automorphism_perms`, so it is bounded.  Both are cached in
+    G while G lives, at most about 34 MB at the bound; each call checks the
+    bound again and returns the shared aut and a new list.
     """
     def build() -> tuple[FiniteGroup, tuple[tuple[int, ...], ...]]:
         perms = automorphism_perms(G)
         gens = generating_set(G)
-        index = {tuple([p[g] for g in gens]): i for i, p in enumerate(perms)}
-        images = [[q[g] for g in gens] for q in perms]
+        images = list(map(_row_getter(gens), perms))
+        index = {im: i for i, im in enumerate(images)}
+        through = list(map(_row_getter, images))
+        strong = [tuple([index[get(perms[s])] for get in through])
+                  for s in _strong_generators(images, gens)]
         rows: list = [None] * len(perms)
-        rows[0] = tuple(range(len(perms)))
-        elems = [0]
-        gen_rows: list[tuple[int, ...]] = []
-        for s, p in enumerate(perms):
-            if rows[s] is not None:
-                continue
-            rows[s] = tuple([index[tuple([p[x] for x in qg])] for qg in images])
-            gen_rows.append(rows[s])
-            i = len(elems)
-            elems.append(s)
-            while i < len(elems):
-                e = elems[i]
-                row_e = rows[e]
-                i += 1
-                for row_s in gen_rows:
-                    z = row_s[e]
-                    if rows[z] is None:
-                        rows[z] = _row_getter(row_e)(row_s)
-                        elems.append(z)
+        tree = _orbits((0,), lambda e: [(row_s, row_s[e]) for row_s in strong])
+        for y, edge in tree.items():
+            rows[y] = _row_getter(rows[edge[0]])(edge[1]) if edge else tuple(range(len(perms)))
         return _group(tuple(rows), f"Aut({G.name or '?'})"), tuple(perms)
 
     aut, perms = _cached(G, "aut_group", build)

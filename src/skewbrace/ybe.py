@@ -112,7 +112,7 @@ def retract(S: Solution) -> tuple[Solution, list[int]]:
     and r2 is compared whole with its class's rows read back through the
     labels; only a row that differs is scanned, to name the first pair."""
     reps: dict[tuple, int] = {}
-    class_of = [reps.setdefault(sig, len(reps)) for sig in zip(S.r1, zip(*S.r2))]
+    class_of = [reps.setdefault(sig, len(reps)) for sig in zip(map(tuple, S.r1), zip(*S.r2))]
     member = [class_of.index(c) for c in range(len(reps))]
     labels1 = [_row_getter(row)(class_of) for row in S.r1]
     labels2 = [_row_getter(row)(class_of) for row in S.r2]

@@ -70,3 +70,19 @@ def ybe_products(worked_examples):
         "ex12xex12": direct_product_braces(ex["ex12"], ex["ex12"]),
         "ex24xex8": direct_product_braces(ex["ex24"], ex["ex8"]),
     }
+
+
+@pytest.fixture(scope="session")
+def odd_prime_products(worked_examples):
+    """Products whose orders have two or three odd primes, by name: the
+    only pool where a Sylow tower orders two odd primes.  C15xex8 is not
+    supersoluble, as ex8 is not."""
+    ex = {name: w.brace for name, w in worked_examples.items()}
+    c15 = census(15).entries[0].brace
+    d14 = next(e.brace for e in census(14).entries if e.brace.name == "D14#0")
+    return {
+        "C15xex12": direct_product_braces(c15, ex["ex12"]),
+        "ex12xC5": direct_product_braces(ex["ex12"], trivial_brace(cyclic_group(5))),
+        "D14#0xC15": direct_product_braces(d14, c15),
+        "C15xex8": direct_product_braces(c15, ex["ex8"]),
+    }

@@ -48,6 +48,13 @@ join loop that closes each join in both tables at once.
 the carrier, before one subset prover proved them on generators; the tests
 require the same flags, and filter the ideal lattice's oracles by them.
 `is_normal` means a normal subgroup: a subgroup, and conjugation-invariant.
+
+`sylow_tower` is `classify.sylow_tower` as it climbed section by section,
+the section of a prime q holding the elements whose additive order has no
+prime ranked after q (odd primes descending, 2 last): each step took the
+first section not inside the last term I, and the least ideal of index q
+minimal over I whose image modulo I lies in the section's image.  The
+tests require the same terms from the greedy prime-index climb.
 """
 
 from itertools import product
@@ -57,9 +64,10 @@ from skewbrace.errors import (ActionNotHomomorphism, CocycleIdentityViolation,
                               DeltaNotBijective, DistributivityViolation, NonAssociative,
                               NotClosed, ParseError, RetractNotWellDefined,
                               SolutionInvalid, TranscriptionInvalid)
-from skewbrace.groups import (_Span, _compose, _cosets, _group, closure, element_order,
-                              element_orders, generating_set, subgroups)
-from skewbrace.substructure import SubStructure, all_ideals
+from skewbrace.classify import is_supersoluble_oracle
+from skewbrace.groups import (_Span, _compose, _cosets, _group, _primes_of, closure,
+                              element_order, element_orders, generating_set, subgroups)
+from skewbrace.substructure import SubStructure, _covers, all_ideals
 from skewbrace.ybe import Solution, SolutionChecks, _braid_holds
 
 
@@ -565,3 +573,25 @@ def is_normal(G, elems):
     s = set(elems)
     t, inv = G.table, G.inverse
     return is_subgroup(G, s) and all(t[t[g][h]][inv[g]] in s for g in G.elements() for h in s)
+
+
+def sylow_tower(B):
+    if not is_supersoluble_oracle(B):
+        return None
+    add_ord = element_orders(B.add_group)
+    sections = []
+    allowed = set()
+    for q in sorted(_primes_of(B.order), key=lambda q: (q == 2, -q)):
+        allowed.add(q)
+        sections.append((q, [x for x in B.elements() if set(_primes_of(add_ord[x])) <= allowed]))
+    terms = [(0,)]
+    while len(terms[-1]) < B.order:
+        I = terms[-1]
+        coset_of = _cosets(B.add_group, I)[0]
+        for q, target in sections:
+            image = {coset_of[x] for x in target}
+            if len(image) > 1:
+                break
+        terms.append(next(J for J in _covers(B, I) if len(J) == q * len(I)
+                          and {coset_of[x] for x in J} <= image))
+    return tuple(terms)

@@ -165,6 +165,9 @@ def test_cocycle_round_trip_recovers_action_and_product(worked_examples):
             assert b.lam_table[delta[c]] == tuple(spec.acting[c]), ex.name
         rebuilt = brace_from_cocycle(spec)
         assert rebuilt.tables() == b.tables(), ex.name
+        # Rows given as lists are sequences of ints too, and build the same brace.
+        listed = spec._replace(acting=[list(p) for p in spec.acting], delta=list(spec.delta))
+        assert brace_from_cocycle(listed).tables() == b.tables(), ex.name
 
 
 def test_identity_cocycle_yields_trivial_brace():

@@ -43,8 +43,8 @@ from skewbrace import groups
 from skewbrace.cli import write_census_document
 from skewbrace.braces import _brace
 from skewbrace.groups import (_Span, _class_roots, _compose, _generator_levels, _group, _orbits,
-                              _relabel, _stabiliser, element_order, element_orders,
-                              generating_set)
+                              _relabel, _stabiliser, _strong_generators, element_order,
+                              element_orders, generating_set)
 
 import scalar_reference as ref
 
@@ -244,6 +244,20 @@ def test_aut_group_matches_composed_permutations():
         assert make_group(aut.table).table == aut.table, A.name
         orders.append(aut.order)
     assert orders[-3:] == [96, 16, 192]
+
+
+def test_strong_generators_span_aut():
+    # One automorphism per (first generator moved, its image): the levels
+    # of Sims's stabiliser chain for the base `generating_set(A)`.  They are
+    # spanned in the table of composed permutations, not in `aut_group`'s,
+    # which is built from them.
+    for A in CATALOG + EXTRA:
+        perms = automorphism_perms(A)
+        index = {p: i for i, p in enumerate(perms)}
+        aut = _group(tuple(tuple(index[_compose(p, q)] for q in perms) for p in perms))
+        gens = generating_set(A)
+        strong = _strong_generators([tuple(p[g] for g in gens) for p in perms], gens)
+        assert closure(aut, strong) == tuple(aut.elements()), A.name
 
 
 def test_aut_group_returns_a_new_list_each_call():

@@ -8,6 +8,7 @@ from skewbrace import (
     OrderBoundExceeded,
     all_ideals,
     brace_report,
+    census,
     chief_series,
     classify_subset,
     cyclic_group,
@@ -29,6 +30,8 @@ from skewbrace import (
     u_p,
 )
 from skewbrace import groups
+
+import scalar_reference as ref
 
 
 def primes_of(n):
@@ -180,16 +183,22 @@ def test_cyclic_sylow_structure_forces_supersolubility(small_pool, medium_entrie
             assert is_supersoluble(b), b.name
 
 
-def test_sylow_tower_exists_iff_supersoluble(small_pool, worked_examples):
-    braces = small_pool + [ex.brace for ex in worked_examples.values()]
-    for b in braces:
+@pytest.fixture(scope="module")
+def tower_pool(full_pool, products, odd_prime_products):
+    """Census orders 1-15, the worked examples and the products, among them
+    the ones with two or three odd primes."""
+    return (full_pool + [e.brace for n in range(13, 16) for e in census(n).entries]
+            + list(products.values()) + list(odd_prime_products.values()))
+
+
+def test_sylow_tower_exists_iff_supersoluble(tower_pool):
+    for b in tower_pool:
         tower = sylow_tower(b)
         assert (tower is not None) == bool(is_supersoluble(b)), b.name
 
 
-def test_sylow_tower_factor_pattern(small_pool, worked_examples):
-    braces = small_pool + [ex.brace for ex in worked_examples.values()]
-    for b in braces:
+def test_sylow_tower_factor_pattern(tower_pool):
+    for b in tower_pool:
         tower = sylow_tower(b)
         if tower is None:
             continue
@@ -197,6 +206,16 @@ def test_sylow_tower_factor_pattern(small_pool, worked_examples):
         odd = [p for p in factors if p != 2]
         assert factors == sorted(odd, reverse=True) + [2] * factors.count(2), b.name
         assert all(f.is_prime_order for f in tower.factors)
+
+
+def test_sylow_tower_matches_the_section_search(tower_pool, odd_prime_products):
+    for b in tower_pool:
+        tower = sylow_tower(b)
+        assert (tower and tower.terms) == ref.sylow_tower(b), b.name
+    # The pool orders two odd primes in a tower: 5 before 3, 7 before 5.
+    assert sylow_tower(odd_prime_products["C15xex12"]).factor_orders() == (5, 3, 3, 2, 2)
+    assert sylow_tower(odd_prime_products["D14#0xC15"]).factor_orders() == (7, 5, 3, 2)
+    assert sylow_tower(odd_prime_products["C15xex8"]) is None
 
 
 def test_sylow_tower_frozen_values(worked_examples):

@@ -13,6 +13,7 @@ from skewbrace import (
     multipermutation_level,
     retract,
     retraction_level,
+    retraction_sizes,
     solution_from_brace,
     trivial_brace,
     verify_solution,
@@ -156,6 +157,12 @@ def test_retraction_level_matches_multipermutation_level(full_pool, worked_examp
         level = retraction_level(sol)
         mp = multipermutation_level(b)
         assert (level is None) == (mp is None), b.name
+        # verify_solution accepts list rows, and so does the retraction.
+        listed = Solution(sol.size, [list(r) for r in sol.r1], [list(r) for r in sol.r2])
+        assert verify_solution(listed.size, listed.r1, listed.r2).all_ok(), b.name
+        assert retract(listed) == retract(sol), b.name
+        assert retraction_sizes(listed) == retraction_sizes(sol), b.name
+        assert retraction_level(listed) == level, b.name
 
 
 def test_frozen_retraction_levels(worked_examples):
