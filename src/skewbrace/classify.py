@@ -2,10 +2,11 @@
 
 The primary decision procedure is greedy: a nonzero brace is supersoluble
 exactly when it has some prime-order ideal whose quotient is supersoluble,
-so the search never needs to backtrack.  The exhaustive cross-check,
-`is_supersoluble_oracle`, is the one search that walks the cached ideal
-lattice for a chain.  A Sylow tower is the same greedy climb with its
-primes ranked in the tower's order.
+so the search never needs to backtrack, and each step is read off the
+cosets of the last term by `groups._prime_steps`, with no lattice.  The
+exhaustive cross-check, `is_supersoluble_oracle`, is the one search that
+walks the cached ideal lattice for a chain.  A Sylow tower is the same
+greedy climb with its primes ranked in the tower's order.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .braces import SkewBrace
-from .groups import (GroupPredicates, _cached, _is_prime, _primes_of, element_orders,
-                     group_predicates)
+from .groups import (GroupPredicates, _ascending_series, _cached, _is_prime, _prime_steps,
+                     _primes_of, element_orders, group_predicates)
 from .series import (
     IdealChain,
-    _ascending_series,
     _chain,
     chief_series,
     fitting,
@@ -27,7 +27,8 @@ from .series import (
     is_soluble,
     multipermutation_level,
 )
-from .substructure import _covers, all_ideals, index, maximal_subbraces
+from .substructure import (_covers, _ideal_maps, all_ideals, classify_subset, index,
+                           maximal_subbraces)
 
 __all__ = [
     "SupersolubleResult",
@@ -52,24 +53,17 @@ class SupersolubleResult(NamedTuple):
         return self.supersoluble
 
 
-def _prime_cover(B: SkewBrace, I: tuple[int, ...], rank) -> tuple[int, ...]:
-    """The ideal of prime index p over the ideal I least by (rank(p),
-    elements), read off `_covers`, or I when there is none: the one step of
-    the greedy prime-index climbs."""
-    return min((J for J in _covers(B, I) if _is_prime(len(J) // len(I))),
-               key=lambda J: (rank(len(J) // len(I)), J), default=I)
-
-
 def is_supersoluble(B: SkewBrace) -> SupersolubleResult:
     """Greedy search for a chain of ideals of B with prime-order factors.
 
-    At each level the `_prime_cover` of the last term I ranked by its
-    prime, the one least under (size, elements), is taken.  When there is
-    none, the indices of the ideals minimal over I, which are the orders of
-    the minimal ideals of B/I, are reported.
+    At each level the `_prime_steps` ideal over the last term I least under
+    (size, elements) is taken.  When there is none, the orders of the
+    minimal ideals of B/I, the indices of the ideals minimal over I, are
+    reported: only a failing verdict reads the lattice.
     """
     def build() -> SupersolubleResult:
-        terms = _ascending_series(B, lambda I: _prime_cover(B, I, lambda p: p))
+        terms = _ascending_series(B, lambda I: min(_prime_steps(B.add_group, _ideal_maps(B), I),
+                                                   key=lambda J: (len(J), J), default=I))
         last = terms[-1]
         if len(last) == B.order:
             return SupersolubleResult(True, _chain(B, terms), tuple(terms), ())
@@ -83,7 +77,7 @@ def is_supersoluble_oracle(B: SkewBrace) -> bool:
     """Exhaustive check: whether some chain of ideals of B climbs from {0}
     to B through prime index steps.
 
-    Independent of the greedy route (`_ascending_series`, `_covers`): depth
+    Independent of the greedy route (`_prime_steps`): depth
     first over B's cached `all_ideals`, each step to the next candidate in
     (size, elements) order, remembering the ideals from which no chain
     climbs, so it may backtrack over every chain of the lattice.
@@ -118,7 +112,7 @@ class UPResult(NamedTuple):
 
 def u_p(B: SkewBrace, p: int) -> UPResult:
     """Both U_p sets, whether they agree, and the ideal flag of the additive
-    one: whether it is in B's cached ideal lattice."""
+    one, proven on generators by `classify_subset` with no lattice."""
     add_ord = element_orders(B.add_group)
     mul_ord = element_orders(B.mul_group)
     kept = {k for k in {*add_ord, *mul_ord} if all(q > p for q in _primes_of(k))}
@@ -129,7 +123,7 @@ def u_p(B: SkewBrace, p: int) -> UPResult:
         additive=additive,
         multiplicative=multiplicative,
         equal=additive == multiplicative,
-        is_ideal=additive in all_ideals(B),
+        is_ideal=classify_subset(B, additive).is_ideal,
     )
 
 
@@ -137,8 +131,8 @@ def sylow_tower(B: SkewBrace) -> Optional[IdealChain]:
     """A chain of prime-order factors grouped by descending odd primes, 2 last.
 
     Only supersoluble braces carry one.  It is the greedy prime-index climb
-    in that order: each step takes the `_prime_cover` of the last term I
-    ranked by (p == 2, -p), with no search over sections.  The section of a
+    in that order: each step takes the `_prime_steps` ideal J over the last
+    term I least by (p == 2, -p, elements) for p = |J/I|.  The section of a
     prime q holds the elements whose additive order has no prime ranked
     after q.  An ideal J of prime index q over I is I + <a> for the q-part
     a of any x in J outside I, as a lies in x + I and has q-power additive
@@ -149,7 +143,9 @@ def sylow_tower(B: SkewBrace) -> Optional[IdealChain]:
     """
     if not is_supersoluble(B).supersoluble:
         return None
-    return _chain(B, _ascending_series(B, lambda I: _prime_cover(B, I, lambda p: (p == 2, -p))))
+    return _chain(B, _ascending_series(B, lambda I: min(
+        _prime_steps(B.add_group, _ideal_maps(B), I), default=I,
+        key=lambda J: (len(J) == 2 * len(I), -len(J), J))))
 
 
 class ClassificationReport(NamedTuple):
@@ -179,7 +175,7 @@ def brace_report(B: SkewBrace, name: str = "") -> ClassificationReport:
     """Aggregate series, substructure and classification data for one brace."""
     # Every ideal is a subbrace: taken first, the subbrace lattice is capped
     # first, and `all_ideals` filters it instead of building a second lattice.
-    maximal = maximal_subbraces(B)
+    maximal, ideals = maximal_subbraces(B), all_ideals(B)
     ss = is_supersoluble(B)
     chain = chief_series(B)
     primes = sorted(_primes_of(B.order))
@@ -200,6 +196,6 @@ def brace_report(B: SkewBrace, name: str = "") -> ClassificationReport:
         fitting_order=len(fitting(B).elements),
         chief_factor_orders=chain.factor_orders(),
         maximal_subbrace_indices=tuple(index(B, s) for s in maximal),
-        ideal_count=len(all_ideals(B)),
+        ideal_count=len(ideals),
         is_trivial=B.is_trivial(),
     )

@@ -32,8 +32,8 @@ the conjugacy classes and centre, the class roots (`_class_roots`) under the
 subgroups that `_stabiliser` generates, `census`'s orbits, and the rows of
 `aut_group`'s table, composed from its strong generators' rows.
 One coset builder (`_cosets`) gives the quotients of groups and braces.  The
-predicates build no quotient: nilpotency is read off element orders,
-supersolubility climbs modulo its last term on G's own table.
+predicates build no quotient: nilpotency is read off element orders, and
+the one prime-step kernel of groups and braces (`_prime_steps`) climbs on cosets.
 
 Exact at the boundary, trusted after: `make_group` proves a table, and a
 table derived from proven groups (quotients, Aut, products, and cyclic
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     ActionNotHomomorphism,
@@ -145,8 +145,13 @@ def _cached(owner, key: str, build):
     return owner.cache[key]
 
 
+def _on_carrier(v: object, n: int) -> bool:
+    """Whether v is an element of 0..n-1: an int in range, not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+
 def _check_closure(table: Sequence[Sequence[int]]) -> None:
-    """Every row has n entries, each an int in 0..n-1.  A row of exact ints
+    """Every row has n entries, each `_on_carrier`.  A row of exact ints
     inside the carrier passes by two set containments; any other row (bool,
     an int subclass, an unhashable entry) is scanned to name the witness.
     The types are tested first, so no unhashable entry reaches the set."""
@@ -158,7 +163,7 @@ def _check_closure(table: Sequence[Sequence[int]]) -> None:
         if ints.issuperset(map(type, row)) and carrier.issuperset(row):
             continue
         for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not _on_carrier(v, n):
                 raise NotClosed(f"entry at ({a}, {b}) is {v!r}, outside 0..{n - 1}")
 
 
@@ -379,10 +384,9 @@ def direct_product(left: FiniteGroup, right: FiniteGroup,
 
 
 def _off_carrier(p: Sequence, n: int) -> Optional[str]:
-    """Names the first entry of p that is not an int in 0..n-1 (a bool is
-    an int, as in `_subset`), or None."""
+    """Names the first entry of p that is not `_on_carrier`, or None."""
     for x, v in enumerate(p):
-        if not (isinstance(v, int) and 0 <= v < n):
+        if not _on_carrier(v, n):
             return f"has entry {v!r} at {x}, not an int in 0..{n - 1}"
     return None
 
@@ -416,7 +420,7 @@ def cyclic_extension(normal: FiniteGroup, alpha: Sequence[int], g: int, m: int,
     x * m + i, and (x t^i)(y t^j) = x alpha^i(y) t^(i+j), with t^m = g.
     """
     n, t = normal.order, normal.table
-    if not (isinstance(m, int) and m >= 1 and isinstance(g, int) and 0 <= g < n):
+    if not (isinstance(m, int) and m >= 1 and _on_carrier(g, n)):
         raise ActionNotHomomorphism(f"need an int m >= 1 and g in N, got m = {m!r}, g = {g!r}")
     fault = _automorphism_fault(normal, alpha)
     if fault:
@@ -542,6 +546,8 @@ def center(G: FiniteGroup) -> tuple[int, ...]:
 
 
 def element_order(G: FiniteGroup, a: int) -> int:
+    """The order of a, an element of G as `_subset` checks it."""
+    (a,) = _subset(G.order, (a,))
     return element_orders(G)[a]
 
 
@@ -642,12 +648,12 @@ def derived_subgroup(G: FiniteGroup) -> tuple[int, ...]:
 
 def _subset(n: int, elements: Iterable[int]) -> set[int]:
     """A caller's subset of the carrier 0..n-1 as a set; an element that is
-    not an int in that range raises NotClosed, naming it."""
-    inside = set(elements)
+    not `_on_carrier` raises NotClosed, naming it."""
+    inside = list(elements)
     for x in inside:
-        if not (isinstance(x, int) and 0 <= x < n):
+        if not _on_carrier(x, n):
             raise NotClosed(f"subset element {x!r} is not an int in 0..{n - 1}")
-    return inside
+    return set(inside)
 
 
 def quotient_group(G: FiniteGroup, normal_elems: Sequence[int],
@@ -682,6 +688,49 @@ def _cosets(G: FiniteGroup, normal: Iterable[int]) -> tuple[list[int], list[int]
                 coset_of[t[g][h]] = len(reps)
             reps.append(g)
     return coset_of, reps
+
+
+def _prime_steps(G: FiniteGroup, maps: Sequence[Sequence[int]],
+                 base: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each J = base + <x> with |J/base| prime that every map sends into
+    itself, as a sorted tuple: the one prime step of every climb, with no
+    lattice.  `base` is normal in G and invariant; the maps are conjugations
+    of G, or for a brace on (G, +) its `_ideal_maps`.  x suffices:
+    - J/base has prime order, so x generates J modulo base under both
+      operations (under o once the lambda maps pass: J is a subbrace);
+    - base is already invariant, so each map needs checking on x only.
+    Every coset in J outside base generates J modulo base too, so the
+    cosets inside a factor of prime order found before are skipped.
+    """
+    t = G.table
+    coset_of, reps = _cosets(G, base)
+    primes = _primes_of(len(reps))  # the order of a factor divides |G/base|
+    found: set[int] = set()
+    for x in reps[1:]:
+        if coset_of[x] in found:
+            continue
+        cyclic, y = {0}, x
+        while coset_of[y]:
+            cyclic.add(coset_of[y])
+            y = t[y][x]
+        if len(cyclic) in primes:
+            found |= cyclic
+            if all(coset_of[f[x]] in cyclic for f in maps):
+                yield tuple(sorted([t[reps[c]][h] for c in cyclic for h in base]))
+
+
+def _ascending_series(owner, step) -> list[tuple[int, ...]]:
+    """Terms from {0}, each next one `step(N)`, a subgroup of the group or
+    brace `owner` that contains the last term N, until all of it or a step
+    that does not grow.  A step that works modulo N indexes the cosets of
+    N itself; the others never pay."""
+    terms = [(0,)]
+    while len(terms[-1]) < owner.order:
+        grown = step(terms[-1])
+        if len(grown) == len(terms[-1]):
+            break
+        terms.append(grown)
+    return terms
 
 
 def _primes_of(n: int) -> tuple[int, ...]:
@@ -725,29 +774,12 @@ def is_nilpotent_group(G: FiniteGroup) -> bool:
 
 def is_supersoluble_group(G: FiniteGroup) -> bool:
     """Whether some chain of normal subgroups climbs from 1 to G by prime
-    steps.  Climbs modulo the last term N on G's own table, to <a>N for a
-    coset aN of prime order with <a>N normal: conjugates of a by the
-    generators of G lie in its cosets.  Any such coset may be taken, as a
-    quotient of a supersoluble group is supersoluble and, if nontrivial,
-    has a normal subgroup of prime order."""
-    t, inv = G.table, G.inverse
-    gens = generating_set(G)
-    normal = [0]
-    while len(normal) < G.order:
-        coset_of, reps = _cosets(G, normal)
-        for a in reps[1:]:
-            cyclic = {0}
-            x = a
-            while coset_of[x]:
-                cyclic.add(coset_of[x])
-                x = t[x][a]
-            if _is_prime(len(cyclic)) and all(
-                    coset_of[t[t[g][a]][inv[g]]] in cyclic for g in gens):
-                normal = [y for y in G.elements() if coset_of[y] in cyclic]
-                break
-        else:
-            return False
-    return True
+    steps: the `_prime_steps` climb under conjugation by the generators of
+    G, taking the first step found.  Any step may be taken, as a quotient
+    of a supersoluble group is supersoluble and, if nontrivial, has a
+    normal subgroup of prime order."""
+    maps = [_conjugation(G, g) for g in generating_set(G)]
+    return len(_ascending_series(G, lambda N: next(_prime_steps(G, maps, N), N))[-1]) == G.order
 
 
 class GroupPredicates(NamedTuple):

@@ -17,8 +17,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .braces import SkewBrace, _ideal_fault
 from .errors import NotAnIdeal
-from .groups import (_cached, _conjugation, _cosets, _is_prime, _nilpotent, closure,
-                     element_orders, generating_set)
+from .groups import (_ascending_series, _cached, _conjugation, _cosets, _is_prime, _nilpotent,
+                     closure, element_orders, generating_set)
 from .substructure import (SubStructure, _covers, _ideal_closure, _ideal_maps, all_ideals,
                            brace_core, classify_subset)
 
@@ -139,19 +139,6 @@ def zeta(B: SkewBrace) -> tuple[int, ...]:
     upper central series after {0}."""
     terms = upper_central_series(B).terms
     return terms[min(1, len(terms) - 1)]
-
-
-def _ascending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
-    """Terms from {0}, each next one `step(I)`, an ideal of B that contains
-    the last term I, until B or a step that does not grow.  A step that
-    works modulo I indexes the cosets of I itself; the others never pay."""
-    terms = [(0,)]
-    while len(terms[-1]) < B.order:
-        grown = step(terms[-1])
-        if len(grown) == len(terms[-1]):
-            break
-        terms.append(grown)
-    return terms
 
 
 def socle_series(B: SkewBrace) -> IdealChain:

@@ -283,7 +283,7 @@ def check_closure(table):
         if len(row) != n:
             raise NotClosed(f"row {a} has length {len(row)}, expected {n}")
         for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
                 raise NotClosed(f"entry at ({a}, {b}) is {v!r}, outside 0..{n - 1}")
 
 

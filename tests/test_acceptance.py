@@ -203,7 +203,7 @@ def test_criterion_08_census_integrity(small_entries):
 
 def test_criterion_09_yang_baxter(full_pool, worked_examples):
     ok = True
-    braces = full_pool + [ex.brace for ex in worked_examples.values()]
+    braces = list(full_pool)
     braces += [e.brace for n in (13, 14, 15) for e in census(n).entries]
     for b in braces:
         sol = solution_from_brace(b)
@@ -246,10 +246,9 @@ def test_criterion_09_yang_baxter(full_pool, worked_examples):
     _criterion(9, "yang-baxter-solutions", ok)
 
 
-def test_criterion_10_central_series_consistency(full_pool, worked_examples):
+def test_criterion_10_central_series_consistency(full_pool):
     ok = True
-    braces = full_pool + [ex.brace for ex in worked_examples.values()]
-    for b in braces:
+    for b in full_pool:
         lower = lower_central_series(b)
         upper = upper_central_series(b)
         lower_hits_zero = len(lower.terms[-1]) == 1

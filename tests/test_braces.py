@@ -90,10 +90,10 @@ def test_make_brace_rejects_ragged_tables():
         make_brace([[0, 1], [1, 0]], [[0, 1], [1]])
 
 
-@pytest.mark.parametrize("entry", [2, 1.0])
+@pytest.mark.parametrize("entry", [2, 1.0, True])
 def test_make_brace_proves_both_tables_closed(entry):
     """An entry off the carrier, in either table, raises NotClosed naming its
-    cell, in `make_brace` and in `make_group`."""
+    cell, in `make_brace` and in `make_group`; a bool is not the element 1."""
     for side in range(2):
         tables = [[[0, 1], [1, 0]], [[0, 1], [1, 0]]]
         tables[side][1][1] = entry
@@ -198,8 +198,8 @@ def test_cocycle_validation_rejects_bad_specs():
 
 
 def test_cocycle_entries_must_be_ints_on_the_carrier():
-    """A float equals an int but cannot index a table: it is refused with
-    the class of its table and named, while bools pass as ints."""
+    """A float equals an int but cannot index a table, and a bool is not an
+    element: each is refused with the class of its table and named."""
     c4 = cyclic_group(4)
     ident = (0, 1, 2, 3)
     for acting, entry in ((ident, ident, ident, (0, 1.0, 2, 3)), "3 has entry 1.0 at 1"), \
@@ -212,8 +212,11 @@ def test_cocycle_entries_must_be_ints_on_the_carrier():
         with pytest.raises(DeltaNotBijective, match=f"delta has entry {entry}, not an int"):
             brace_from_cocycle(CocycleSpec(c4, c4, (ident,) * 4, delta))
     flags = (False, True, 2, 3)
-    b = brace_from_cocycle(CocycleSpec(c4, c4, (flags,) * 4, flags))
-    assert b.tables() == trivial_brace(c4).tables()
+    with pytest.raises(TranscriptionInvalid,
+                       match="acting map of element 0 has entry False at 0, not an int in 0..3"):
+        brace_from_cocycle(CocycleSpec(c4, c4, (flags,) * 4, ident))
+    with pytest.raises(DeltaNotBijective, match="delta has entry False at 0, not an int"):
+        brace_from_cocycle(CocycleSpec(c4, c4, (ident,) * 4, flags))
 
 
 def test_corrupted_delta_breaks_cocycle_identity(worked_examples):

@@ -29,7 +29,9 @@ from skewbrace import (
     trivial_brace,
     u_p,
 )
-from skewbrace import groups
+from skewbrace import generating_set, groups
+from skewbrace.groups import _prime_steps
+from skewbrace.substructure import _ideal_maps
 
 import scalar_reference as ref
 
@@ -80,9 +82,8 @@ def test_greedy_chain_is_deterministic(worked_examples):
     )
 
 
-def test_certificate_terms_are_prime_index_ideals(worked_examples, small_pool):
-    braces = small_pool + [worked_examples["ex12"].brace, worked_examples["ex24"].brace]
-    for b in braces:
+def test_certificate_terms_are_prime_index_ideals(small_pool):
+    for b in small_pool:
         result = is_supersoluble(b)
         if not result:
             continue
@@ -92,10 +93,8 @@ def test_certificate_terms_are_prime_index_ideals(worked_examples, small_pool):
             assert classify_subset(b, term).is_ideal
 
 
-def test_supersoluble_implies_supersoluble_semidirect_group(small_pool, worked_examples):
-    braces = [b for b in small_pool if b.order <= 8]
-    braces += [worked_examples["ex12"].brace, worked_examples["ex24"].brace]
-    for b in braces:
+def test_supersoluble_implies_supersoluble_semidirect_group(small_pool):
+    for b in (b for b in small_pool if b.order <= 24):
         if is_supersoluble(b):
             assert is_supersoluble_group(semidirect_group(b)), b.name
 
@@ -113,9 +112,8 @@ def test_centrally_nilpotent_implies_supersoluble(full_pool):
             assert is_supersoluble(b), b.name
 
 
-def test_supersoluble_consequences_on_pool(small_pool, worked_examples):
-    braces = small_pool + [worked_examples["ex12"].brace, worked_examples["ex24"].brace]
-    for b in braces:
+def test_supersoluble_consequences_on_pool(small_pool):
+    for b in small_pool:
         if not is_supersoluble(b):
             continue
         assert all(f.is_prime_order for f in chief_series(b).factors), b.name
@@ -130,22 +128,20 @@ def test_supersoluble_consequences_on_pool(small_pool, worked_examples):
             assert result.is_ideal, b.name
 
 
-def test_supersoluble_nilpotent_additive_iff_multipermutation(small_pool, worked_examples):
+def test_supersoluble_nilpotent_additive_iff_multipermutation(small_pool):
     from skewbrace import is_nilpotent_group
 
-    braces = small_pool + [ex.brace for ex in worked_examples.values()]
-    for b in braces:
+    for b in small_pool:
         if not is_supersoluble(b):
             continue
         has_level = multipermutation_level(b) is not None
         assert is_nilpotent_group(b.add_group) == has_level, b.name
 
 
-def test_supersoluble_derived_ideal_has_multipermutation_level(small_pool, worked_examples):
+def test_supersoluble_derived_ideal_has_multipermutation_level(small_pool):
     from skewbrace import derived_ideal
 
-    braces = small_pool + [worked_examples["ex12"].brace, worked_examples["ex24"].brace]
-    for b in braces:
+    for b in small_pool:
         if not is_supersoluble(b):
             continue
         inner = sub_brace(b, sorted(derived_ideal(b)))
@@ -355,8 +351,60 @@ def test_u_p_sets_follow_the_element_orders(full_pool):
                                      if min(primes_of(element_order(G, x)), default=p + 1) > p)
 
 
-def test_u_p_ideal_flag_matches_classify_subset(full_pool):
+def test_u_p_ideal_flag_matches_the_lattice(full_pool):
+    """`u_p` proves its ideal flag on generators: it is membership in the
+    ideal lattice on the pool, and on trivial C2^8, whose lattice the bound
+    refuses, it builds none."""
     for b in full_pool:
+        ideals = set(all_ideals(b))
         for p in (2, 3, 5, 7, 11):
             u = u_p(b, p)
-            assert u.is_ideal == classify_subset(b, u.additive).is_ideal
+            assert u.is_ideal == (u.additive in ideals), (b.name, p)
+    b = trivial_brace(reduce(direct_product, [cyclic_group(2)] * 8))
+    assert u_p(b, 2).is_ideal
+    assert "ideals" not in b.cache
+
+
+def test_supersoluble_climb_builds_no_lattice():
+    """`is_supersoluble` and `sylow_tower` climb on cosets: on trivial C2^7
+    and C2^8 (whose lattice the bound refuses) they return a chain of
+    factors 2 and leave no ideal lattice in the cache."""
+    for k in (7, 8):
+        b = trivial_brace(reduce(direct_product, [cyclic_group(2)] * k))
+        assert is_supersoluble(b).chain.factor_orders() == (2,) * k
+        assert sylow_tower(b).factor_orders() == (2,) * k
+        assert "ideals" not in b.cache
+
+
+def test_prime_steps_are_the_prime_index_ideals(full_pool):
+    """Over every ideal I, `_prime_steps` under `_ideal_maps` yields each
+    ideal of prime index over I exactly once, as the lattice lists them."""
+    for b in full_pool:
+        ideals = all_ideals(b)
+        for I in ideals:
+            expected = [J for J in ideals if len(J) % len(I) == 0
+                        and primes_of(len(J) // len(I)) == [len(J) // len(I)]
+                        and set(I) <= set(J)]
+            steps = sorted(_prime_steps(b.add_group, _ideal_maps(b), I),
+                           key=lambda J: (len(J), J))
+            assert steps == expected, (b.name, I)
+
+
+@pytest.mark.parametrize("name, mutant, witness, step", [
+    ("ex12", "lambda maps only", (0, 6), (0, 4, 8)),
+    ("ex24", "additive conjugations only", (0, 1), (0, 8, 16)),
+])
+def test_prime_steps_need_every_ideal_map(worked_examples, name, mutant, witness, step):
+    """Half of `_ideal_maps` lets a step through that is not an ideal, at
+    the first step of the brace's climb, over {0}: the lambda maps alone
+    pass ex12's (0, 6), and the additive conjugations alone (normality in
+    (B, +) alone) pass ex24's (0, 1).  With every map the climb's first
+    step is the least prime-order ideal."""
+    b = worked_examples[name].brace
+    maps = {"lambda maps only": [b.lam_table[g] for g in generating_set(b.mul_group)],
+            "additive conjugations only": [groups._conjugation(b.add_group, a)
+                                           for a in generating_set(b.add_group)]}[mutant]
+    assert witness in _prime_steps(b.add_group, maps, (0,))
+    assert not classify_subset(b, witness).is_ideal
+    assert witness not in _prime_steps(b.add_group, _ideal_maps(b), (0,))
+    assert is_supersoluble(b).chain.terms[1] == step

@@ -43,7 +43,7 @@ from skewbrace import (
     subgroups,
     trivial_brace,
 )
-from skewbrace.groups import _Span, _is_prime
+from skewbrace.groups import _Span, _conjugation, _is_prime, _prime_steps
 
 import scalar_reference as ref
 
@@ -215,10 +215,11 @@ def test_cyclic_extension_rejects_a_bad_order_or_g():
 def test_cyclic_extension_names_an_entry_off_the_carrier():
     c4 = cyclic_group(4)
     for alpha, entry in (((0, 3.0, 2, 1), "3.0 at 1"), ((0, 3, 2, 4), "4 at 3"),
-                         ((0, [3], 2, 1), r"\[3\] at 1")):
+                         ((0, [3], 2, 1), r"\[3\] at 1"), ((False, 3, 2, True), "False at 0")):
         with pytest.raises(ActionNotHomomorphism, match=f"alpha has entry {entry}, not an int"):
             cyclic_extension(c4, alpha, 0, 2)
-    assert cyclic_extension(c4, (False, 3, 2, True), 0, 2).table == catalog_group(8, "D8").table
+    with pytest.raises(ActionNotHomomorphism, match="got m = 2, g = True"):
+        cyclic_extension(c4, c4.inverse, True, 2)
 
 
 def test_every_built_table_is_proven_by_make_group():
@@ -559,6 +560,20 @@ def test_group_predicates_match_the_quotient_table_reference(
         assert group_predicates(g).supersoluble == _reference_is_supersoluble(g)
     for g in (s4, a5):
         assert not is_nilpotent_group(g) and not is_supersoluble_group(g)
+
+
+def test_prime_steps_are_the_normal_subgroups_of_prime_index():
+    """Over every normal subgroup N of each catalog group and S4,
+    `_prime_steps` under conjugation by the generators yields each normal
+    subgroup of prime index over N exactly once."""
+    s4 = _permutation_group(list(itertools.permutations(range(4))))
+    for g in [g for n in range(1, 16) for _, g in group_catalog(n)] + [s4]:
+        maps = [_conjugation(g, x) for x in generating_set(g)]
+        normal = [h for h in subgroups(g) if is_normal(g, h)]
+        for n in normal:
+            expected = [h for h in normal if set(n) <= set(h) and _is_prime(len(h) // len(n))]
+            steps = sorted(_prime_steps(g, maps, n), key=lambda h: (len(h), h))
+            assert steps == expected, (g.name, n)
 
 
 def test_element_orders_match_the_power_walk(full_pool, ybe_products):

@@ -26,6 +26,7 @@ from skewbrace import (
     cyclic_group,
     direct_product,
     direct_product_braces,
+    element_order,
     frattini,
     group_catalog,
     ideal_chain,
@@ -421,14 +422,16 @@ SUBSET_VALIDATORS = {
     "ideal_generated": ideal_generated,
     "brace_core": brace_core,
     "index": index,
+    "element_order": lambda b, s: [element_order(b.add_group, x) for x in s],
 }
 
 
 @pytest.mark.parametrize("name", SUBSET_VALIDATORS)
-@pytest.mark.parametrize("bad", [8, -1, 1.0])
+@pytest.mark.parametrize("bad", [8, -1, 1.0, True])
 def test_subset_element_outside_the_carrier_is_named(worked_examples, name, bad):
-    """An element that is not an int in 0..n-1 raises NotClosed naming it,
-    before the check that 0 is in the subset."""
+    """An element that is not an int in 0..n-1, or is a bool, raises
+    NotClosed naming it, before the check that 0 is in the subset;
+    `element_order` checks its one element the same way."""
     b = worked_examples["ex8"].brace
     assert b.order == 8
     with pytest.raises(NotClosed, match=rf"subset element {bad!r} is not an int in 0\.\.7"):

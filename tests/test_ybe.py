@@ -150,9 +150,8 @@ def test_mutation_controls_fail(worked_examples):
         assert not all_pass(checks), (which, i1, j1, i2, j2)
 
 
-def test_retraction_level_matches_multipermutation_level(full_pool, worked_examples):
-    braces = full_pool + [ex.brace for ex in worked_examples.values()]
-    for b in braces:
+def test_retraction_level_matches_multipermutation_level(full_pool):
+    for b in full_pool:
         sol = solution_from_brace(b)
         level = retraction_level(sol)
         mp = multipermutation_level(b)
