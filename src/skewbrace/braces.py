@@ -43,8 +43,8 @@ from .errors import (
 )
 from .groups import (FiniteGroup, direct_product, element_orders, generating_set,
                      _automorphism_fault, _check_closure, _cosets, _escape, _group,
-                     _identity_of, _induced, _normal_fault, _off_carrier, _prove_group,
-                     _relabel, _row_getter, _twisted, _subset)
+                     _identity_of, _induced, _length, _normal_fault, _off_carrier,
+                     _prove_group, _relabel, _row_getter, _twisted, _subset)
 
 __all__ = [
     "SkewBrace",
@@ -195,7 +195,7 @@ def _make_brace(add_table: Sequence[Sequence[int]], mul_table: Sequence[Sequence
     `_prove_brace`.  `known` is None or (a table equal to add_table, its
     proven group), whose group is reused, and its closure proof too if it
     is add_table itself."""
-    if len(add_table) != len(mul_table):
+    if _length(add_table, "additive table") != _length(mul_table, "multiplicative table"):
         raise BraceInvalid(
             f"table sizes differ: {len(add_table)} vs {len(mul_table)}")
     if known is None or known[0] is not add_table:

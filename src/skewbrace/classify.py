@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .braces import SkewBrace
+from .errors import SkewBraceError
 from .groups import (GroupPredicates, _ascending_series, _cached, _is_prime, _prime_steps,
                      _primes_of, element_orders, group_predicates)
 from .series import (
@@ -101,7 +102,8 @@ def is_supersoluble_oracle(B: SkewBrace) -> bool:
 
 
 class UPResult(NamedTuple):
-    """Elements whose additive resp. multiplicative order avoids primes <= p."""
+    """Elements whose additive resp. multiplicative order avoids primes <= p,
+    the int bound `prime` (which need not be prime itself)."""
 
     prime: int
     additive: tuple[int, ...]
@@ -112,7 +114,13 @@ class UPResult(NamedTuple):
 
 def u_p(B: SkewBrace, p: int) -> UPResult:
     """Both U_p sets, whether they agree, and the ideal flag of the additive
-    one, proven on generators by `classify_subset` with no lattice."""
+    one, proven on generators by `classify_subset` with no lattice.
+
+    p is any int, prime or not: an element is kept when every prime factor
+    of its order exceeds p, so p < 2 keeps every element.  A p that is not
+    an int, or is a bool, raises SkewBraceError."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise SkewBraceError(f"prime bound must be an int, got {p!r}")
     add_ord = element_orders(B.add_group)
     mul_ord = element_orders(B.mul_group)
     kept = {k for k in {*add_ord, *mul_ord} if all(q > p for q in _primes_of(k))}

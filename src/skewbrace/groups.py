@@ -4,7 +4,10 @@ Elements of a group of order n are the integers 0..n-1 and the identity is
 always normalized to index 0.  Every table, whatever its order, is proven
 associative from a generating set S: if (s, x, y) associates for every s in
 S and all x, y, associativity propagates to the whole table, so the proof
-costs |S| n^2 lookups with |S| <= log2 n.
+costs |S| n^2 lookups with |S| <= log2 n.  Each of its |S| n row
+compositions is one C call: on a carrier of at most 256 elements a
+`bytearray.translate` of byte rows, and on a larger one, whose elements
+do not fit in a byte, an `itemgetter` over tuple rows (`_row_getter`).
 
 Every generated subgroup comes from one orbit kernel (`_Span`): a finite
 subgroup is the orbit of 0 under right multiplication by its generators
@@ -150,15 +153,24 @@ def _on_carrier(v: object, n: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
 
 
+def _length(seq: object, *name: object) -> int:
+    """len(seq), or NotClosed naming seq by the words of `name` if it has none."""
+    try:
+        return len(seq)
+    except TypeError:
+        raise NotClosed(f"{' '.join(map(str, name))} is {seq!r}, which has no length") from None
+
+
 def _check_closure(table: Sequence[Sequence[int]]) -> None:
-    """Every row has n entries, each `_on_carrier`.  A row of exact ints
-    inside the carrier passes by two set containments; any other row (bool,
-    an int subclass, an unhashable entry) is scanned to name the witness.
-    The types are tested first, so no unhashable entry reaches the set."""
-    n = len(table)
+    """The table and every row have a length, every row n entries, each
+    `_on_carrier`.  A row of exact ints inside the carrier passes by two set
+    containments; any other row (bool, an int subclass, an unhashable entry)
+    is scanned to name the witness.  The types are tested first, so no
+    unhashable entry reaches the set."""
+    n = _length(table, "table")
     ints, carrier = {int}, frozenset(range(n))
     for a, row in enumerate(table):
-        if len(row) != n:
+        if _length(row, "row", a) != n:
             raise NotClosed(f"row {a} has length {len(row)}, expected {n}")
         if ints.issuperset(map(type, row)) and carrier.issuperset(row):
             continue
@@ -302,23 +314,43 @@ def _assoc_generators(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
     The set of elements a with (a*x)*y == a*(x*y) for all x, y contains the
     identity and is closed under products, and every element is a
     left-nested product of the kept generators, so checking it on them
-    covers the whole table.  Each row over y is compared whole, on tuple
-    rows: (s*x)*. is row s*x, and s*(x*.) is row s read through row x.
-    Only a row that differs is scanned cell by cell, to name the witness.
+    covers the whole table.  Each row over y is compared whole: (s*x)*. is
+    row s*x, and s*(x*.) is row s read through row x.  A carrier of at most
+    256 elements is copied once into byte rows, and row s read through row
+    x is one `bytearray.translate` of row x, with row s padded to 256 bytes
+    as the table.  A byte holds only 0..255 and a translate table has 256
+    entries, so a larger carrier composes tuple rows by `_row_getter`.
+    Only a pair of rows that differ is scanned, to name the witness, and
+    both paths name the same one.
     """
     n = len(table)
-    through = [_row_getter(row) for row in table]
     gens = tuple(_Span(table, range(n)).gens)
+    if n <= 256:
+        # bytearray copies a tuple of ints about twice as fast as bytes.
+        rows = list(map(bytearray, table))
+        pad = bytes(256 - n)
+        for s in gens:
+            through_s = rows[s] + pad
+            for x, sx in enumerate(rows[s]):
+                composed = rows[x].translate(through_s)
+                if rows[sx] != composed:
+                    raise _assoc_fault(s, x, rows[sx], composed)
+        return gens
+    through = [_row_getter(row) for row in table]
     for s in gens:
         ts = table[s]
         for x in range(n):
-            tsx = table[ts[x]]
-            if tsx != through[x](ts):
-                tx = table[x]
-                for y in range(n):
-                    if tsx[y] != ts[tx[y]]:
-                        raise NonAssociative(f"({s}*{x})*{y} != {s}*({x}*{y})")
+            composed = through[x](ts)
+            if table[ts[x]] != composed:
+                raise _assoc_fault(s, x, table[ts[x]], composed)
     return gens
+
+
+def _assoc_fault(s: int, x: int, left: Sequence[int], right: Sequence[int]) -> NonAssociative:
+    """The error naming the first y at which row (s*x)*. (left) and row
+    s*(x*.) (right) differ."""
+    y = next(y for y, (a, b) in enumerate(zip(left, right)) if a != b)
+    return NonAssociative(f"({s}*{x})*{y} != {s}*({x}*{y})")
 
 
 def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> FiniteGroup:

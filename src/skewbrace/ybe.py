@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from .braces import SkewBrace
 from .errors import NotClosed, RetractNotWellDefined, SolutionInvalid
-from .groups import _check_closure, _row_getter
+from .groups import _check_closure, _length, _row_getter
 
 __all__ = [
     "SolutionChecks",
@@ -77,9 +77,9 @@ def verify_solution(size: int, r1, r2) -> SolutionChecks:
     tables that are not n x n over 0..n-1 raise SolutionInvalid."""
     n = size
     for label, table in (("r1", r1), ("r2", r2)):
-        if len(table) != n:
-            raise SolutionInvalid(f"{label} has {len(table)} rows, expected {n}")
         try:
+            if _length(table, "table") != n:
+                raise SolutionInvalid(f"{label} has {len(table)} rows, expected {n}")
             _check_closure(table)
         except NotClosed as exc:
             raise SolutionInvalid(f"{label}: {exc}") from None

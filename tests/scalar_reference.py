@@ -277,10 +277,17 @@ def read_table(cursor, n, what):
     return rows
 
 
+def _length(seq, name):
+    try:
+        return len(seq)
+    except TypeError:
+        raise NotClosed(f"{name} is {seq!r}, which has no length") from None
+
+
 def check_closure(table):
-    n = len(table)
+    n = _length(table, "table")
     for a, row in enumerate(table):
-        if len(row) != n:
+        if _length(row, f"row {a}") != n:
             raise NotClosed(f"row {a} has length {len(row)}, expected {n}")
         for b, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
@@ -294,9 +301,9 @@ def _is_perm(seq):
 def solution_checks(size, r1, r2):
     n = size
     for label, table in (("r1", r1), ("r2", r2)):
-        if len(table) != n:
-            raise SolutionInvalid(f"{label} has {len(table)} rows, expected {n}")
         try:
+            if _length(table, "table") != n:
+                raise SolutionInvalid(f"{label} has {len(table)} rows, expected {n}")
             check_closure(table)
         except NotClosed as exc:
             raise SolutionInvalid(f"{label}: {exc}") from None

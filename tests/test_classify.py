@@ -6,6 +6,7 @@ import pytest
 
 from skewbrace import (
     OrderBoundExceeded,
+    SkewBraceError,
     all_ideals,
     brace_report,
     census,
@@ -239,6 +240,17 @@ def test_u_p_extreme_primes(worked_examples):
     assert above.additive == (0,)
     below = u_p(b, 1)
     assert len(below.additive) == b.order
+
+
+def test_u_p_takes_any_int_bound_and_rejects_the_rest(worked_examples):
+    """Any int p keeps the elements whose order has every prime factor above
+    p, prime or not; a p that is not an int, or is a bool, is refused."""
+    b = worked_examples["ex12"].brace
+    assert u_p(b, 4)[1:] == u_p(b, 3)[1:] and u_p(b, 4).prime == 4
+    assert u_p(b, -5)[1:] == u_p(b, 0)[1:] == u_p(b, 1)[1:]
+    for p in (True, False, 2.0, "2", None):
+        with pytest.raises(SkewBraceError, match=rf"^prime bound must be an int, got {p!r}$"):
+            u_p(b, p)
 
 
 def test_report_frozen_fields_ex8(worked_examples):

@@ -8,6 +8,7 @@ same exception with the same witness in its message.
 import random
 from contextlib import contextmanager
 from enum import IntEnum
+from itertools import product
 
 import pytest
 
@@ -15,11 +16,14 @@ import scalar_reference as ref
 from skewbrace import (
     DistributivityViolation,
     NonAssociative,
+    NotClosed,
     ParseError,
     RetractNotWellDefined,
     SkewBraceError,
+    SolutionInvalid,
     census,
     cyclic_group,
+    direct_product_braces,
     make_brace,
     trivial_brace,
 )
@@ -88,12 +92,34 @@ def test_row_kernels_build_the_reference_tables(full_pool, ybe_products):
             assert cli._table_lines(table) == ref.table_lines(table)
 
 
-@pytest.mark.parametrize("name", ["ex8", "ex24xC2", "ex24xex8"])
+def test_assoc_generators_match_the_reference(full_pool, ybe_products):
+    """Both group tables of every census brace and ybe product, the cyclic
+    tables on both sides of the 256 elements of the byte path, and all 81
+    tables on 0..2 with identity 0, whose non-associative ones the kernel
+    must refuse with the reference's witness."""
+    tables = [t for B in full_pool + list(ybe_products.values())
+              for t in (B.add_group.table, B.mul_group.table)]
+    tables += [cyclic_group(n).table for n in (255, 256, 257)]
+    tables += [((0, 1, 2), (1, *cells[:2]), (2, *cells[2:]))
+               for cells in product(range(3), repeat=4)]
+    for table in tables:
+        assert _outcome(groups._assoc_generators, table) == _outcome(ref.assoc_generators, table)
+
+
+# Products on both sides of the byte path's 256 elements.
+_WIDE = {
+    "ex8xex32": lambda ex: direct_product_braces(ex["ex8"], ex["ex32"]),
+    "ex24xC12": lambda ex: direct_product_braces(ex["ex24"], trivial_brace(cyclic_group(12))),
+}
+
+
+@pytest.mark.parametrize("name", ["ex8", "ex24xC2", "ex24xex8", "ex8xex32", "ex24xC12"])
 def test_corrupted_tables_name_the_reference_witness(name, worked_examples,
                                                      ybe_products, monkeypatch):
     """Single-cell corruptions of either table, and label swaps in the
-    product table, at orders 8, 48 and 192."""
-    B = worked_examples[name].brace if name in worked_examples else ybe_products[name]
+    product table, at orders 8, 48, 192, 256 and 288."""
+    ex = {key: example.brace for key, example in worked_examples.items()}
+    B = _WIDE[name](ex) if name in _WIDE else ex[name] if name in ex else ybe_products[name]
     n = B.order
     rng = random.Random(f"rows:{name}")
     seen = set()
@@ -264,8 +290,27 @@ def test_closure_check_matches_the_scalar_reference(entry, worked_examples):
 
 def test_closure_check_on_bool_and_short_rows_matches_the_reference():
     for table in ([[False, True], [True, False]], [(0, 1), (1,)], [[0, 1], [1, 0, 1]],
-                  [[]], [], [[0]], [(0, 1), [1, 0]]):
+                  [[]], [], [[0]], [(0, 1), [1, 0]], [0, 12], [(0, 1), 1.0], True, None, 3):
         assert _outcome(groups._check_closure, table) == _outcome(ref.check_closure, table)
+
+
+def test_tables_and_rows_without_length_are_not_closed():
+    """A table or row with no length is named by NotClosed, and by
+    SolutionInvalid around it in `verify_solution`, not a bare TypeError."""
+    with pytest.raises(NotClosed, match=r"^row 0 is 0, which has no length$"):
+        groups.make_group([0, 12])
+    with pytest.raises(NotClosed, match=r"^table is True, which has no length$"):
+        groups.make_group(True)
+    with pytest.raises(NotClosed, match=r"^row 0 is 0, which has no length$"):
+        make_brace([0, 1.0], [[0, 1], [1, 0]])
+    with pytest.raises(NotClosed, match=r"^row 1 is 1\.0, which has no length$"):
+        make_brace([[0, 1], 1.0], [[0, 1], [1, 0]])
+    with pytest.raises(NotClosed, match=r"^additive table is True, which has no length$"):
+        make_brace(True, [[0]])
+    with pytest.raises(SolutionInvalid, match=r"^r2: row 1 is None, which has no length$"):
+        ybe.verify_solution(2, [[0, 1], [1, 0]], [[0, 1], None])
+    with pytest.raises(SolutionInvalid, match=r"^r1: table is 5, which has no length$"):
+        ybe.verify_solution(1, 5, [[0]])
 
 
 def test_solution_checks_match_the_scalar_reference(full_pool):
