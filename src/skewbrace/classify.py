@@ -147,13 +147,15 @@ def sylow_tower(B: SkewBrace) -> Optional[IdealChain]:
     order; so J lies in the section of q.  Once the sections of the primes
     ranked before q lie inside I, no such prime indexes a cover of I or
     divides |B/I|, and the Sylow tower of the supersoluble B/I starts with
-    the image of a cover of index q.
+    the image of a cover of index q.  A quotient of a supersoluble brace is
+    supersoluble and, if nonzero, has an ideal of prime order, so any prime
+    step may be taken: the climb reaches B exactly when B is supersoluble.
+    When it stops short, None is returned with no lattice built.
     """
-    if not is_supersoluble(B).supersoluble:
-        return None
-    return _chain(B, _ascending_series(B, lambda I: min(
+    terms = _ascending_series(B, lambda I: min(
         _prime_steps(B.add_group, _ideal_maps(B), I), default=I,
-        key=lambda J: (len(J) == 2 * len(I), -len(J), J))))
+        key=lambda J: (len(J) == 2 * len(I), -len(J), J)))
+    return _chain(B, terms) if len(terms[-1]) == B.order else None
 
 
 class ClassificationReport(NamedTuple):

@@ -33,7 +33,7 @@ is one of its generators.
 One orbit kernel (`_orbits`) gives the Schreier tree of every group action:
 the conjugacy classes and centre, the class roots (`_class_roots`) under the
 subgroups that `_stabiliser` generates, `census`'s orbits, and the rows of
-`aut_group`'s table, composed from its strong generators' rows.
+`aut_group`'s table, composed from the rows of its greedy generators.
 One coset builder (`_cosets`) gives the quotients of groups and braces.  The
 predicates build no quotient: nilpotency is read off element orders, and
 the one prime-step kernel of groups and braces (`_prime_steps`) climbs on cosets.
@@ -1033,50 +1033,43 @@ def automorphism_perms(G: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def _strong_generators(images: Sequence[tuple[int, ...]], gens: Sequence[int]) -> list[int]:
-    """Positions of the strong generating set of `aut_group`, given each
-    automorphism's images of the base `gens` in list order: for each pair
-    (i, v) with g_i the first generator an automorphism moves and v its
-    image, the first automorphism listed with that pair."""
-    first: dict[tuple[int, int], int] = {}
-    for k, im in enumerate(images):
-        moved = next((i for i, (v, g) in enumerate(zip(im, gens)) if v != g), None)
-        if moved is not None:
-            first.setdefault((moved, im[moved]), k)
-    return list(first.values())
-
-
 def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     """The automorphism group under composition, with its permutation list.
 
     An automorphism is fixed by its images of the generators g_1..g_k of
     `generating_set(G)`, so the row of p (the index of p . q for every q)
-    can be looked up by the images p(q(g)).  That is done only for the
-    `_strong_generators` of Aut(G) for the base g_1..g_k (Sims 1970; Holt,
-    Eick & O'Brien, 2005, ch. 4), each row through one C-level getter per
-    automorphism q.  Let U_i be the automorphisms fixing g_1..g_{i-1}.  The
-    kept automorphisms at level i represent the cosets of U_{i+1} in U_i
-    other than U_{i+1}, told apart by the image of g_i, and U_{k+1} is
-    trivial.  So they generate Aut(G), with no membership test.  Every
-    other row is composed along the `_orbits` tree of left multiplication
-    by them from the identity: row[s . e] is row[e] read through row[s].
-    The list is `automorphism_perms`, so it is bounded.  Both are cached in
-    G while G lives, at most about 34 MB at the bound; each call checks the
-    bound again and returns the shared aut and a new list.
+    can be looked up by the images p(q(g)), through one C-level getter per
+    automorphism q.  That is done only for the automorphisms kept by
+    `_Span`'s rule in index order: one is kept when the `_orbits` tree of
+    left multiplication by the rows kept so far has not reached it from
+    the identity, and the tree is then rebuilt.  Each kept row at least
+    doubles the subgroup reached, so at most floor(log2 |Aut|) + 1 rows are
+    looked up, and once every automorphism is reached the kept ones generate
+    Aut(G); they become its cached `generating_set`.  Every other row is
+    composed along the final tree: row[s . e] is row[e] read through
+    row[s].  The list is `automorphism_perms`, so it is bounded.  Both are
+    cached in G while G lives, at most about 34 MB at the bound; each call
+    checks the bound again and returns the shared aut and a new list.
     """
     def build() -> tuple[FiniteGroup, tuple[tuple[int, ...], ...]]:
         perms = automorphism_perms(G)
-        gens = generating_set(G)
-        images = list(map(_row_getter(gens), perms))
+        images = list(map(_row_getter(generating_set(G)), perms))
         index = {im: i for i, im in enumerate(images)}
         through = list(map(_row_getter, images))
-        strong = [tuple([index[get(perms[s])] for get in through])
-                  for s in _strong_generators(images, gens)]
+        kept: list[int] = []
+        kept_rows: list[tuple[int, ...]] = []
+        tree: dict = {0: None}
+        for s in range(len(perms)):
+            if s not in tree:
+                kept.append(s)
+                kept_rows.append(tuple([index[get(perms[s])] for get in through]))
+                tree = _orbits((0,), lambda e: [(row_s, row_s[e]) for row_s in kept_rows])
         rows: list = [None] * len(perms)
-        tree = _orbits((0,), lambda e: [(row_s, row_s[e]) for row_s in strong])
         for y, edge in tree.items():
             rows[y] = _row_getter(rows[edge[0]])(edge[1]) if edge else tuple(range(len(perms)))
-        return _group(tuple(rows), f"Aut({G.name or '?'})"), tuple(perms)
+        aut = _group(tuple(rows), f"Aut({G.name or '?'})")
+        _cached(aut, "generating_set", lambda: tuple(kept))
+        return aut, tuple(perms)
 
     aut, perms = _cached(G, "aut_group", build)
     if len(perms) > AUT_TABLE_BOUND:

@@ -8,12 +8,14 @@ import pytest
 
 from skewbrace import (
     ActionNotHomomorphism,
+    BraceInvalid,
     CocycleIdentityViolation,
     CocycleSpec,
     DeltaNotBijective,
     DistributivityViolation,
     IdentityMismatch,
     MissingInverse,
+    MissingZero,
     NoIdentity,
     NonAssociative,
     NotAnIdeal,
@@ -22,6 +24,8 @@ from skewbrace import (
     FiniteGroup,
     SkewBrace,
     TranscriptionInvalid,
+    all_ideals,
+    brace_core,
     brace_from_cocycle,
     brace_isomorphic,
     census,
@@ -32,6 +36,7 @@ from skewbrace import (
     direct_product_braces,
     group_catalog,
     group_isomorphism,
+    index,
     is_supersoluble_group,
     make_brace,
     make_group,
@@ -88,6 +93,35 @@ def test_make_brace_rejects_ragged_tables():
         make_brace([[0], [1, 0]], [[0, 1], [1, 0]])
     with pytest.raises(NotClosed):
         make_brace([[0, 1], [1, 0]], [[0, 1], [1]])
+
+
+def _union_of_halves(b):
+    """The union of the first two of the three ideals of order 16 of ex32,
+    neither inside the other, so the ideals inside it have no largest
+    member."""
+    I, J, _ = [I for I in all_ideals(b) if len(I) == 16]
+    return sorted(set(I) | set(J))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ex: brace_core(ex["ex32"].brace, _union_of_halves(ex["ex32"].brace)),
+     NotAnIdeal, "ideals inside the subset have no common largest member"),
+    (lambda ex: brace_core(ex["ex8"].brace, (1, 2)),
+     MissingZero, "the core is taken inside a subbrace containing 0"),
+    (lambda ex: index(ex["ex8"].brace, (0, 1, 2)),
+     NotAnIdeal, "subset size 3 does not divide the order 8"),
+    (lambda ex: make_brace(cyclic_group(2).table, cyclic_group(3).table),
+     BraceInvalid, "table sizes differ: 2 vs 3"),
+    (lambda ex: brace_from_cocycle(CocycleSpec(cyclic_group(2), cyclic_group(2),
+                                               ((0, 1), (0, 1)), (0,))),
+     TranscriptionInvalid, "acting or delta table has the wrong length"),
+    (lambda ex: group_catalog(0), SkewBraceError, "group order must be positive, got 0"),
+], ids=["core-no-largest", "core-without-zero", "index", "table-sizes", "cocycle-length",
+        "catalog-order"])
+def test_public_rejections_name_their_fault(worked_examples, call, error, message):
+    with pytest.raises(SkewBraceError) as exc:
+        call(worked_examples)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 @pytest.mark.parametrize("entry", [2, 1.0, True])

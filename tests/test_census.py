@@ -43,7 +43,7 @@ from skewbrace import groups
 from skewbrace.cli import write_census_document
 from skewbrace.braces import _brace
 from skewbrace.groups import (_Span, _class_roots, _compose, _generator_levels, _group, _orbits,
-                              _relabel, _stabiliser, _strong_generators, element_order,
+                              _relabel, _stabiliser, element_order,
                               element_orders, generating_set)
 
 import scalar_reference as ref
@@ -246,18 +246,19 @@ def test_aut_group_matches_composed_permutations():
     assert orders[-3:] == [96, 16, 192]
 
 
-def test_strong_generators_span_aut():
-    # One automorphism per (first generator moved, its image): the levels
-    # of Sims's stabiliser chain for the base `generating_set(A)`.  They are
-    # spanned in the table of composed permutations, not in `aut_group`'s,
-    # which is built from them.
-    for A in CATALOG + EXTRA:
-        perms = automorphism_perms(A)
-        index = {p: i for i, p in enumerate(perms)}
-        aut = _group(tuple(tuple(index[_compose(p, q)] for q in perms) for p in perms))
-        gens = generating_set(A)
-        strong = _strong_generators([tuple(p[g] for g in gens) for p in perms], gens)
-        assert closure(aut, strong) == tuple(aut.elements()), A.name
+def test_aut_group_looks_up_only_greedy_generator_rows():
+    # `aut_group` looks up a row only for each automorphism that `_Span`'s
+    # rule keeps in index order, and caches those as Aut's generating set
+    # while it builds the table: the list a fresh span of the finished table
+    # keeps, each member at least doubling the subgroup reached.  Aut(C257)
+    # is cyclic of order 256, so at most 9 of its rows may be looked up.
+    for A in CATALOG + EXTRA + [cyclic_group(257)]:
+        aut, _ = aut_group(_group(A.table, A.name))
+        assert "generating_set" in aut.cache, A.name
+        fresh = _group(aut.table)
+        kept = generating_set(aut)
+        assert kept == _Span(fresh.table, fresh.elements()).gens, A.name
+        assert len(kept) <= aut.order.bit_length(), A.name
 
 
 def test_aut_group_returns_a_new_list_each_call():

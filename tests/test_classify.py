@@ -16,6 +16,7 @@ from skewbrace import (
     direct_product,
     direct_product_braces,
     fitting,
+    group_catalog,
     index,
     is_centrally_nilpotent,
     is_supersoluble,
@@ -386,6 +387,16 @@ def test_supersoluble_climb_builds_no_lattice():
         assert is_supersoluble(b).chain.factor_orders() == (2,) * k
         assert sylow_tower(b).factor_orders() == (2,) * k
         assert "ideals" not in b.cache
+
+
+def test_sylow_tower_refuses_without_a_lattice(monkeypatch):
+    """On a brace that is not supersoluble the tower's own climb stops
+    short: trivial A4 gets None under a lattice bound of 2 entries, and no
+    ideal lattice is built."""
+    b = trivial_brace(dict(group_catalog(12))["A4"])
+    monkeypatch.setattr(groups, "LATTICE_ENTRY_BOUND", 2)
+    assert sylow_tower(b) is None
+    assert "ideals" not in b.cache
 
 
 def test_prime_steps_are_the_prime_index_ideals(full_pool):

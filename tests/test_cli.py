@@ -261,10 +261,11 @@ def test_parse_round_trip_is_byte_stable():
     assert doc == again
 
 
-def test_cocycle_document_matches_table_document(tmp_path):
-    ex = build("ex8")
+def _cocycle_document(ex):
+    """The cocycle form of a worked example's document."""
     spec = ex.spec
-    lines = ["skewbrace 1", "name ex8-cocycle", f"order {ex.brace.order}", "cocycle", "add"]
+    lines = ["skewbrace 1", f"name {ex.brace.name}-cocycle", f"order {ex.brace.order}",
+             "cocycle", "add"]
     lines += [" ".join(str(v) for v in row) for row in spec.additive.table]
     lines.append("mult")
     lines += [" ".join(str(v) for v in row) for row in spec.multiplicative.table]
@@ -273,7 +274,12 @@ def test_cocycle_document_matches_table_document(tmp_path):
     lines.append("delta")
     lines.append(" ".join(str(v) for v in spec.delta))
     lines.append("end")
-    brace = parse_brace_document("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def test_cocycle_document_matches_table_document(tmp_path):
+    ex = build("ex8")
+    brace = parse_brace_document(_cocycle_document(ex))
     assert brace.tables() == ex.brace.tables()
 
 
@@ -561,10 +567,12 @@ def _mutations(text, rng, count):
 
 
 def test_fuzzed_documents_end_with_an_exit_code(tmp_path, capsys):
-    """Every mutated document maps to exit code 0-4, never a traceback."""
+    """Every mutated document, in table and in cocycle form, maps to exit
+    code 0-4, never a traceback."""
     path = tmp_path / "fuzz.brace"
-    for doc in _mutations(document_for("ex8"), random.Random(2402), 200):
-        path.write_text(doc, encoding="utf-8")
-        for argv in (["analyze", str(path)], ["ybe", str(path), "--retract"]):
-            assert main(argv) in range(5)
-            assert "Traceback" not in capsys.readouterr().err
+    for text in (document_for("ex8"), _cocycle_document(build("ex8"))):
+        for doc in _mutations(text, random.Random(2402), 200):
+            path.write_text(doc, encoding="utf-8")
+            for argv in (["analyze", str(path)], ["ybe", str(path), "--retract"]):
+                assert main(argv) in range(5)
+                assert "Traceback" not in capsys.readouterr().err
