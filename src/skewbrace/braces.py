@@ -67,9 +67,13 @@ class SkewBrace:
     `cache` is bounded: nine keys, one value each, built once by
     `groups._cached` from the tables: "ideals" and "subbraces" (the two
     lattices), "ideal_maps" (the maps the ideal closure kernel is closed
-    under), "supersoluble", and the series "socle_series",
+    under), "supersoluble" (the greedy chain's terms and the blocking
+    orders), and the terms of the series "socle_series",
     "upper_central_series", "lower_central_series", "left_series" and
-    "right_series".
+    "right_series".  Every value is made of tuples and ints, and none
+    refers to the brace: the `IdealChain` or `SupersolubleResult` that
+    holds B is built on return, so a brace is freed by reference counting
+    as soon as it is dropped, with no cycle for the collector.
     """
 
     __slots__ = ("order", "add_group", "mul_group", "lam_table", "name", "cache")

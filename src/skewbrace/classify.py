@@ -60,18 +60,21 @@ def is_supersoluble(B: SkewBrace) -> SupersolubleResult:
     At each level the `_prime_steps` ideal over the last term I least under
     (size, elements) is taken.  When there is none, the orders of the
     minimal ideals of B/I, the indices of the ideals minimal over I, are
-    reported: only a failing verdict reads the lattice.
+    reported: only a failing verdict reads the lattice.  B caches the terms
+    and the blocking orders, not the result, which refers to B.
     """
-    def build() -> SupersolubleResult:
-        terms = _ascending_series(B, lambda I: min(_prime_steps(B.add_group, _ideal_maps(B), I),
-                                                   key=lambda J: (len(J), J), default=I))
+    def build() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        terms = tuple(_ascending_series(B, lambda I: min(
+            _prime_steps(B.add_group, _ideal_maps(B), I), key=lambda J: (len(J), J), default=I)))
         last = terms[-1]
         if len(last) == B.order:
-            return SupersolubleResult(True, _chain(B, terms), tuple(terms), ())
-        blocking = tuple(sorted(len(J) // len(last) for J in _covers(B, last)))
-        return SupersolubleResult(False, None, tuple(terms), blocking)
+            return terms, ()
+        return terms, tuple(sorted(len(J) // len(last) for J in _covers(B, last)))
 
-    return _cached(B, "supersoluble", build)
+    terms, blocking = _cached(B, "supersoluble", build)
+    if len(terms[-1]) == B.order:
+        return SupersolubleResult(True, _chain(B, terms), terms, ())
+    return SupersolubleResult(False, None, terms, blocking)
 
 
 def is_supersoluble_oracle(B: SkewBrace) -> bool:

@@ -23,11 +23,12 @@ from .series import (
     derived_ideal,
     left_series,
     lower_central_series,
+    multipermutation_level,
     right_series,
     socle_series,
     upper_central_series,
 )
-from .ybe import retraction_level, retraction_sizes, solution_from_brace
+from .ybe import solution_from_brace
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -340,14 +341,16 @@ _REPORTS = {
 def _report(B: SkewBrace, fmt: str, only: Optional[str]) -> str:
     """The analyze report of B in format `fmt`: every section in SECTIONS
     order, or the one section `only`.  The brace report and the solution are
-    derived once, and only for a section that prints them."""
+    derived once, and only for a section that prints them.  The retraction
+    level of B's solution is B's multipermutation level, by the theorem in
+    `ybe`."""
     sections = SECTIONS if only is None else (only,)
     inputs = {"series": (B,)}
     if "brace" in sections or "classify" in sections:
         inputs["brace"] = inputs["classify"] = (brace_report(B),)
     if "ybe" in sections:
         solution = solution_from_brace(B)
-        inputs["ybe"] = (solution, retraction_level(solution))
+        inputs["ybe"] = (solution, multipermutation_level(B))
     emit = _REPORTS[fmt]
     return "\n".join(line for s in sections for line in emit[s](*inputs[s])) + "\n"
 
@@ -432,9 +435,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_ybe(args) -> int:
+    """The solution of the brace, and with --retract its retraction chain,
+    read off the socle series: the k-th retraction is the solution of
+    B/Soc_k(B), by the theorem in `ybe`."""
     B = _read_brace(args.path)
     solution = solution_from_brace(B)
-    sizes = retraction_sizes(solution)
+    sizes = [B.order // k for k in socle_series(B).orders()]
     level = len(sizes) - 1 if sizes[-1] == 1 else None
     sys.stdout.write("\n".join(_REPORTS["structured"]["ybe"](solution, level)) + "\n")
     if args.retract:

@@ -142,9 +142,9 @@ def zeta(B: SkewBrace) -> tuple[int, ...]:
 
 
 def socle_series(B: SkewBrace) -> IdealChain:
-    """The ascending series of socle preimages, cached in B."""
-    return _cached(B, "socle_series", lambda: _chain(B, _ascending_series(
-        B, lambda I: _central(B, _cosets(B.add_group, I)[0], B.elements(), False))))
+    """The ascending series of socle preimages; its terms are cached in B."""
+    return _chain(B, _cached(B, "socle_series", lambda: tuple(_ascending_series(
+        B, lambda I: _central(B, _cosets(B.add_group, I)[0], B.elements(), False)))))
 
 
 def multipermutation_level(B: SkewBrace) -> Optional[int]:
@@ -156,9 +156,9 @@ def multipermutation_level(B: SkewBrace) -> Optional[int]:
 
 
 def upper_central_series(B: SkewBrace) -> IdealChain:
-    """The ascending series of center preimages, cached in B."""
-    return _cached(B, "upper_central_series", lambda: _chain(B, _ascending_series(
-        B, lambda I: _central(B, _cosets(B.add_group, I)[0], B.elements(), True))))
+    """The ascending series of center preimages; its terms are cached in B."""
+    return _chain(B, _cached(B, "upper_central_series", lambda: tuple(_ascending_series(
+        B, lambda I: _central(B, _cosets(B.add_group, I)[0], B.elements(), True)))))
 
 
 def is_centrally_nilpotent(B: SkewBrace) -> bool:
@@ -209,7 +209,8 @@ def _descending_series(B: SkewBrace, step) -> list[tuple[int, ...]]:
 
 def lower_central_series(B: SkewBrace) -> IdealChain:
     """Descending terms G, each next one the additive closure of G*B, B*G
-    and [G, B]+: ideals by theorem (Bonatto & Jedlicka); cached in B.
+    and [G, B]+: ideals by theorem (Bonatto & Jedlicka); the terms are
+    cached in B.
 
     Each is the ideal generated by g*a, h*g and [g, a]+ for additive
     generators g of G and a of B and multiplicative ones h of B, by the
@@ -221,7 +222,8 @@ def lower_central_series(B: SkewBrace) -> IdealChain:
             B, _stars(B, gens, adds) + _stars(B, generating_set(B.mul_group), gens)
             + _commutators(B, gens, adds), _ideal_maps(B))
 
-    return _cached(B, "lower_central_series", lambda: _chain(B, _descending_series(B, step)))
+    return _chain(B, _cached(B, "lower_central_series",
+                             lambda: tuple(_descending_series(B, step))))
 
 
 def right_series(B: SkewBrace) -> list[tuple[int, ...]]:

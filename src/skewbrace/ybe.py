@@ -4,7 +4,31 @@ A brace yields r(x,y) = (lam_x(y), lam_x(y)^-1 x y) on its carrier.  For
 every skew brace this is a non-degenerate bijective solution (Guarnieri &
 Vendramin, Math. Comp. 86, 2017), and the brace was proven when it was
 built, so the solution is valid by theorem and is not re-checked.
-`verify_solution` is the exhaustive check for solutions a user supplies.
+`verify_solution` is the exhaustive check for solutions a user supplies,
+and `retract`, `retraction_sizes` and `retraction_level` retract them; all
+four check the tables at their entry (`_check_tables`).
+
+The retraction of a brace's solution is read off its socle series instead,
+by this theorem, the skew-brace form of Rump's for braces (J. Algebra 307,
+2007): the k-th retraction of r_B is r_{B/Soc_k(B)}, with |B/Soc_k(B)|
+points.  Write x' for the multiplicative inverse of x.  Soc(B) is
+ker lam & Z(B,+), the first term of `series.socle_series`.  Retraction
+identifies x and y when sigma_x = sigma_y and tau_x = tau_y, where
+sigma_x = lam_x and tau_x(z) = r2(z, x) = lam_z(x)' z x, column x of r2.
+Put s = x'y.
+1. sigma_y = lam_x lam_s equals sigma_x exactly when s is in ker lam.
+2. Let s be in ker lam and t = tau_x(z).  Expanding
+   lam_z(xs) = lam_z(x) + lam_{zx}(s) gives: tau_{xs}(z) = tau_x(z) exactly
+   when lam_t(s) = t s t' = t + lam_t(s) - t.  Applying lam_t^-1, this holds
+   exactly when s commutes additively with lam_t^-1(t) = -t'.
+3. tau_x is a bijection, as r_B is non-degenerate (Guarnieri & Vendramin),
+   so t runs over all of B, and tau_x = tau_y exactly when s is in Z(B,+).
+4. So the retraction classes are the cosets x Soc(B) = x + Soc(B) of the
+   ideal Soc(B).  The quotient map f is a brace homomorphism, so
+   (f x f) r_B = r_{B/Soc(B)} (f x f), and Ret(r_B) = r_{B/Soc(B)}.
+   Soc(B/Soc_k(B)) is Soc_{k+1}(B)/Soc_k(B), so by induction the k-th
+   retraction is r_{B/Soc_k(B)}, and the chain stalls exactly where the
+   socle series does.
 """
 
 from __future__ import annotations
@@ -72,17 +96,25 @@ def _braid_holds(n: int, r1, r2) -> bool:
     return True
 
 
-def verify_solution(size: int, r1, r2) -> SolutionChecks:
-    """Check braid relation, pair bijectivity and both non-degeneracies;
-    tables that are not n x n over 0..n-1 raise SolutionInvalid."""
-    n = size
+def _check_tables(size: int, r1, r2) -> None:
+    """Raise SolutionInvalid unless the size is an int, not a bool, and r1
+    and r2 are size x size tables over 0..size-1."""
+    if not isinstance(size, int) or isinstance(size, bool):
+        raise SolutionInvalid(f"solution size must be an int, got {size!r}")
     for label, table in (("r1", r1), ("r2", r2)):
         try:
-            if _length(table, "table") != n:
-                raise SolutionInvalid(f"{label} has {len(table)} rows, expected {n}")
+            if _length(table, "table") != size:
+                raise SolutionInvalid(f"{label} has {len(table)} rows, expected {size}")
             _check_closure(table)
         except NotClosed as exc:
             raise SolutionInvalid(f"{label}: {exc}") from None
+
+
+def verify_solution(size: int, r1, r2) -> SolutionChecks:
+    """Check braid relation, pair bijectivity and both non-degeneracies;
+    a size or tables that `_check_tables` rejects raise SolutionInvalid."""
+    _check_tables(size, r1, r2)
+    n = size
     # Every entry is now an int in 0..n-1, so n distinct entries in a row or
     # column make it a permutation, and n*n distinct pairs make r bijective.
     pairs = zip(chain.from_iterable(r1), chain.from_iterable(r2))
@@ -105,7 +137,15 @@ def solution_from_brace(B: SkewBrace) -> Solution:
 
 
 def retract(S: Solution) -> tuple[Solution, list[int]]:
-    """Identify points with equal left-action row and right-action column.
+    """Identify points with equal left-action row and right-action column,
+    and map each point to its class; tables that `_check_tables` rejects
+    raise SolutionInvalid."""
+    _check_tables(S.size, S.r1, S.r2)
+    return _retract(S)
+
+
+def _retract(S: Solution) -> tuple[Solution, list[int]]:
+    """`retract` of checked tables.
 
     Once r is checked to respect the classes, the quotient of a solution
     is a solution, so it is not re-verified.  Row x of class labels of r1
@@ -131,11 +171,13 @@ def retract(S: Solution) -> tuple[Solution, list[int]]:
 
 def retraction_sizes(S: Solution) -> list[int]:
     """Sizes along the retraction chain from S itself: the list ends at 1,
-    or at the size where a retraction identifies no points."""
+    or at the size where a retraction identifies no points.  The tables
+    are checked once, here: a retraction of checked tables is checked."""
+    _check_tables(S.size, S.r1, S.r2)
     sizes = [S.size]
     current = S
     while current.size > 1:
-        current, _ = retract(current)
+        current, _ = _retract(current)
         if current.size == sizes[-1]:
             break
         sizes.append(current.size)

@@ -1,6 +1,10 @@
 """Tests for the command line interface and its document formats."""
 
+import argparse
+import contextlib
+import gc
 import hashlib
+import io
 import random
 import re
 import tracemalloc
@@ -12,7 +16,8 @@ import pytest
 from skewbrace import (BraceCensus, CensusEntry, CocycleIdentityViolation,
                        DistributivityViolation, FiniteGroup, ParseError, SkewBrace, census,
                        cyclic_group, direct_product, direct_product_braces, group_catalog,
-                       make_brace, make_group, trivial_brace)
+                       make_brace, make_group, retraction_sizes, solution_from_brace,
+                       trivial_brace)
 from skewbrace.braces import _brace
 from skewbrace import classify, cli, groups, series, substructure
 from skewbrace.cli import (
@@ -468,6 +473,48 @@ def test_ybe_flat_solution(tmp_path, capsys):
     assert main(["ybe", path]) == 0
     out = capsys.readouterr().out
     assert "retraction-level 1" in out
+
+
+def test_ybe_retract_matches_the_solution_route(tmp_path, capsys, full_pool, ybe_products):
+    """`ybe --retract` and the [ybe] report read the retraction chain off the
+    socle series; retracting the solution tables must give the same lines."""
+    path = str(tmp_path / "b.brace")
+    for b in [*full_pool, *ybe_products.values()]:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(write_brace_document(b))
+        sizes = retraction_sizes(solution_from_brace(b))
+        level = len(sizes) - 1 if sizes[-1] == 1 else None
+        assert main(["ybe", path, "--retract"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("retract ")] == [
+            f"retract {k}: size {s}" for k, s in enumerate(sizes[1:], 1)], b.name
+        assert lines[-1] == (f"retraction stalls at size {sizes[-1]}" if level is None
+                             else f"retraction level {level}"), b.name
+        assert main(["analyze", path, "--format", "structured", "--only", "ybe"]) == 0
+        assert f"retraction-level {'none' if level is None else level}" in (
+            capsys.readouterr().out.splitlines()), b.name
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, worked_examples):
+    """No cached value refers back to its brace, so a brace and its tables are
+    freed by reference counting once the command drops it."""
+    ex = {name: w.brace for name, w in worked_examples.items()}
+    for b in (ex["ex24"], direct_product_braces(ex["ex24"], ex["ex8"]),
+              census(12).entries[5].brace):
+        path = write(tmp_path, "b.brace", write_brace_document(b))
+        B = parse_brace_document(write_brace_document(b))
+        gc.collect()
+        gc.disable()
+        try:
+            classify.brace_report(B)
+            for fmt in cli._REPORTS:
+                cli._report(B, fmt, None)
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.cmd_ybe(argparse.Namespace(path=path, retract=True))
+            del B
+            assert gc.collect() == 0, b.name
+        finally:
+            gc.enable()
 
 
 def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Tests for set-theoretic solution generation, verification, and retraction."""
 
 import random
+import re
 
 import pytest
 
@@ -8,12 +9,15 @@ from skewbrace import (
     RetractNotWellDefined,
     Solution,
     SolutionInvalid,
+    census,
     cyclic_group,
     group_catalog,
     multipermutation_level,
     retract,
     retraction_level,
     retraction_sizes,
+    socle,
+    socle_series,
     solution_from_brace,
     trivial_brace,
     verify_solution,
@@ -150,18 +154,35 @@ def test_mutation_controls_fail(worked_examples):
         assert not all_pass(checks), (which, i1, j1, i2, j2)
 
 
-def test_retraction_level_matches_multipermutation_level(full_pool):
-    for b in full_pool:
+def test_retraction_level_matches_multipermutation_level(full_pool, products, ybe_products,
+                                                         odd_prime_products):
+    """The theorem in the `ybe` docstring, on every brace of order at most 15
+    and the products: the retraction chain of r_B is B/Soc_k(B), and the
+    first retraction's classes are the cosets of Soc(B).  A socle of ker lam
+    alone fails it on the trivial brace on S3, whose lam is trivial while
+    the conjugation solution does not retract."""
+    s3 = trivial_brace(catalog_group(6, "S3"))
+    assert (socle(s3), retraction_sizes(solution_from_brace(s3))) == ((0,), [6])
+    extra = [e.brace for n in range(13, 16) for e in census(n).entries]
+    for b in [*full_pool, *extra, *products.values(), *ybe_products.values(),
+              *odd_prime_products.values()]:
         sol = solution_from_brace(b)
-        level = retraction_level(sol)
-        mp = multipermutation_level(b)
-        assert (level is None) == (mp is None), b.name
+        assert retraction_sizes(sol) == [b.order // k for k in socle_series(b).orders()], b.name
+        assert retraction_level(sol) == multipermutation_level(b), b.name
+        classes: dict[int, set[int]] = {}
+        for x, c in enumerate(retract(sol)[1]):
+            classes.setdefault(c, set()).add(x)
+        soc = socle(b)
+        cosets = {frozenset(b.add(x, s) for s in soc) for x in b.elements()}
+        assert set(map(frozenset, classes.values())) == cosets, b.name
+    for b in full_pool:
         # verify_solution accepts list rows, and so does the retraction.
+        sol = solution_from_brace(b)
         listed = Solution(sol.size, [list(r) for r in sol.r1], [list(r) for r in sol.r2])
         assert verify_solution(listed.size, listed.r1, listed.r2).all_ok(), b.name
         assert retract(listed) == retract(sol), b.name
         assert retraction_sizes(listed) == retraction_sizes(sol), b.name
-        assert retraction_level(listed) == level, b.name
+        assert retraction_level(listed) == retraction_level(sol), b.name
 
 
 def test_frozen_retraction_levels(worked_examples):
@@ -196,6 +217,40 @@ def test_empty_solution_retracts_to_itself():
     # verify_solution passes the empty solution, and it has no points to
     # identify.
     assert retract(Solution(0, (), ())) == (Solution(0, (), ()), [])
+
+
+SWAP = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: retract(Solution(2, ((0, 1), (0,)), SWAP)),
+                 "r1: row 1 has length 1, expected 2", id="short-row"),
+    pytest.param(lambda: retract(Solution(2, ((0, 5), (1, 0)), SWAP)),
+                 "r1: entry at (0, 1) is 5, outside 0..1", id="entry-past-size"),
+    pytest.param(lambda: retract(Solution(2, SWAP, ((0, -1), (1, 0)))),
+                 "r2: entry at (0, 1) is -1, outside 0..1", id="negative-entry"),
+    pytest.param(lambda: retract(Solution(2, ((False, True), (True, False)), SWAP)),
+                 "r1: entry at (0, 0) is False, outside 0..1", id="bool-entries"),
+    pytest.param(lambda: retract(Solution(3, SWAP, SWAP)),
+                 "r1 has 2 rows, expected 3", id="size-past-tables"),
+    pytest.param(lambda: retract(Solution(2, 5, SWAP)),
+                 "r1: table is 5, which has no length", id="table-without-length"),
+    pytest.param(lambda: retract(Solution(2.0, SWAP, SWAP)),
+                 "solution size must be an int, got 2.0", id="float-size"),
+    pytest.param(lambda: retraction_sizes(Solution(5, SWAP, SWAP)),
+                 "r1 has 2 rows, expected 5", id="sizes-size-past-tables"),
+    pytest.param(lambda: retraction_level(Solution(5, SWAP, SWAP)),
+                 "r1 has 2 rows, expected 5", id="level-size-past-tables"),
+    pytest.param(lambda: retraction_level(Solution(True, ((0,),), ((0,),))),
+                 "solution size must be an int, got True", id="level-bool-size"),
+    pytest.param(lambda: verify_solution(True, [[0]], [[0]]),
+                 "solution size must be an int, got True", id="verify-bool-size"),
+    pytest.param(lambda: verify_solution(2.0, SWAP, SWAP),
+                 "solution size must be an int, got 2.0", id="verify-float-size"),
+])
+def test_solution_entry_points_share_one_boundary(call, message):
+    with pytest.raises(SolutionInvalid, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_retract_rejects_inconsistent_tables():
