@@ -304,7 +304,8 @@ _REPORTS = {
             f"soluble {_fmt(report.soluble)}",
             f"mp-level {_fmt(report.mp_level)}",
             f"fitting-order {report.fitting_order}",
-            # A sum of ideals is an ideal by theorem, so this line states it.
+            # The Fitting ideal is a member of the ideal lattice, so this line
+            # states it.
             "fitting-is-ideal true",
             f"chief-factor-orders {_fmt(report.chief_factor_orders)}",
             f"maximal-subbrace-indices {_fmt(report.maximal_subbrace_indices)}",
@@ -435,21 +436,20 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_ybe(args) -> int:
-    """The solution of the brace, and with --retract its retraction chain,
-    read off the socle series: the k-th retraction is the solution of
-    B/Soc_k(B), by the theorem in `ybe`."""
+    """The [ybe] section of the structured analyze report, and with
+    --retract the solution's retraction chain, read off the socle series:
+    the k-th retraction is the solution of B/Soc_k(B), by the theorem in
+    `ybe`."""
     B = _read_brace(args.path)
-    solution = solution_from_brace(B)
-    sizes = [B.order // k for k in socle_series(B).orders()]
-    level = len(sizes) - 1 if sizes[-1] == 1 else None
-    sys.stdout.write("\n".join(_REPORTS["structured"]["ybe"](solution, level)) + "\n")
+    sys.stdout.write(_report(B, "structured", "ybe"))
     if args.retract:
+        sizes = [B.order // k for k in socle_series(B).orders()]
         for step, size in enumerate(sizes[1:], 1):
             print(f"retract {step}: size {size}")
-        if level is None:
-            print(f"retraction stalls at size {sizes[-1]}")
+        if sizes[-1] == 1:
+            print(f"retraction level {len(sizes) - 1}")
         else:
-            print(f"retraction level {level}")
+            print(f"retraction stalls at size {sizes[-1]}")
     return EXIT_OK
 
 

@@ -69,12 +69,14 @@ class IdealChain(NamedTuple):
         return tuple(f.order for f in self.factors)
 
 
-def ideal_chain(B: SkewBrace, terms: Sequence[tuple[int, ...]]) -> IdealChain:
+def ideal_chain(B: SkewBrace, terms: Iterable[Iterable[int]]) -> IdealChain:
     """Validate caller-supplied terms: a strictly monotone chain of ideals.
 
     The chains this package builds itself are ideals by theorem and skip
-    this check.
+    this check.  The terms, and each term, are read once, and an element
+    repeated in a term counts once.
     """
+    terms = [tuple(dict.fromkeys(t)) for t in terms]
     if not terms:
         raise NotAnIdeal("a chain needs at least one term")
     sets = [set(t) for t in terms]
@@ -275,16 +277,23 @@ def derived_ideal(B: SkewBrace) -> tuple[int, ...]:
 def _relative_central_terms(B: SkewBrace, target: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The central series of the ideal `target` relative to B: each step is
     the largest ideal of B inside the preimage of the center of the image of
-    `target` in B/I, so every term lies in `target`."""
+    `target` in B/I, so every term lies in `target`.  That is the largest
+    ideal K inside `target` with [K, target]_B in I, the bracket of
+    `fitting`'s proof."""
     return _ascending_series(
         B, lambda I: brace_core(B, _central(B, _cosets(B.add_group, I)[0], target, True)))
 
 
-def b_central_series(B: SkewBrace, ideal_elems: Sequence[int]) -> IdealChain:
+def b_central_series(B: SkewBrace, ideal_elems: Iterable[int]) -> IdealChain:
     """Ascending central series of an ideal relative to the whole brace.
 
     Each step takes the largest ideal of B that sits inside the preimage of
-    the center of the ideal's image in the quotient by the last term.
+    the center of the ideal's image in the quotient by the last term.  This
+    is the engine's reading of B-central nilpotency: the ideal I is
+    B-centrally nilpotent when the series reaches I, that is, when
+    I, [I, I]_B, [[I, I]_B, I]_B, ... reaches {0}, where [K, I]_B is the
+    ideal generated by x*y, y*x and [x, y]+ for x in K and y in I (proof in
+    `fitting`).
     """
     target = tuple(sorted(set(ideal_elems)))
     if not classify_subset(B, target).is_ideal:
@@ -293,27 +302,61 @@ def b_central_series(B: SkewBrace, ideal_elems: Sequence[int]) -> IdealChain:
     return _chain(B, _relative_central_terms(B, target))
 
 
-def is_b_centrally_nilpotent(B: SkewBrace, ideal_elems: Sequence[int]) -> bool:
-    return b_central_series(B, ideal_elems).terms[-1] == tuple(sorted(set(ideal_elems)))
+def is_b_centrally_nilpotent(B: SkewBrace, ideal_elems: Iterable[int]) -> bool:
+    target = tuple(sorted(set(ideal_elems)))
+    return b_central_series(B, target).terms[-1] == target
 
 
 def fitting(B: SkewBrace) -> SubStructure:
     """The Fitting ideal: the sum of the B-centrally nilpotent ideals, those
-    whose central series relative to B reaches them.  Scanned from the
-    largest, skipping each ideal inside the union kept so far, which cannot
-    change the sum.  A sum of ideals is an ideal by theorem, so its flags
-    are stated, not computed.  Only ideals with both groups nilpotent
-    (`groups._nilpotent`) are tested: the relative series of I is a chain of
-    ideals of B, each factor central in both groups of I over the last term.
-    For B that series is the upper central series: an ideal is its own core."""
+    whose central series relative to B reaches them.  That sum is itself
+    B-centrally nilpotent (Fitting's theorem, proven below for this reading),
+    so it is the first such ideal in the lattice scanned from the largest;
+    being a member of the lattice, its flags are stated, not computed.  Only
+    ideals with both groups nilpotent (`groups._nilpotent`) are tested: the
+    relative series of I is a chain of ideals of B, each factor central in
+    both groups of I over the last term.  For B that series is the upper
+    central series: an ideal is its own core.
+
+    For ideals K and I of B, let [K, I]_B be the ideal of B generated by
+    x*y, y*x and [x, y]+ = x + y - x - y for x in K and y in I.
+    1. [K, I]_B lies in K and in I, as an ideal is lam-invariant, normal in
+       both groups and holds I*B.  It is monotone and symmetric in K and I,
+       as [y, x]+ = -[x, y]+.
+    2. [K + K', I]_B = [K, I]_B + [K', I]_B, and so in I too, by symmetry.
+       The right side J lies in the left by 1.  For k in K, k' in K' and y
+       in I, k + k' = k lam_k^-1(k') with lam_k^-1(k') in K', and J is an
+       ideal, so these put the generators of the left side in J:
+       - (ab)*c = a*(b*c) + b*c + a*c;
+       - c*(a + b) = c*a + (a + c*b - a);
+       - [a + b, c]+ = a + [b, c]+ - a + [a, c]+.
+    3. Let Z be an ideal of B inside I.  In B/Z, x is central in the image
+       of I (lam_x fixes it and x commutes with it in both groups, as
+       `_central` tests) exactly when x*y, y*x and [x, y]+ lie in Z for
+       every y in I: with x*y and [x, y]+ in Z, xy = x + lam_x(y) is x + y
+       modulo Z, and yx = y + y*x + x is x + y exactly when y*x is in Z.
+       So each step of `_relative_central_terms` is the largest ideal K
+       inside I with [K, I]_B in Z.  Hence its terms Z_k reach I exactly
+       when G_1 = I, G_(k+1) = [G_k, I]_B reaches {0}: by induction on k,
+       G_(c+1) = {0} puts G_(c+1-k) in Z_k, and Z_c = I puts G_(k+1) in
+       Z_(c-k).
+    4. Sums: let G_(a+1)(I) = G_(c+1)(J) = {0}.  By 2, term a + c + 1 of
+       the series of I + J is a sum of left-normed brackets of a + c + 1
+       letters I or J.  By 1, one with r letters I and s letters J lies in
+       G_r(I) and in G_s(J), with G_0 = B, and r > a or s > c, so it is {0}.
+    5. Sub-ideals: let J be an ideal inside I, whose relative series Z_k
+       reaches I.  The intersections M_k of the Z_k with J are ideals of B,
+       and [M_(k+1), J]_B lies in [Z_(k+1), I]_B, so in Z_k, and in J by 1:
+       so in M_k.  By 3 and induction on k, the k-th term of J's relative
+       series contains M_k, so it reaches J.
+    So the B-centrally nilpotent ideals have a largest member, which holds
+    every hit of the scan: the first hit, no smaller, is that member.  By 5
+    every ideal inside it is B-centrally nilpotent too."""
     orders = element_orders(B.add_group), element_orders(B.mul_group)
-    union: set[int] = set()
-    for i in reversed(all_ideals(B)):
-        if (not union.issuperset(i) and all(_nilpotent(o, i) for o in orders)
-                and (upper_central_series(B).terms if len(i) == B.order
-                     else _relative_central_terms(B, i))[-1] == i):
-            union.update(i)
-    return SubStructure(additive_closure(B, union), True, True, True, True)
+    return SubStructure(next(
+        i for i in reversed(all_ideals(B)) if all(_nilpotent(o, i) for o in orders)
+        and (upper_central_series(B).terms if len(i) == B.order
+             else _relative_central_terms(B, i))[-1] == i), True, True, True, True)
 
 
 def chief_series(B: SkewBrace) -> IdealChain:

@@ -10,6 +10,7 @@ from skewbrace import (
     NotAnIdeal,
     SkewBraceError,
     all_ideals,
+    all_subbraces,
     b_central_series,
     chief_series,
     additive_closure,
@@ -358,6 +359,33 @@ def test_ideal_chain_rejects_non_nested_terms(worked_examples):
         ideal_chain(b, [(0, 4, 8), (0,), tuple(range(12))])
 
 
+def test_ideal_chain_validates_a_generator_of_terms(worked_examples):
+    """The terms are read once: a generator's terms are all validated, so
+    the non-ideal (0, 1) is rejected rather than an empty chain returned."""
+    b = worked_examples["ex24"].brace
+    with pytest.raises(NotAnIdeal):
+        ideal_chain(b, (t for t in [(0,), (0, 1), tuple(range(24))]))
+
+
+def test_ideal_chain_reads_an_iterator_term_once(worked_examples):
+    b = worked_examples["ex24"].brace
+    chain = ideal_chain(b, [iter((0,)), tuple(range(24))])
+    assert chain.terms == ((0,), tuple(range(24)))
+
+
+def test_ideal_chain_counts_a_repeated_element_once(worked_examples):
+    b = worked_examples["ex24"].brace
+    chain = ideal_chain(b, [(0, 0), (16, 8, 0, 8), tuple(range(24))])
+    assert chain.orders() == (1, 3, 24)
+    assert chain.factor_orders() == (3, 8)
+
+
+def test_b_central_nilpotency_reads_an_iterator_ideal_once(worked_examples):
+    b = worked_examples["ex24"].brace
+    assert is_b_centrally_nilpotent(b, [0, 8, 16])
+    assert is_b_centrally_nilpotent(b, iter((0, 8, 16)))
+
+
 def _preimage(proj, subset):
     wanted = set(subset)
     return tuple(x for x, c in enumerate(proj) if c in wanted)
@@ -418,6 +446,29 @@ def _reference_fitting(B):
 def test_fitting_matches_the_all_ideals_reference(full_pool, products):
     for b in full_pool + list(products.values()):
         assert fitting(b).elements == _reference_fitting(b), b.name
+
+
+def test_b_centrally_nilpotent_ideals_are_closed_under_sums_and_sub_ideals(
+        full_pool, products, worked_examples):
+    """Fitting's theorem as `fitting` proves it, on braces that are not
+    products too: on the pool, the proper sub-braces of the worked examples
+    and their quotients by proper ideals, and the products, the additive
+    closure of two B-centrally nilpotent ideals is one, every ideal inside
+    one is one, and `fitting` is the largest."""
+    braces = full_pool + list(products.values())
+    for b in (ex.brace for ex in worked_examples.values()):
+        braces += [sub_brace(b, s) for s in all_subbraces(b) if len(s) < b.order]
+        braces += [quotient_brace(b, i)[0] for i in all_ideals(b) if len(i) < b.order]
+    for b in braces:
+        ideals = all_ideals(b)
+        reached = [i for i in ideals if _relative_central_terms(b, i)[-1] == i]
+        nilpotent = set(reached)
+        for i, j in itertools.combinations(reached, 2):
+            assert additive_closure(b, i + j) in nilpotent, (b.name, i, j)
+        for i in map(set, reached):
+            assert all(j in nilpotent for j in ideals if i.issuperset(j)), (b.name, i)
+        fit = fitting(b).elements
+        assert fit in nilpotent and all(set(fit).issuperset(i) for i in reached), b.name
 
 
 def test_b_centrally_nilpotent_ideals_have_nilpotent_groups(full_pool, products):

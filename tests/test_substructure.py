@@ -32,6 +32,7 @@ from skewbrace import (
     ideal_chain,
     ideal_generated,
     index,
+    is_b_centrally_nilpotent,
     is_normal,
     is_subgroup,
     make_brace,
@@ -414,6 +415,7 @@ SUBSET_VALIDATORS = {
     "quotient_group": lambda b, s: quotient_group(b.add_group, s),
     "ideal_chain": lambda b, s: ideal_chain(b, [s]),
     "b_central_series": b_central_series,
+    "is_b_centrally_nilpotent": is_b_centrally_nilpotent,
     "closure": lambda b, s: closure(b.add_group, s),
     "is_subgroup": lambda b, s: is_subgroup(b.add_group, s),
     "is_normal": lambda b, s: is_normal(b.mul_group, s),
